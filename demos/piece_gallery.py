@@ -22,12 +22,9 @@ p = Parameter(5.0)
 for depth in (0, 1, 2, 3):
     pieces = generate_pieces(p, depth, samples=256)
     widest = max(pc.sampled_diam for pc in pieces)
-    if depth >= 1:
-        bound = piece_diameter_bound(p, depth)
-        print(f"depth {depth}: {len(pieces)} pieces, widest sampled "
-              f"{widest:.6f} vs certified {bound:.6f}")
-    else:
-        print(f"depth {depth}: {len(pieces)} pieces, widest sampled {widest:.6f}")
+    bound = piece_diameter_bound(p, depth)
+    print(f"depth {depth}: {len(pieces)} pieces, widest sampled "
+          f"{widest:.6f} vs certified {bound:.6f}")
     for pc in pieces[: min(4, len(pieces))]:
         print(f"  {pc.label}: center {pc.disk.center:.4f}, "
               f"radius {pc.disk.radius:.5f}")

@@ -12,15 +12,11 @@ from pathlib import Path
 
 from cantordiff import (
     Parameter,
-    difference_cover,
-    difference_measure_bound,
     generate_pieces,
     mask_area,
     mask_difference,
-    piece_disks,
     rasterize_preimage,
-    sum_area,
-    union_area_grid,
+    sandwich,
 )
 from cantordiff.images import write_pgm
 
@@ -36,21 +32,16 @@ raster = mask_area(diff_mask)
 write_pgm(inner, out / "preimage.pgm", extra={"depth": depth + 1})
 write_pgm(diff_mask, out / "difference.pgm")
 
-# upper estimate: enclosing disks of every piece, all pairwise
-# difference disks, then a dilated union grid with an explicit margin
-pieces = generate_pieces(p, depth, samples=512)
-disks = piece_disks(pieces)
-diff_disks = difference_cover(disks)
-grid = union_area_grid(diff_disks, cell)
-total = sum_area(diff_disks)
-
-# closed form: 12 pi 4^n K_n^2 with the certified base diameter
-worst = difference_measure_bound(p, depth).bound
+# upper estimates: enclosing disks of every piece, all pairwise
+# difference disks, their area sum and a dilated union grid with an
+# explicit margin; on top the closed form 12 pi 4^n K_n^2
+sw = sandwich(p, generate_pieces(p, depth, samples=512), cell)
+write_pgm(sw.union.mask, out / "union.pgm")
 
 print(f"c = {p.c}, piece depth {depth}, cell {cell}")
 print(f"raster lower estimate   {raster:.6f}")
-print(f"union-of-disks estimate {grid.area:.6f} (margin {grid.margin:.6f})")
-print(f"sum of disk areas       {total:.6f}")
-print(f"worst-case closed form  {worst:.6f}")
-assert raster <= grid.area <= total + grid.margin <= worst
-print("sandwich holds: raster <= union <= sum + margin <= worst case")
+print(f"union-of-disks estimate {sw.union.area:.6f} (margin {sw.union.margin:.6f})")
+print(f"sum of disk areas       {sw.total:.6f}")
+print(f"worst-case closed form  {sw.bound:.6f}")
+assert sw.holds(raster)
+print("sandwich holds: raster <= union <= sum + margin, and sum <= worst case")

@@ -23,12 +23,14 @@ from .bounds import (
 from .cover import (
     GridArea,
     PieceCover,
+    Sandwich,
     boundary_samples,
     difference_cover,
     generate_pieces,
     piece_disks,
     piece_sample_tree,
     piece_tree,
+    sandwich,
     sum_area,
     union_area_grid,
     union_grid_mask,
@@ -37,6 +39,7 @@ from .geometry import (
     Disk,
     Parameter,
     diameter,
+    diametral_disk,
     diametral_pair,
     disk_difference,
     enclosing_disk,
@@ -67,12 +70,14 @@ __all__ = [
     "Parameter",
     "PieceCover",
     "RadiusBounds",
+    "Sandwich",
     "VerifyConfig",
     "bound_table",
     "boundary_samples",
     "decay_condition",
     "decay_parameters",
     "diameter",
+    "diametral_disk",
     "diametral_pair",
     "difference_cover",
     "difference_measure_bound",
@@ -96,6 +101,7 @@ __all__ = [
     "rasterize_preimage",
     "run_verification",
     "sample_diff_check",
+    "sandwich",
     "sqrt_branch",
     "sum_area",
     "union_area_grid",

@@ -7,9 +7,12 @@ closed disk of radius |c|:
     R_1 = sqrt(2|c|),  R_{k+1} = sqrt(|c| + R_k)   (outer bound)
     r_1 = 0,           r_{k+1} = sqrt(|c| - R_k)   (inner bound)
 
+seeded by R_0 = |c| (the disk itself) and r_0 = 0.
+
 Both converge monotonically to explicit fixed points.  The inner radii
 control how strongly the inverse branches contract, which yields a
-certified diameter bound K_n for every depth-n piece and from it an upper
+certified diameter bound K_n for every depth-n piece (n >= 0; K_0 is the
+diameter bound of one inverse branch of the disk) and from it an upper
 bound 12*pi*4^n*K_n^2 on the area of a disk cover of the difference set
 built from those pieces.  The bound decays geometrically whenever
 |c|^2 - 6|c| + 6 > 0 (with |c| > 3); that threshold is evaluated in exact
@@ -28,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import Parameter, diameter, inverse_branch
+from .geometry import Parameter
 
 __all__ = [
     "RadiusBounds",
@@ -133,36 +136,26 @@ def radius_sequences(param: Parameter, count: int) -> RadiusBounds:
     return RadiusBounds(a, outer, inner, lim_outer, lim_inner)
 
 
-def first_piece_diameter(
-    param: Parameter, mode: str = "certified", samples: int = 4096
-) -> float:
-    """Diameter bound for a depth-0 piece (one inverse branch of the disk).
+def first_piece_diameter(param: Parameter) -> float:
+    """Certified diameter bound K_0 for a depth-0 piece.
 
-    "certified" returns 2*sqrt(2|c|): every point of the piece has modulus
-    at most R_1, so twice that bounds the diameter.  "sampled" maps a
-    uniform boundary sample through branch 0 and measures the spread; it
-    underestimates the true diameter slightly and is only for diagnostics
-    and cross-checks, never for certified output.
+    A depth-0 piece is one inverse branch of the disk; every point of it
+    has modulus at most R_1 = sqrt(2|c|), so 2*sqrt(2|c|) bounds its
+    diameter.  The sampled depth-0 diameters are generate_pieces(param, 0)
+    and never enter certified output.
     """
-    if mode == "certified":
-        return 2.0 * math.sqrt(2.0 * param.abs_c)
-    if mode == "sampled":
-        if samples < 16:
-            raise ValueError(f"need samples >= 16, got {samples}")
-        k = np.arange(samples, dtype=np.float64)
-        ring = param.abs_c * np.exp(2j * math.pi * k / samples)
-        return diameter(inverse_branch(ring, 0, param))
-    raise ValueError(f"mode must be 'certified' or 'sampled', got {mode!r}")
+    return 2.0 * math.sqrt(2.0 * param.abs_c)
 
 
-def _inner_log_sum(rb: RadiusBounds, n: int) -> float:
-    """log(r_2 * ... * r_{n+1}) from a precomputed radius table."""
-    return float(np.sum(np.log(rb.inner_seq[1 : n + 1])))
+def _log_diameter_bound(param: Parameter, rb: RadiusBounds, n: int) -> float:
+    """log K_n, for depths where the direct product could leave double range."""
+    inner_log_sum = float(np.sum(np.log(rb.inner_seq[1 : n + 1])))
+    return -n / 2.0 * math.log(2.0) - inner_log_sum + math.log(first_piece_diameter(param))
 
 
 def _require_depth(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"depth n must be >= 1, got {n}")
+    if n < 0:
+        raise ValueError(f"depth n must be >= 0, got {n}")
 
 
 def _radius_table(param: Parameter, rb: RadiusBounds | None, count: int) -> RadiusBounds:
@@ -174,54 +167,46 @@ def _radius_table(param: Parameter, rb: RadiusBounds | None, count: int) -> Radi
 def piece_diameter_bound(
     param: Parameter,
     n: int,
-    base_diam: float | None = None,
     rb: RadiusBounds | None = None,
 ) -> float:
-    """Certified diameter bound K_n for every depth-n piece.
+    """Certified diameter bound K_n for every depth-n piece, n >= 0.
 
-    K_n = 2^(-n/2) * (r_2 * ... * r_{n+1})^(-1) * base_diam, where
-    base_diam defaults to the certified depth-0 diameter 2*sqrt(2|c|).
-    Each inverse-branch application contracts pairwise distances by at
-    least sqrt(2)*r_{k+1} at depth k, and the product telescopes.
+    K_n = 2^(-n/2) * (r_2 * ... * r_{n+1})^(-1) * K_0 with K_0 =
+    first_piece_diameter(param).  Each inverse-branch application
+    contracts pairwise distances by at least sqrt(2)*r_{k+1} at depth k,
+    and the product telescopes.
     """
     _require_depth(n)
-    if base_diam is None:
-        base_diam = first_piece_diameter(param)
-    if not (math.isfinite(base_diam) and base_diam > 0.0):
-        raise ValueError(f"base_diam must be finite and > 0, got {base_diam!r}")
     rb = _radius_table(param, rb, n + 1)
     if n <= _LOG_SPACE_DEPTH:
         prod = 1.0
         for k in range(1, n + 1):
             prod *= rb.inner_seq[k]
-        return 2.0 ** (-n / 2.0) / prod * base_diam
-    log_k = -n / 2.0 * math.log(2.0) - _inner_log_sum(rb, n) + math.log(base_diam)
-    return math.exp(log_k)
+        return 2.0 ** (-n / 2.0) / prod * first_piece_diameter(param)
+    return math.exp(_log_diameter_bound(param, rb, n))
 
 
 def difference_measure_bound(
     param: Parameter,
     n: int,
-    base_diam: float | None = None,
     rb: RadiusBounds | None = None,
 ) -> BoundRow:
-    """Certified area bound 12*pi*4^n*K_n^2 for the depth-n cover.
+    """Certified area bound 12*pi*4^n*K_n^2 for the depth-n cover, n >= 0.
 
     The difference set of the depth-n preimage is covered by the pairwise
     disk differences of 2^(n+1) enclosing disks of radius
     (sqrt(3)/2)*K_n; summing 4^(n+1) areas of radius-sqrt(3)*K_n disks
     gives the stated bound.  ratio_step is the exact factor to the next
-    depth, 2/r_{n+2}^2.
+    depth, 2/r_{n+2}^2.  At n = 0 the row reports the recursion seeds
+    R_0 = |c| and r_0 = 0.
     """
     _require_depth(n)
-    if base_diam is None:
-        base_diam = first_piece_diameter(param)
     rb = _radius_table(param, rb, n + 2)
-    kn = piece_diameter_bound(param, n, base_diam, rb)
+    kn = piece_diameter_bound(param, n, rb)
     if n <= _LOG_SPACE_DEPTH:
         bound = 12.0 * math.pi * 4.0**n * kn * kn
     else:
-        log_k = -n / 2.0 * math.log(2.0) - _inner_log_sum(rb, n) + math.log(base_diam)
+        log_k = _log_diameter_bound(param, rb, n)
         log_bound = math.log(12.0 * math.pi) + n * math.log(4.0) + 2.0 * log_k
         # a diverging table can leave double range; +inf is still an upper bound
         bound = math.exp(log_bound) if log_bound < 709.0 else math.inf
@@ -229,25 +214,20 @@ def difference_measure_bound(
     ratio_step = 2.0 / (r_next * r_next)
     return BoundRow(
         n=n,
-        outer_radius=rb.outer(n),
-        inner_radius=rb.inner(n),
+        outer_radius=rb.outer(n) if n else param.abs_c,
+        inner_radius=rb.inner(n) if n else 0.0,
         diam_bound=kn,
         bound=bound,
         ratio_step=ratio_step,
     )
 
 
-def bound_table(
-    param: Parameter,
-    depth: int,
-    base_diam: float | None = None,
-) -> list[BoundRow]:
+def bound_table(param: Parameter, depth: int) -> list[BoundRow]:
     """Bound rows for n = 1..depth, sharing one radius table."""
-    _require_depth(depth)
-    if base_diam is None:
-        base_diam = first_piece_diameter(param)
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     rb = radius_sequences(param, depth + 2)
-    return [difference_measure_bound(param, n, base_diam, rb) for n in range(1, depth + 1)]
+    return [difference_measure_bound(param, n, rb) for n in range(1, depth + 1)]
 
 
 def decay_condition(param: Parameter) -> bool:

@@ -9,13 +9,14 @@ domain errors (one "error: ..." line on stderr).
 All output is deterministic: numbers print with 17 significant digits,
 JSON is emitted with sorted keys, and nothing depends on time or thread
 count.  Set CANTORDIFF_MEMORY_CAP to an integer to override the default
-allocation caps (points, pairs and cells alike).
+allocation caps of cover, diff and oracle (sample-tree points,
+difference-disk pairs and grid cells alike); verify ignores it and always
+runs at the built-in caps.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -24,16 +25,10 @@ from .bounds import (
     bound_table,
     decay_condition,
     decay_parameters,
-    difference_measure_bound,
     first_piece_diameter,
+    piece_diameter_bound,
 )
-from .cover import (
-    difference_cover,
-    generate_pieces,
-    piece_disks,
-    sum_area,
-    union_area_grid,
-)
+from .cover import generate_pieces, piece_disks, sandwich
 from .geometry import Parameter
 from .images import render_disks, write_pgm, write_ppm
 from .raster import mask_area, mask_difference, rasterize_preimage
@@ -83,8 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_param_args(b)
     b.add_argument("--depth", type=int, default=50, help="table depth (default 50)")
     b.add_argument("--epsilon", type=_parse_epsilon, default=None, metavar="X|auto")
-    b.add_argument("--diam", choices=("certified", "sampled"), default="certified")
-    b.add_argument("--samples", type=int, default=4096, help="boundary samples for --diam sampled")
     b.add_argument("--format", choices=("csv", "json"), default="csv")
     b.add_argument("--output", type=Path, default=None)
 
@@ -168,15 +161,15 @@ def _run_bounds(args, cap: int | None) -> int:
     param = Parameter(complex(args.c_re, args.c_im))
     if args.depth < 1:
         raise ValueError(f"--depth must be >= 1, got {args.depth}")
-    base = first_piece_diameter(param, args.diam, args.samples)
-    rows = bound_table(param, args.depth, base)
+    base = first_piece_diameter(param)
+    rows = bound_table(param, args.depth)
     guaranteed, decay = _decay_block(param, args.epsilon)
     if args.format == "json":
         obj = {
             "schema": BOUNDS_SCHEMA,
             "c": [param.c.real, param.c.imag],
             "depth": args.depth,
-            "diam_mode": args.diam,
+            "diam_mode": "certified",
             "base_diam": base,
             "rows": [
                 {
@@ -201,7 +194,7 @@ def _run_bounds(args, cap: int | None) -> int:
             f"{r.n},{_fmt(r.outer_radius)},{_fmt(r.inner_radius)},"
             f"{_fmt(r.diam_bound)},{_fmt(r.bound)},{_fmt(r.ratio_step)}"
         )
-    lines.append(f"# diam_mode,{args.diam}")
+    lines.append("# diam_mode,certified")
     lines.append(f"# base_diam,{_fmt(base)}")
     lines.append(f"# decay_guaranteed,{'true' if guaranteed else 'false'}")
     if guaranteed:
@@ -234,11 +227,7 @@ def _run_cover(args, cap: int | None) -> int:
     pieces = generate_pieces(
         param, args.depth, args.samples, max_points=cap, workers=args.workers
     )
-    kn = (
-        difference_measure_bound(param, args.depth).diam_bound
-        if args.depth >= 1
-        else first_piece_diameter(param)
-    )
+    kn = piece_diameter_bound(param, args.depth)
     max_diam = max(pc.sampled_diam for pc in pieces)
     if args.format == "json":
         obj = {
@@ -278,17 +267,12 @@ def _run_cover(args, cap: int | None) -> int:
 
 def _run_diff(args, cap: int | None) -> int:
     param = Parameter(complex(args.c_re, args.c_im))
-    if args.depth < 1:
-        raise ValueError(f"--depth must be >= 1, got {args.depth}")
     pieces = generate_pieces(
         param, args.depth, args.samples, max_points=cap, workers=args.workers
     )
-    disks = piece_disks(pieces)
-    diff = difference_cover(disks, max_pairs=cap)
-    total = sum_area(diff)
-    grid = union_area_grid(diff, args.cell, max_cells=cap)
-    worst = difference_measure_bound(param, args.depth).bound
-    count = len(disks)
+    sw = sandwich(param, pieces, args.cell, cap)
+    diff, grid = sw.disks, sw.union
+    count = len(pieces)
     if args.format == "json":
         obj = {
             "schema": DIFF_SCHEMA,
@@ -296,11 +280,11 @@ def _run_diff(args, cap: int | None) -> int:
             "depth": args.depth,
             "samples": args.samples,
             "cell": args.cell,
-            "sum_area": total,
+            "sum_area": sw.total,
             "union_area": grid.area,
             "union_margin": grid.margin,
             "union_cells": grid.cells,
-            "worst_case_bound": worst,
+            "worst_case_bound": sw.bound,
             "disks": [
                 {
                     "i": t // count,
@@ -319,11 +303,11 @@ def _run_diff(args, cap: int | None) -> int:
                 f"{t // count},{t % count},{_fmt(d.center.real)},"
                 f"{_fmt(d.center.imag)},{_fmt(d.radius)}"
             )
-        lines.append(f"# sum_area,{_fmt(total)}")
+        lines.append(f"# sum_area,{_fmt(sw.total)}")
         lines.append(f"# union_area,{_fmt(grid.area)}")
         lines.append(f"# union_margin,{_fmt(grid.margin)}")
         lines.append(f"# union_cells,{grid.cells}")
-        lines.append(f"# worst_case_bound,{_fmt(worst)}")
+        lines.append(f"# worst_case_bound,{_fmt(sw.bound)}")
         _emit(lines, args.output)
     if args.render is not None:
         _render_cover(diff, args.render, args.render_cell)
@@ -361,11 +345,18 @@ def _run_oracle(args, cap: int | None) -> int:
     if args.depth >= 1:
         # certified side at the matching piece depth: depth-(d-1) pieces
         # tile the d-fold preimage the rasters just measured
-        pd = args.depth - 1
-        report["sandwich"] = _sandwich_block(
-            param, pd, args.cell, args.samples, args.workers, cap,
-            report["diff_area"],
+        pieces = generate_pieces(
+            param, args.depth - 1, args.samples, max_points=cap, workers=args.workers
         )
+        sw = sandwich(param, pieces, args.cell, cap)
+        report["sandwich"] = {
+            "piece_depth": args.depth - 1,
+            "union_area": sw.union.area,
+            "union_margin": sw.union.margin,
+            "sum_area": sw.total,
+            "worst_case_bound": sw.bound,
+            "holds": sw.holds(report["diff_area"]),
+        }
     (outdir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
@@ -380,37 +371,6 @@ def _run_oracle(args, cap: int | None) -> int:
         print(f"sandwich_holds,{'true' if sw['holds'] else 'false'}")
     print(f"wrote {outdir}")
     return 0
-
-
-def _sandwich_block(
-    param: Parameter,
-    piece_depth: int,
-    cell: float,
-    samples: int,
-    workers: int,
-    cap: int | None,
-    diff_area: float,
-) -> dict:
-    pieces = generate_pieces(
-        param, piece_depth, samples=samples, max_points=cap, workers=workers
-    )
-    cover = difference_cover(piece_disks(pieces), max_pairs=cap)
-    grid = union_area_grid(cover, cell, max_cells=cap)
-    total = sum_area(cover)
-    if piece_depth == 0:
-        # depth-0 closed form: 4 difference disks of radius sqrt(3)*diam
-        worst = 12.0 * math.pi * first_piece_diameter(param) ** 2
-    else:
-        worst = float(difference_measure_bound(param, piece_depth).bound)
-    holds = diff_area <= grid.area and grid.area <= total + grid.margin and total <= worst
-    return {
-        "piece_depth": piece_depth,
-        "union_area": grid.area,
-        "union_margin": grid.margin,
-        "sum_area": total,
-        "worst_case_bound": worst,
-        "holds": bool(holds),
-    }
 
 
 def _run_verify(args, cap: int | None) -> int:

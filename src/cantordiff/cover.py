@@ -19,23 +19,33 @@ throughout (level k holds 2^(k+1) pieces):
 
 The difference set of the depth-n preimage is covered by all pairwise
 disk differences of the pieces' enclosing disks; summing their areas or
-rasterizing their union gives the two certified area estimates.
+rasterizing their union gives the two certified area estimates, and
+sandwich() computes both next to the closed-form bound.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import Disk, Parameter, diametral_pair, disk_difference, inverse_branch
-from .raster import GridMask
+from .bounds import difference_measure_bound
+from .geometry import (
+    Disk,
+    Parameter,
+    diametral_disk,
+    diametral_pair,
+    disk_difference,
+    inverse_branch,
+)
+from .raster import DEFAULT_MAX_CELLS, GridMask, check_cap
 
 __all__ = [
     "PieceCover",
     "GridArea",
+    "Sandwich",
     "boundary_samples",
     "piece_sample_tree",
     "generate_pieces",
@@ -45,6 +55,7 @@ __all__ = [
     "sum_area",
     "union_grid_mask",
     "union_area_grid",
+    "sandwich",
     "DEFAULT_MAX_POINTS",
     "DEFAULT_MAX_PAIRS",
     "DEFAULT_MAX_CELLS",
@@ -52,7 +63,6 @@ __all__ = [
 
 DEFAULT_MAX_POINTS = 1 << 24
 DEFAULT_MAX_PAIRS = 1 << 20
-DEFAULT_MAX_CELLS = 1 << 26
 
 _MIN_SAMPLES = 16
 
@@ -82,14 +92,37 @@ class PieceCover:
 class GridArea:
     """Grid estimate of a union area plus its certified allowance.
 
-    area counts marked cells times cell^2; the dilation used while
-    marking guarantees area <= (sum of member areas) + margin.
+    area counts the marked cells of mask times cell^2; the dilation used
+    while marking guarantees area <= (sum of member areas) + margin.
     """
 
     area: float
     margin: float
     cells: int
     cell: float
+    mask: GridMask = field(repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class Sandwich:
+    """The certified side of the area chain for one depth of pieces.
+
+    disks is the difference cover, union its grid estimate, total the sum
+    of its disk areas and bound the closed form 12*pi*4^n*K_n^2 at the
+    pieces' depth n.
+    """
+
+    disks: list[Disk]
+    union: GridArea
+    total: float
+    bound: float
+
+    def holds(self, raster_area: float) -> bool:
+        """raster <= union <= sum + margin, and sum <= bound."""
+        return (
+            raster_area <= self.union.area <= self.total + self.union.margin
+            and self.total <= self.bound
+        )
 
 
 def boundary_samples(param: Parameter, count: int) -> np.ndarray:
@@ -98,18 +131,6 @@ def boundary_samples(param: Parameter, count: int) -> np.ndarray:
         raise ValueError(f"need count >= {_MIN_SAMPLES}, got {count}")
     k = np.arange(count, dtype=np.float64)
     return param.abs_c * np.exp(2j * math.pi * k / count)
-
-
-def _check_tree_size(depth: int, samples: int, max_points: int | None) -> None:
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    cap = DEFAULT_MAX_POINTS if max_points is None else max_points
-    total = ((1 << (depth + 2)) - 2) * samples
-    if total > cap:
-        raise ValueError(
-            f"sample tree needs {total} points which exceeds the cap {cap}; "
-            "lower the depth or the per-piece sample count"
-        )
 
 
 def piece_sample_tree(
@@ -124,7 +145,10 @@ def piece_sample_tree(
     sample count.  Levels share suffixes as described in the module
     docstring, so building the deepest level yields all of them.
     """
-    _check_tree_size(depth, samples, max_points)
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    total = ((1 << (depth + 2)) - 2) * samples
+    check_cap("sample tree points", total, max_points, DEFAULT_MAX_POINTS)
     level = [boundary_samples(param, samples)]
     levels: list[list[np.ndarray]] = []
     for _ in range(depth + 1):
@@ -136,8 +160,7 @@ def piece_sample_tree(
 def _finalize_piece(seq: tuple[int, ...], arr: np.ndarray) -> PieceCover:
     i, j = diametral_pair(arr)
     d = float(abs(arr[i] - arr[j]))
-    center = (arr[i] + arr[j]) / 2.0
-    return PieceCover(seq, arr, d, Disk(center, (math.sqrt(3.0) / 2.0) * d))
+    return PieceCover(seq, arr, d, diametral_disk(arr[i], arr[j]))
 
 
 def _seq_of(index: int, depth: int) -> tuple[int, ...]:
@@ -201,12 +224,7 @@ def difference_cover(
     n = len(disks)
     if n == 0:
         raise ValueError("need at least one disk")
-    cap = DEFAULT_MAX_PAIRS if max_pairs is None else max_pairs
-    if n * n > cap:
-        raise ValueError(
-            f"{n}^2 difference disks exceed the cap {cap}; lower the depth "
-            "or raise the cap if the memory is actually available"
-        )
+    check_cap("difference disks", n * n, max_pairs, DEFAULT_MAX_PAIRS)
     return [disk_difference(da, db) for da in disks for db in disks]
 
 
@@ -232,7 +250,6 @@ def union_grid_mask(
         raise ValueError("need at least one disk")
     if not (math.isfinite(cell) and cell > 0.0):
         raise ValueError(f"cell must be finite and > 0, got {cell!r}")
-    cap = DEFAULT_MAX_CELLS if max_cells is None else max_cells
     dil = cell * math.sqrt(2.0) / 2.0
     xs_lo = min(d.center.real - d.radius - dil for d in disks)
     xs_hi = max(d.center.real + d.radius + dil for d in disks)
@@ -244,11 +261,7 @@ def union_grid_mask(
     ky_hi = math.ceil(ys_hi / cell) + 1
     nx = kx_hi - kx_lo + 1
     ny = ky_hi - ky_lo + 1
-    if nx * ny > cap:
-        raise ValueError(
-            f"union grid needs {nx * ny} cells which exceeds the cap {cap}; "
-            "use a coarser cell or raise the cap"
-        )
+    check_cap("union grid cells", nx * ny, max_cells, DEFAULT_MAX_CELLS)
     mask = np.zeros((ny, nx), dtype=bool)
     for d in disks:
         rr = d.radius + dil
@@ -284,4 +297,26 @@ def union_area_grid(
         math.pi * (2.0 * math.sqrt(2.0) * cell * d.radius + 2.0 * cell * cell)
         for d in disks
     )
-    return GridArea(area=count * cell * cell, margin=margin, cells=count, cell=cell)
+    return GridArea(
+        area=count * cell * cell, margin=margin, cells=count, cell=cell, mask=mask
+    )
+
+
+def sandwich(
+    param: Parameter,
+    pieces: Sequence[PieceCover],
+    cell: float,
+    cap: int | None = None,
+) -> Sandwich:
+    """Difference cover of one depth of pieces, its two area estimates
+    and the closed-form bound at that depth.
+
+    cap, when given, replaces both the pair cap and the cell cap.
+    """
+    disks = difference_cover(piece_disks(pieces), max_pairs=cap)
+    return Sandwich(
+        disks=disks,
+        union=union_area_grid(disks, cell, max_cells=cap),
+        total=sum_area(disks),
+        bound=float(difference_measure_bound(param, pieces[0].depth).bound),
+    )

@@ -28,6 +28,7 @@ __all__ = [
     "inverse_branch",
     "diameter",
     "diametral_pair",
+    "diametral_disk",
     "enclosing_disk",
     "disk_difference",
 ]
@@ -223,45 +224,50 @@ def _pair_hull(pts: np.ndarray) -> tuple[int, int, float]:
     return a, b, best
 
 
+def _diametral(points) -> tuple[np.ndarray, int, int, float]:
+    """Points plus (i, j, distance) of a diametral pair.
+
+    Small sets scan all pairs; above _ALL_PAIRS_LIMIT points a convex hull
+    pass restricts candidates to antipodal hull pairs, which preserves the
+    attained distance.
+    """
+    pts = _as_points(points)
+    scan = _pair_scan if pts.size <= _ALL_PAIRS_LIMIT else _pair_hull
+    return (pts, *scan(pts))
+
+
 def diametral_pair(points) -> tuple[int, int]:
     """Indices (i, j), i <= j, of a pair attaining the set diameter.
 
-    Deterministic: among attaining pairs the lexicographically smallest
-    index pair is returned (small sets scan all pairs; above
-    _ALL_PAIRS_LIMIT points a convex hull pass restricts candidates to
-    antipodal hull pairs, which preserves the attained distance).
+    Deterministic: the same input always gives the same pair.  Up to
+    _ALL_PAIRS_LIMIT points it is the lexicographically smallest index
+    pair among all pairs attaining the diameter; above that it is the
+    smallest among the antipodal hull pairs the calipers visit, which can
+    be a different pair at the same distance.
     """
-    pts = _as_points(points)
-    if pts.size <= _ALL_PAIRS_LIMIT:
-        i, j, _ = _pair_scan(pts)
-    else:
-        i, j, _ = _pair_hull(pts)
+    _, i, j, _ = _diametral(points)
     return i, j
 
 
 def diameter(points) -> float:
     """Exact diameter max |p - q| of a finite point set."""
-    pts = _as_points(points)
-    if pts.size <= _ALL_PAIRS_LIMIT:
-        return _pair_scan(pts)[2]
-    return _pair_hull(pts)[2]
+    return _diametral(points)[3]
+
+
+def diametral_disk(x: complex, y: complex) -> Disk:
+    """The sqrt(3)/2 disk on a diametral pair (x, y) of a set.
+
+    Centers on the midpoint and uses radius (sqrt(3)/2) * |x - y|.  Any
+    planar set of diameter |x - y| containing x and y fits in this disk,
+    so it covers the whole set; it is not the minimal enclosing disk.
+    """
+    return Disk((x + y) / 2.0, (math.sqrt(3.0) / 2.0) * abs(x - y))
 
 
 def enclosing_disk(points) -> Disk:
-    """Certified enclosing disk from a diametral pair.
-
-    Centers on the midpoint of a diametral pair (x, y) and uses radius
-    (sqrt(3)/2) * |x - y|.  Any planar set of diameter d fits in a disk of
-    this radius around that midpoint, so the result covers every input
-    point with room to spare; it is not the minimal enclosing disk.
-    """
-    pts = _as_points(points)
-    if pts.size <= _ALL_PAIRS_LIMIT:
-        i, j, d = _pair_scan(pts)
-    else:
-        i, j, d = _pair_hull(pts)
-    center = (pts[i] + pts[j]) / 2.0
-    return Disk(center, (math.sqrt(3.0) / 2.0) * d)
+    """Certified enclosing disk: diametral_disk on a diametral pair."""
+    pts, i, j, _ = _diametral(points)
+    return diametral_disk(pts[i], pts[j])
 
 
 def disk_difference(d2: Disk, d1: Disk) -> Disk:

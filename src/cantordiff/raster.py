@@ -43,6 +43,7 @@ __all__ = [
     "DEFAULT_MAX_CELLS",
 ]
 
+# built-in cap on the cells of any one raster or union grid
 DEFAULT_MAX_CELLS = 1 << 26
 
 _LCG_A = 6364136223846793005
@@ -90,6 +91,16 @@ class GridMask:
         xs, ys = self.center_axes()
         iy, ix = np.nonzero(self.bits)
         return xs[ix] + 1j * ys[iy]
+
+
+def check_cap(what: str, need: int, cap: int | None, default: int) -> None:
+    """Refuse an allocation of need units above cap (None: the default)."""
+    limit = default if cap is None else cap
+    if need > limit:
+        raise ValueError(
+            f"{what}: {need} needed, which exceeds the cap {limit}; lower "
+            "the depth, the sample count or the resolution"
+        )
 
 
 def preimage_member(z, param: Parameter, depth: int):
@@ -175,14 +186,9 @@ def rasterize_preimage(
         raise ValueError(f"depth must be >= 0, got {depth}")
     if not (math.isfinite(cell) and cell > 0.0):
         raise ValueError(f"cell must be finite and > 0, got {cell!r}")
-    cap = DEFAULT_MAX_CELLS if max_cells is None else max_cells
     nhalf = math.ceil((param.abs_c + cell) / cell)
     width = 2 * nhalf
-    if width * width > cap:
-        raise ValueError(
-            f"raster needs {width * width} cells which exceeds the cap {cap}; "
-            "use a coarser cell or raise the cap"
-        )
+    check_cap("raster cells", width * width, max_cells, DEFAULT_MAX_CELLS)
     coords = (np.arange(width, dtype=np.float64) - nhalf + 0.5) * cell
     origin = complex(-nhalf * cell, -nhalf * cell)
     half_diag = cell * math.sqrt(2.0) / 2.0

@@ -27,7 +27,7 @@ from . import cover as cov
 from .geometry import (
     Disk,
     Parameter,
-    diameter,
+    diametral_disk,
     disk_difference,
     forward_map,
     inverse_branch,
@@ -79,7 +79,6 @@ class _Ctx:
 
     def __init__(self, cfg: VerifyConfig) -> None:
         self.cfg = cfg
-        self._tree: list[list[np.ndarray]] | None = None
         self._pieces: list[list[cov.PieceCover]] | None = None
         self._rb: bnd.RadiusBounds | None = None
         self._inner: dict[int, GridMask] = {}
@@ -92,21 +91,17 @@ class _Ctx:
         return self._inner[depth]
 
     @property
-    def tree(self) -> list[list[np.ndarray]]:
-        if self._tree is None:
-            self._tree = cov.piece_sample_tree(
-                self.cfg.param, self.cfg.depth, self.cfg.samples
-            )
-        return self._tree
-
-    @property
     def pieces(self) -> list[list[cov.PieceCover]]:
         if self._pieces is None:
-            self._pieces = [
-                cov._finalize_level(arrays, k, self.cfg.workers)
-                for k, arrays in enumerate(self.tree)
-            ]
+            self._pieces = cov.piece_tree(
+                self.cfg.param, self.cfg.depth, self.cfg.samples, workers=self.cfg.workers
+            )
         return self._pieces
+
+    @property
+    def tree(self) -> list[list[np.ndarray]]:
+        """The sample tree: each level's piece samples, in piece order."""
+        return [[pc.samples for pc in level] for level in self.pieces]
 
     @property
     def rb(self) -> bnd.RadiusBounds:
@@ -518,17 +513,13 @@ def _check_area_sandwich(ctx: _Ctx) -> tuple[bool, str]:
     for n in range(1, top + 1):
         inner = ctx.inner(n + 1)
         dm = mask_difference(inner, inner)
-        pieces = ctx.pieces[n]
-        cover_disks = cov.difference_cover(cov.piece_disks(pieces))
-        um = cov.union_grid_mask(cover_disks, cfg.cell)
-        bd, bu, _, _ = _on_common_lattice(dm, um)
+        sw = cov.sandwich(cfg.param, ctx.pieces[n], cfg.cell)
+        grid, total, worst = sw.union, sw.total, sw.bound
+        bd, bu, _, _ = _on_common_lattice(dm, grid.mask)
         stray = int(np.count_nonzero(bd & ~bu))
         if stray:
             return False, f"depth {n}: {stray} difference cells escape the union grid"
         raster_area = mask_area(dm)
-        grid = cov.union_area_grid(cover_disks, cfg.cell)
-        total = cov.sum_area(cover_disks)
-        worst = bnd.difference_measure_bound(cfg.param, n, rb=ctx.rb).bound
         if not (raster_area <= grid.area and grid.area <= total + grid.margin):
             return False, (
                 f"depth {n}: ordering failed: raster {raster_area:.9f}, "
@@ -547,10 +538,11 @@ def _check_worst_case_identity(ctx: _Ctx) -> tuple[bool, str]:
     cfg = ctx.cfg
     n = cfg.depth
     kn = bnd.piece_diameter_bound(cfg.param, n, rb=ctx.rb)
-    radius = math.sqrt(3.0) / 2.0 * kn
+    # enclosing-disk radius of a piece whose diameter is exactly K_n
+    radius = diametral_disk(0j, complex(kn)).radius
     count = 1 << (n + 1)
     disks = [Disk(complex(3.0 * radius * t, 0.0), radius) for t in range(count)]
-    total = cov.sum_area(cov.difference_cover(disks, max_pairs=count * count))
+    total = math.fsum(disk_difference(a, b).area for a in disks for b in disks)
     closed = bnd.difference_measure_bound(cfg.param, n, rb=ctx.rb).bound
     rel = abs(total - closed) / closed
     ok = rel <= 1e-12

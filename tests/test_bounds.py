@@ -17,6 +17,7 @@ from cantordiff import (
     decay_parameters,
     difference_measure_bound,
     first_piece_diameter,
+    generate_pieces,
     piece_diameter_bound,
     radius_limits,
     radius_sequences,
@@ -80,8 +81,22 @@ def test_first_piece_diameter_certified(p5):
 
 
 def test_first_piece_diameter_sampled_below_certified(p5):
-    sampled = first_piece_diameter(p5, mode="sampled", samples=2048)
-    assert 0 < sampled <= first_piece_diameter(p5)
+    pieces = generate_pieces(p5, 0, samples=2048)
+    assert len(pieces) == 2
+    assert all(0 < pc.sampled_diam <= first_piece_diameter(p5) for pc in pieces)
+
+
+def test_depth_zero_row(p5):
+    k0 = first_piece_diameter(p5)
+    assert piece_diameter_bound(p5, 0) == k0
+    row = difference_measure_bound(p5, 0)
+    assert (row.n, row.outer_radius, row.inner_radius) == (0, 5.0, 0.0)
+    assert row.diam_bound == k0
+    assert row.bound == 12.0 * math.pi * k0 * k0
+    # the seeds continue the recursion: R_1 = sqrt(|c| + R_0), r_1 = sqrt(|c| - R_0)
+    rb = radius_sequences(p5, 2)
+    assert rb.outer(1) == math.sqrt(5.0 + row.outer_radius)
+    assert rb.inner(1) == math.sqrt(5.0 - row.outer_radius)
 
 
 def test_piece_diameter_bound_oracle(p5):
@@ -185,7 +200,9 @@ def test_decay_parameters_epsilon_out_of_margin(p5):
 
 def test_bound_depth_validation(p5):
     with pytest.raises(ValueError):
-        difference_measure_bound(p5, 0)
+        difference_measure_bound(p5, -1)
+    with pytest.raises(ValueError):
+        piece_diameter_bound(p5, -1)
     with pytest.raises(ValueError):
         bound_table(p5, 0)
 

@@ -92,6 +92,24 @@ def test_diff_reports_sandwich_numbers(capsys):
     assert obj["sum_area"] <= obj["worst_case_bound"]
 
 
+@pytest.mark.parametrize("piece_depth", [0, 2])
+def test_diff_and_oracle_share_the_sandwich(tmp_path, capsys, piece_depth):
+    # diff at piece depth n and oracle at raster depth n + 1 run the same
+    # certified computation: every number must agree bit for bit
+    common = ("--c-re", "5", "--samples", "128", "--cell", "0.02")
+    code, out, _ = run_cli(capsys, "diff", "--depth", str(piece_depth),
+                           "--format", "json", *common)
+    assert code == 0
+    diff = json.loads(out)
+    code, _, _ = run_cli(capsys, "oracle", "--depth", str(piece_depth + 1),
+                         "--outdir", str(tmp_path), *common)
+    assert code == 0
+    sw = json.loads((tmp_path / "report.json").read_text())["sandwich"]
+    assert sw["piece_depth"] == piece_depth
+    for key in ("sum_area", "union_area", "union_margin", "worst_case_bound"):
+        assert diff[key].hex() == sw[key].hex(), key
+
+
 def test_oracle_writes_artifacts(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "oracle", "--c-re", "5", "--depth", "1",
                            "--cell", "0.05", "--outdir", str(tmp_path / "o"))
