@@ -22,12 +22,11 @@ from .bounds import (
 )
 from .cover import (
     GridArea,
-    PieceCover,
+    Pieces,
     Sandwich,
     boundary_samples,
     difference_cover,
     generate_pieces,
-    piece_disks,
     piece_sample_tree,
     piece_tree,
     sandwich,
@@ -37,9 +36,10 @@ from .cover import (
 )
 from .geometry import (
     Disk,
+    Disks,
     Parameter,
     diameter,
-    diametral_disk,
+    diametral_disks,
     diametral_pair,
     disk_difference,
     enclosing_disk,
@@ -65,10 +65,11 @@ __all__ = [
     "BoundRow",
     "DecayParams",
     "Disk",
+    "Disks",
     "GridArea",
     "GridMask",
     "Parameter",
-    "PieceCover",
+    "Pieces",
     "RadiusBounds",
     "Sandwich",
     "VerifyConfig",
@@ -77,7 +78,7 @@ __all__ = [
     "decay_condition",
     "decay_parameters",
     "diameter",
-    "diametral_disk",
+    "diametral_disks",
     "diametral_pair",
     "difference_cover",
     "difference_measure_bound",
@@ -92,7 +93,6 @@ __all__ = [
     "mask_area",
     "mask_difference",
     "piece_diameter_bound",
-    "piece_disks",
     "piece_sample_tree",
     "piece_tree",
     "preimage_member",

@@ -28,8 +28,8 @@ from .bounds import (
     first_piece_diameter,
     piece_diameter_bound,
 )
-from .cover import generate_pieces, piece_disks, sandwich
-from .geometry import Parameter
+from .cover import generate_pieces, sandwich
+from .geometry import Disks, Parameter
 from .images import render_disks, write_pgm, write_ppm
 from .raster import mask_area, mask_difference, rasterize_preimage
 from .verify import VerifyConfig, run_verification
@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--depth", type=int, required=True)
     o.add_argument("--cell", type=float, default=0.02)
     o.add_argument("--samples", type=int, default=512,
-                   help="boundary samples per piece for the certified side")
+                   help="boundary samples per piece for the disk-cover side")
     o.add_argument("--method", choices=("auto", "direct", "fft"), default="auto")
     o.add_argument("--workers", type=int, default=1)
     o.add_argument("--outdir", type=Path, required=True)
@@ -209,13 +209,12 @@ def _run_bounds(args, cap: int | None) -> int:
     return 0
 
 
-def _render_cover(disks, render: Path, render_cell: float | None) -> None:
+def _render_cover(disks: Disks, render: Path, render_cell: float | None) -> None:
     if render_cell is None:
+        cx, cy, r = disks.centers.real, disks.centers.imag, disks.radii
         spread = max(
-            max(d.center.real + d.radius for d in disks)
-            - min(d.center.real - d.radius for d in disks),
-            max(d.center.imag + d.radius for d in disks)
-            - min(d.center.imag - d.radius for d in disks),
+            float((cx + r).max()) - float((cx - r).min()),
+            float((cy + r).max()) - float((cy - r).min()),
         )
         render_cell = max(spread / 900.0, 1e-6)
     write_ppm(render_disks(disks, render_cell), render)
@@ -228,7 +227,9 @@ def _run_cover(args, cap: int | None) -> int:
         param, args.depth, args.samples, max_points=cap, workers=args.workers
     )
     kn = piece_diameter_bound(param, args.depth)
-    max_diam = max(pc.sampled_diam for pc in pieces)
+    max_diam = float(pieces.sampled_diam.max())
+    disks = pieces.disks
+    rows = list(zip(disks.centers.tolist(), disks.radii.tolist(), pieces.sampled_diam.tolist()))
     if args.format == "json":
         obj = {
             "schema": COVER_SCHEMA,
@@ -239,21 +240,20 @@ def _run_cover(args, cap: int | None) -> int:
             "max_sampled_diam": max_diam,
             "pieces": [
                 {
-                    "seq": pc.label,
-                    "center": [pc.disk.center.real, pc.disk.center.imag],
-                    "radius": pc.disk.radius,
-                    "sampled_diam": pc.sampled_diam,
+                    "seq": pieces.label(j),
+                    "center": [z.real, z.imag],
+                    "radius": r,
+                    "sampled_diam": d,
                 }
-                for pc in pieces
+                for j, (z, r, d) in enumerate(rows)
             ],
         }
         _emit_json(obj, args.output)
     else:
         lines = ["seq,center_re,center_im,radius,sampled_diam"]
-        for pc in pieces:
+        for j, (z, r, d) in enumerate(rows):
             lines.append(
-                f"{pc.label},{_fmt(pc.disk.center.real)},{_fmt(pc.disk.center.imag)},"
-                f"{_fmt(pc.disk.radius)},{_fmt(pc.sampled_diam)}"
+                f"{pieces.label(j)},{_fmt(z.real)},{_fmt(z.imag)},{_fmt(r)},{_fmt(d)}"
             )
         lines.append(f"# pieces,{len(pieces)}")
         lines.append(f"# depth,{args.depth}")
@@ -261,7 +261,7 @@ def _run_cover(args, cap: int | None) -> int:
         lines.append(f"# max_sampled_diam,{_fmt(max_diam)}")
         _emit(lines, args.output)
     if args.render is not None:
-        _render_cover(piece_disks(pieces), args.render, args.render_cell)
+        _render_cover(disks, args.render, args.render_cell)
     return 0
 
 
@@ -273,6 +273,7 @@ def _run_diff(args, cap: int | None) -> int:
     sw = sandwich(param, pieces, args.cell, cap)
     diff, grid = sw.disks, sw.union
     count = len(pieces)
+    rows = list(zip(diff.centers.tolist(), diff.radii.tolist()))
     if args.format == "json":
         obj = {
             "schema": DIFF_SCHEMA,
@@ -289,19 +290,18 @@ def _run_diff(args, cap: int | None) -> int:
                 {
                     "i": t // count,
                     "j": t % count,
-                    "center": [d.center.real, d.center.imag],
-                    "radius": d.radius,
+                    "center": [z.real, z.imag],
+                    "radius": r,
                 }
-                for t, d in enumerate(diff)
+                for t, (z, r) in enumerate(rows)
             ],
         }
         _emit_json(obj, args.output)
     else:
         lines = ["i,j,center_re,center_im,radius"]
-        for t, d in enumerate(diff):
+        for t, (z, r) in enumerate(rows):
             lines.append(
-                f"{t // count},{t % count},{_fmt(d.center.real)},"
-                f"{_fmt(d.center.imag)},{_fmt(d.radius)}"
+                f"{t // count},{t % count},{_fmt(z.real)},{_fmt(z.imag)},{_fmt(r)}"
             )
         lines.append(f"# sum_area,{_fmt(sw.total)}")
         lines.append(f"# union_area,{_fmt(grid.area)}")
@@ -343,7 +343,7 @@ def _run_oracle(args, cap: int | None) -> int:
         "sandwich": None,
     }
     if args.depth >= 1:
-        # certified side at the matching piece depth: depth-(d-1) pieces
+        # disk-cover side at the matching piece depth: depth-(d-1) pieces
         # tile the d-fold preimage the rasters just measured
         pieces = generate_pieces(
             param, args.depth - 1, args.samples, max_points=cap, workers=args.workers

@@ -5,7 +5,8 @@ dtype complex128).  This module provides the quadratic map z -> z^2 + c and
 its two inverse square-root branches with a fixed cut (argument taken in
 [0, 2*pi)), exact point-set diameters with a deterministic diametral pair,
 the sqrt(3)/2 enclosing disk built on that pair, and the exact difference
-set of two disks.
+set of two disks.  A single disk is a Disk; a set of disks is a Disks,
+two parallel arrays of centers and radii.
 
 The enclosing disk is deliberately not the minimal one: centering on the
 midpoint of a diametral pair and inflating by sqrt(3)/2 gives a certified
@@ -16,19 +17,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "Parameter",
     "Disk",
+    "Disks",
     "forward_map",
     "sqrt_branch",
     "inverse_branch",
     "diameter",
     "diametral_pair",
-    "diametral_disk",
+    "diametral_disks",
     "enclosing_disk",
     "disk_difference",
 ]
@@ -93,6 +94,35 @@ class Disk:
         return np.abs(np.asarray(z) - self.center) <= self.radius + tol
 
 
+@dataclass(frozen=True, eq=False)
+class Disks:
+    """A nonempty set of closed disks {|z - centers[k]| <= radii[k]} as
+    parallel read-only 1-D arrays; disks[k] is the scalar Disk k."""
+
+    centers: np.ndarray
+    radii: np.ndarray
+
+    def __post_init__(self) -> None:
+        c = np.asarray(self.centers, dtype=np.complex128).reshape(-1).view()
+        r = np.asarray(self.radii, dtype=np.float64).reshape(-1).view()
+        if r.size == 0:
+            raise ValueError("need at least one disk")
+        if c.shape != r.shape:
+            raise ValueError(f"{c.size} centers but {r.size} radii")
+        if not np.all(np.isfinite(r) & (r >= 0.0)):
+            raise ValueError("radii must be finite and >= 0")
+        c.setflags(write=False)
+        r.setflags(write=False)
+        object.__setattr__(self, "centers", c)
+        object.__setattr__(self, "radii", r)
+
+    def __len__(self) -> int:
+        return self.radii.size
+
+    def __getitem__(self, k: int) -> Disk:
+        return Disk(self.centers[k], self.radii[k])
+
+
 def forward_map(z, param: Parameter):
     """The quadratic map z -> z^2 + c (scalar or elementwise)."""
     return z * z + param.c
@@ -144,26 +174,20 @@ def _pair_scan(pts: np.ndarray) -> tuple[int, int, float]:
     """Exact diametral pair by blocked all-pairs scan.
 
     Returns (i, j, distance) with i <= j and (i, j) lexicographically
-    smallest among pairs attaining the maximum.
+    smallest among pairs attaining the maximum: the distance matrix is
+    exactly symmetric, so its first maximum in row-major order, which is
+    the one kept here, already has i <= j.
     """
     m = pts.size
-    best = 0.0
+    best, bi, bj = -1.0, 0, 0
     for lo in range(0, m, _BLOCK):
         d = np.abs(pts[lo : lo + _BLOCK, None] - pts[None, :])
-        v = float(d.max())
+        k = int(d.argmax())
+        v = float(d.flat[k])
         if v > best:
             best = v
-    for lo in range(0, m, _BLOCK):
-        d = np.abs(pts[lo : lo + _BLOCK, None] - pts[None, :])
-        hits = np.argwhere(d == best)
-        if hits.size:
-            pairs = []
-            for a, b in hits:
-                i, j = lo + int(a), int(b)
-                pairs.append((i, j) if i <= j else (j, i))
-            i, j = min(pairs)
-            return i, j, best
-    return 0, 0, best
+            bi, bj = divmod(lo * m + k, m)
+    return bi, bj, best
 
 
 def _cross(o: complex, a: complex, b: complex) -> float:
@@ -254,20 +278,23 @@ def diameter(points) -> float:
     return _diametral(points)[3]
 
 
-def diametral_disk(x: complex, y: complex) -> Disk:
-    """The sqrt(3)/2 disk on a diametral pair (x, y) of a set.
+def diametral_disks(x, y) -> Disks:
+    """The sqrt(3)/2 disks on diametral pairs (x, y), scalars or arrays.
 
-    Centers on the midpoint and uses radius (sqrt(3)/2) * |x - y|.  Any
-    planar set of diameter |x - y| containing x and y fits in this disk,
-    so it covers the whole set; it is not the minimal enclosing disk.
+    Each disk centers on the midpoint of its pair and has radius
+    (sqrt(3)/2) * |x - y|.  Any planar set of diameter |x - y| containing
+    x and y fits in this disk, so it covers the whole set; it is not the
+    minimal enclosing disk.
     """
-    return Disk((x + y) / 2.0, (math.sqrt(3.0) / 2.0) * abs(x - y))
+    d = x - y
+    # hypot, not np.abs: it rounds exactly like scalar abs() of a complex
+    return Disks((x + y) / 2.0, (math.sqrt(3.0) / 2.0) * np.hypot(d.real, d.imag))
 
 
 def enclosing_disk(points) -> Disk:
-    """Certified enclosing disk: diametral_disk on a diametral pair."""
+    """Certified enclosing disk: diametral_disks on a diametral pair."""
     pts, i, j, _ = _diametral(points)
-    return diametral_disk(pts[i], pts[j])
+    return diametral_disks(pts[i], pts[j])[0]
 
 
 def disk_difference(d2: Disk, d1: Disk) -> Disk:

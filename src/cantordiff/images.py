@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Disk
+from .geometry import Disks
 from .raster import GridMask
 
 __all__ = [
@@ -108,7 +108,7 @@ def render_mask(mask: GridMask, fg: tuple[int, int, int] = _PALETTE[0]) -> np.nd
 
 
 def render_disks(
-    disks: list[Disk],
+    disks: Disks,
     cell: float,
     pad: float | None = None,
     axes: bool = True,
@@ -119,17 +119,15 @@ def render_disks(
     plus pad, default one radius of slack).  Purely for inspection; the
     certified numbers never come from this raster.
     """
-    if not disks:
-        raise ValueError("need at least one disk")
     if not (math.isfinite(cell) and cell > 0.0):
         raise ValueError(f"cell must be finite and > 0, got {cell!r}")
-    rmax = max(d.radius for d in disks)
+    cx, cy, r = disks.centers.real, disks.centers.imag, disks.radii
     if pad is None:
-        pad = max(rmax, cell) * 0.5
-    x_lo = min(d.center.real - d.radius for d in disks) - pad
-    x_hi = max(d.center.real + d.radius for d in disks) + pad
-    y_lo = min(d.center.imag - d.radius for d in disks) - pad
-    y_hi = max(d.center.imag + d.radius for d in disks) + pad
+        pad = max(float(r.max()), cell) * 0.5
+    x_lo = float((cx - r).min()) - pad
+    x_hi = float((cx + r).max()) + pad
+    y_lo = float((cy - r).min()) - pad
+    y_hi = float((cy + r).max()) + pad
     w = max(int(math.ceil((x_hi - x_lo) / cell)), 8)
     h = max(int(math.ceil((y_hi - y_lo) / cell)), 8)
     if w * h > (1 << 24):
@@ -148,11 +146,11 @@ def render_disks(
             img[:, col] = _AXIS
         if abs(ys[row]) <= cell:
             img[row, :] = _AXIS
-    for idx, d in enumerate(disks):
+    for idx, (x, y, rad) in enumerate(zip(cx.tolist(), cy.tolist(), r.tolist())):
         color = np.array(_PALETTE[idx % len(_PALETTE)], dtype=np.float64)
-        dist = np.hypot(xs[None, :] - d.center.real, ys[:, None] - d.center.imag)
-        fill = dist <= d.radius
+        dist = np.hypot(xs[None, :] - x, ys[:, None] - y)
+        fill = dist <= rad
         img[fill] = 0.65 * img[fill] + 0.35 * color
-        edge = np.abs(dist - d.radius) <= cell
+        edge = np.abs(dist - rad) <= cell
         img[edge] = _OUTLINE_SCALE * color
     return np.clip(np.rint(img), 0, 255).astype(np.uint8)

@@ -26,8 +26,9 @@ from . import bounds as bnd
 from . import cover as cov
 from .geometry import (
     Disk,
+    Disks,
     Parameter,
-    diametral_disk,
+    diametral_disks,
     disk_difference,
     forward_map,
     inverse_branch,
@@ -79,7 +80,7 @@ class _Ctx:
 
     def __init__(self, cfg: VerifyConfig) -> None:
         self.cfg = cfg
-        self._pieces: list[list[cov.PieceCover]] | None = None
+        self._pieces: list[cov.Pieces] | None = None
         self._rb: bnd.RadiusBounds | None = None
         self._inner: dict[int, GridMask] = {}
 
@@ -91,17 +92,12 @@ class _Ctx:
         return self._inner[depth]
 
     @property
-    def pieces(self) -> list[list[cov.PieceCover]]:
+    def pieces(self) -> list[cov.Pieces]:
         if self._pieces is None:
             self._pieces = cov.piece_tree(
                 self.cfg.param, self.cfg.depth, self.cfg.samples, workers=self.cfg.workers
             )
         return self._pieces
-
-    @property
-    def tree(self) -> list[list[np.ndarray]]:
-        """The sample tree: each level's piece samples, in piece order."""
-        return [[pc.samples for pc in level] for level in self.pieces]
 
     @property
     def rb(self) -> bnd.RadiusBounds:
@@ -231,8 +227,8 @@ def _check_piece_membership(ctx: _Ctx) -> tuple[bool, str]:
     cfg = ctx.cfg
     tol = cfg.param.abs_c * (1.0 + 1e-9)
     worst = 0.0
-    for k, arrays in enumerate(ctx.tree):
-        z = np.concatenate(arrays)
+    for k, level in enumerate(ctx.pieces):
+        z = level.samples
         worst = max(worst, float(np.abs(z).max()))
         for _ in range(k + 1):
             z = forward_map(z, cfg.param)
@@ -243,30 +239,28 @@ def _check_piece_membership(ctx: _Ctx) -> tuple[bool, str]:
 
 def _check_suffix_sharing(ctx: _Ctx) -> tuple[bool, str]:
     cfg = ctx.cfg
-    tree = ctx.tree
-    base = cov.boundary_samples(cfg.param, cfg.samples)
-    prev = [base]
+    # one branch call per piece, against the tree's one call per level
+    prev = cov.boundary_samples(cfg.param, cfg.samples)[None, :]
     exact = True
-    for k, level in enumerate(tree):
+    for k, level in enumerate(ctx.pieces):
         half = 1 << k
-        for j, arr in enumerate(level):
+        for j, arr in enumerate(level.samples):
             b = j >> k
             src = prev[j & (half - 1)]
             if not np.array_equal(arr, inverse_branch(src, b, cfg.param)):
                 exact = False
-        prev = level
-    return exact, f"rebuilt {sum(len(lv) for lv in tree)} pieces, bitwise equal={exact}"
+        prev = level.samples
+    return exact, f"rebuilt {sum(len(lv) for lv in ctx.pieces)} pieces, bitwise equal={exact}"
 
 
 def _check_pairwise_contraction(ctx: _Ctx) -> tuple[bool, str]:
     cfg = ctx.cfg
-    tree = ctx.tree
     worst = 0.0
-    for k in range(1, len(tree)):
+    for k in range(1, len(ctx.pieces)):
         factor = math.sqrt(2.0) * ctx.rb.inner(k + 1)
         half = 1 << k
-        for j, child in enumerate(tree[k]):
-            parent = tree[k - 1][j & (half - 1)]
+        for j, child in enumerate(ctx.pieces[k].samples):
+            parent = ctx.pieces[k - 1].samples[j & (half - 1)]
             dc = np.abs(child[:, None] - child[None, :]) * factor
             dp = np.abs(parent[:, None] - parent[None, :])
             mask = dp > 0
@@ -279,24 +273,22 @@ def _check_pairwise_contraction(ctx: _Ctx) -> tuple[bool, str]:
 def _check_sampled_diameter(ctx: _Ctx) -> tuple[bool, str]:
     cfg = ctx.cfg
     worst = 0.0
-    for k, level in enumerate(ctx.pieces):
-        if k == 0:
-            continue
+    for k, level in enumerate(ctx.pieces[1:], start=1):
         kn = bnd.piece_diameter_bound(cfg.param, k, rb=ctx.rb)
-        for pc in level:
-            worst = max(worst, pc.sampled_diam / kn)
+        worst = max(worst, float((level.sampled_diam / kn).max()))
     ok = worst <= 1.0 + 1e-12
     return ok, f"max sampled diameter / certified bound {worst:.12f}"
 
 
+def _worst_fill(samples: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> float:
+    """Max over rows k with radii[k] > 0 of |samples[k] - centers[k]| / radii[k]."""
+    dev = np.abs(samples - centers[:, None]).max(axis=1)
+    pos = radii > 0.0
+    return float((dev[pos] / radii[pos]).max(initial=0.0))
+
+
 def _check_enclosure(ctx: _Ctx) -> tuple[bool, str]:
-    worst = 0.0
-    for level in ctx.pieces:
-        for pc in level:
-            if pc.disk.radius == 0.0:
-                continue
-            dev = float(np.abs(pc.samples - pc.disk.center).max())
-            worst = max(worst, dev / pc.disk.radius)
+    worst = max(_worst_fill(lv.samples, lv.disks.centers, lv.disks.radii) for lv in ctx.pieces)
     ok = worst <= 1.0 + 1e-12
     return ok, f"max sample distance / disk radius {worst:.15f}"
 
@@ -310,11 +302,9 @@ def _circular_spread(z: np.ndarray) -> float:
 
 def _check_argument_spread(ctx: _Ctx) -> tuple[bool, str]:
     worst = 0.0
-    for k, level in enumerate(ctx.pieces):
-        if k == 0:
-            continue
-        for pc in level:
-            worst = max(worst, _circular_spread(pc.samples))
+    for level in ctx.pieces[1:]:
+        for z in level.samples:
+            worst = max(worst, _circular_spread(z))
     ok = worst < math.pi / 2.0
     return ok, f"max argument spread {worst:.12f} < pi/2 = {math.pi / 2.0:.12f}"
 
@@ -322,13 +312,11 @@ def _check_argument_spread(ctx: _Ctx) -> tuple[bool, str]:
 def _check_nesting(ctx: _Ctx) -> tuple[bool, str]:
     cfg = ctx.cfg
     slack = 1e-9 + _NEST_C / (cfg.samples * cfg.samples)
-    worst = 0.0
-    for k in range(1, len(ctx.pieces)):
-        for j, pc in enumerate(ctx.pieces[k]):
-            parent = ctx.pieces[k - 1][j >> 1].disk
-            dev = float(np.abs(pc.samples - parent.center).max())
-            if parent.radius > 0:
-                worst = max(worst, dev / parent.radius)
+    # row j's prefix piece is row j >> 1 one level up
+    worst = max(
+        _worst_fill(lv.samples, np.repeat(up.disks.centers, 2), np.repeat(up.disks.radii, 2))
+        for up, lv in zip(ctx.pieces, ctx.pieces[1:])
+    )
     ok = worst <= 1.0 + slack
     return ok, f"max child sample / parent disk radius {worst:.12f} (slack {slack:.3e})"
 
@@ -539,7 +527,7 @@ def _check_worst_case_identity(ctx: _Ctx) -> tuple[bool, str]:
     n = cfg.depth
     kn = bnd.piece_diameter_bound(cfg.param, n, rb=ctx.rb)
     # enclosing-disk radius of a piece whose diameter is exactly K_n
-    radius = diametral_disk(0j, complex(kn)).radius
+    radius = diametral_disks(0j, complex(kn))[0].radius
     count = 1 << (n + 1)
     disks = [Disk(complex(3.0 * radius * t, 0.0), radius) for t in range(count)]
     total = math.fsum(disk_difference(a, b).area for a in disks for b in disks)
@@ -551,12 +539,12 @@ def _check_worst_case_identity(ctx: _Ctx) -> tuple[bool, str]:
 
 def _check_union_calibration(ctx: _Ctx) -> tuple[bool, str]:
     cell = 0.01
-    one = cov.union_area_grid([Disk(0.3 + 0.2j, 1.0)], cell)
+    one = cov.union_area_grid(Disks([0.3 + 0.2j], [1.0]), cell)
     err_one = abs(one.area - math.pi)
-    two = cov.union_area_grid([Disk(0.0, 1.0), Disk(5.0 + 1.0j, 1.0)], cell)
+    two = cov.union_area_grid(Disks([0.0, 5.0 + 1.0j], [1.0, 1.0]), cell)
     err_two = abs(two.area - 2.0 * math.pi)
-    dup = cov.union_area_grid([Disk(0.0, 1.0), Disk(0.0, 1.0)], cell)
-    base = cov.union_area_grid([Disk(0.0, 1.0)], cell)
+    dup = cov.union_area_grid(Disks([0.0, 0.0], [1.0, 1.0]), cell)
+    base = cov.union_area_grid(Disks([0.0], [1.0]), cell)
     idem = dup.cells == base.cells
     ok = err_one <= one.margin and err_two <= two.margin and idem
     return ok, (

@@ -26,7 +26,6 @@ from cantordiff import (
     mask_area,
     mask_difference,
     piece_diameter_bound,
-    piece_disks,
     piece_tree,
     radius_sequences,
     rasterize_preimage,
@@ -124,9 +123,8 @@ def test_criterion_5_pointwise_contraction(p5, tree512):
     worst = 0.0
     for n in range(1, 9):
         r_next = rb.inner(n + 1)
-        for j, pc in enumerate(tree512[n]):
-            parent = tree512[n - 1][j % (1 << n)].samples
-            child = pc.samples
+        for j, child in enumerate(tree512[n].samples):
+            parent = tree512[n - 1].samples[j % (1 << n)]
             dz = np.abs(parent[:, None] - parent[None, :])
             du = np.abs(child[:, None] - child[None, :])
             lhs = du * (sqrt2 * r_next)
@@ -134,7 +132,7 @@ def test_criterion_5_pointwise_contraction(p5, tree512):
             nz = dz > 0
             worst = max(worst, float((lhs[nz] / dz[nz]).max()))
         kn = piece_diameter_bound(p5, n)
-        assert all(pc.sampled_diam <= kn for pc in tree512[n]), n
+        assert np.all(tree512[n].sampled_diam <= kn), n
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     print(
@@ -147,16 +145,16 @@ def test_criterion_5_pointwise_contraction(p5, tree512):
 def test_criterion_6_enclosure(p5, tree512):
     worst_cover = 0.0
     for n in range(0, 9):
-        for pc in tree512[n]:
-            d = pc.disk
-            dev = float(np.abs(pc.samples - d.center).max())
-            assert dev <= d.radius + 1e-12 * d.radius
-            worst_cover = max(worst_cover, dev / d.radius)
+        level = tree512[n]
+        for samples, center, radius in zip(
+            level.samples, level.disks.centers, level.disks.radii
+        ):
+            dev = float(np.abs(samples - center).max())
+            assert dev <= radius + 1e-12 * radius
+            worst_cover = max(worst_cover, dev / radius)
         if n >= 1:
             kn = piece_diameter_bound(p5, n)
-            assert all(
-                pc.disk.radius < math.sqrt(3.0) / 2.0 * kn for pc in tree512[n]
-            ), n
+            assert np.all(level.disks.radii < math.sqrt(3.0) / 2.0 * kn), n
     print(
         f"criterion 6: all samples enclosed (worst fill {worst_cover:.4f}), "
         f"radii below certified sqrt(3)/2 * diameter bound"
@@ -174,8 +172,7 @@ def test_criterion_7_sandwich_chain(p5):
     for n in range(1, 6):
         inner = rasterize_preimage(p5, n + 1, cell)
         raster = mask_area(mask_difference(inner, inner))
-        disks = piece_disks(generate_pieces(p5, n, samples=512))
-        diff = difference_cover(disks)
+        diff = difference_cover(generate_pieces(p5, n, samples=512).disks)
         grid = union_area_grid(diff, cell)
         total = sum_area(diff)
         worst = difference_measure_bound(p5, n).bound

@@ -83,7 +83,8 @@ def test_first_piece_diameter_certified(p5):
 def test_first_piece_diameter_sampled_below_certified(p5):
     pieces = generate_pieces(p5, 0, samples=2048)
     assert len(pieces) == 2
-    assert all(0 < pc.sampled_diam <= first_piece_diameter(p5) for pc in pieces)
+    assert np.all(pieces.sampled_diam > 0)
+    assert np.all(pieces.sampled_diam <= first_piece_diameter(p5))
 
 
 def test_depth_zero_row(p5):

@@ -7,13 +7,15 @@ import pytest
 
 from cantordiff import (
     Disk,
+    Disks,
     Parameter,
     boundary_samples,
+    diametral_pair,
     difference_cover,
+    disk_difference,
     forward_map,
     generate_pieces,
     piece_diameter_bound,
-    piece_disks,
     piece_sample_tree,
     piece_tree,
     sum_area,
@@ -40,22 +42,22 @@ def test_piece_count_depth0(p5):
 def test_piece_count_depth2(p5):
     pcs = generate_pieces(p5, 2, samples=32)
     assert len(pcs) == 8
-    assert [p.label for p in pcs] == [
+    assert pcs.samples.shape == (8, 32)
+    assert [pcs.label(j) for j in range(len(pcs))] == [
         "000", "001", "010", "011", "100", "101", "110", "111",
     ]
 
 
 def test_depth0_pieces_negate(p5):
     # the two first-level pieces are exact negatives of each other
-    a, b = generate_pieces(p5, 0, samples=64)
-    assert np.array_equal(a.samples, -b.samples)
+    a, b = generate_pieces(p5, 0, samples=64).samples
+    assert np.array_equal(a, -b)
 
 
 def test_samples_roundtrip_into_disk(p5):
     # depth n pieces forward-map n+1 times back onto the starting circle
     for n in (0, 2):
-        for pc in generate_pieces(p5, n, samples=48):
-            z = pc.samples
+        for z in generate_pieces(p5, n, samples=48).samples:
             for _ in range(n + 1):
                 z = forward_map(z, p5)
             assert np.max(np.abs(np.abs(z) - 5.0)) < 1e-12
@@ -67,7 +69,7 @@ def test_suffix_sharing_tree_matches_direct_composition(p5):
     from cantordiff import inverse_branch
 
     for k, level in enumerate(tree):
-        assert len(level) == 2 ** (k + 1)
+        assert level.shape == (2 ** (k + 1), 32)
         for j, arr in enumerate(level):
             bits = [(j >> (k - t)) & 1 for t in range(k + 1)]
             z = base
@@ -79,31 +81,42 @@ def test_suffix_sharing_tree_matches_direct_composition(p5):
 def test_sampled_diameter_below_certified_bound(p5):
     for n in (1, 2, 3):
         kn = piece_diameter_bound(p5, n)
-        for pc in generate_pieces(p5, n, samples=64):
-            assert pc.sampled_diam <= kn
+        assert np.all(generate_pieces(p5, n, samples=64).sampled_diam <= kn)
+
+
+def test_sampled_diameter_rounding_contract(p5):
+    # sampled_diam rounds exactly like scalar abs() on the diametral pair,
+    # and the disk radius is sqrt(3)/2 times that very double
+    pieces = generate_pieces(p5, 3, samples=512)
+    for row, diam in zip(pieces.samples, pieces.sampled_diam):
+        i, j = diametral_pair(row)
+        assert diam == abs(row[i] - row[j])
+    assert np.array_equal(pieces.disks.radii, math.sqrt(3) / 2 * pieces.sampled_diam)
 
 
 def test_disks_cover_their_samples(p5):
-    for pc in generate_pieces(p5, 3, samples=64):
-        assert all(pc.disk.contains(z, tol=1e-12) for z in pc.samples)
+    pieces = generate_pieces(p5, 3, samples=64)
+    for j, samples in enumerate(pieces.samples):
+        assert np.all(pieces.disks[j].contains(samples, tol=1e-12)), j
 
 
 def test_children_nest_in_parent_disk(p5):
     levels = piece_tree(p5, 3, samples=64)
     for k in range(1, len(levels)):
-        for j, pc in enumerate(levels[k]):
-            parent = levels[k - 1][j >> 1].disk
-            dev = np.abs(pc.samples - parent.center).max()
+        for j, samples in enumerate(levels[k].samples):
+            parent = levels[k - 1].disks[j >> 1]
+            dev = np.abs(samples - parent.center).max()
             assert dev <= parent.radius * (1 + 1e-9), (k, j)
 
 
 def test_workers_do_not_change_output(p5):
     a = generate_pieces(p5, 3, samples=32, workers=1)
     b = generate_pieces(p5, 3, samples=32, workers=4)
-    assert [p.label for p in a] == [p.label for p in b]
-    for x, y in zip(a, b):
-        assert x.disk == y.disk
-        assert np.array_equal(x.samples, y.samples)
+    assert a.depth == b.depth == 3
+    for name in ("samples", "sampled_diam"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert np.array_equal(a.disks.centers, b.disks.centers)
+    assert np.array_equal(a.disks.radii, b.disks.radii)
 
 
 def test_max_points_cap(p5):
@@ -112,29 +125,46 @@ def test_max_points_cap(p5):
 
 
 def test_difference_cover_is_all_pairs(p5):
-    disks = piece_disks(generate_pieces(p5, 1, samples=32))
+    disks = generate_pieces(p5, 1, samples=32).disks
     diff = difference_cover(disks)
-    assert len(diff) == len(disks) ** 2
-    # row-major: entry t corresponds to (i, j) = divmod(t, len(disks))
-    i, j = 2, 3
-    d = diff[i * len(disks) + j]
-    assert d.center == disks[i].center - disks[j].center
-    assert d.radius == disks[i].radius + disks[j].radius
+    n = len(disks)
+    assert len(diff) == n * n
+    # row-major: entry t corresponds to (i, j) = divmod(t, n), and each
+    # entry is the scalar disk_difference of its pair, bit for bit
+    for t in range(n * n):
+        i, j = divmod(t, n)
+        assert diff[t] == disk_difference(disks[i], disks[j])
 
 
 def test_difference_cover_cap():
-    disks = [Disk(complex(k, 0), 0.1) for k in range(40)]
+    disks = Disks(np.arange(40, dtype=np.float64), np.full(40, 0.1))
     with pytest.raises(ValueError, match="cap"):
         difference_cover(disks, max_pairs=100)
 
 
+def test_disks_arrays_are_checked_and_read_only():
+    d = Disks([0j, 1j], [1.0, 0.5])
+    assert len(d) == 2
+    assert d[1] == Disk(1j, 0.5)
+    with pytest.raises(ValueError):
+        d.radii[0] = 2.0
+    with pytest.raises(ValueError, match="centers"):
+        Disks([0j, 1j], [1.0])
+    with pytest.raises(ValueError, match="radii"):
+        Disks([0j], [-1.0])
+    with pytest.raises(ValueError, match="radii"):
+        Disks([0j], [math.inf])
+    with pytest.raises(ValueError, match="at least one"):
+        Disks([], [])
+
+
 def test_sum_area_fsum():
-    disks = [Disk(0j, 1.0), Disk(1j, 0.5)]
-    assert sum_area(disks) == math.fsum(d.area for d in disks)
+    disks = Disks([0j, 1j], [1.0, 0.5])
+    assert sum_area(disks) == math.fsum(disks[k].area for k in range(len(disks)))
 
 
 def test_union_grid_unit_disk_area():
-    g = union_area_grid([Disk(0j, 1.0)], 0.01)
+    g = union_area_grid(Disks([0j], [1.0]), 0.01)
     # dilated count overestimates; subtracting the margin must underestimate
     assert g.area >= math.pi
     assert g.area - g.margin <= math.pi
@@ -142,26 +172,25 @@ def test_union_grid_unit_disk_area():
 
 
 def test_union_grid_disjoint_pair_adds():
-    g = union_area_grid([Disk(0j, 1.0), Disk(5 + 0j, 1.0)], 0.01)
+    g = union_area_grid(Disks([0j, 5 + 0j], [1.0, 1.0]), 0.01)
     assert g.area == pytest.approx(2 * math.pi, abs=g.margin)
 
 
 def test_union_grid_duplicate_is_idempotent():
-    one = union_area_grid([Disk(0.2 + 0.1j, 0.7)], 0.02)
-    two = union_area_grid([Disk(0.2 + 0.1j, 0.7)] * 2, 0.02)
+    one = union_area_grid(Disks([0.2 + 0.1j], [0.7]), 0.02)
+    two = union_area_grid(Disks([0.2 + 0.1j] * 2, [0.7] * 2), 0.02)
     assert one.cells == two.cells
     assert one.area == two.area
 
 
 def test_union_never_exceeds_sum(p5):
-    disks = piece_disks(generate_pieces(p5, 2, samples=64))
-    diff = difference_cover(disks)
+    diff = difference_cover(generate_pieces(p5, 2, samples=64).disks)
     g = union_area_grid(diff, 0.05)
     assert g.area <= sum_area(diff) + g.margin
 
 
 def test_union_grid_mask_lattice():
-    m = union_grid_mask([Disk(0j, 1.0)], 0.25)
+    m = union_grid_mask(Disks([0j], [1.0]), 0.25)
     # centers sit on the integer-cell lattice (k*cell exactly), the lattice
     # that differences of half-integer preimage masks land on
     assert m.cell == 0.25
@@ -172,6 +201,6 @@ def test_union_grid_mask_lattice():
 
 def test_union_grid_cell_validation():
     with pytest.raises(ValueError):
-        union_area_grid([Disk(0j, 1.0)], 0.0)
+        union_area_grid(Disks([0j], [1.0]), 0.0)
     with pytest.raises(ValueError, match="cap"):
-        union_area_grid([Disk(0j, 1.0)], 1e-5, max_cells=1000)
+        union_area_grid(Disks([0j], [1.0]), 1e-5, max_cells=1000)

@@ -13,6 +13,7 @@ from cantordiff import (
     Disk,
     Parameter,
     diameter,
+    diametral_disks,
     diametral_pair,
     disk_difference,
     enclosing_disk,
@@ -20,7 +21,7 @@ from cantordiff import (
     inverse_branch,
     sqrt_branch,
 )
-from cantordiff.geometry import _ALL_PAIRS_LIMIT
+from cantordiff.geometry import _ALL_PAIRS_LIMIT, _BLOCK
 
 
 def test_parameter_rejects_small_modulus():
@@ -91,6 +92,30 @@ def test_diametral_pair_tie_break_is_lexicographic():
     assert diametral_pair(pts) == (0, 2)
 
 
+def _first_attaining_pair(pts):
+    # brute-force oracle: smallest (i, j), i <= j, over every pair whose
+    # distance equals the maximum of the full distance matrix
+    d = np.abs(pts[:, None] - pts[None, :])
+    hits = np.argwhere(d == d.max())
+    return min((int(i), int(j)) for i, j in hits if i <= j)
+
+
+def test_diametral_pair_tie_break_spans_blocks():
+    # points on a 5x5 integer lattice repeat, so many index pairs attain
+    # the diameter exactly and they spread over several scan blocks; in
+    # half the cases the extreme corners only appear after the first block
+    rng = np.random.default_rng(37)
+    for case in range(8):
+        n = int(rng.integers(300, 1501))
+        assert n > _BLOCK
+        pts = rng.integers(0, 5, size=n) + 1j * rng.integers(0, 5, size=n)
+        if case % 2:
+            head = _BLOCK + int(rng.integers(0, n - _BLOCK))
+            pts[:head] = rng.integers(1, 4, size=head) + 1j * rng.integers(1, 4, size=head)
+        assert n <= _ALL_PAIRS_LIMIT
+        assert diametral_pair(pts) == _first_attaining_pair(pts), case
+
+
 def test_diameter_matches_bruteforce_beyond_hull_cutoff():
     rng = np.random.default_rng(23)
     n = _ALL_PAIRS_LIMIT + 321
@@ -111,6 +136,19 @@ def test_enclosing_disk_two_points():
     d = enclosing_disk(pts)
     assert d.center == 0
     assert d.radius == pytest.approx(math.sqrt(3.0), rel=1e-15)
+
+
+def test_diametral_disks_scalar_and_array_agree():
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=50) + 1j * rng.normal(size=50)
+    y = rng.normal(size=50) + 1j * rng.normal(size=50)
+    many = diametral_disks(x, y)
+    assert len(many) == 50
+    for k in range(50):
+        one = diametral_disks(x[k], y[k])
+        assert len(one) == 1
+        assert one[0] == many[k]
+        assert many[k].radius == math.sqrt(3.0) / 2.0 * abs(x[k] - y[k])
 
 
 def test_enclosing_disk_covers_equilateral():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cantordiff import Disk, Parameter, disk_mask, rasterize_preimage
+from cantordiff import Disk, Disks, Parameter, disk_mask, rasterize_preimage
 from cantordiff.images import read_pgm, render_disks, render_mask, write_pgm, write_ppm
 
 
@@ -57,8 +57,7 @@ def test_render_mask_shape():
 
 
 def test_render_disks_and_ppm(tmp_path):
-    disks = [Disk(0j, 1.0), Disk(2 + 1j, 0.5)]
-    img = render_disks(disks, 0.05)
+    img = render_disks(Disks([0j, 2 + 1j], [1.0, 0.5]), 0.05)
     assert img.ndim == 3 and img.shape[2] == 3
     path = write_ppm(img, tmp_path / "d.ppm")
     raw = path.read_bytes()
@@ -67,4 +66,4 @@ def test_render_disks_and_ppm(tmp_path):
 
 def test_render_disks_pixel_cap():
     with pytest.raises(ValueError, match="cap|pixel"):
-        render_disks([Disk(0j, 1.0)], 1e-5)
+        render_disks(Disks([0j], [1.0]), 1e-5)

@@ -52,9 +52,9 @@ def test_inner_mask_contains_piece_samples(p5):
     from cantordiff import generate_pieces
 
     m = rasterize_preimage(p5, 2, 0.01)
-    for pc in generate_pieces(p5, 1, samples=64):
-        mid = pc.samples.mean()
-        pulled = mid + (pc.samples - mid) * 0.9
+    for samples in generate_pieces(p5, 1, samples=64).samples:
+        mid = samples.mean()
+        pulled = mid + (samples - mid) * 0.9
         assert np.all(preimage_member(pulled, p5, 2))
         ix = np.round((pulled.real - m.origin.real) / m.cell).astype(int)
         iy = np.round((pulled.imag - m.origin.imag) / m.cell).astype(int)
