@@ -190,22 +190,28 @@ def _pair_scan(pts: np.ndarray) -> tuple[int, int, float]:
     return bi, bj, best
 
 
-def _cross(o: complex, a: complex, b: complex) -> float:
-    return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (
-        b.real - o.real
-    )
-
-
-def _hull_chains(pts: np.ndarray) -> tuple[list[int], list[int]]:
-    """Upper and lower convex hull chains (indices, left to right)."""
-    order = np.lexsort((pts.imag, pts.real))
+def _hull_chains(
+    xs: list[float], ys: list[float], order: list[int]
+) -> tuple[list[int], list[int]]:
+    """Upper and lower convex hull chains (indices, left to right) of the
+    points (xs[k], ys[k]) taken in lexicographic order."""
     upper: list[int] = []
     lower: list[int] = []
-    for raw in order:
-        idx = int(raw)
-        while len(upper) >= 2 and _cross(pts[upper[-2]], pts[upper[-1]], pts[idx]) >= 0:
+    for idx in order:
+        x, y = xs[idx], ys[idx]
+        # pop while the cross product (a - o) x (p - o) is >= 0 (upper)
+        # or <= 0 (lower), with p the new point
+        while len(upper) >= 2:
+            o, a = upper[-2], upper[-1]
+            ox, oy = xs[o], ys[o]
+            if not ((xs[a] - ox) * (y - oy) - (ys[a] - oy) * (x - ox) >= 0):
+                break
             upper.pop()
-        while len(lower) >= 2 and _cross(pts[lower[-2]], pts[lower[-1]], pts[idx]) <= 0:
+        while len(lower) >= 2:
+            o, a = lower[-2], lower[-1]
+            ox, oy = xs[o], ys[o]
+            if not ((xs[a] - ox) * (y - oy) - (ys[a] - oy) * (x - ox) <= 0):
+                break
             lower.pop()
         upper.append(idx)
         lower.append(idx)
@@ -218,15 +224,20 @@ def _pair_hull(pts: np.ndarray) -> tuple[int, int, float]:
     Same value as _pair_scan; the reported pair is the lexicographically
     smallest among the antipodal pairs the sweep visits (interior points
     and duplicate hull vertices can never attain the maximum strictly, so
-    the distance is exact either way).
+    the distance is exact either way).  The sweep runs on Python floats:
+    float arithmetic rounds exactly like numpy float64 scalars, and each
+    distance is abs(complex(dx, dy)), which is C hypot, the same rounding
+    as numpy's scalar abs of a complex.
     """
-    upper, lower = _hull_chains(pts)
+    xs = pts.real.tolist()
+    ys = pts.imag.tolist()
+    upper, lower = _hull_chains(xs, ys, np.lexsort((pts.imag, pts.real)).tolist())
     i, j = 0, len(lower) - 1
     best = -1.0
     cands: list[tuple[int, int]] = []
     while i < len(upper) - 1 or j > 0:
         a, b = upper[i], lower[j]
-        d = float(abs(pts[a] - pts[b]))
+        d = abs(complex(xs[a] - xs[b], ys[a] - ys[b]))
         if d > best:
             best = d
             cands = [(a, b) if a <= b else (b, a)]
@@ -237,10 +248,12 @@ def _pair_hull(pts: np.ndarray) -> tuple[int, int, float]:
         elif j == 0:
             i += 1
         else:
-            du = pts[upper[i + 1]] - pts[upper[i]]
-            dl = pts[lower[j]] - pts[lower[j - 1]]
+            u0, u1 = upper[i], upper[i + 1]
+            l0, l1 = lower[j - 1], lower[j]
             # advance the chain whose edge turns first
-            if du.imag * dl.real > dl.imag * du.real:
+            if (ys[u1] - ys[u0]) * (xs[l1] - xs[l0]) > (ys[l1] - ys[l0]) * (
+                xs[u1] - xs[u0]
+            ):
                 i += 1
             else:
                 j -= 1

@@ -213,3 +213,19 @@ def test_stdout_determinism_subprocess():
     a = subprocess.run(argv, capture_output=True)
     b = subprocess.run(argv, capture_output=True)
     assert a.stdout == b.stdout
+
+
+def test_import_does_not_load_scipy():
+    # every CLI call pays the import; keep heavy dependencies out of it,
+    # including lazily on the FFT difference path
+    code = (
+        "import sys\n"
+        "import cantordiff.cli\n"
+        "from cantordiff import Disk, disk_mask, mask_difference\n"
+        "m = disk_mask(Disk(0j, 1.0), 0.1)\n"
+        "mask_difference(m, m, method='fft')\n"
+        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

@@ -21,7 +21,7 @@ from cantordiff import (
     inverse_branch,
     sqrt_branch,
 )
-from cantordiff.geometry import _ALL_PAIRS_LIMIT, _BLOCK
+from cantordiff.geometry import _ALL_PAIRS_LIMIT, _BLOCK, _pair_scan
 
 
 def test_parameter_rejects_small_modulus():
@@ -129,6 +129,44 @@ def test_diameter_matches_bruteforce_beyond_hull_cutoff():
         abs(a - b) for k, a in enumerate(sub) for b in sub[k + 1 :]
     )
     assert d_fast >= brute - 1e-12
+
+
+def _max_hypot(pts):
+    # brute-force oracle in the hull's rounding: np.hypot rounds like the
+    # scalar abs() of a complex, which the vectorised np.abs need not
+    d = pts[:, None] - pts[None, :]
+    return float(np.hypot(d.real, d.imag).max())
+
+
+def test_hull_path_on_degenerate_inputs():
+    # above the scan limit the hull and calipers run; lattices and repeated
+    # circle points give many duplicates, collinear runs and distance ties
+    rng = np.random.default_rng(53)
+    ring = np.exp(2j * math.pi * rng.integers(0, 24, size=5000) / 24)
+    grid = rng.integers(0, 7, size=5000) + 1j * rng.integers(0, 7, size=5000)
+    # without the corners 0 and 6+6i the only diametral pair is (6, 6i);
+    # putting 6 first and 6i last lists that pair as (upper, lower) =
+    # (last, first) on the calipers, so the i <= j ordering is exercised
+    cut = grid[(grid != 0) & (grid != 6 + 6j)]
+    inputs = [
+        grid,
+        grid[::-1],
+        np.concatenate([[6], cut[(cut != 6) & (cut != 6j)], [6j]]),
+        rng.integers(0, 7, size=5000) + 0j,
+        3.0 * ring - 1.5j,
+        np.concatenate([ring[:2500], ring[2499::-1]]),
+    ]
+    for pts in inputs:
+        assert pts.size > _ALL_PAIRS_LIMIT
+        i, j = diametral_pair(pts)
+        assert i <= j
+        # duplicates never change the diameter, so the quadratic oracles
+        # run on the few distinct points
+        distinct = np.unique(pts)
+        assert abs(pts[i] - pts[j]) == diameter(pts) == _max_hypot(distinct)
+        # the scan reaches the same distance up to its own rounding
+        assert diameter(pts) == pytest.approx(_pair_scan(distinct)[2], rel=1e-15)
+        assert diametral_pair(pts.copy()) == (i, j)
 
 
 def test_enclosing_disk_two_points():

@@ -7,6 +7,7 @@ import pytest
 
 from cantordiff import (
     Disk,
+    GridMask,
     Parameter,
     disk_mask,
     forward_map,
@@ -104,6 +105,75 @@ def test_mask_difference_direct_equals_fft():
     d2 = mask_difference(a, b, method="fft")
     assert d1.origin == d2.origin and d1.cell == d2.cell
     assert np.array_equal(d1.bits, d2.bits)
+
+
+def _assert_fft_matches_direct(a, b):
+    direct = mask_difference(a, b, method="direct")
+    fft = mask_difference(a, b, method="fft")
+    assert fft.origin == direct.origin and fft.cell == direct.cell
+    assert fft.bits.shape == direct.bits.shape
+    assert np.array_equal(fft.bits, direct.bits)
+    return fft
+
+
+def _mask(bits, origin=0j):
+    return GridMask(origin=origin, cell=0.05, bits=np.asarray(bits, dtype=bool))
+
+
+def test_mask_difference_fft_self_difference(p5):
+    # the same GridMask twice takes the one-transform |F|^2 path; a copy
+    # of its bits takes the two-transform path and must agree with it
+    m = rasterize_preimage(p5, 2, 0.05)
+    same = _assert_fft_matches_direct(m, m)
+    copy = mask_difference(m, _mask(m.bits.copy(), m.origin), method="fft")
+    assert np.array_equal(same.bits, copy.bits)
+    d = disk_mask(Disk(0.3 - 0.1j, 0.4), 0.05)
+    _assert_fft_matches_direct(d, d)
+
+
+def test_mask_difference_fft_cells_on_window_edges():
+    rng = np.random.default_rng(43)
+    for _ in range(6):
+        h, w = (int(v) for v in rng.integers(3, 30, size=2))
+        bits = rng.random((h, w)) < 0.1
+        # one set cell on each of the four edges, away from the corners
+        bits[0, rng.integers(w)] = bits[-1, rng.integers(w)] = True
+        bits[rng.integers(h), 0] = bits[rng.integers(h), -1] = True
+        corners = np.zeros((h + 2, w + 1), dtype=bool)
+        corners[[0, 0, -1, -1], [0, -1, 0, -1]] = True
+        a, b = _mask(bits), _mask(corners, 0.2 - 0.35j)
+        _assert_fft_matches_direct(a, a)
+        _assert_fft_matches_direct(a, b)
+        _assert_fft_matches_direct(b, a)
+
+
+def test_mask_difference_fft_single_cell():
+    one = np.zeros((5, 7), dtype=bool)
+    one[2, 3] = True
+    other = np.zeros((4, 4), dtype=bool)
+    other[3, 0] = True
+    a, b = _mask(one), _mask(other, 1 + 1j)
+    assert np.count_nonzero(_assert_fft_matches_direct(a, a).bits) == 1
+    assert np.count_nonzero(_assert_fft_matches_direct(a, b).bits) == 1
+    _assert_fft_matches_direct(b, a)
+
+
+def test_mask_difference_fft_empty_masks():
+    full = _mask(np.ones((4, 6)))
+    empty = _mask(np.zeros((5, 3)))
+    for a, b in ((empty, full), (full, empty), (empty, empty)):
+        out = _assert_fft_matches_direct(a, b)
+        assert not out.bits.any()
+
+
+def test_mask_difference_fft_shape_parity():
+    rng = np.random.default_rng(47)
+    shapes = [(7, 8), (8, 7), (9, 9), (10, 10), (1, 6), (6, 1)]
+    for sa in shapes:
+        a = _mask(rng.random(sa) < 0.3)
+        _assert_fft_matches_direct(a, a)
+        for sb in shapes:
+            _assert_fft_matches_direct(a, _mask(rng.random(sb) < 0.3, -0.5j))
 
 
 def test_mask_self_difference_symmetric(p5):
