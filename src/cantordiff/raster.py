@@ -261,19 +261,14 @@ def _fft_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not (a.any() and b.any()):
         return out
     ya, xa = _bbox(a)
-    yb, xb = (ya, xa) if a is b else _bbox(b)
+    yb, xb = _bbox(b)
     ca = a[ya, xa].astype(np.float64)
-    cb = ca if a is b else b[yb, xb].astype(np.float64)
+    cb = b[yb, xb].astype(np.float64)
     h = ca.shape[0] + cb.shape[0] - 1
     w = ca.shape[1] + cb.shape[1] - 1
     shape = (_fast_len(h), _fast_len(w))
     fa = np.fft.rfft2(ca, shape)
-    if a is b:
-        # autocorrelation: one transform, |F|^2, zero lag rolled to the middle
-        corr = np.fft.irfft2(fa.real**2 + fa.imag**2, shape)
-        conv = np.roll(corr, (cb.shape[0] - 1, cb.shape[1] - 1), axis=(0, 1))
-    else:
-        conv = np.fft.irfft2(fa * np.fft.rfft2(cb[::-1, ::-1], shape), shape)
+    conv = np.fft.irfft2(fa * np.fft.rfft2(cb[::-1, ::-1], shape), shape)
     # counts are integers and the float64 error is at most about
     # eps * log2(size) * (set cells), far below 0.5, so this is exact
     oy = ya.start + hb - yb.stop
@@ -291,10 +286,9 @@ def mask_difference(a: GridMask, b: GridMask, method: str = "auto") -> GridMask:
     difference lattice.  "direct" shifts and ORs (reference semantics).
     "fft" crops both masks to the bounding boxes of their set cells,
     cross-correlates the crops with numpy's rfft2 at 2*3*5-smooth padded
-    lengths (one forward transform and |F|^2 when a and b share their
-    bits), thresholds the counts at 0.5 and places the block at its offset
-    in the full window.  Both methods return identical bits.  "auto" picks
-    by work estimate.
+    lengths, thresholds the counts at 0.5 and places the block at its
+    offset in the full window.  Both methods return identical bits.
+    "auto" picks by work estimate.
     """
     if a.cell != b.cell:
         raise ValueError(

@@ -121,8 +121,8 @@ def _mask(bits, origin=0j):
 
 
 def test_mask_difference_fft_self_difference(p5):
-    # the same GridMask twice takes the one-transform |F|^2 path; a copy
-    # of its bits takes the two-transform path and must agree with it
+    # the same GridMask twice (as oracle and verify pass it) and a copy of
+    # its bits must give the same difference
     m = rasterize_preimage(p5, 2, 0.05)
     same = _assert_fft_matches_direct(m, m)
     copy = mask_difference(m, _mask(m.bits.copy(), m.origin), method="fft")
