@@ -4,10 +4,11 @@ Everything here is elementary real arithmetic on |c|.  Two coupled radius
 recursions pin the modulus of every point in the n-th preimage of the
 closed disk of radius |c|:
 
-    R_1 = sqrt(2|c|),  R_{k+1} = sqrt(|c| + R_k)   (outer bound)
-    r_1 = 0,           r_{k+1} = sqrt(|c| - R_k)   (inner bound)
+    R_0 = |c|,  R_{k+1} = sqrt(|c| + R_k)   (outer bound)
+    r_0 = 0,    r_{k+1} = sqrt(|c| - R_k)   (inner bound)
 
-seeded by R_0 = |c| (the disk itself) and r_0 = 0.
+The seeds are the disk itself.  One walk from them gives every term; its
+first step is R_1 = sqrt(2|c|) and r_1 = 0.
 
 Both converge monotonically to explicit fixed points.  The inner radii
 control how strongly the inverse branches contract, which yields a
@@ -20,14 +21,18 @@ rational arithmetic so boundary parameters classify correctly.
 
 All derived quantities are ordinary double precision: results carry the
 usual relative rounding error (order n * 2^-52 for depth n), which is far
-below every tolerance used downstream.  Depths beyond 64 are evaluated in
-log space to dodge overflow/underflow of the intermediate products.
+below every tolerance used downstream.  Depths up to 64 multiply the inner
+radii directly; deeper rows sum their logarithms, which dodges overflow and
+underflow of the product.  Where K_n or the area bound leaves double range
+(|c| close to 2) it saturates at +inf, which is still an upper bound.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -120,18 +125,24 @@ def radius_limits(param: Parameter) -> tuple[float, float]:
     return outer, inner
 
 
+def _radii(a: float) -> Iterator[tuple[float, float]]:
+    """(R_k, r_k) for k = 0, 1, 2, ... from the seeds R_0 = |c| = a, r_0 = 0.
+
+    The recursion itself yields R_1 = sqrt(2a) and r_1 = 0, because a + a
+    is exactly 2.0*a in floating point.
+    """
+    outer, inner = a, 0.0
+    while True:
+        yield outer, inner
+        outer, inner = math.sqrt(a + outer), math.sqrt(a - outer)
+
+
 def radius_sequences(param: Parameter, count: int) -> RadiusBounds:
     """R_1..R_count and r_1..r_count plus their limits."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     a = param.abs_c
-    outer = np.empty(count, dtype=np.float64)
-    inner = np.empty(count, dtype=np.float64)
-    outer[0] = math.sqrt(2.0 * a)
-    inner[0] = 0.0
-    for k in range(1, count):
-        outer[k] = math.sqrt(a + outer[k - 1])
-        inner[k] = math.sqrt(a - outer[k - 1])
+    outer, inner = np.array(list(islice(_radii(a), 1, count + 1))).T.copy()
     lim_outer, lim_inner = radius_limits(param)
     return RadiusBounds(a, outer, inner, lim_outer, lim_inner)
 
@@ -147,87 +158,77 @@ def first_piece_diameter(param: Parameter) -> float:
     return 2.0 * math.sqrt(2.0 * param.abs_c)
 
 
-def _log_diameter_bound(param: Parameter, rb: RadiusBounds, n: int) -> float:
-    """log K_n, for depths where the direct product could leave double range."""
-    inner_log_sum = float(np.sum(np.log(rb.inner_seq[1 : n + 1])))
-    return -n / 2.0 * math.log(2.0) - inner_log_sum + math.log(first_piece_diameter(param))
+def _exp(x: float) -> float:
+    """e^x, saturating at +inf where it leaves double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
-def _require_depth(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"depth n must be >= 0, got {n}")
+def _rows(param: Parameter, first: int, depth: int) -> list[BoundRow]:
+    """Bound rows for n = first..depth from one walk of the radius recursion.
+
+    Each log-space row takes its own pairwise sum of logarithms (a running
+    sum would change the last digits), so a whole table costs O(depth^2)
+    additions; a single row (first == depth) costs O(depth).
+    """
+    if depth < 0:
+        raise ValueError(f"depth n must be >= 0, got {depth}")
+    radii = list(islice(_radii(param.abs_c), depth + 3))
+    k0 = first_piece_diameter(param)
+    log_inner = np.log(np.array([r for _, r in radii[2:]]))  # log r_2, log r_3, ...
+    prod = 1.0  # r_2 * ... * r_{n+1}
+    rows = []
+    for n in range(depth + 1):
+        r_next = radii[n + 2][1]
+        if n < first:
+            prod *= r_next
+            continue
+        if n <= _LOG_SPACE_DEPTH:
+            # an underflowed product means K_n is past double range
+            kn = 2.0 ** (-n / 2.0) / prod * k0 if prod else math.inf
+            bound = 12.0 * math.pi * 4.0**n * kn * kn
+        else:
+            # log space dodges overflow/underflow of the product
+            log_k = -n / 2.0 * math.log(2.0) - float(np.sum(log_inner[:n])) + math.log(k0)
+            kn = _exp(log_k)
+            log_bound = math.log(12.0 * math.pi) + n * math.log(4.0) + 2.0 * log_k
+            bound = math.exp(log_bound) if log_bound < 709.0 else math.inf
+        prod *= r_next
+        rows.append(BoundRow(n, *radii[n], kn, bound, 2.0 / (r_next * r_next)))
+    return rows
 
 
-def _radius_table(param: Parameter, rb: RadiusBounds | None, count: int) -> RadiusBounds:
-    if rb is not None and rb.count >= count and rb.abs_c == param.abs_c:
-        return rb
-    return radius_sequences(param, count)
-
-
-def piece_diameter_bound(
-    param: Parameter,
-    n: int,
-    rb: RadiusBounds | None = None,
-) -> float:
+def piece_diameter_bound(param: Parameter, n: int) -> float:
     """Certified diameter bound K_n for every depth-n piece, n >= 0.
 
     K_n = 2^(-n/2) * (r_2 * ... * r_{n+1})^(-1) * K_0 with K_0 =
     first_piece_diameter(param).  Each inverse-branch application
     contracts pairwise distances by at least sqrt(2)*r_{k+1} at depth k,
-    and the product telescopes.
+    and the product telescopes.  K_n is +inf where it leaves double range.
     """
-    _require_depth(n)
-    rb = _radius_table(param, rb, n + 1)
-    if n <= _LOG_SPACE_DEPTH:
-        prod = 1.0
-        for k in range(1, n + 1):
-            prod *= rb.inner_seq[k]
-        return 2.0 ** (-n / 2.0) / prod * first_piece_diameter(param)
-    return math.exp(_log_diameter_bound(param, rb, n))
+    return difference_measure_bound(param, n).diam_bound
 
 
-def difference_measure_bound(
-    param: Parameter,
-    n: int,
-    rb: RadiusBounds | None = None,
-) -> BoundRow:
+def difference_measure_bound(param: Parameter, n: int) -> BoundRow:
     """Certified area bound 12*pi*4^n*K_n^2 for the depth-n cover, n >= 0.
 
     The difference set of the depth-n preimage is covered by the pairwise
     disk differences of 2^(n+1) enclosing disks of radius
     (sqrt(3)/2)*K_n; summing 4^(n+1) areas of radius-sqrt(3)*K_n disks
-    gives the stated bound.  ratio_step is the exact factor to the next
-    depth, 2/r_{n+2}^2.  At n = 0 the row reports the recursion seeds
-    R_0 = |c| and r_0 = 0.
+    gives the stated bound, +inf where it leaves double range.  ratio_step
+    is the exact factor to the next depth, 2/r_{n+2}^2.  At n = 0 the row
+    reports the recursion seeds R_0 = |c| and r_0 = 0.
     """
-    _require_depth(n)
-    rb = _radius_table(param, rb, n + 2)
-    kn = piece_diameter_bound(param, n, rb)
-    if n <= _LOG_SPACE_DEPTH:
-        bound = 12.0 * math.pi * 4.0**n * kn * kn
-    else:
-        log_k = _log_diameter_bound(param, rb, n)
-        log_bound = math.log(12.0 * math.pi) + n * math.log(4.0) + 2.0 * log_k
-        # a diverging table can leave double range; +inf is still an upper bound
-        bound = math.exp(log_bound) if log_bound < 709.0 else math.inf
-    r_next = rb.inner(n + 2)
-    ratio_step = 2.0 / (r_next * r_next)
-    return BoundRow(
-        n=n,
-        outer_radius=rb.outer(n) if n else param.abs_c,
-        inner_radius=rb.inner(n) if n else 0.0,
-        diam_bound=kn,
-        bound=bound,
-        ratio_step=ratio_step,
-    )
+    return _rows(param, n, n)[0]
 
 
 def bound_table(param: Parameter, depth: int) -> list[BoundRow]:
-    """Bound rows for n = 1..depth, sharing one radius table."""
+    """Bound rows for n = 1..depth from one walk of the radius recursion."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    rb = radius_sequences(param, depth + 2)
-    return [difference_measure_bound(param, n, rb) for n in range(1, depth + 1)]
+    return _rows(param, 1, depth)
 
 
 def decay_condition(param: Parameter) -> bool:
@@ -284,20 +285,13 @@ def decay_parameters(param: Parameter, epsilon: float | None = None) -> DecayPar
     threshold = root2 + delta
     # first index with r_k >= sqrt(2) + delta; the inner radii increase
     # strictly to a limit above the threshold, so the scan terminates
-    count = 64
-    first = None
-    while first is None:
-        rb = radius_sequences(param, count)
-        hits = np.nonzero(rb.inner_seq >= threshold)[0]
-        if hits.size:
-            first = int(hits[0]) + 1
-        else:
-            count *= 4
-            if count > 1 << 22:
-                raise RuntimeError(
-                    "inner radii did not reach the decay threshold; "
-                    "epsilon is too close to its upper limit"
-                )
+    walk = islice(_radii(a), (1 << 22) + 1)
+    first = next((k for k, (_, r) in enumerate(walk) if r >= threshold), None)
+    if first is None:
+        raise RuntimeError(
+            "inner radii did not reach the decay threshold; "
+            "epsilon is too close to its upper limit"
+        )
     settle = max(first - 1, 1)
     ratio = 2.0 / (threshold * threshold)
     anchor = difference_measure_bound(param, settle)

@@ -108,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--cell", type=float, default=0.02)
     o.add_argument("--samples", type=int, default=512,
                    help="boundary samples per piece for the disk-cover side")
-    o.add_argument("--method", choices=("auto", "direct", "fft"), default="auto")
     o.add_argument("--workers", type=int, default=1)
     o.add_argument("--outdir", type=Path, required=True)
 
@@ -325,7 +324,7 @@ def _run_oracle(args, cap: int | None) -> int:
     outer = rasterize_preimage(
         param, args.depth, args.cell, mode="outer", max_cells=cap, workers=args.workers
     )
-    diff = mask_difference(inner, inner, method=args.method)
+    diff = mask_difference(inner, inner)
     write_pgm(inner, outdir / "inner.pgm", meta)
     write_pgm(outer, outdir / "outer.pgm", meta)
     write_pgm(diff, outdir / "diff.pgm", meta)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Disks
-from .raster import GridMask
+from .raster import GridMask, check_cap
 
 __all__ = [
     "write_pgm",
@@ -130,11 +130,8 @@ def render_disks(
     y_hi = float((cy + r).max()) + pad
     w = max(int(math.ceil((x_hi - x_lo) / cell)), 8)
     h = max(int(math.ceil((y_hi - y_lo) / cell)), 8)
-    if w * h > (1 << 24):
-        raise ValueError(
-            f"render of {w}x{h} pixels exceeds the 2^24 pixel cap; "
-            "use a coarser cell"
-        )
+    # renders keep their fixed 2^24-pixel cap; CANTORDIFF_MEMORY_CAP does not apply
+    check_cap(f"render of {w}x{h} pixels", w * h, None, 1 << 24)
     xs = x_lo + (np.arange(w) + 0.5) * cell
     ys = y_hi - (np.arange(h) + 0.5) * cell
     img = np.empty((h, w, 3), dtype=np.float64)

@@ -18,6 +18,7 @@ comes from the smoothness of the piece boundaries.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,17 +211,42 @@ def _check_bound_telescoping(ctx: _Ctx) -> tuple[bool, str]:
     rows = bnd.bound_table(cfg.param, 200)
     worst_k = 0.0
     worst_r = 0.0
+    # a step to +inf must be predicted to pass the saturation threshold:
+    # the largest double for K_n, e^709 (the log-space cut) for the bound;
+    # saturated counts the steps from a finite value to +inf (at most two)
+    saturated = 0
+    reach_k = reach_r = math.inf
     for prev, nxt in zip(rows, rows[1:]):
         r_next = ctx.rb.inner(prev.n + 2)
-        lhs = nxt.diam_bound * math.sqrt(2.0) * r_next
-        worst_k = max(worst_k, abs(lhs - prev.diam_bound) / prev.diam_bound)
-        step = nxt.bound / prev.bound
-        worst_r = max(worst_r, abs(step - prev.ratio_step) / prev.ratio_step)
-    ok = worst_k <= 1e-12 and worst_r <= 1e-9
-    return ok, (
+        if math.isinf(nxt.diam_bound):
+            saturated += math.isfinite(prev.diam_bound)
+            predicted = prev.diam_bound / sys.float_info.max / (math.sqrt(2.0) * r_next)
+            reach_k = min(reach_k, predicted)
+        else:
+            lhs = nxt.diam_bound * math.sqrt(2.0) * r_next
+            worst_k = max(worst_k, abs(lhs - prev.diam_bound) / prev.diam_bound)
+        if math.isinf(nxt.bound):
+            saturated += math.isfinite(prev.bound)
+            reach_r = min(reach_r, prev.bound / math.exp(709.0) * prev.ratio_step)
+        else:
+            step = nxt.bound / prev.bound
+            worst_r = max(worst_r, abs(step - prev.ratio_step) / prev.ratio_step)
+    ok = (
+        worst_k <= 1e-12
+        and worst_r <= 1e-9
+        and reach_k >= 1.0 - 1e-12
+        and reach_r >= 1.0 - 1e-9
+    )
+    detail = (
         f"diameter telescoping rel err {worst_k:.3e}, "
         f"ratio_step vs actual step rel err {worst_r:.3e}"
     )
+    if saturated:
+        detail += (
+            f", {saturated} steps from finite to +inf, predicted/threshold min "
+            f"{min(reach_k, reach_r):.3e}"
+        )
+    return ok, detail
 
 
 def _check_piece_membership(ctx: _Ctx) -> tuple[bool, str]:
@@ -274,7 +300,7 @@ def _check_sampled_diameter(ctx: _Ctx) -> tuple[bool, str]:
     cfg = ctx.cfg
     worst = 0.0
     for k, level in enumerate(ctx.pieces[1:], start=1):
-        kn = bnd.piece_diameter_bound(cfg.param, k, rb=ctx.rb)
+        kn = bnd.piece_diameter_bound(cfg.param, k)
         worst = max(worst, float((level.sampled_diam / kn).max()))
     ok = worst <= 1.0 + 1e-12
     return ok, f"max sampled diameter / certified bound {worst:.12f}"
@@ -525,13 +551,13 @@ def _check_area_sandwich(ctx: _Ctx) -> tuple[bool, str]:
 def _check_worst_case_identity(ctx: _Ctx) -> tuple[bool, str]:
     cfg = ctx.cfg
     n = cfg.depth
-    kn = bnd.piece_diameter_bound(cfg.param, n, rb=ctx.rb)
+    kn = bnd.piece_diameter_bound(cfg.param, n)
     # enclosing-disk radius of a piece whose diameter is exactly K_n
     radius = diametral_disks(0j, complex(kn))[0].radius
     count = 1 << (n + 1)
     disks = [Disk(complex(3.0 * radius * t, 0.0), radius) for t in range(count)]
     total = math.fsum(disk_difference(a, b).area for a in disks for b in disks)
-    closed = bnd.difference_measure_bound(cfg.param, n, rb=ctx.rb).bound
+    closed = bnd.difference_measure_bound(cfg.param, n).bound
     rel = abs(total - closed) / closed
     ok = rel <= 1e-12
     return ok, f"sum over {count}^2 equal-radius difference disks vs closed form: rel err {rel:.3e}"

@@ -5,7 +5,9 @@ the defining recursions (R_1 = sqrt(2|c|), R_{k+1} = sqrt(|c|+R_k), r_1 = 0,
 r_{k+1} = sqrt(|c|-R_k)) and rounded to the nearest double.
 """
 
+import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -232,3 +234,44 @@ def test_frozen_fixtures_match_live_oracle():
     assert float(12 * mp.pi * 4 * k1 * k1) == BOUND1
     assert float(12 * mp.pi * 4**8 * k8 * k8) == BOUND8
     assert float(2 / r[3] ** 2) == STEP1
+
+
+def _walk_cases(count=60, seed=601):
+    # a fixed draw: |c| in (2.2, 50), any argument, half the depths in the
+    # running-product range 0..64 and half in log space 65..300, plus the
+    # depths at either side of the switch and at both ends
+    rng = np.random.default_rng(seed)
+    mags = rng.uniform(2.2, 50.0, count).tolist()
+    args = rng.uniform(-math.pi, math.pi, count).tolist()
+    half = count // 2
+    depths = rng.integers(0, 65, half).tolist() + rng.integers(65, 301, count - half).tolist()
+    extras = rng.integers(0, 21, count).tolist()
+    fixed = [(3.7, 0.4, n, 3) for n in (0, 1, 64, 65, 300)]
+    return list(zip(mags, args, depths, extras)) + fixed
+
+
+@pytest.mark.parametrize("mag, arg, n, extra", _walk_cases())
+def test_row_walk_matches_mpmath(mag, arg, n, extra):
+    # rows up to 64 come from the running product, deeper ones from log space
+    mp = pytest.importorskip("mpmath")
+    p = Parameter(mag * cmath.exp(1j * arg))
+    with mp.workdps(50):
+        a = mp.mpf(p.abs_c)
+        outer = mp.sqrt(2 * a)  # R_1
+        k = 2 * outer  # K_0
+        for _ in range(n):
+            k /= mp.sqrt(2) * mp.sqrt(a - outer)  # r_{j+1} from R_j
+            outer = mp.sqrt(a + outer)
+        bound = 12 * mp.pi * mp.mpf(4) ** n * k * k
+        saturates = bound >= mp.exp(709) * (1 - mp.mpf("1e-12"))
+    row = difference_measure_bound(p, n)
+    assert row.diam_bound == pytest.approx(float(k), rel=1e-12)
+    if math.isinf(row.bound):
+        assert saturates
+    elif bound >= sys.float_info.min:
+        # below the normal double range the bound underflows; not checked here
+        assert row.bound == pytest.approx(float(bound), rel=1e-12)
+    # the three public entry points read the same row
+    assert piece_diameter_bound(p, n) == row.diam_bound
+    if n:
+        assert bound_table(p, n + extra)[n - 1] == row

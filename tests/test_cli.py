@@ -176,6 +176,10 @@ def test_exit_code_2_on_bad_flag_value(capsys):
     code, _, err = run_cli(capsys, "cover", "--c-re", "5", "--depth", "1",
                            "--samples", "4")
     assert code == 2 and err.startswith("error:")
+    # oracle picks its difference method itself
+    code, _, err = run_cli(capsys, "oracle", "--c-re", "5", "--depth", "1",
+                           "--outdir", "unused", "--method", "fft")
+    assert code == 2 and err.startswith("error:")
 
 
 def test_memory_cap_env(tmp_path, capsys, monkeypatch):
@@ -204,6 +208,24 @@ def test_cli_entrypoint_subprocess():
     )
     assert r.returncode == 0
     assert r.stdout.startswith("n,R_n")
+
+
+@pytest.mark.parametrize(
+    "c_re, depth", [("2.01", 900), ("2.0000001", 200), ("2.0000000001", 64)]
+)
+def test_bounds_saturate_at_inf_near_two(c_re, depth):
+    # K_n and the bound leave double range (at the last case the running
+    # product of the inner radii underflows first): they print inf, with no
+    # traceback and no overflow or division warning
+    r = subprocess.run(
+        [sys.executable, "-m", "cantordiff.cli", "bounds", "--c-re", c_re,
+         "--depth", str(depth)],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0 and r.stderr == ""
+    last = r.stdout.splitlines()[depth].split(",")
+    assert last[0] == str(depth)
+    assert last[3:5] == ["inf", "inf"]
 
 
 def test_stdout_determinism_subprocess():
