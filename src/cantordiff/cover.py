@@ -58,6 +58,8 @@ DEFAULT_MAX_POINTS = 1 << 24
 DEFAULT_MAX_PAIRS = 1 << 20
 
 _MIN_SAMPLES = 16
+# cells per strip when union_grid_mask tests one disk window
+_STRIP = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,10 +257,15 @@ def union_grid_mask(
         ay_hi = min(ky_hi, math.ceil((y + rr) / cell) + 1)
         if ax_lo > ax_hi or ay_lo > ay_hi:
             continue
-        dx = np.arange(ax_lo, ax_hi + 1, dtype=np.float64) * cell - x
+        dx2 = (np.arange(ax_lo, ax_hi + 1, dtype=np.float64) * cell - x) ** 2
         dy = np.arange(ay_lo, ay_hi + 1, dtype=np.float64) * cell - y
-        hit = dx[None, :] ** 2 + dy[:, None] ** 2 <= rr * rr
-        mask[ay_lo - ky_lo : ay_hi - ky_lo + 1, ax_lo - kx_lo : ax_hi - kx_lo + 1] |= hit
+        cols = mask[:, ax_lo - kx_lo : ax_hi - kx_lo + 1]
+        # row strips of about _STRIP cells bound the float temporary
+        rows = max(1, _STRIP // dx2.size)
+        for lo in range(0, dy.size, rows):
+            dy2 = dy[lo : lo + rows, None] ** 2
+            top = ay_lo - ky_lo + lo
+            cols[top : top + dy2.shape[0]] |= dx2 + dy2 <= rr * rr
     origin = complex((kx_lo - 0.5) * cell, (ky_lo - 0.5) * cell)
     return GridMask(origin=origin, cell=cell, bits=mask, mode="union")
 

@@ -3,10 +3,10 @@
 Points of the plane are plain complex numbers (scalars or numpy arrays of
 dtype complex128).  This module provides the quadratic map z -> z^2 + c and
 its two inverse square-root branches with a fixed cut (argument taken in
-[0, 2*pi)), exact point-set diameters with a deterministic diametral pair,
-the sqrt(3)/2 enclosing disk built on that pair, and the exact difference
-set of two disks.  A single disk is a Disk; a set of disks is a Disks,
-two parallel arrays of centers and radii.
+[0, 2*pi)), exact point-set diameters with the smallest diametral index
+pair, the sqrt(3)/2 enclosing disk built on that pair, and the exact
+difference set of two disks.  A single disk is a Disk; a set of disks is a
+Disks, two parallel arrays of centers and radii.
 
 The enclosing disk is deliberately not the minimal one: centering on the
 midpoint of a diametral pair and inflating by sqrt(3)/2 gives a certified
@@ -37,9 +37,12 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 # all-pairs diameter is exact and fast enough up to this many points;
-# larger sets go through a convex hull first
+# larger sets go through the block search
 _ALL_PAIRS_LIMIT = 4096
 _BLOCK = 256
+# children per block of the block search, and block pairs per chunk
+_FAN = 8
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -190,97 +193,94 @@ def _pair_scan(pts: np.ndarray) -> tuple[int, int, float]:
     return bi, bj, best
 
 
-def _hull_chains(
-    xs: list[float], ys: list[float], order: list[int]
-) -> tuple[list[int], list[int]]:
-    """Upper and lower convex hull chains (indices, left to right) of the
-    points (xs[k], ys[k]) taken in lexicographic order."""
-    upper: list[int] = []
-    lower: list[int] = []
-    for idx in order:
-        x, y = xs[idx], ys[idx]
-        # pop while the cross product (a - o) x (p - o) is >= 0 (upper)
-        # or <= 0 (lower), with p the new point
-        while len(upper) >= 2:
-            o, a = upper[-2], upper[-1]
-            ox, oy = xs[o], ys[o]
-            if not ((xs[a] - ox) * (y - oy) - (ys[a] - oy) * (x - ox) >= 0):
-                break
-            upper.pop()
-        while len(lower) >= 2:
-            o, a = lower[-2], lower[-1]
-            ox, oy = xs[o], ys[o]
-            if not ((xs[a] - ox) * (y - oy) - (ys[a] - oy) * (x - ox) <= 0):
-                break
-            lower.pop()
-        upper.append(idx)
-        lower.append(idx)
-    return upper, lower
+def _rects(u: np.ndarray, v: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
+    """Per run of `size` points: center, axis (c, s), half extents along it."""
+    u, v = (np.append(w, [w[-1]] * (-w.size % size)).reshape(-1, size) for w in (u, v))
+    du, dv = u - u.mean(axis=1, keepdims=True), v - v.mean(axis=1, keepdims=True)
+    th = 0.5 * np.arctan2(2.0 * (du * dv).sum(axis=1), (du * du - dv * dv).sum(axis=1))
+    c, s = np.cos(th), np.sin(th)
+    r, t = u * c[:, None] + v * s[:, None], v * c[:, None] - u * s[:, None]
+    r0, r1, t0, t1 = r.min(axis=1), r.max(axis=1), t.min(axis=1), t.max(axis=1)
+    rc, tc = (r0 + r1) / 2.0, (t0 + t1) / 2.0
+    return rc * c - tc * s, rc * s + tc * c, c, s, (r1 - r0) / 2.0, (t1 - t0) / 2.0
 
 
-def _pair_hull(pts: np.ndarray) -> tuple[int, int, float]:
-    """Diametral pair via convex hull and rotating calipers.
-
-    Same value as _pair_scan; the reported pair is the lexicographically
-    smallest among the antipodal pairs the sweep visits (interior points
-    and duplicate hull vertices can never attain the maximum strictly, so
-    the distance is exact either way).  The sweep runs on Python floats:
-    float arithmetic rounds exactly like numpy float64 scalars, and each
-    distance is abs(complex(dx, dy)), which is C hypot, the same rounding
-    as numpy's scalar abs of a complex.
-    """
-    xs = pts.real.tolist()
-    ys = pts.imag.tolist()
-    upper, lower = _hull_chains(xs, ys, np.lexsort((pts.imag, pts.real)).tolist())
-    i, j = 0, len(lower) - 1
-    best = -1.0
-    cands: list[tuple[int, int]] = []
-    while i < len(upper) - 1 or j > 0:
-        a, b = upper[i], lower[j]
-        d = abs(complex(xs[a] - xs[b], ys[a] - ys[b]))
-        if d > best:
-            best = d
-            cands = [(a, b) if a <= b else (b, a)]
-        elif d == best:
-            cands.append((a, b) if a <= b else (b, a))
-        if i == len(upper) - 1:
-            j -= 1
-        elif j == 0:
-            i += 1
-        else:
-            u0, u1 = upper[i], upper[i + 1]
-            l0, l1 = lower[j - 1], lower[j]
-            # advance the chain whose edge turns first
-            if (ys[u1] - ys[u0]) * (xs[l1] - xs[l0]) > (ys[l1] - ys[l0]) * (
-                xs[u1] - xs[u0]
-            ):
-                i += 1
-            else:
-                j -= 1
-    a, b = min(cands)
-    return a, b, best
+def _pair_search(pts: np.ndarray) -> tuple[int, int, float]:
+    """_pair_scan's contract with np.hypot distances, by branch-and-bound
+    over blocks of _FAN**k angle-sorted points: from the top down, a block
+    pair whose bound still reaches the best distance splits into its child
+    pairs, highest bound first; O(m) memory plus _CHUNK pairs per level."""
+    m, x, y = pts.size, pts.real, pts.imag
+    # centred on the bounding box, scaled by a power of two into [-1, 1]
+    u, v = x - (x.min() / 2.0 + x.max() / 2.0), y - (y.min() / 2.0 + y.max() / 2.0)
+    e = math.frexp(max(np.abs(u).max(), np.abs(v).max()))[1]
+    u, v = np.ldexp(u, -e), np.ldexp(v, -e)
+    ang = np.arctan2(v, u)
+    order = np.argsort(ang)  # steers the search, never its result
+    if np.any(np.diff(ang[order]) == 0.0):
+        # shared angles: sort stably by radius too and keep each first copy
+        order = np.argsort(ang + 1j * (u * u + v * v), kind="stable")
+        order = order[np.r_[True, (np.diff(u[order]) != 0) | (np.diff(v[order]) != 0)]]
+    u, v = u[order], v[order]
+    best, bk, q = -1.0, 0, 0
+    for _ in range(3):  # farthest-point sweeps give the starting pair
+        p, q = q, int(((u - u[q]) ** 2 + (v - v[q]) ** 2).argmax())
+        i, j = sorted((int(order[p]), int(order[q])))
+        best, bk = max((best, bk), (float(np.hypot(x[i] - x[j], y[i] - y[j])), i * m + j))
+    levels = [(u, v)]
+    while _FAN ** len(levels) < u.size:
+        levels.append(_rects(u, v, _FAN ** len(levels)))
+    # a pair's bound: the hypot of both rectangles' extents in the first one's
+    # frame, each side + 2**-41 > all rounding here, so it never prunes a tie
+    tiny, g = 2.0**-41, np.arange(_FAN)
+    stack = [(len(levels), np.zeros(1, int), np.zeros(1, int), np.full(1, np.inf))]
+    while stack:
+        lev, a, b, ub2 = stack.pop()
+        lim2 = math.ldexp(min(best, np.finfo(float).max), -e) ** 2
+        a, b = a[ub2 > lim2, None] * _FAN + g, b[ub2 > lim2, None] * _FAN + g
+        last = levels[lev - 1][0].size - 1
+        fa = [f[np.minimum(a, last)][:, :, None] for f in levels[lev - 1]]
+        fb = [f[np.minimum(b, last)][:, None, :] for f in levels[lev - 1]]
+        wu, wv = fa[0] - fb[0], fa[1] - fb[1]
+        if lev > 1:  # the offset and both extents in the first rectangle's frame
+            (ca, sa, ra, ta), (cb, sb, rb, tb) = fa[2:], fb[2:]
+            cos, sin = abs(ca * cb + sa * sb), abs(sa * cb - ca * sb)
+            wu, wv = abs(wu * ca + wv * sa), abs(wv * ca - wu * sa)
+            wu, wv = wu + ra + rb * cos + tb * sin, wv + ta + rb * sin + tb * cos
+        ub2 = (abs(wu) + tiny) ** 2 + (abs(wv) + tiny) ** 2
+        ub2[(a[:, :, None] > b[:, None, :]) | (b > last)[:, None, :]] = 0.0  # no repeats
+        f = np.flatnonzero(ub2 > lim2)
+        a, b, ub2 = a.ravel()[f // _FAN], b[f // _FAN**2, f % _FAN], ub2.ravel()[f]
+        if lev > 1:
+            f = np.split(np.argsort(ub2), range(_CHUNK, f.size, _CHUNK))
+            stack += [(lev - 1, a[k], b[k], ub2[k]) for k in f]
+            continue
+        i, j = np.minimum(order[a], order[b]), np.maximum(order[a], order[b])
+        d = np.hypot(x[i] - x[j], y[i] - y[j])
+        if d.size and d.max() >= best:
+            k = int((i * m + j)[d == d.max()].min())
+            best, bk = float(d.max()), k if d.max() > best else min(k, bk)
+    return bk // m, bk % m, best
 
 
 def _diametral(points) -> tuple[np.ndarray, int, int, float]:
     """Points plus (i, j, distance) of a diametral pair.
 
-    Small sets scan all pairs; above _ALL_PAIRS_LIMIT points a convex hull
-    pass restricts candidates to antipodal hull pairs, which preserves the
-    attained distance.
+    (i, j), i <= j, is the lexicographically smallest pair attaining the
+    maximum distance: np.abs of complex differences in the all-pairs scan up
+    to _ALL_PAIRS_LIMIT points, np.hypot in the block search above it.
     """
     pts = _as_points(points)
-    scan = _pair_scan if pts.size <= _ALL_PAIRS_LIMIT else _pair_hull
-    return (pts, *scan(pts))
+    search = _pair_scan if pts.size <= _ALL_PAIRS_LIMIT else _pair_search
+    return (pts, *search(pts))
 
 
 def diametral_pair(points) -> tuple[int, int]:
     """Indices (i, j), i <= j, of a pair attaining the set diameter.
 
-    Deterministic: the same input always gives the same pair.  Up to
-    _ALL_PAIRS_LIMIT points it is the lexicographically smallest index
-    pair among all pairs attaining the diameter; above that it is the
-    smallest among the antipodal hull pairs the calipers visit, which can
-    be a different pair at the same distance.
+    Deterministic: the lexicographically smallest such pair at any size,
+    with distances as in _diametral (np.abs up to _ALL_PAIRS_LIMIT points,
+    np.hypot above; the two can differ in the last bit).
     """
     _, i, j, _ = _diametral(points)
     return i, j

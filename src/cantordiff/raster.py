@@ -113,14 +113,23 @@ def preimage_member(z, param: Parameter, depth: int):
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     arr = np.asarray(z, dtype=np.complex128)
-    alive = np.abs(arr) <= param.abs_c
-    w = np.where(alive, arr, 0)
-    for _ in range(depth):
-        w = w * w + param.c
-        alive = alive & (np.abs(w) <= param.abs_c)
-        w = np.where(alive, w, 0)
+    alive = _survivors(arr, param.c, [param.abs_c] * (depth + 1))
     if arr.ndim == 0:
         return bool(alive)
+    return alive
+
+
+def _survivors(z: np.ndarray, c: complex, thresholds: list[float]) -> np.ndarray:
+    """Mask of the points whose orbit w_0 = z, w_{k+1} = w_k^2 + c keeps
+    |w_k| <= thresholds[k] at every step; only survivors are iterated."""
+    idx = np.flatnonzero(np.abs(z) <= thresholds[0])
+    w = z.ravel()[idx]
+    for thr in thresholds[1:]:
+        w = w * w + c
+        keep = np.abs(w) <= thr
+        idx, w = idx[keep], w[keep]
+    alive = np.zeros(z.shape, dtype=bool)
+    alive.flat[idx] = True
     return alive
 
 
@@ -142,18 +151,13 @@ def _outer_block(z0: np.ndarray, param: Parameter, depth: int, half_diag: float)
     a = param.abs_c
     r1 = math.sqrt(2.0 * a)
     e = half_diag
-    thr0 = (r1 if depth >= 1 else a) + e
-    alive = np.abs(z0) <= thr0
-    w = np.where(alive, z0, 0)
+    thresholds = [(r1 if depth >= 1 else a) + e]
     for k in range(1, depth + 1):
         e = (2.0 * r1 + e) * e
         if e > _ERR_CAP:
             break
-        w = w * w + param.c
-        thr = (r1 if k < depth else a) + e
-        alive = alive & (np.abs(w) <= thr)
-        w = np.where(alive, w, 0)
-    return alive
+        thresholds.append((r1 if k < depth else a) + e)
+    return _survivors(z0, param.c, thresholds)
 
 
 def rasterize_preimage(
@@ -198,7 +202,9 @@ def rasterize_preimage(
             return preimage_member(z0, param, depth)
         return _outer_block(z0, param, depth, half_diag)
 
-    block = 64
+    # rows per block; 32 keeps the variable-size survivor arrays of two
+    # workers small enough that the process peak RSS does not grow
+    block = 32
     spans = [(lo, min(lo + block, width)) for lo in range(0, width, block)]
     if workers <= 1:
         parts = [run_rows(lo, hi) for lo, hi in spans]

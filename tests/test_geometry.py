@@ -5,6 +5,7 @@ formulas; the library itself never touches mpmath.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cantordiff import (
     disk_difference,
     enclosing_disk,
     forward_map,
+    generate_pieces,
     inverse_branch,
     sqrt_branch,
 )
@@ -132,21 +134,100 @@ def test_diameter_matches_bruteforce_beyond_hull_cutoff():
 
 
 def _max_hypot(pts):
-    # brute-force oracle in the hull's rounding: np.hypot rounds like the
+    # brute-force oracle in the search's rounding: np.hypot rounds like the
     # scalar abs() of a complex, which the vectorised np.abs need not
     d = pts[:, None] - pts[None, :]
     return float(np.hypot(d.real, d.imag).max())
 
 
+def _smallest_max_pair(pts):
+    # blocked all-pairs oracle in np.hypot rounding: (i, j, distance) with
+    # (i, j), i <= j, the smallest pair attaining the maximum.  Squared
+    # distances only preselect candidates: a pair attaining the maximum
+    # hypot is within a few ulps of its block's largest square, far inside
+    # the 1e-9 margin, and np.hypot then measures every candidate
+    m = pts.size
+    best, key = -1.0, 0
+    for lo in range(0, m, 64):
+        dx = pts.real[lo : lo + 64, None] - pts.real[None, lo:]
+        dy = pts.imag[lo : lo + 64, None] - pts.imag[None, lo:]
+        d2 = dx * dx + dy * dy
+        ii, jj = np.nonzero(d2 >= d2.max() * (1.0 - 1e-9))
+        d = np.hypot(dx[ii, jj], dy[ii, jj])
+        i, j = ii + lo, jj + lo
+        hits = (np.minimum(i, j) * m + np.maximum(i, j))[d == d.max()]
+        if d.max() > best:
+            best, key = float(d.max()), int(hits.min())
+        elif d.max() == best:
+            key = min(key, int(hits.min()))
+    return key // m, key % m, best
+
+
+def test_diametral_pair_matches_bruteforce_beyond_scan_limit():
+    # above the scan limit the block search runs; its pair must be the
+    # oracle's exactly, ties and duplicates included
+    rng = np.random.default_rng(61)
+    for kind in range(7):
+        n = int(rng.integers(_ALL_PAIRS_LIMIT + 1, 6001))
+        if kind == 0:
+            pts = rng.normal(size=n) + 1j * rng.normal(size=n)
+        elif kind in (1, 2):
+            side = 5 if kind == 1 else 7
+            pts = rng.integers(0, side, size=n) + 1j * rng.integers(0, side, size=n)
+        elif kind == 3:
+            pts = 2.5 * np.exp(2j * math.pi * rng.integers(0, 24, size=n) / 24) + 0.5
+        elif kind == 4:
+            pts = np.full(n, 0.3 - 0.7j)
+        elif kind == 5:
+            # blocks with wide rectangles: every half extent of the bound counts
+            pts = rng.uniform(-5, 5, size=n) + 1j * rng.uniform(-1, 1, size=n)
+        else:
+            blob = 0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            pts = np.exp(2j * math.pi * rng.integers(0, 3, size=n) / 3) + blob
+        want = _smallest_max_pair(pts)
+        assert (*diametral_pair(pts), diameter(pts)) == want, (kind, n)
+
+
+@pytest.mark.parametrize("c", [5.0, -5.0, 2.5j, 3 + 4j])
+def test_diametral_pair_on_pieces_beyond_scan_limit(c):
+    pieces = generate_pieces(Parameter(c), 2, samples=5000)
+    for k, row in enumerate(pieces.samples):
+        i, j, d = _smallest_max_pair(row)
+        assert (*diametral_pair(row), diameter(row)) == (i, j, d), k
+        assert pieces.sampled_diam[k] == d
+
+
+def test_block_search_memory_on_a_large_circle():
+    # the vertices of a regular 2^18-gon in shuffled order: the search's
+    # worst case, with a few hundred antipodal pairs tied after rounding
+    n = 1 << 18
+    turn = np.random.default_rng(71).permutation(n)
+    pts = np.exp(2j * math.pi * turn / n)
+    tracemalloc.start()
+    try:
+        i, j = diametral_pair(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 << 20
+    # only antipodal pairs come within rounding of the maximum (the next
+    # ones are 2 cos(pi/n) ~ 2 - 1.5e-10 apart), so they are the oracle
+    at = np.argsort(turn)
+    a, b = at[: n // 2], at[n // 2 :]
+    d = np.hypot(pts.real[a] - pts.real[b], pts.imag[a] - pts.imag[b])
+    lo, hi = np.minimum(a, b)[d == d.max()], np.maximum(a, b)[d == d.max()]
+    k = int(np.argmin(lo * n + hi))
+    assert (i, j, diameter(pts)) == (lo[k], hi[k], d.max())
+
+
 def test_hull_path_on_degenerate_inputs():
-    # above the scan limit the hull and calipers run; lattices and repeated
+    # above the scan limit the block search runs; lattices and repeated
     # circle points give many duplicates, collinear runs and distance ties
     rng = np.random.default_rng(53)
     ring = np.exp(2j * math.pi * rng.integers(0, 24, size=5000) / 24)
     grid = rng.integers(0, 7, size=5000) + 1j * rng.integers(0, 7, size=5000)
-    # without the corners 0 and 6+6i the only diametral pair is (6, 6i);
-    # putting 6 first and 6i last lists that pair as (upper, lower) =
-    # (last, first) on the calipers, so the i <= j ordering is exercised
+    # without the corners 0 and 6+6i the only diametral pair is (6, 6i),
+    # placed at the first and the last index
     cut = grid[(grid != 0) & (grid != 6 + 6j)]
     inputs = [
         grid,
@@ -167,6 +248,7 @@ def test_hull_path_on_degenerate_inputs():
         # the scan reaches the same distance up to its own rounding
         assert diameter(pts) == pytest.approx(_pair_scan(distinct)[2], rel=1e-15)
         assert diametral_pair(pts.copy()) == (i, j)
+        assert (i, j, diameter(pts)) == _smallest_max_pair(pts)
 
 
 def test_enclosing_disk_two_points():
