@@ -1,8 +1,8 @@
 """Scalar bound machinery for preimage covers of the quadratic map.
 
-Everything here is elementary real arithmetic on |c|.  Two coupled radius
-recursions pin the modulus of every point in the n-th preimage of the
-closed disk of radius |c|:
+Everything here is elementary real arithmetic on |c|, on the standard
+library alone.  Two coupled radius recursions pin the modulus of every
+point in the n-th preimage of the closed disk of radius |c|:
 
     R_0 = |c|,  R_{k+1} = sqrt(|c| + R_k)   (outer bound)
     r_0 = 0,    r_{k+1} = sqrt(|c| - R_k)   (inner bound)
@@ -17,28 +17,45 @@ diameter bound of one inverse branch of the disk) and from it an upper
 bound 12*pi*4^n*K_n^2 on the area of a disk cover of the difference set
 built from those pieces.  The bound decays geometrically whenever
 |c|^2 - 6|c| + 6 > 0 (with |c| > 3); that threshold is evaluated in exact
-rational arithmetic so boundary parameters classify correctly.
+integer arithmetic so boundary parameters classify correctly.
 
-All derived quantities are ordinary double precision: results carry the
-usual relative rounding error (order n * 2^-52 for depth n), which is far
-below every tolerance used downstream.  Depths up to 64 multiply the inner
-radii directly; deeper rows sum their logarithms, which dodges overflow and
-underflow of the product.  Where K_n or the area bound leaves double range
-(|c| close to 2) it saturates at +inf, which is still an upper bound.
+Every certified number is rounded outward.  IEEE sqrt, +, -, * and / are
+correctly rounded, so stepping one double outward with math.nextafter
+after each of them gives a one-sided bound (Tucker, Validated Numerics,
+2011): the bound walk rounds R_k, K_n, the area bound, ratio_step and the
+decay ratio and prefactor up, and r_k down.  It never forms |c| - R_k,
+which cancels near |c| = 2; it walks d_k = |c| - R_k as
+
+    d_{k+1} = (|c|(|c| - 2) + d_k) / (|c| + R_{k+1}),   r_{k+1} = sqrt(d_k).
+
+The product r_2*...*r_{n+1} is kept as a math.frexp mantissa and
+exponent, so it neither overflows nor underflows, and K_n and the bound
+are scaled into place with math.ldexp at the end: above the double range
+they saturate at +inf, below the normal range they round up to a
+subnormal and never below the smallest positive double, and all of these
+are still upper bounds.  abs(c) is only within an ulp of |c| off the
+axes; an exact integer comparison tells on which side |c| lies, and the
+walk takes the neighbouring double there wherever that is conservative.
+It takes |c| - 2 from the exact |c|^2, where the ulp would be magnified.
+
+radius_sequences takes the same walk rounded to nearest, with abs(c) as
+|c|; with radius_limits, the fixed points, it is what verify checks the
+bound rows against.
 """
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from itertools import islice
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .geometry import Parameter
+if TYPE_CHECKING:  # numpy only names the RadiusBounds array fields
+    import numpy as np
 
 __all__ = [
+    "Parameter",
     "RadiusBounds",
     "BoundRow",
     "DecayParams",
@@ -52,7 +69,33 @@ __all__ = [
     "decay_parameters",
 ]
 
-_LOG_SPACE_DEPTH = 64
+_SQRT2_UP = math.nextafter(math.sqrt(2.0), math.inf)
+_TWELVE_PI_UP = math.nextafter(12.0 * math.nextafter(math.pi, math.inf), math.inf)
+
+
+@dataclass(frozen=True)
+class Parameter:
+    """Parameter c of the quadratic map, restricted to |c| > 2.
+
+    For |c| > 2 the filled Julia set is totally disconnected and the whole
+    inverse-branch construction applies; smaller parameters are rejected
+    outright rather than producing silently wrong bounds.
+    """
+
+    c: complex
+    abs_c: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        c = complex(self.c)
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise ValueError("parameter c must be finite")
+        a = abs(c)
+        if not a > 2.0:
+            raise ValueError(
+                f"need |c| > 2 (totally disconnected regime), got |c| = {a:.17g}"
+            )
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "abs_c", a)
 
 
 @dataclass(frozen=True)
@@ -93,11 +136,11 @@ class BoundRow:
     """One depth of the certified bound table."""
 
     n: int
-    outer_radius: float  # R_n
-    inner_radius: float  # r_n
+    outer_radius: float  # R_n, rounded up
+    inner_radius: float  # r_n, rounded down
     diam_bound: float  # K_n, certified piece diameter at depth n
     bound: float  # 12*pi*4^n*K_n^2, certified cover area
-    ratio_step: float  # bound(n+1)/bound(n) = 2/r_{n+2}^2
+    ratio_step: float  # bound(n+1)/bound(n) = 2/r_{n+2}^2, rounded up
 
 
 @dataclass(frozen=True)
@@ -115,6 +158,54 @@ class DecayParams:
     prefactor: float
 
 
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def _down(x: float) -> float:
+    # every quantity rounded down here is >= 0, so 0 is a lower bound too
+    return max(math.nextafter(x, -math.inf), 0.0)
+
+
+def _div_up(x: float, y: float) -> float:
+    """x / y rounded up for x, y >= 0: exact when y is a power of two, +inf at y = 0."""
+    if not y:
+        return math.inf
+    q = x / y
+    return q if math.frexp(y)[0] == 0.5 else _up(q)
+
+
+def _scale_up(x: float, e: int) -> float:
+    """x * 2^e rounded up: +inf above the double range, at least the
+    smallest positive double below it (ldexp is exact for normal results)."""
+    try:
+        y = math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+    return y if y >= sys.float_info.min else _up(y)
+
+
+def _abs_c_range(param: Parameter) -> tuple[float, float, float]:
+    """Doubles lo <= |c| <= hi, one of them abs(c), and excess <= |c| - 2.
+
+    abs(c) rounds hypot(re c, im c), so |c| lies within an ulp of it.  The
+    sign of abs(c)^2 - |c|^2, exact on the integer ratios of the three
+    doubles, tells on which side.  Where abs(c) is inexact and below 4,
+    lo - 2 would magnify that ulp, so excess is (|c|^2 - 4)/(|c| + 2) with
+    |c|^2 - 4 from one correctly rounded int division.
+    """
+    a = param.abs_c
+    (p, q), (x, u), (y, v) = (t.as_integer_ratio() for t in (a, param.c.real, param.c.imag))
+    den = (u * v) ** 2
+    num = (x * v) ** 2 + (y * u) ** 2  # |c|^2 = num/den
+    side = p * p * den - num * q * q
+    lo = _down(a) if side > 0 else a
+    hi = _up(a) if side < 0 else a
+    if side and a < 4.0:
+        return lo, hi, _down(_down((num - 4 * den) / den) / _up(hi + 2.0))
+    return lo, hi, _down(lo - 2.0)
+
+
 def radius_limits(param: Parameter) -> tuple[float, float]:
     """Fixed points (outer, inner) of the two radius recursions."""
     a = param.abs_c
@@ -125,78 +216,84 @@ def radius_limits(param: Parameter) -> tuple[float, float]:
     return outer, inner
 
 
-def _radii(a: float) -> Iterator[tuple[float, float]]:
-    """(R_k, r_k) for k = 0, 1, 2, ... from the seeds R_0 = |c| = a, r_0 = 0.
+def _nearest(x: float) -> float:
+    return x
 
-    The recursion itself yields R_1 = sqrt(2a) and r_1 = 0, because a + a
-    is exactly 2.0*a in floating point.
+
+def _walk(
+    lo: float, hi: float, excess: float, up=_up, down=_down
+) -> Iterator[tuple[float, float]]:
+    """(R_k, r_k) for k = 0, 1, 2, ..., from R_0 = |c| and r_0 = 0.
+
+    lo <= |c| <= hi and excess <= |c| - 2; up and down round each result
+    (outward for the bound rows, _nearest for radius_sequences).  The walk
+    never forms |c| - R_k: d_0 = 0, so r_1 = sqrt(d_0) = 0 exactly, and
+    d_{k+1} = (|c|(|c| - 2) + d_k) / (|c| + R_{k+1}) with numerator and
+    denominator scaled by t = 2^-m, |c|t in [1/2, 1): the scaling is exact
+    and keeps |c|(|c| - 2) in range.
     """
-    outer, inner = a, 0.0
+    t = math.ldexp(1.0, -math.frexp(hi)[1])
+    head = down(excess * (lo * t))  # |c|(|c| - 2) t
+    outer, gap, inner = hi, 0.0, 0.0  # R_0, d_0, r_0
     while True:
         yield outer, inner
-        outer, inner = math.sqrt(a + outer), math.sqrt(a - outer)
+        inner = down(math.sqrt(gap))
+        outer = up(math.sqrt(up(hi + outer)))
+        gap = down(down(head + gap * t) / up(hi * t + outer * t))
 
 
 def radius_sequences(param: Parameter, count: int) -> RadiusBounds:
-    """R_1..R_count and r_1..r_count plus their limits."""
+    """R_1..R_count and r_1..r_count (rounded to nearest) plus their limits."""
+    import numpy as np
+
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     a = param.abs_c
-    outer, inner = np.array(list(islice(_radii(a), 1, count + 1))).T.copy()
+    walk = _walk(a, a, a - 2.0, _nearest, _nearest)
+    outer, inner = np.array(list(islice(walk, 1, count + 1))).T.copy()
     lim_outer, lim_inner = radius_limits(param)
     return RadiusBounds(a, outer, inner, lim_outer, lim_inner)
 
 
 def first_piece_diameter(param: Parameter) -> float:
-    """Certified diameter bound K_0 for a depth-0 piece.
+    """Certified diameter bound K_0 = 2*sqrt(2|c|), rounded up, for a depth-0 piece.
 
     A depth-0 piece is one inverse branch of the disk; every point of it
     has modulus at most R_1 = sqrt(2|c|), so 2*sqrt(2|c|) bounds its
     diameter.  The sampled depth-0 diameters are generate_pieces(param, 0)
     and never enter certified output.
     """
-    return 2.0 * math.sqrt(2.0 * param.abs_c)
-
-
-def _exp(x: float) -> float:
-    """e^x, saturating at +inf where it leaves double range."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
+    return 2.0 * _up(math.sqrt(2.0 * _abs_c_range(param)[1]))
 
 
 def _rows(param: Parameter, first: int, depth: int) -> list[BoundRow]:
-    """Bound rows for n = first..depth from one walk of the radius recursion.
+    """Bound rows for n = first..depth from one O(depth) walk.
 
-    Each log-space row takes its own pairwise sum of logarithms (a running
-    sum would change the last digits), so a whole table costs O(depth^2)
-    additions; a single row (first == depth) costs O(depth).
+    K_n = K_0 * 2^(-n/2) / (r_2*...*r_{n+1}); for odd n the half power is
+    2^(-(n+1)/2) * sqrt(2).  So K_n = q * 2^shift with an integer shift and
+    a mantissa q in [1/2, 1) from K_0 (times sqrt 2 for odd n) over the
+    product's mantissa, and the bound is 12*pi*q^2 * 2^(2*shift + 2n).
     """
     if depth < 0:
         raise ValueError(f"depth n must be >= 0, got {depth}")
-    radii = list(islice(_radii(param.abs_c), depth + 3))
-    k0 = first_piece_diameter(param)
-    log_inner = np.log(np.array([r for _, r in radii[2:]]))  # log r_2, log r_3, ...
-    prod = 1.0  # r_2 * ... * r_{n+1}
+    radii = list(islice(_walk(*_abs_c_range(param)), depth + 3))
+    k_even = first_piece_diameter(param)
+    k_odd = _up(k_even * _SQRT2_UP)
+    mant, exp = 1.0, 0  # r_2*...*r_{n+1} >= mant * 2^exp
     rows = []
     for n in range(depth + 1):
-        r_next = radii[n + 2][1]
+        if n:
+            mant, e = math.frexp(_down(mant * radii[n + 1][1]))
+            exp += e
         if n < first:
-            prod *= r_next
             continue
-        if n <= _LOG_SPACE_DEPTH:
-            # an underflowed product means K_n is past double range
-            kn = 2.0 ** (-n / 2.0) / prod * k0 if prod else math.inf
-            bound = 12.0 * math.pi * 4.0**n * kn * kn
-        else:
-            # log space dodges overflow/underflow of the product
-            log_k = -n / 2.0 * math.log(2.0) - float(np.sum(log_inner[:n])) + math.log(k0)
-            kn = _exp(log_k)
-            log_bound = math.log(12.0 * math.pi) + n * math.log(4.0) + 2.0 * log_k
-            bound = math.exp(log_bound) if log_bound < 709.0 else math.inf
-        prod *= r_next
-        rows.append(BoundRow(n, *radii[n], kn, bound, 2.0 / (r_next * r_next)))
+        q, e = math.frexp(_div_up(k_odd if n % 2 else k_even, mant))
+        shift = e - exp - (n + 1) // 2
+        kn = _scale_up(q, shift)
+        bound = _scale_up(_up(_TWELVE_PI_UP * _up(q * q)), 2 * (shift + n))
+        r_next = radii[n + 2][1]
+        ratio_step = _div_up(2.0, _down(r_next * r_next))
+        rows.append(BoundRow(n, *radii[n], kn, bound, ratio_step))
     return rows
 
 
@@ -206,7 +303,8 @@ def piece_diameter_bound(param: Parameter, n: int) -> float:
     K_n = 2^(-n/2) * (r_2 * ... * r_{n+1})^(-1) * K_0 with K_0 =
     first_piece_diameter(param).  Each inverse-branch application
     contracts pairwise distances by at least sqrt(2)*r_{k+1} at depth k,
-    and the product telescopes.  K_n is +inf where it leaves double range.
+    and the product telescopes.  K_n is rounded up, +inf where it leaves
+    double range.
     """
     return difference_measure_bound(param, n).diam_bound
 
@@ -217,9 +315,9 @@ def difference_measure_bound(param: Parameter, n: int) -> BoundRow:
     The difference set of the depth-n preimage is covered by the pairwise
     disk differences of 2^(n+1) enclosing disks of radius
     (sqrt(3)/2)*K_n; summing 4^(n+1) areas of radius-sqrt(3)*K_n disks
-    gives the stated bound, +inf where it leaves double range.  ratio_step
-    is the exact factor to the next depth, 2/r_{n+2}^2.  At n = 0 the row
-    reports the recursion seeds R_0 = |c| and r_0 = 0.
+    gives the stated bound, rounded up, +inf where it leaves double range.
+    ratio_step is the factor to the next depth, 2/r_{n+2}^2, rounded up.
+    At n = 0 the row reports the recursion seeds R_0 = |c| and r_0 = 0.
     """
     return _rows(param, n, n)[0]
 
@@ -234,16 +332,17 @@ def bound_table(param: Parameter, depth: int) -> list[BoundRow]:
 def decay_condition(param: Parameter) -> bool:
     """Whether geometric decay of the bound is guaranteed.
 
-    True iff |c| > 3 and |c|^2 - 6|c| + 6 > 0, evaluated in exact rational
-    arithmetic on the double |c| so parameters right at the threshold
-    classify by the true sign rather than by rounding noise.  Equivalent
-    to the asymptotic step 2/inner_limit^2 being < 1.
+    True iff |c| > 3 and |c|^2 - 6|c| + 6 > 0, evaluated exactly on the
+    double |c| = p/q as p^2 - 6pq + 6q^2 > 0 in integers, so parameters
+    right at the threshold classify by the true sign rather than by
+    rounding noise.  Equivalent to the asymptotic step 2/inner_limit^2
+    being < 1.
     """
     a = param.abs_c
     if not a > 3.0:
         return False
-    x = Fraction(a)
-    return x * x - 6 * x + 6 > 0
+    p, q = a.as_integer_ratio()
+    return p * p - 6 * p * q + 6 * q * q > 0
 
 
 def _epsilon_margin(param: Parameter) -> float:
@@ -262,9 +361,9 @@ def decay_parameters(param: Parameter, epsilon: float | None = None) -> DecayPar
 
     is positive, the inner radii pass sqrt(2) + delta at some first index
     settle_index + 1, and every later step multiplies the bound by at
-    most ratio = 2/(sqrt(2)+delta)^2 < 1.  prefactor anchors the envelope
-    at the settle depth: bound(n) <= prefactor * ratio^n for all
-    n >= settle_index (certified-diameter table).
+    most ratio = 2/(sqrt(2)+delta)^2 < 1, rounded up.  prefactor, rounded
+    up, anchors the envelope at the settle depth: bound(n) <= prefactor *
+    ratio^n for all n >= settle_index (certified-diameter table).
     """
     if not decay_condition(param):
         raise ValueError(
@@ -285,7 +384,7 @@ def decay_parameters(param: Parameter, epsilon: float | None = None) -> DecayPar
     threshold = root2 + delta
     # first index with r_k >= sqrt(2) + delta; the inner radii increase
     # strictly to a limit above the threshold, so the scan terminates
-    walk = islice(_radii(a), (1 << 22) + 1)
+    walk = islice(_walk(*_abs_c_range(param)), (1 << 22) + 1)
     first = next((k for k, (_, r) in enumerate(walk) if r >= threshold), None)
     if first is None:
         raise RuntimeError(
@@ -293,13 +392,15 @@ def decay_parameters(param: Parameter, epsilon: float | None = None) -> DecayPar
             "epsilon is too close to its upper limit"
         )
     settle = max(first - 1, 1)
-    ratio = 2.0 / (threshold * threshold)
+    ratio = _div_up(2.0, _down(threshold * threshold))
+    power = 1.0  # ratio^settle, rounded down
+    for _ in range(settle):
+        power = _down(power * ratio)
     anchor = difference_measure_bound(param, settle)
-    prefactor = anchor.bound / ratio**settle
     return DecayParams(
         epsilon=float(epsilon),
         delta=delta,
         settle_index=settle,
         ratio=ratio,
-        prefactor=prefactor,
+        prefactor=_div_up(anchor.bound, power),
     )

@@ -12,6 +12,9 @@ count.  Set CANTORDIFF_MEMORY_CAP to an integer to override the default
 allocation caps of cover, diff and oracle (sample-tree points,
 difference-disk pairs and grid cells alike); verify ignores it and always
 runs at the built-in caps.
+
+bounds runs on the standard library alone: the other subcommands import
+their numpy-backed modules (cover, raster, images, verify) when they run.
 """
 from __future__ import annotations
 
@@ -22,17 +25,13 @@ import sys
 from pathlib import Path
 
 from .bounds import (
+    Parameter,
     bound_table,
     decay_condition,
     decay_parameters,
     first_piece_diameter,
     piece_diameter_bound,
 )
-from .cover import generate_pieces, sandwich
-from .geometry import Disks, Parameter
-from .images import render_disks, write_pgm, write_ppm
-from .raster import mask_area, mask_difference, rasterize_preimage
-from .verify import VerifyConfig, run_verification
 
 __all__ = ["main", "dispatch"]
 
@@ -208,7 +207,9 @@ def _run_bounds(args, cap: int | None) -> int:
     return 0
 
 
-def _render_cover(disks: Disks, render: Path, render_cell: float | None) -> None:
+def _render_cover(disks, render: Path, render_cell: float | None) -> None:
+    from .images import render_disks, write_ppm
+
     if render_cell is None:
         cx, cy, r = disks.centers.real, disks.centers.imag, disks.radii
         spread = max(
@@ -221,6 +222,8 @@ def _render_cover(disks: Disks, render: Path, render_cell: float | None) -> None
 
 
 def _run_cover(args, cap: int | None) -> int:
+    from .cover import generate_pieces
+
     param = Parameter(complex(args.c_re, args.c_im))
     pieces = generate_pieces(
         param, args.depth, args.samples, max_points=cap, workers=args.workers
@@ -265,6 +268,8 @@ def _run_cover(args, cap: int | None) -> int:
 
 
 def _run_diff(args, cap: int | None) -> int:
+    from .cover import generate_pieces, sandwich
+
     param = Parameter(complex(args.c_re, args.c_im))
     pieces = generate_pieces(
         param, args.depth, args.samples, max_points=cap, workers=args.workers
@@ -314,6 +319,10 @@ def _run_diff(args, cap: int | None) -> int:
 
 
 def _run_oracle(args, cap: int | None) -> int:
+    from .cover import generate_pieces, sandwich
+    from .images import write_pgm
+    from .raster import mask_area, mask_difference, rasterize_preimage
+
     param = Parameter(complex(args.c_re, args.c_im))
     outdir: Path = args.outdir
     outdir.mkdir(parents=True, exist_ok=True)
@@ -373,6 +382,8 @@ def _run_oracle(args, cap: int | None) -> int:
 
 
 def _run_verify(args, cap: int | None) -> int:
+    from .verify import VerifyConfig, run_verification
+
     param = Parameter(complex(args.c_re, args.c_im))
     cfg = VerifyConfig(
         param=param,

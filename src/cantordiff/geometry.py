@@ -6,7 +6,8 @@ its two inverse square-root branches with a fixed cut (argument taken in
 [0, 2*pi)), exact point-set diameters with the smallest diametral index
 pair, the sqrt(3)/2 enclosing disk built on that pair, and the exact
 difference set of two disks.  A single disk is a Disk; a set of disks is a
-Disks, two parallel arrays of centers and radii.
+Disks, two parallel arrays of centers and radii.  Parameter, the map's
+parameter c, lives in the numpy-free bounds module and is re-exported here.
 
 The enclosing disk is deliberately not the minimal one: centering on the
 midpoint of a diametral pair and inflating by sqrt(3)/2 gives a certified
@@ -16,9 +17,11 @@ bounds downstream consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .bounds import Parameter
 
 __all__ = [
     "Parameter",
@@ -43,31 +46,6 @@ _BLOCK = 256
 # children per block of the block search, and block pairs per chunk
 _FAN = 8
 _CHUNK = 256
-
-
-@dataclass(frozen=True)
-class Parameter:
-    """Parameter c of the quadratic map, restricted to |c| > 2.
-
-    For |c| > 2 the filled Julia set is totally disconnected and the whole
-    inverse-branch construction below applies; smaller parameters are
-    rejected outright rather than producing silently wrong bounds.
-    """
-
-    c: complex
-    abs_c: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        c = complex(self.c)
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise ValueError("parameter c must be finite")
-        a = abs(c)
-        if not a > 2.0:
-            raise ValueError(
-                f"need |c| > 2 (totally disconnected regime), got |c| = {a:.17g}"
-            )
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "abs_c", a)
 
 
 @dataclass(frozen=True)

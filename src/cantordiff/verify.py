@@ -211,9 +211,9 @@ def _check_bound_telescoping(ctx: _Ctx) -> tuple[bool, str]:
     rows = bnd.bound_table(cfg.param, 200)
     worst_k = 0.0
     worst_r = 0.0
-    # a step to +inf must be predicted to pass the saturation threshold:
-    # the largest double for K_n, e^709 (the log-space cut) for the bound;
-    # saturated counts the steps from a finite value to +inf (at most two)
+    # a step to +inf must be predicted to pass the saturation threshold,
+    # the largest double; saturated counts the steps from a finite value
+    # to +inf (at most two)
     saturated = 0
     reach_k = reach_r = math.inf
     for prev, nxt in zip(rows, rows[1:]):
@@ -227,7 +227,7 @@ def _check_bound_telescoping(ctx: _Ctx) -> tuple[bool, str]:
             worst_k = max(worst_k, abs(lhs - prev.diam_bound) / prev.diam_bound)
         if math.isinf(nxt.bound):
             saturated += math.isfinite(prev.bound)
-            reach_r = min(reach_r, prev.bound / math.exp(709.0) * prev.ratio_step)
+            reach_r = min(reach_r, prev.bound / sys.float_info.max * prev.ratio_step)
         else:
             step = nxt.bound / prev.bound
             worst_r = max(worst_r, abs(step - prev.ratio_step) / prev.ratio_step)

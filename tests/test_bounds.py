@@ -8,10 +8,12 @@ r_{k+1} = sqrt(|c|-R_k)) and rounded to the nearest double.
 import cmath
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cantordiff import bounds
 from cantordiff import (
     Parameter,
     bound_table,
@@ -89,13 +91,19 @@ def test_first_piece_diameter_sampled_below_certified(p5):
     assert np.all(pieces.sampled_diam <= first_piece_diameter(p5))
 
 
+def _up(x):
+    return math.nextafter(x, math.inf)
+
+
 def test_depth_zero_row(p5):
-    k0 = first_piece_diameter(p5)
+    # K_0 = 2*sqrt(2|c|) and 12*pi*K_0^2, each operation rounded up
+    k0 = 2.0 * _up(math.sqrt(10.0))
+    assert first_piece_diameter(p5) == k0
     assert piece_diameter_bound(p5, 0) == k0
     row = difference_measure_bound(p5, 0)
     assert (row.n, row.outer_radius, row.inner_radius) == (0, 5.0, 0.0)
     assert row.diam_bound == k0
-    assert row.bound == 12.0 * math.pi * k0 * k0
+    assert row.bound == _up(_up(12.0 * _up(math.pi)) * _up(k0 * k0))
     # the seeds continue the recursion: R_1 = sqrt(|c| + R_0), r_1 = sqrt(|c| - R_0)
     rb = radius_sequences(p5, 2)
     assert rb.outer(1) == math.sqrt(5.0 + row.outer_radius)
@@ -133,7 +141,7 @@ def test_ratio_step_is_actual_bound_ratio(p5):
 
 
 def test_bound_table_log_space_switch_is_seamless(p5):
-    # rows above depth 64 come from the log-space path
+    # rows 61..80 straddle depth 64; every step there is ratio_step too
     rows = bound_table(p5, 80)
     for a, b in zip(rows[60:], rows[61:]):
         assert b.bound / a.bound == pytest.approx(a.ratio_step, rel=1e-10)
@@ -189,6 +197,35 @@ def test_decay_envelope_dominates_bounds(p5):
         assert row.bound <= env * (1 + 1e-12), row.n
 
 
+def test_abs_c_range_brackets_the_modulus():
+    # lo <= |c| <= hi with abs(c) one of them, and excess <= |c| - 2, checked
+    # exactly on |c|^2 = re^2 + im^2
+    rng = np.random.default_rng(7)
+    mags = [2.0 + 1e-12, 2.05, 2.2, 3.0, 5.0, 50.0, 1e200]
+    for mag in mags + rng.uniform(2.0, 60.0, 40).tolist():
+        for arg in (0.0, math.pi / 2, 1.0, -2.5, *rng.uniform(-math.pi, math.pi, 3)):
+            p = Parameter(mag * cmath.exp(1j * arg))
+            lo, hi, excess = bounds._abs_c_range(p)
+            sq = Fraction(p.c.real) ** 2 + Fraction(p.c.imag) ** 2
+            assert Fraction(lo) ** 2 <= sq <= Fraction(hi) ** 2
+            assert p.abs_c in (lo, hi) and math.nextafter(lo, math.inf) >= hi
+            assert excess >= 0 and (Fraction(excess) + 2) ** 2 <= sq
+
+
+@pytest.mark.parametrize("mag", [4.75, 5.0, 6.3, 8.0, 12.5, 50.0])
+@pytest.mark.parametrize("share", [0.1, 0.5, 0.9])
+def test_decay_certificate_rounds_up(mag, share):
+    # ratio >= 2/(sqrt(2) + delta)^2 and prefactor * ratio^settle >= the
+    # settle row's bound, in exact arithmetic on the printed doubles
+    p = Parameter(mag)
+    dp = decay_parameters(p, share * bounds._epsilon_margin(p))
+    anchor = difference_measure_bound(p, dp.settle_index).bound
+    threshold = Fraction(math.sqrt(2.0) + dp.delta)
+    assert Fraction(dp.ratio) * threshold**2 >= 2
+    assert Fraction(dp.prefactor) * Fraction(dp.ratio) ** dp.settle_index >= Fraction(anchor)
+    assert dp.prefactor <= anchor / dp.ratio**dp.settle_index * (1 + 1e-14)
+
+
 def test_decay_parameters_rejected_without_decay(p3):
     with pytest.raises(ValueError, match="decay not guaranteed"):
         decay_parameters(p3)
@@ -237,9 +274,10 @@ def test_frozen_fixtures_match_live_oracle():
 
 
 def _walk_cases(count=60, seed=601):
-    # a fixed draw: |c| in (2.2, 50), any argument, half the depths in the
-    # running-product range 0..64 and half in log space 65..300, plus the
-    # depths at either side of the switch and at both ends
+    # a fixed draw: |c| in (2.2, 50), any argument, half the depths in
+    # 0..64 and half in 65..300, plus fixed depths at |c| = 3.7, |c| = 50
+    # (whose bound leaves double range at the bottom) and |c| just above 2
+    # (where K_n and the bound leave it at the top)
     rng = np.random.default_rng(seed)
     mags = rng.uniform(2.2, 50.0, count).tolist()
     args = rng.uniform(-math.pi, math.pi, count).tolist()
@@ -247,30 +285,43 @@ def _walk_cases(count=60, seed=601):
     depths = rng.integers(0, 65, half).tolist() + rng.integers(65, 301, count - half).tolist()
     extras = rng.integers(0, 21, count).tolist()
     fixed = [(3.7, 0.4, n, 3) for n in (0, 1, 64, 65, 300)]
+    fixed += [(50.0, 0.0, 300, 0), (50.0, 1.0, 300, 0)]
+    fixed += [(2.0 + d, 0.0, n, 0) for d in (1e-9, 5e-10) for n in (1, 8, 17, 300)]
+    fixed += [(2.01, 1.0, 300, 0)]  # abs(c) inexact, |c| - 2 ill-conditioned
     return list(zip(mags, args, depths, extras)) + fixed
+
+
+def _one_sided(got, true):
+    # true <= got <= true * (1 + 1e-12), with got saturating at +inf above
+    # the double range and at the smallest positive double below it
+    if math.isinf(got):
+        return true * (1 + 1e-12) >= sys.float_info.max
+    return true <= got <= true * (1 + 1e-12) + 2 * math.ulp(0.0)
 
 
 @pytest.mark.parametrize("mag, arg, n, extra", _walk_cases())
 def test_row_walk_matches_mpmath(mag, arg, n, extra):
-    # rows up to 64 come from the running product, deeper ones from log space
+    # every certified row is an upper bound, and a tight one
     mp = pytest.importorskip("mpmath")
     p = Parameter(mag * cmath.exp(1j * arg))
     with mp.workdps(50):
-        a = mp.mpf(p.abs_c)
-        outer = mp.sqrt(2 * a)  # R_1
-        k = 2 * outer  # K_0
-        for _ in range(n):
-            k /= mp.sqrt(2) * mp.sqrt(a - outer)  # r_{j+1} from R_j
-            outer = mp.sqrt(a + outer)
+        a = mp.sqrt(mp.mpf(p.c.real) ** 2 + mp.mpf(p.c.imag) ** 2)  # exact |c|
+        radii = [(a, mp.mpf(0))]  # (R_j, r_j)
+        for _ in range(n + 2):
+            radii.append((mp.sqrt(a + radii[-1][0]), mp.sqrt(a - radii[-1][0])))
+        k = 2 * radii[1][0]  # K_0
+        for j in range(2, n + 2):
+            k /= mp.sqrt(2) * radii[j][1]
         bound = 12 * mp.pi * mp.mpf(4) ** n * k * k
-        saturates = bound >= mp.exp(709) * (1 - mp.mpf("1e-12"))
-    row = difference_measure_bound(p, n)
-    assert row.diam_bound == pytest.approx(float(k), rel=1e-12)
-    if math.isinf(row.bound):
-        assert saturates
-    elif bound >= sys.float_info.min:
-        # below the normal double range the bound underflows; not checked here
-        assert row.bound == pytest.approx(float(bound), rel=1e-12)
+        row = difference_measure_bound(p, n)
+        assert _one_sided(row.diam_bound, k), (row.diam_bound, k)
+        assert _one_sided(row.bound, bound), (row.bound, bound)
+        assert _one_sided(row.ratio_step, 2 / radii[n + 2][1] ** 2)
+        outer, inner = radii[n]
+        assert outer <= row.outer_radius <= outer * (1 + 1e-13)
+        assert inner * (1 - 1e-13) <= row.inner_radius <= inner
+    if mag == 50.0:
+        assert row.bound > 0.0
     # the three public entry points read the same row
     assert piece_diameter_bound(p, n) == row.diam_bound
     if n:

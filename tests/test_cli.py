@@ -148,7 +148,7 @@ def test_verify_report_file(tmp_path, capsys):
 
 
 def test_exit_code_1_on_verify_failure(capsys, monkeypatch):
-    import cantordiff.cli as cli_mod
+    import cantordiff.verify as verify_mod
 
     def forced_failure(cfg):
         return {
@@ -158,7 +158,7 @@ def test_exit_code_1_on_verify_failure(capsys, monkeypatch):
             "passed": False,
         }
 
-    monkeypatch.setattr(cli_mod, "run_verification", forced_failure)
+    monkeypatch.setattr(verify_mod, "run_verification", forced_failure)
     code, out, _ = run_cli(capsys, "verify", "--c-re", "5")
     assert code == 1
     assert "FAIL forced" in out
@@ -214,8 +214,7 @@ def test_cli_entrypoint_subprocess():
     "c_re, depth", [("2.01", 900), ("2.0000001", 200), ("2.0000000001", 64)]
 )
 def test_bounds_saturate_at_inf_near_two(c_re, depth):
-    # K_n and the bound leave double range (at the last case the running
-    # product of the inner radii underflows first): they print inf, with no
+    # K_n and the bound leave double range: they print inf, with no
     # traceback and no overflow or division warning
     r = subprocess.run(
         [sys.executable, "-m", "cantordiff.cli", "bounds", "--c-re", c_re,
@@ -251,3 +250,52 @@ def test_import_does_not_load_scipy():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_bounds_runs_without_numpy():
+    # bounds needs only the standard library: with numpy unimportable it
+    # still answers, and none of the numpy-backed modules is loaded
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from cantordiff.cli import main\n"
+        "out = {}\n"
+        "for fmt in ('csv', 'json'):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        out[fmt] = main(['bounds', '--c-re', '5', '--depth', '300', '--format', fmt])\n"
+        "    out[fmt + '_rows'] = buf.getvalue().count('\\n')\n"
+        "try:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        main(['--help'])\n"
+        "except SystemExit as exc:\n"
+        "    out['help'] = exc.code\n"
+        "out['loaded'] = sorted(n for n in sys.modules if n.startswith('cantordiff.'))\n"
+        "print(json.dumps(out))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["csv"] == out["json"] == out["help"] == 0
+    assert out["csv_rows"] == 1 + 300 + 8
+    assert out["json_rows"] > 300
+    assert out["loaded"] == ["cantordiff.bounds", "cantordiff.cli"]
+
+
+def test_package_resolves_names_lazily():
+    import importlib
+
+    import cantordiff
+
+    for name in cantordiff.__all__:
+        if name == "__version__":
+            continue
+        home = importlib.import_module(f"cantordiff.{cantordiff._HOME[name]}")
+        assert getattr(cantordiff, name) is getattr(home, name), name
+        assert getattr(home, name).__module__ == home.__name__, name
+    assert set(cantordiff.__all__) <= set(dir(cantordiff))
+    namespace = {}
+    exec("from cantordiff import *", namespace)
+    assert {n for n in namespace if n != "__builtins__"} == set(cantordiff.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cantordiff.no_such_name
