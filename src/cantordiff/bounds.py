@@ -69,6 +69,8 @@ __all__ = [
     "decay_parameters",
 ]
 
+# largest accepted |c|: 4|c| is then at most the largest double
+_ABS_C_MAX = sys.float_info.max / 4.0
 _SQRT2_UP = math.nextafter(math.sqrt(2.0), math.inf)
 _TWELVE_PI_UP = math.nextafter(12.0 * math.nextafter(math.pi, math.inf), math.inf)
 
@@ -79,7 +81,9 @@ class Parameter:
 
     For |c| > 2 the filled Julia set is totally disconnected and the whole
     inverse-branch construction applies; smaller parameters are rejected
-    outright rather than producing silently wrong bounds.
+    outright rather than producing silently wrong bounds.  So is any |c|
+    above a quarter of the largest double, where 4|c| (in the radius
+    limits and the decay margin) would overflow.
     """
 
     c: complex
@@ -89,10 +93,17 @@ class Parameter:
         c = complex(self.c)
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise ValueError("parameter c must be finite")
-        a = abs(c)
+        try:
+            a = abs(c)
+        except OverflowError:  # |c| beyond the largest double
+            a = math.inf
         if not a > 2.0:
             raise ValueError(
                 f"need |c| > 2 (totally disconnected regime), got |c| = {a:.17g}"
+            )
+        if not a <= _ABS_C_MAX:
+            raise ValueError(
+                f"need |c| <= {_ABS_C_MAX:.17g} (4|c| must stay finite), got c = {c}"
             )
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "abs_c", a)

@@ -2,8 +2,11 @@
 
 Masks go out as P5 PGM (255 = set cell, 0 = empty) with a small JSON
 sidecar describing the window geometry; disk covers render to P6 PPM with
-a fixed palette.  No timestamps, no library metadata: the same inputs
-produce byte-identical files.
+a fixed palette.  Both formats stream to disk: the header, then the pixel
+rows in strips of about 1 MB, so writing an image holds one strip beyond
+the array it comes from, never a whole-image copy.  read_pgm reads the
+strips back straight into the mask.  No timestamps, no
+library metadata: the same inputs produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -39,6 +42,8 @@ _PALETTE = (
 _BG = (252, 252, 252)
 _AXIS = (210, 210, 210)
 _OUTLINE_SCALE = 0.55
+# bytes of pixel data per write or read (at least one image row)
+_STRIP_BYTES = 1 << 20
 
 
 def _sidecar(mask: GridMask, extra: dict | None) -> dict:
@@ -55,32 +60,52 @@ def _sidecar(mask: GridMask, extra: dict | None) -> dict:
     return meta
 
 
+def _write_netpbm(path: str | Path, magic: str, rows: np.ndarray, strip) -> Path:
+    """Write a binary PGM/PPM header, then strip(rows[lo:hi]) for row strips
+    of about _STRIP_BYTES output bytes; strip must give uint8 pixels."""
+    path = Path(path)
+    height, width = rows.shape[:2]
+    step = max(1, _STRIP_BYTES // max(1, rows[:1].size))
+    with open(path, "wb") as f:
+        f.write(f"{magic}\n{width} {height}\n255\n".encode("ascii"))
+        for lo in range(0, height, step):
+            f.write(np.ascontiguousarray(strip(rows[lo : lo + step])))
+    return path
+
+
 def write_pgm(mask: GridMask, path: str | Path, extra: dict | None = None) -> Path:
     """Write a mask as binary PGM plus a <path>.json geometry sidecar.
 
     Image rows run top to bottom (largest imaginary part first).
     """
-    path = Path(path)
-    pixels = np.where(mask.bits[::-1, :], np.uint8(255), np.uint8(0))
-    header = f"P5\n{mask.width} {mask.height}\n255\n".encode("ascii")
-    path.write_bytes(header + pixels.tobytes())
+    path = _write_netpbm(
+        path, "P5", mask.bits[::-1], lambda s: np.where(s, np.uint8(255), np.uint8(0))
+    )
     side = path.with_name(path.name + ".json")
     side.write_text(json.dumps(_sidecar(mask, extra), sort_keys=True, indent=2) + "\n")
     return path
 
 
 def read_pgm(path: str | Path) -> GridMask:
-    """Read back a mask written by write_pgm (requires the sidecar)."""
+    """Read back a mask written by write_pgm (requires the sidecar).
+
+    The pixel rows are read in strips straight into the mask's bits.
+    """
     path = Path(path)
-    raw = path.read_bytes()
-    parts = raw.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] != b"P5":
-        raise ValueError(f"{path} is not a binary PGM written by this package")
-    width, height = (int(t) for t in parts[1].split())
-    if parts[2] != b"255":
-        raise ValueError(f"{path}: unexpected maxval {parts[2]!r}")
-    data = np.frombuffer(parts[3][: width * height], dtype=np.uint8)
-    bits = (data.reshape(height, width) > 127)[::-1, :].copy()
+    with open(path, "rb") as f:
+        magic, dims, maxval = (f.readline() for _ in range(3))
+        if not maxval.endswith(b"\n") or magic != b"P5\n":
+            raise ValueError(f"{path} is not a binary PGM written by this package")
+        width, height = (int(t) for t in dims.split())
+        if maxval != b"255\n":
+            raise ValueError(f"{path}: unexpected maxval {maxval[:-1]!r}")
+        bits = np.empty((height, width), dtype=bool)
+        image = bits[::-1]  # image rows run top to bottom
+        step = max(1, _STRIP_BYTES // max(1, width))
+        for top in range(0, height, step):
+            rows = min(step, height - top)
+            data = np.frombuffer(f.read(rows * width), dtype=np.uint8)
+            image[top : top + rows] = data.reshape(rows, width) > 127
     meta = json.loads(path.with_name(path.name + ".json").read_text())
     origin = complex(meta["origin"][0], meta["origin"][1])
     return GridMask(origin=origin, cell=float(meta["cell"]), bits=bits, mode=meta["mode"])
@@ -90,11 +115,7 @@ def write_ppm(pixels: np.ndarray, path: str | Path) -> Path:
     """Write an (H, W, 3) uint8 array as binary PPM."""
     if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.dtype != np.uint8:
         raise ValueError("pixels must be an (H, W, 3) uint8 array")
-    path = Path(path)
-    h, w = pixels.shape[:2]
-    header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    path.write_bytes(header + pixels.tobytes())
-    return path
+    return _write_netpbm(path, "P6", pixels, lambda s: s)
 
 
 def render_mask(mask: GridMask, fg: tuple[int, int, int] = _PALETTE[0]) -> np.ndarray:

@@ -18,7 +18,8 @@ Determinism.  All randomness comes from an explicit 64-bit linear
 congruential generator (s <- 6364136223846793005*s + 1442695040888963407
 mod 2^64, doubles taken as (s >> 11) / 2^53), vectorized by precomputed
 stride coefficients but bit-identical to the scalar recurrence.  Thread
-counts never change any output: row blocks are assembled in fixed order.
+counts never change any output: each row block fills its own slice of
+one preallocated raster.
 """
 from __future__ import annotations
 
@@ -196,22 +197,28 @@ def rasterize_preimage(
     origin = complex(-nhalf * cell, -nhalf * cell)
     half_diag = cell * math.sqrt(2.0) / 2.0
 
-    def run_rows(y_lo: int, y_hi: int) -> np.ndarray:
+    # rows per block; 32 keeps the variable-size survivor arrays of two
+    # workers small enough that the process peak RSS does not grow.  The
+    # blocks are disjoint slices of bits, so any thread count gives the
+    # same bits.
+    block = 32
+    bits = np.empty((width, width), dtype=bool)
+
+    def fill_rows(y_lo: int) -> None:
+        y_hi = min(y_lo + block, width)
         z0 = coords[None, :] + 1j * coords[y_lo:y_hi, None]
         if mode == "inner":
-            return preimage_member(z0, param, depth)
-        return _outer_block(z0, param, depth, half_diag)
+            bits[y_lo:y_hi] = preimage_member(z0, param, depth)
+        else:
+            bits[y_lo:y_hi] = _outer_block(z0, param, depth, half_diag)
 
-    # rows per block; 32 keeps the variable-size survivor arrays of two
-    # workers small enough that the process peak RSS does not grow
-    block = 32
-    spans = [(lo, min(lo + block, width)) for lo in range(0, width, block)]
+    starts = range(0, width, block)
     if workers <= 1:
-        parts = [run_rows(lo, hi) for lo, hi in spans]
+        for lo in starts:
+            fill_rows(lo)
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(lambda s: run_rows(*s), spans))
-    bits = np.vstack(parts)
+            list(ex.map(fill_rows, starts))
     return GridMask(origin=origin, cell=cell, bits=bits, mode=mode)
 
 
@@ -268,13 +275,15 @@ def _fft_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
     ya, xa = _bbox(a)
     yb, xb = _bbox(b)
-    ca = a[ya, xa].astype(np.float64)
-    cb = b[yb, xb].astype(np.float64)
-    h = ca.shape[0] + cb.shape[0] - 1
-    w = ca.shape[1] + cb.shape[1] - 1
+    h = (ya.stop - ya.start) + (yb.stop - yb.start) - 1
+    w = (xa.stop - xa.start) + (xb.stop - xb.start) - 1
     shape = (_fast_len(h), _fast_len(w))
-    fa = np.fft.rfft2(ca, shape)
-    conv = np.fft.irfft2(fa * np.fft.rfft2(cb[::-1, ::-1], shape), shape)
+    # one spectrum at a time: each float crop dies inside its rfft2 call
+    # and the product overwrites the first spectrum
+    spec = np.fft.rfft2(a[ya, xa].astype(np.float64), shape)
+    spec *= np.fft.rfft2(b[yb, xb][::-1, ::-1].astype(np.float64), shape)
+    conv = np.fft.irfft2(spec, shape)
+    del spec
     # counts are integers and the float64 error is at most about
     # eps * log2(size) * (set cells), far below 0.5, so this is exact
     oy = ya.start + hb - yb.stop
@@ -329,30 +338,29 @@ def mask_area(mask: GridMask) -> float:
 
 
 def _lcg_coeffs() -> tuple[np.ndarray, np.ndarray]:
-    """Stride coefficients: s_{i+k} = A[k-1]*s_i + B[k-1] mod 2^64."""
+    """Stride coefficients: s_{i+k} = A[k-1]*s_i + B[k-1] mod 2^64.
+
+    Built by doubling: a stride of m + k composes stride k after stride m,
+    so A[m+k-1] = A[k-1]*A[m-1] and B[m+k-1] = A[k-1]*B[m-1] + B[k-1]
+    (uint64 arithmetic wraps mod 2^64).
+    """
     a_pow = np.empty(_CHUNK, dtype=np.uint64)
     b_acc = np.empty(_CHUNK, dtype=np.uint64)
-    a, b = _LCG_A, _LCG_C
-    for k in range(_CHUNK):
-        a_pow[k] = a
-        b_acc[k] = b
-        a = (a * _LCG_A) & _LCG_MASK
-        b = (b * _LCG_A + _LCG_C) & _LCG_MASK
+    a_pow[0], b_acc[0] = _LCG_A, _LCG_C
+    m = 1
+    with np.errstate(over="ignore"):
+        while m < _CHUNK:
+            a_pow[m : 2 * m] = a_pow[:m] * a_pow[m - 1]
+            b_acc[m : 2 * m] = a_pow[:m] * b_acc[m - 1] + b_acc[:m]
+            m *= 2
     return a_pow, b_acc
 
 
 _COEFFS: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def lcg_uniforms(seed: int, count: int) -> np.ndarray:
-    """count doubles in [0, 1) from the 64-bit LCG stream.
-
-    The i-th output (i >= 1) is (s_i >> 11) / 2^53 where s_i is the i-th
-    state after seeding with s_0 = seed.  Vectorized with precomputed
-    stride coefficients; identical to stepping the scalar recurrence.
-    """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+def _lcg_states(seed: int, count: int) -> np.ndarray:
+    """States s_1..s_count of the LCG seeded with s_0 = seed."""
     global _COEFFS
     if _COEFFS is None:
         _COEFFS = _lcg_coeffs()
@@ -366,7 +374,23 @@ def lcg_uniforms(seed: int, count: int) -> np.ndarray:
             states[filled : filled + take] = a_pow[:take] * s + b_acc[:take]
         s = states[filled + take - 1]
         filled += take
+    return states
+
+
+def _unit(states: np.ndarray) -> np.ndarray:
     return (states >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def lcg_uniforms(seed: int, count: int) -> np.ndarray:
+    """count doubles in [0, 1) from the 64-bit LCG stream.
+
+    The i-th output (i >= 1) is (s_i >> 11) / 2^53 where s_i is the i-th
+    state after seeding with s_0 = seed.  Vectorized with precomputed
+    stride coefficients; identical to stepping the scalar recurrence.
+    """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    return _unit(_lcg_states(seed, count))
 
 
 def _disk_points(unit: np.ndarray, disk: Disk) -> np.ndarray:
@@ -389,12 +413,13 @@ def sample_diff_check(d2: Disk, d1: Disk, count: int, seed: int) -> float:
     need = 2 * count
     kept: list[np.ndarray] = []
     have = 0
-    offset = 0
+    state = seed
     while have < need:
         short = need - have
         draw = 2 * max(short + (short >> 2) + 64, 1 << 12)
-        u = lcg_uniforms(seed, offset + draw)[offset:]
-        offset += draw
+        u = _lcg_states(state, draw)
+        state = int(u[-1])  # each round continues the one stream
+        u = _unit(u)
         cand = (2.0 * u[0::2] - 1.0) + 1j * (2.0 * u[1::2] - 1.0)
         acc = cand[cand.real**2 + cand.imag**2 <= 1.0]
         kept.append(acc)

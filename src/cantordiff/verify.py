@@ -284,14 +284,15 @@ def _check_pairwise_contraction(ctx: _Ctx) -> tuple[bool, str]:
     worst = 0.0
     for k in range(1, len(ctx.pieces)):
         factor = math.sqrt(2.0) * ctx.rb.inner(k + 1)
-        half = 1 << k
-        for j, child in enumerate(ctx.pieces[k].samples):
-            parent = ctx.pieces[k - 1].samples[j & (half - 1)]
-            dc = np.abs(child[:, None] - child[None, :]) * factor
+        children = ctx.pieces[k].samples
+        half = 1 << k  # parent j has the children j and j + half
+        for j, parent in enumerate(ctx.pieces[k - 1].samples):
             dp = np.abs(parent[:, None] - parent[None, :])
             mask = dp > 0
-            ratio = float((dc[mask] / dp[mask]).max()) if mask.any() else 0.0
-            worst = max(worst, ratio)
+            for child in (children[j], children[j + half]):
+                dc = np.abs(child[:, None] - child[None, :]) * factor
+                np.divide(dc, dp, out=dc, where=mask)
+                worst = max(worst, float(dc.max(where=mask, initial=0.0)))
     ok = worst <= 1.0 + 1e-9
     return ok, f"max contracted/original pairwise ratio {worst:.12f} (depths 1..{cfg.depth})"
 

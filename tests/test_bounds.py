@@ -154,6 +154,15 @@ def test_bound_table_deep_does_not_overflow(p3):
     assert rows[-1].bound > 1e100
 
 
+def test_parameter_modulus_limit():
+    top = sys.float_info.max / 4.0
+    assert Parameter(top).abs_c == top
+    assert decay_parameters(Parameter(1j * top)).epsilon > 0.0
+    for c in (math.nextafter(top, math.inf), 1e308, complex(1.5e308, 1.5e308)):
+        with pytest.raises(ValueError, match=r"need \|c\| <= 4.4942328371557893e\+307"):
+            Parameter(c)
+
+
 def test_decay_condition_truth_table():
     for a, want in ((3.0, False), (4.0, False), (4.73, False), (4.74, True),
                     (5.0, True), (10.0, True)):

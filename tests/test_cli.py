@@ -170,6 +170,21 @@ def test_exit_code_2_on_bad_parameter(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv", [("--c-re", "1.5e308", "--c-im", "1.5e308"), ("--c-re", "1e308")]
+)
+def test_exit_code_2_on_huge_parameter(argv):
+    # abs(c) overflows in the first, 4|c| in the second: one message with
+    # the limit, exit 2, no traceback
+    r = subprocess.run(
+        [sys.executable, "-m", "cantordiff.cli", "bounds", *argv],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: need |c| <= 4.4942328371557893e+307 ")
+    assert r.stderr.count("\n") == 1
+
+
 def test_exit_code_2_on_bad_flag_value(capsys):
     code, _, err = run_cli(capsys, "bounds", "--c-re", "5", "--depth", "0")
     assert code == 2 and err.startswith("error:")

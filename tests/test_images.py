@@ -1,11 +1,13 @@
 """PGM/PPM writers and the sidecar metadata."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cantordiff import Disk, Disks, Parameter, disk_mask, rasterize_preimage
+from cantordiff import images
+from cantordiff import Disk, Disks, GridMask, Parameter, disk_mask, rasterize_preimage
 from cantordiff.images import read_pgm, render_disks, render_mask, write_pgm, write_ppm
 
 
@@ -40,8 +42,6 @@ def test_pgm_image_row_order(tmp_path):
     # top row first, so the bits are flipped on write)
     bits = np.zeros((2, 3), dtype=bool)
     bits[0, 0] = True
-    from cantordiff import GridMask
-
     m = GridMask(bits=bits, origin=0j, cell=1.0)
     path = write_pgm(m, tmp_path / "r.pgm")
     raw = path.read_bytes()
@@ -67,3 +67,57 @@ def test_render_disks_and_ppm(tmp_path):
 def test_render_disks_pixel_cap():
     with pytest.raises(ValueError, match="cap|pixel"):
         render_disks(Disks([0j], [1.0]), 1e-5)
+
+
+def _old_pgm(bits):
+    h, w = bits.shape
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + np.where(
+        bits[::-1, :], np.uint8(255), np.uint8(0)
+    ).tobytes()
+
+
+def _old_ppm(pixels):
+    h, w = pixels.shape[:2]
+    return f"P6\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes()
+
+
+@pytest.mark.parametrize(
+    "budget, shape, fill",
+    [
+        (1 << 20, (1, 1), True),  # 1x1 mask
+        (1 << 20, (1, 1), False),
+        (64, (13, 10), None),  # 6 rows per strip: 13 is no multiple of it
+        (64, (5, 100), None),  # a row above the budget: one row per strip
+        (1 << 20, (3, (1 << 20) + 5), None),  # the same at the real budget
+        (64, (13, 10), False),  # all-False mask
+    ],
+)
+def test_streamed_writers_match_whole_image_bytes(tmp_path, monkeypatch, budget, shape, fill):
+    monkeypatch.setattr(images, "_STRIP_BYTES", budget)
+    rng = np.random.default_rng(shape[0] * 7 + shape[1])
+    bits = rng.random(shape) < 0.4 if fill is None else np.full(shape, fill)
+    m = GridMask(bits=bits, origin=0j, cell=1.0)
+    assert write_pgm(m, tmp_path / "m.pgm").read_bytes() == _old_pgm(bits)
+    assert np.array_equal(read_pgm(tmp_path / "m.pgm").bits, bits)
+    pixels = rng.integers(0, 256, (*shape, 3), dtype=np.uint8)
+    assert write_ppm(pixels, tmp_path / "m.ppm").read_bytes() == _old_ppm(pixels)
+
+
+def test_pgm_io_holds_one_strip(tmp_path):
+    bits = np.zeros((4000, 4000), dtype=bool)
+    bits[::3, 1::2] = True
+    m = GridMask(bits=bits, origin=0j, cell=1.0)
+    tracemalloc.start()
+    try:
+        write_pgm(m, tmp_path / "big.pgm")
+        _, write_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        back = read_pgm(tmp_path / "big.pgm")
+        _, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a strip is 1 MB; one whole-image copy would be 16 MB
+    assert write_peak < 3 * (1 << 20)
+    assert read_peak < bits.nbytes + 3 * (1 << 20)
+    assert (tmp_path / "big.pgm").stat().st_size == 16_000_000 + len(b"P5\n4000 4000\n255\n")
+    assert np.array_equal(back.bits, bits)

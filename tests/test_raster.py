@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cantordiff import raster
 from cantordiff import (
     Disk,
     GridMask,
@@ -227,6 +228,29 @@ def test_lcg_matches_scalar_reference():
     assert got.tolist() == scalar(20260816, 300)
     assert np.array_equal(lcg_uniforms(7, 1000), lcg_uniforms(7, 1000))
     assert 0.0 <= got.min() and got.max() < 1.0
+
+
+def test_lcg_coeff_table_matches_scalar_recurrence():
+    a_pow, b_acc = raster._lcg_coeffs()
+    a, b = 6364136223846793005, 1442695040888963407
+    for k in range(raster._CHUNK):
+        assert (int(a_pow[k]), int(b_acc[k])) == (a, b), k
+        a = a * 6364136223846793005 % 2**64
+        b = (b * 6364136223846793005 + 1442695040888963407) % 2**64
+
+
+def test_sample_diff_check_reads_one_stream():
+    # 20000 pairs take two rejection rounds; together they must read one
+    # unbroken stream, the same as accepting over a single long draw
+    d2, d1 = Disk(2 + 1j, 1.0), Disk(-1j, 1.0)
+    u = lcg_uniforms(5, 240_000)
+    cand = (2.0 * u[0::2] - 1.0) + 1j * (2.0 * u[1::2] - 1.0)
+    unit = cand[cand.real**2 + cand.imag**2 <= 1.0][:40_000]
+    assert unit.size == 40_000
+    x = d2.center + d2.radius * unit[0::2]
+    y = d1.center + d1.radius * unit[1::2]
+    want = float(np.abs((x - y) - (2 + 2j)).max())
+    assert sample_diff_check(d2, d1, 20_000, seed=5) == want
 
 
 def test_sample_diff_check_sup_below_radius():
