@@ -19,7 +19,6 @@ _HOME = {
             "BoundRow",
             "DecayParams",
             "Parameter",
-            "RadiusBounds",
             "bound_table",
             "decay_condition",
             "decay_parameters",
@@ -27,7 +26,6 @@ _HOME = {
             "first_piece_diameter",
             "piece_diameter_bound",
             "radius_limits",
-            "radius_sequences",
         ),
         "bounds",
     ),

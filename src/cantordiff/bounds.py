@@ -37,10 +37,6 @@ are still upper bounds.  abs(c) is only within an ulp of |c| off the
 axes; an exact integer comparison tells on which side |c| lies, and the
 walk takes the neighbouring double there wherever that is conservative.
 It takes |c| - 2 from the exact |c|^2, where the ulp would be magnified.
-
-radius_sequences takes the same walk rounded to nearest, with abs(c) as
-|c|; with radius_limits, the fixed points, it is what verify checks the
-bound rows against.
 """
 from __future__ import annotations
 
@@ -49,17 +45,11 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # numpy only names the RadiusBounds array fields
-    import numpy as np
 
 __all__ = [
     "Parameter",
-    "RadiusBounds",
     "BoundRow",
     "DecayParams",
-    "radius_sequences",
     "radius_limits",
     "first_piece_diameter",
     "piece_diameter_bound",
@@ -107,39 +97,6 @@ class Parameter:
             )
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "abs_c", a)
-
-
-@dataclass(frozen=True)
-class RadiusBounds:
-    """First terms of the outer/inner radius recursions for one parameter.
-
-    Arrays are 1-based through the accessors: outer(k) is R_k and
-    inner(k) is r_k for 1 <= k <= count.
-    """
-
-    abs_c: float
-    outer_seq: np.ndarray
-    inner_seq: np.ndarray
-    outer_limit: float
-    inner_limit: float
-
-    def __post_init__(self) -> None:
-        self.outer_seq.setflags(write=False)
-        self.inner_seq.setflags(write=False)
-
-    @property
-    def count(self) -> int:
-        return int(self.outer_seq.size)
-
-    def outer(self, k: int) -> float:
-        if not 1 <= k <= self.count:
-            raise IndexError(f"k must be in 1..{self.count}, got {k}")
-        return float(self.outer_seq[k - 1])
-
-    def inner(self, k: int) -> float:
-        if not 1 <= k <= self.count:
-            raise IndexError(f"k must be in 1..{self.count}, got {k}")
-        return float(self.inner_seq[k - 1])
 
 
 @dataclass(frozen=True)
@@ -227,43 +184,23 @@ def radius_limits(param: Parameter) -> tuple[float, float]:
     return outer, inner
 
 
-def _nearest(x: float) -> float:
-    return x
-
-
-def _walk(
-    lo: float, hi: float, excess: float, up=_up, down=_down
-) -> Iterator[tuple[float, float]]:
+def _walk(lo: float, hi: float, excess: float) -> Iterator[tuple[float, float]]:
     """(R_k, r_k) for k = 0, 1, 2, ..., from R_0 = |c| and r_0 = 0.
 
-    lo <= |c| <= hi and excess <= |c| - 2; up and down round each result
-    (outward for the bound rows, _nearest for radius_sequences).  The walk
-    never forms |c| - R_k: d_0 = 0, so r_1 = sqrt(d_0) = 0 exactly, and
-    d_{k+1} = (|c|(|c| - 2) + d_k) / (|c| + R_{k+1}) with numerator and
-    denominator scaled by t = 2^-m, |c|t in [1/2, 1): the scaling is exact
-    and keeps |c|(|c| - 2) in range.
+    lo <= |c| <= hi and excess <= |c| - 2; R_k is rounded up and r_k
+    down.  The walk never forms |c| - R_k: d_0 = 0, so r_1 = sqrt(d_0) = 0
+    exactly, and d_{k+1} = (|c|(|c| - 2) + d_k) / (|c| + R_{k+1}) with
+    numerator and denominator scaled by t = 2^-m, |c|t in [1/2, 1): the
+    scaling is exact and keeps |c|(|c| - 2) in range.
     """
     t = math.ldexp(1.0, -math.frexp(hi)[1])
-    head = down(excess * (lo * t))  # |c|(|c| - 2) t
+    head = _down(excess * (lo * t))  # |c|(|c| - 2) t
     outer, gap, inner = hi, 0.0, 0.0  # R_0, d_0, r_0
     while True:
         yield outer, inner
-        inner = down(math.sqrt(gap))
-        outer = up(math.sqrt(up(hi + outer)))
-        gap = down(down(head + gap * t) / up(hi * t + outer * t))
-
-
-def radius_sequences(param: Parameter, count: int) -> RadiusBounds:
-    """R_1..R_count and r_1..r_count (rounded to nearest) plus their limits."""
-    import numpy as np
-
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    a = param.abs_c
-    walk = _walk(a, a, a - 2.0, _nearest, _nearest)
-    outer, inner = np.array(list(islice(walk, 1, count + 1))).T.copy()
-    lim_outer, lim_inner = radius_limits(param)
-    return RadiusBounds(a, outer, inner, lim_outer, lim_inner)
+        inner = _down(math.sqrt(gap))
+        outer = _up(math.sqrt(_up(hi + outer)))
+        gap = _down(_down(head + gap * t) / _up(hi * t + outer * t))
 
 
 def first_piece_diameter(param: Parameter) -> float:

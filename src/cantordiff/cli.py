@@ -124,17 +124,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(lines: list[str], output: Path | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if output is None:
-        sys.stdout.write(text)
+def _emit(body: list[str] | dict, output: Path | None) -> None:
+    """Write CSV lines, or a dict as sorted JSON, to output or stdout."""
+    if isinstance(body, dict):
+        text = json.dumps(body, indent=2, sort_keys=True) + "\n"
     else:
-        output.write_text(text)
-        print(f"wrote {output}")
-
-
-def _emit_json(obj: dict, output: Path | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        text = "\n".join(body) + "\n"
     if output is None:
         sys.stdout.write(text)
     else:
@@ -184,7 +179,7 @@ def _run_bounds(args, cap: int | None) -> int:
             "decay": decay,
             "note": None if guaranteed else _DECAY_NOTE,
         }
-        _emit_json(obj, args.output)
+        _emit(obj, args.output)
         return 0
     lines = ["n,R_n,r_n,K_n,bound,ratio_step"]
     for r in rows:
@@ -250,7 +245,7 @@ def _run_cover(args, cap: int | None) -> int:
                 for j, (z, r, d) in enumerate(rows)
             ],
         }
-        _emit_json(obj, args.output)
+        _emit(obj, args.output)
     else:
         lines = ["seq,center_re,center_im,radius,sampled_diam"]
         for j, (z, r, d) in enumerate(rows):
@@ -300,7 +295,7 @@ def _run_diff(args, cap: int | None) -> int:
                 for t, (z, r) in enumerate(rows)
             ],
         }
-        _emit_json(obj, args.output)
+        _emit(obj, args.output)
     else:
         lines = ["i,j,center_re,center_im,radius"]
         for t, (z, r) in enumerate(rows):

@@ -39,9 +39,9 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# all-pairs diameter is exact and fast enough up to this many points;
-# larger sets go through the block search
-_ALL_PAIRS_LIMIT = 4096
+# the all-pairs scan up to this many points, the block search above: the
+# two cost the same per piece sample row between 320 and 352 points
+_ALL_PAIRS_LIMIT = 320
 _BLOCK = 256
 # children per block of the block search, and block pairs per chunk
 _FAN = 8
@@ -65,14 +65,6 @@ class Disk:
     @property
     def area(self) -> float:
         return math.pi * self.radius * self.radius
-
-    def contains(self, z, tol: float = 0.0):
-        """Membership test, scalar or elementwise on arrays.
-
-        tol is an absolute slack added to the radius (use it to absorb
-        floating-point noise in certified checks).
-        """
-        return np.abs(np.asarray(z) - self.center) <= self.radius + tol
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,9 @@ cell (origin is the lower-left corner of the window).  Preimage rasters
 are centered on 0, so their cell centers sit on half-integer multiples of
 the cell size; difference masks of two such rasters then land on integer
 multiples, the same lattice the union-area grid uses, which is what makes
-the two estimates comparable cell for cell.
+the two estimates comparable cell for cell.  Mask differences have one
+implementation, a cropped FFT correlation; verify holds it against a
+plain shift-and-OR of its own.
 
 Determinism.  All randomness comes from an explicit 64-bit linear
 congruential generator (s <- 6364136223846793005*s + 1442695040888963407
@@ -292,39 +294,23 @@ def _fft_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def mask_difference(a: GridMask, b: GridMask, method: str = "auto") -> GridMask:
+def mask_difference(a: GridMask, b: GridMask) -> GridMask:
     """Discrete difference-set support: all center differences a - b.
 
     The result marks cell (iy, ix) iff some set cell of `a` minus some set
     cell of `b` has center difference equal to that cell's center; its
     window is the full (height_a + height_b - 1) x (width_a + width_b - 1)
-    difference lattice.  "direct" shifts and ORs (reference semantics).
-    "fft" crops both masks to the bounding boxes of their set cells,
-    cross-correlates the crops with numpy's rfft2 at 2*3*5-smooth padded
-    lengths, thresholds the counts at 0.5 and places the block at its
-    offset in the full window.  Both methods return identical bits.
-    "auto" picks by work estimate.
+    difference lattice.  Both masks are cropped to the bounding boxes of
+    their set cells, the crops are cross-correlated with numpy's rfft2 at
+    2*3*5-smooth padded lengths, the counts are thresholded at 0.5 and the
+    block is placed at its offset in the full window.
     """
     if a.cell != b.cell:
         raise ValueError(
             f"cell sizes must match exactly, got {a.cell!r} and {b.cell!r}"
         )
-    if method not in ("auto", "direct", "fft"):
-        raise ValueError(f"method must be 'auto', 'direct' or 'fft', got {method!r}")
-    ha, wa = a.bits.shape
     hb, wb = b.bits.shape
-    if method == "auto":
-        work = int(np.count_nonzero(b.bits)) * a.bits.size
-        method = "direct" if work <= (1 << 24) else "fft"
-    if method == "direct":
-        out = np.zeros((ha + hb - 1, wa + wb - 1), dtype=bool)
-        iys, ixs = np.nonzero(b.bits)
-        for iy, ix in zip(iys.tolist(), ixs.tolist()):
-            oy = hb - 1 - iy
-            ox = wb - 1 - ix
-            out[oy : oy + ha, ox : ox + wa] |= a.bits
-    else:
-        out = _fft_difference(a.bits, b.bits)
+    out = _fft_difference(a.bits, b.bits)
     origin = complex(
         a.origin.real - b.origin.real - (wb - 0.5) * a.cell,
         a.origin.imag - b.origin.imag - (hb - 0.5) * a.cell,

@@ -7,19 +7,23 @@ flag plus a one-line deterministic detail string; the harness collects
 them into a report whose bytes depend only on the configuration, never on
 wall clock, thread count or dict ordering.
 
-Tolerances fall into three groups: exact (bitwise) where the construction
-guarantees identity, 1e-12-relative where only rounding noise separates
-the two sides, and 1e-9-relative where a forward-inverse roundtrip feeds
-one side.  The piece-nesting check additionally allows a sampling slack
-that shrinks like 1/samples^2: enclosing disks built from sampled
-diametral pairs undershoot the true set slightly, and the quadratic rate
-comes from the smoothness of the piece boundaries.
+Tolerances fall into four groups: exact (bitwise) where the construction
+guarantees identity, one-sided where a certified number must lie outward
+of the true one (the radius rows, bracketed by a 50-digit decimal
+recursion and at most 1e-14-relative from it), 1e-12-relative where only
+rounding noise separates the two sides, and 1e-9-relative where a
+forward-inverse roundtrip feeds one side.  The piece-nesting check
+additionally allows a sampling slack that shrinks like 1/samples^2:
+enclosing disks built from sampled diametral pairs undershoot the true
+set slightly, and the quadratic rate comes from the smoothness of the
+piece boundaries.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -82,7 +86,7 @@ class _Ctx:
     def __init__(self, cfg: VerifyConfig) -> None:
         self.cfg = cfg
         self._pieces: list[cov.Pieces] | None = None
-        self._rb: bnd.RadiusBounds | None = None
+        self._rows: list[bnd.BoundRow] | None = None
         self._inner: dict[int, GridMask] = {}
 
     def inner(self, depth: int) -> GridMask:
@@ -101,11 +105,12 @@ class _Ctx:
         return self._pieces
 
     @property
-    def rb(self) -> bnd.RadiusBounds:
-        if self._rb is None:
+    def rows(self) -> list[bnd.BoundRow]:
+        """Certified bound rows n = 1..max(depth + 2, 420); rows[k - 1] is n = k."""
+        if self._rows is None:
             n = max(self.cfg.depth + 2, 420)
-            self._rb = bnd.radius_sequences(self.cfg.param, n)
-        return self._rb
+            self._rows = bnd.bound_table(self.cfg.param, n)
+        return self._rows
 
 
 def _seeded_points(cfg: VerifyConfig, count: int, spread: float, stream: int) -> np.ndarray:
@@ -147,27 +152,47 @@ def _eventually_constant_monotone(seq: np.ndarray, direction: int) -> bool:
     return bool(np.all(d[flat[0]:] == 0))
 
 
+def _decimal_radii(param: Parameter, count: int) -> tuple[list[Decimal], list[Decimal]]:
+    """R_1..R_count and r_1..r_count at 50 digits, from R_0 = |c| taken as
+    sqrt(re^2 + im^2) in Decimal: R_{k+1} = sqrt(|c| + R_k), r_{k+1} = sqrt(|c| - R_k)."""
+    with localcontext() as dec:
+        dec.prec = 50
+        a = (Decimal(param.c.real) ** 2 + Decimal(param.c.imag) ** 2).sqrt()
+        big, outer, inner = a, [], []
+        for _ in range(count):
+            inner.append((a - big).sqrt())
+            big = (a + big).sqrt()
+            outer.append(big)
+    return outer, inner
+
+
 def _check_radius_recursion(ctx: _Ctx) -> tuple[bool, str]:
-    rb = ctx.rb
-    a = rb.abs_c
-    o, i = rb.outer_seq, rb.inner_seq
-    res_o = np.abs(o[1:] ** 2 - (a + o[:-1]))
-    res_i = np.abs(i[1:] ** 2 - (a - o[:-1]))
-    worst = float(max(res_o.max(), res_i.max())) / max(a, 1.0)
+    rows = ctx.rows
+    outer, inner = _decimal_radii(ctx.cfg.param, len(rows))
+    big = [row.outer_radius for row in rows]
+    small = [row.inner_radius for row in rows]
+    # Decimal(float) is exact, so the bracket is compared without rounding
+    got = [Decimal(x) for x in big + small]
+    outward = all(x >= y for x, y in zip(got, outer)) and all(
+        x <= y for x, y in zip(got[len(rows) :], inner)
+    )
+    gap = max(abs(x - y) / y for x, y in zip(got, outer + inner) if y)
     # strict monotonicity holds until the doubles stall at the fixed point,
     # weak monotonicity must hold throughout
-    mono = _eventually_constant_monotone(o, -1) and _eventually_constant_monotone(i, +1)
-    first = abs(o[0] - math.sqrt(2 * a)) == 0.0 and i[0] == 0.0
-    ok = worst <= 1e-15 and mono and first
-    return ok, f"defining-equation residual {worst:.3e}, monotone until stall={mono}"
+    mono = _eventually_constant_monotone(big, -1) and _eventually_constant_monotone(small, +1)
+    ok = outward and gap <= Decimal("1e-14") and mono
+    return ok, (
+        f"bracket of the 50-digit recursion={outward}, max relative gap "
+        f"{float(gap):.3e}, monotone until stall={mono}"
+    )
 
 
 def _check_radius_limits(ctx: _Ctx) -> tuple[bool, str]:
-    rb = ctx.rb
-    a = rb.abs_c
-    lo, li = rb.outer_limit, rb.inner_limit
+    a = ctx.cfg.param.abs_c
+    lo, li = bnd.radius_limits(ctx.cfg.param)
     res = max(abs(lo * lo - (a + lo)), abs(li * li - (a - lo))) / max(a, 1.0)
-    gap = max(abs(rb.outer(64) - lo), abs(rb.inner(64) - li))
+    term = ctx.rows[63]
+    gap = max(abs(term.outer_radius - lo), abs(term.inner_radius - li))
     ok = res <= 1e-15 and gap <= 1e-12
     return ok, f"fixed-point residual {res:.3e}, term-64 gap {gap:.3e}"
 
@@ -192,13 +217,12 @@ def _check_decay_tail(ctx: _Ctx) -> tuple[bool, str]:
         return True, "skipped: decay not guaranteed for this parameter"
     dp = bnd.decay_parameters(cfg.param, cfg.epsilon)
     top = 400
-    rows = bnd.bound_table(cfg.param, top)
     worst = 0.0
-    for row in rows[dp.settle_index - 1 :]:
+    for row in ctx.rows[dp.settle_index - 1 : top]:
         env = dp.prefactor * dp.ratio**row.n
         worst = max(worst, row.bound / env)
-    tail = ctx.rb.inner_seq[dp.settle_index : top]
-    above = bool(np.all(tail >= math.sqrt(2.0) + dp.delta - 1e-12))
+    threshold = math.sqrt(2.0) + dp.delta - 1e-12
+    above = all(row.inner_radius >= threshold for row in ctx.rows[dp.settle_index : top])
     ok = worst <= 1.0 + 1e-9 and above
     return ok, (
         f"bound/envelope max {worst:.12f} over n={dp.settle_index}..{top}, "
@@ -207,8 +231,7 @@ def _check_decay_tail(ctx: _Ctx) -> tuple[bool, str]:
 
 
 def _check_bound_telescoping(ctx: _Ctx) -> tuple[bool, str]:
-    cfg = ctx.cfg
-    rows = bnd.bound_table(cfg.param, 200)
+    rows = ctx.rows[:200]
     worst_k = 0.0
     worst_r = 0.0
     # a step to +inf must be predicted to pass the saturation threshold,
@@ -217,7 +240,7 @@ def _check_bound_telescoping(ctx: _Ctx) -> tuple[bool, str]:
     saturated = 0
     reach_k = reach_r = math.inf
     for prev, nxt in zip(rows, rows[1:]):
-        r_next = ctx.rb.inner(prev.n + 2)
+        r_next = ctx.rows[prev.n + 1].inner_radius
         if math.isinf(nxt.diam_bound):
             saturated += math.isfinite(prev.diam_bound)
             predicted = prev.diam_bound / sys.float_info.max / (math.sqrt(2.0) * r_next)
@@ -283,7 +306,7 @@ def _check_pairwise_contraction(ctx: _Ctx) -> tuple[bool, str]:
     cfg = ctx.cfg
     worst = 0.0
     for k in range(1, len(ctx.pieces)):
-        factor = math.sqrt(2.0) * ctx.rb.inner(k + 1)
+        factor = math.sqrt(2.0) * ctx.rows[k].inner_radius
         children = ctx.pieces[k].samples
         half = 1 << k  # parent j has the children j and j + half
         for j, parent in enumerate(ctx.pieces[k - 1].samples):
@@ -464,17 +487,34 @@ def _random_mask(cfg: VerifyConfig, shape: tuple[int, int], stream: int, p: floa
     return GridMask(origin=complex(0.0, 0.0), cell=1.0, bits=bits, mode="noise")
 
 
+def _shift_or(a: GridMask, b: GridMask) -> GridMask:
+    """Reference mask difference: one copy of a, shifted by minus the
+    offset of each set cell of b, ORed into the full difference window."""
+    ha, wa = a.bits.shape
+    hb, wb = b.bits.shape
+    out = np.zeros((ha + hb - 1, wa + wb - 1), dtype=bool)
+    iys, ixs = np.nonzero(b.bits)
+    for iy, ix in zip(iys.tolist(), ixs.tolist()):
+        oy, ox = hb - 1 - iy, wb - 1 - ix
+        out[oy : oy + ha, ox : ox + wa] |= a.bits
+    origin = complex(
+        a.origin.real - b.origin.real - (wb - 0.5) * a.cell,
+        a.origin.imag - b.origin.imag - (hb - 0.5) * a.cell,
+    )
+    return GridMask(origin=origin, cell=a.cell, bits=out, mode="difference")
+
+
 def _check_correlation_methods(ctx: _Ctx) -> tuple[bool, str]:
     cfg = ctx.cfg
     a = _random_mask(cfg, (96, 80), stream=6, p=0.3)
     b = _random_mask(cfg, (64, 48), stream=7, p=0.3)
-    fast = mask_difference(a, b, method="fft")
-    slow = mask_difference(a, b, method="direct")
+    fast = mask_difference(a, b)
+    slow = _shift_or(a, b)
     same = bool(np.array_equal(fast.bits, slow.bits)) and fast.origin == slow.origin
     # exhaustive oracle on a small pair: the set of center differences
     sa = _random_mask(cfg, (12, 10), stream=8, p=0.4)
     sb = _random_mask(cfg, (9, 11), stream=9, p=0.4)
-    dm = mask_difference(sa, sb, method="direct")
+    dm = mask_difference(sa, sb)
     want_pairs = set()
     ay, ax = np.nonzero(sa.bits)
     by, bx = np.nonzero(sb.bits)

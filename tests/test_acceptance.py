@@ -27,7 +27,7 @@ from cantordiff import (
     mask_difference,
     piece_diameter_bound,
     piece_tree,
-    radius_sequences,
+    radius_limits,
     rasterize_preimage,
     sample_diff_check,
     sum_area,
@@ -118,11 +118,11 @@ def test_criterion_4_difference_disk_oracle():
 
 def test_criterion_5_pointwise_contraction(p5, tree512):
     t0 = time.perf_counter()
-    rb = radius_sequences(p5, 12)
+    rows = bound_table(p5, 12)
     sqrt2 = math.sqrt(2.0)
     worst = 0.0
     for n in range(1, 9):
-        r_next = rb.inner(n + 1)
+        r_next = rows[n].inner_radius
         for j, child in enumerate(tree512[n].samples):
             parent = tree512[n - 1].samples[j % (1 << n)]
             dz = np.abs(parent[:, None] - parent[None, :])
@@ -192,15 +192,14 @@ def test_criterion_7_sandwich_chain(p5):
 
 
 def test_criterion_8_radius_fixtures(p5):
-    rb = radius_sequences(p5, 10000)
-    assert rb.outer(1) == pytest.approx(math.sqrt(10.0), abs=1e-12)
-    assert rb.inner(2) == pytest.approx(math.sqrt(5.0 - math.sqrt(10.0)), abs=1e-12)
-    assert rb.outer_limit == pytest.approx((1 + math.sqrt(21.0)) / 2, abs=1e-12)
-    assert rb.inner_limit == pytest.approx(
-        math.sqrt((9.0 - math.sqrt(21.0)) / 2.0), abs=1e-12
-    )
-    assert _eventually_constant_monotone(rb.outer_seq, -1)
-    assert _eventually_constant_monotone(rb.inner_seq, +1)
+    rows = bound_table(p5, 10000)
+    assert rows[0].outer_radius == pytest.approx(math.sqrt(10.0), abs=1e-12)
+    assert rows[1].inner_radius == pytest.approx(math.sqrt(5.0 - math.sqrt(10.0)), abs=1e-12)
+    outer_limit, inner_limit = radius_limits(p5)
+    assert outer_limit == pytest.approx((1 + math.sqrt(21.0)) / 2, abs=1e-12)
+    assert inner_limit == pytest.approx(math.sqrt((9.0 - math.sqrt(21.0)) / 2.0), abs=1e-12)
+    assert _eventually_constant_monotone([row.outer_radius for row in rows], -1)
+    assert _eventually_constant_monotone([row.inner_radius for row in rows], +1)
     print("criterion 8: closed forms to 1e-12, monotone over 10^4 terms")
 
 

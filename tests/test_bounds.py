@@ -24,7 +24,6 @@ from cantordiff import (
     generate_pieces,
     piece_diameter_bound,
     radius_limits,
-    radius_sequences,
 )
 
 # mpmath oracle, c = 5
@@ -50,14 +49,17 @@ REL = 1e-13
 
 
 def test_radius_sequence_oracle_values(p5):
-    rb = radius_sequences(p5, 8)
-    assert rb.outer(1) == pytest.approx(R1, rel=REL)
-    assert rb.outer(2) == pytest.approx(R2, rel=REL)
-    assert rb.outer(3) == pytest.approx(R3, rel=REL)
-    assert rb.inner(1) == 0.0
-    assert rb.inner(2) == pytest.approx(r2, rel=REL)
-    assert rb.inner(3) == pytest.approx(r3, rel=REL)
-    assert rb.inner(4) == pytest.approx(r4, rel=REL)
+    rows = bound_table(p5, 8)
+    assert rows[0].outer_radius == pytest.approx(R1, rel=REL)
+    assert rows[1].outer_radius == pytest.approx(R2, rel=REL)
+    assert rows[2].outer_radius == pytest.approx(R3, rel=REL)
+    assert rows[0].inner_radius == 0.0
+    assert rows[1].inner_radius == pytest.approx(r2, rel=REL)
+    assert rows[2].inner_radius == pytest.approx(r3, rel=REL)
+    assert rows[3].inner_radius == pytest.approx(r4, rel=REL)
+    # outward: R_k rounded up, r_k rounded down
+    assert rows[0].outer_radius > R1 and rows[1].outer_radius > R2
+    assert rows[1].inner_radius < r2 and rows[3].inner_radius < r4
 
 
 def test_radius_limits_oracle(p5):
@@ -74,8 +76,9 @@ def test_radius_limits_closed_form(p5):
 
 
 def test_radius_defining_equations(p5):
-    rb = radius_sequences(p5, 64)
-    o, i = rb.outer_seq, rb.inner_seq
+    rows = bound_table(p5, 64)
+    o = np.array([row.outer_radius for row in rows])
+    i = np.array([row.inner_radius for row in rows])
     assert np.allclose(o[1:] ** 2, 5.0 + o[:-1], rtol=1e-15)
     assert np.allclose(i[1:] ** 2, 5.0 - o[:-1], rtol=1e-15)
 
@@ -104,10 +107,12 @@ def test_depth_zero_row(p5):
     assert (row.n, row.outer_radius, row.inner_radius) == (0, 5.0, 0.0)
     assert row.diam_bound == k0
     assert row.bound == _up(_up(12.0 * _up(math.pi)) * _up(k0 * k0))
-    # the seeds continue the recursion: R_1 = sqrt(|c| + R_0), r_1 = sqrt(|c| - R_0)
-    rb = radius_sequences(p5, 2)
-    assert rb.outer(1) == math.sqrt(5.0 + row.outer_radius)
-    assert rb.inner(1) == math.sqrt(5.0 - row.outer_radius)
+    # the seeds continue the recursion: R_1 = sqrt(|c| + R_0) up to its
+    # two upward roundings, r_1 = sqrt(|c| - R_0) exactly
+    first = bound_table(p5, 1)[0]
+    assert math.sqrt(5.0 + row.outer_radius) < first.outer_radius
+    assert first.outer_radius <= _up(_up(math.sqrt(5.0 + row.outer_radius)))
+    assert first.inner_radius == math.sqrt(5.0 - row.outer_radius)
 
 
 def test_piece_diameter_bound_oracle(p5):

@@ -191,7 +191,7 @@ def test_exit_code_2_on_bad_flag_value(capsys):
     code, _, err = run_cli(capsys, "cover", "--c-re", "5", "--depth", "1",
                            "--samples", "4")
     assert code == 2 and err.startswith("error:")
-    # oracle picks its difference method itself
+    # oracle has no difference-method option
     code, _, err = run_cli(capsys, "oracle", "--c-re", "5", "--depth", "1",
                            "--outdir", "unused", "--method", "fft")
     assert code == 2 and err.startswith("error:")
@@ -259,7 +259,7 @@ def test_import_does_not_load_scipy():
         "import cantordiff.cli\n"
         "from cantordiff import Disk, disk_mask, mask_difference\n"
         "m = disk_mask(Disk(0j, 1.0), 0.1)\n"
-        "mask_difference(m, m, method='fft')\n"
+        "mask_difference(m, m)\n"
         "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

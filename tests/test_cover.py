@@ -97,7 +97,8 @@ def test_sampled_diameter_rounding_contract(p5):
 def test_disks_cover_their_samples(p5):
     pieces = generate_pieces(p5, 3, samples=64)
     for j, samples in enumerate(pieces.samples):
-        assert np.all(pieces.disks[j].contains(samples, tol=1e-12)), j
+        disk = pieces.disks[j]
+        assert np.all(np.abs(samples - disk.center) <= disk.radius + 1e-12), j
 
 
 def test_children_nest_in_parent_disk(p5):

@@ -21,9 +21,10 @@ from cantordiff import (
     forward_map,
     generate_pieces,
     inverse_branch,
+    piece_tree,
     sqrt_branch,
 )
-from cantordiff.geometry import _ALL_PAIRS_LIMIT, _BLOCK, _pair_scan
+from cantordiff.geometry import _ALL_PAIRS_LIMIT, _BLOCK, _pair_scan, _pair_search
 
 
 def test_parameter_rejects_small_modulus():
@@ -114,8 +115,7 @@ def test_diametral_pair_tie_break_spans_blocks():
         if case % 2:
             head = _BLOCK + int(rng.integers(0, n - _BLOCK))
             pts[:head] = rng.integers(1, 4, size=head) + 1j * rng.integers(1, 4, size=head)
-        assert n <= _ALL_PAIRS_LIMIT
-        assert diametral_pair(pts) == _first_attaining_pair(pts), case
+        assert _pair_scan(pts)[:2] == _first_attaining_pair(pts), case
 
 
 def test_diameter_matches_bruteforce_beyond_hull_cutoff():
@@ -197,6 +197,17 @@ def test_diametral_pair_on_pieces_beyond_scan_limit(c):
         assert pieces.sampled_diam[k] == d
 
 
+def test_scan_and_search_agree_between_the_limits():
+    # piece rows from just above the scan limit up to 4096 points: the two
+    # exact paths must give one pair, whichever side of the limit runs
+    rng = np.random.default_rng(89)
+    for c in [5.0, -5.0, 2.5j, 3 + 4j, 2.2, 2.05j]:
+        samples = int(rng.integers(_ALL_PAIRS_LIMIT + 1, 4097))
+        for level in piece_tree(Parameter(c), 2, samples):
+            for k, row in enumerate(level.samples):
+                assert _pair_scan(row)[:2] == _pair_search(row)[:2], (c, samples, k)
+
+
 def test_block_search_memory_on_a_large_circle():
     # the vertices of a regular 2^18-gon in shuffled order: the search's
     # worst case, with a few hundred antipodal pairs tied after rounding
@@ -276,7 +287,7 @@ def test_enclosing_disk_covers_equilateral():
     ang = np.array([0.0, 2 * math.pi / 3, 4 * math.pi / 3])
     pts = np.exp(1j * ang)
     d = enclosing_disk(pts)
-    assert all(d.contains(z) for z in pts)
+    assert np.all(np.abs(pts - d.center) <= d.radius)
     assert d.radius == pytest.approx(math.sqrt(3) / 2 * diameter(pts), rel=1e-15)
 
 
@@ -285,7 +296,7 @@ def test_enclosing_disk_covers_random_clouds():
     for _ in range(20):
         pts = rng.normal(size=60) + 1j * rng.normal(size=60)
         d = enclosing_disk(pts)
-        assert all(d.contains(z, tol=1e-12) for z in pts)
+        assert np.all(np.abs(pts - d.center) <= d.radius + 1e-12)
 
 
 def test_disk_difference_exact():
@@ -303,7 +314,7 @@ def test_disk_difference_contains_sampled_differences():
     v = d1.center + d1.radius * np.sqrt(rng.uniform(size=500)) * np.exp(
         2j * math.pi * rng.uniform(size=500)
     )
-    assert all(dd.contains(z, tol=1e-12) for z in u - v)
+    assert np.all(np.abs((u - v) - dd.center) <= dd.radius + 1e-12)
 
 
 def test_disk_area():

@@ -1,12 +1,15 @@
 """The cross-validation harness: every check green and fully reproducible."""
 
+import cmath
 import dataclasses
 import json
 import math
+from decimal import Decimal
 
+import numpy as np
 import pytest
 
-from cantordiff import Disk, Parameter, VerifyConfig, run_verification
+from cantordiff import Disk, GridMask, Parameter, VerifyConfig, run_verification
 from cantordiff import bounds as bnd
 from cantordiff import verify
 from cantordiff.verify import REPORT_SCHEMA, raster_diff_proof
@@ -105,3 +108,86 @@ def test_bound_telescoping_rejects_a_bad_finite_row(monkeypatch, c, edit):
     assert check(verify._Ctx(cfg))[0]
     monkeypatch.setattr(bnd, "bound_table", tampered)
     assert not check(verify._Ctx(cfg))[0]
+
+
+@pytest.mark.parametrize(
+    "c", [5.0, -5.0, 3 + 4j, 2.05j, 2.0000001, (2 + 1e-9) * cmath.exp(1j), 1e300]
+)
+def test_radius_recursion_brackets_the_certified_rows(c):
+    check = dict(verify._CHECKS)["radius-recursion"]
+    ok, detail = check(verify._Ctx(VerifyConfig(param=Parameter(c))))
+    assert ok, detail
+    assert detail.startswith("bracket of the 50-digit recursion=True,")
+
+
+def _inside(x: Decimal, toward: float) -> float:
+    """The double next to x on the side of `toward`, strictly past x."""
+    y = float(x)
+    while (Decimal(y) >= x) if toward < 0 else (Decimal(y) <= x):
+        y = math.nextafter(y, toward)
+    return y
+
+
+@pytest.mark.parametrize("c", [5.0, 2.05j])
+@pytest.mark.parametrize(
+    "edit", ["inner-1-one-ulp-up", "outer-10-inside", "inner-10-inside"]
+)
+def test_radius_recursion_rejects_an_inward_row(monkeypatch, c, edit):
+    # each certified R_k sits at least one ulp above the true value, so the
+    # tampered outer row is set to the first double below the 50-digit R_k;
+    # r_1 = 0 is exact, so one ulp up already leaves the bracket
+    param = Parameter(c)
+    outer, inner = verify._decimal_radii(param, 10)
+    table = bnd.bound_table
+
+    def tampered(param, depth):
+        rows = table(param, depth)
+        if edit == "inner-1-one-ulp-up":
+            rows[0] = dataclasses.replace(rows[0], inner_radius=math.nextafter(0.0, 1.0))
+        elif edit == "outer-10-inside":
+            rows[9] = dataclasses.replace(rows[9], outer_radius=_inside(outer[9], -math.inf))
+        else:
+            rows[9] = dataclasses.replace(rows[9], inner_radius=_inside(inner[9], math.inf))
+        return rows
+
+    cfg = VerifyConfig(param=param)
+    check = dict(verify._CHECKS)["radius-recursion"]
+    assert check(verify._Ctx(cfg))[0]
+    monkeypatch.setattr(bnd, "bound_table", tampered)
+    ok, detail = check(verify._Ctx(cfg))
+    assert not ok
+    # the edit stays monotone: only the bracket catches it
+    assert detail.startswith("bracket of the 50-digit recursion=False,")
+    assert detail.endswith("monotone until stall=True")
+
+
+def test_correlation_methods_rejects_one_flipped_bit(monkeypatch):
+    real = verify.mask_difference
+
+    def flipped(a, b):
+        out = real(a, b)
+        bits = out.bits.copy()
+        bits[bits.shape[0] // 2, bits.shape[1] // 2] ^= True
+        return GridMask(origin=out.origin, cell=out.cell, bits=bits, mode=out.mode)
+
+    cfg = _cfg(Parameter(5.0))
+    check = dict(verify._CHECKS)["correlation-methods"]
+    assert check(verify._Ctx(cfg)) == (
+        True, "fft==direct on 96x80*64x48: True, exhaustive small oracle match: True"
+    )
+    monkeypatch.setattr(verify, "mask_difference", flipped)
+    ok, detail = check(verify._Ctx(cfg))
+    assert not ok
+    assert detail == "fft==direct on 96x80*64x48: False, exhaustive small oracle match: False"
+
+
+def test_shift_or_oracle_on_a_hand_made_pair():
+    # a = cells (0, 0) and (0, 2); b = cell (1, 1): differences (-1, -1) and
+    # (1, -1) in (x, y) cell offsets
+    a = GridMask(origin=0j, cell=1.0, bits=np.array([[True, False, True]]))
+    bb = np.zeros((2, 2), dtype=bool)
+    bb[1, 1] = True
+    d = verify._shift_or(a, GridMask(origin=0j, cell=1.0, bits=bb))
+    assert d.bits.shape == (2, 4)
+    centers = sorted((round(z.real), round(z.imag)) for z in d.set_centers())
+    assert centers == [(-1, -1), (1, -1)]
