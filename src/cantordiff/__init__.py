@@ -54,7 +54,6 @@ _HOME = {
             "diametral_disks",
             "diametral_pair",
             "disk_difference",
-            "enclosing_disk",
             "forward_map",
             "inverse_branch",
             "sqrt_branch",

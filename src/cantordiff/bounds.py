@@ -175,12 +175,17 @@ def _abs_c_range(param: Parameter) -> tuple[float, float, float]:
 
 
 def radius_limits(param: Parameter) -> tuple[float, float]:
-    """Fixed points (outer, inner) of the two radius recursions."""
+    """Fixed points (outer, inner) of the two radius recursions.
+
+    The inner limit squared, (2|c| - 1 - sqrt(1 + 4|c|))/2, is evaluated
+    in the conjugate form 2|c|(|c| - 2)/(2|c| - 1 + sqrt(1 + 4|c|)) with
+    |c| - 2 from _abs_c_range, so it does not cancel near |c| = 2, on the
+    axes or off them.
+    """
     a = param.abs_c
     s = math.sqrt(1.0 + 4.0 * a)
     outer = (1.0 + s) / 2.0
-    inner_sq = (2.0 * a - 1.0 - s) / 2.0
-    inner = math.sqrt(inner_sq) if inner_sq > 0.0 else 0.0
+    inner = math.sqrt(2.0 * a * (_abs_c_range(param)[2] / (2.0 * a - 1.0 + s)))
     return outer, inner
 
 

@@ -7,11 +7,12 @@ suite).  Exit codes: 0 success, 1 verification failure, 2 argument or
 domain errors (one "error: ..." line on stderr).
 
 All output is deterministic: numbers print with 17 significant digits,
-JSON is emitted with sorted keys, and nothing depends on time or thread
-count.  Set CANTORDIFF_MEMORY_CAP to an integer to override the default
-allocation caps of cover, diff and oracle (sample-tree points,
-difference-disk pairs and grid cells alike); verify ignores it and always
-runs at the built-in caps.
+JSON is emitted with sorted keys, and nothing depends on time or on
+oracle's --workers, the thread count of its two rasters.  Set
+CANTORDIFF_MEMORY_CAP to an integer to override the default allocation
+caps of cover, diff and oracle (sample-tree points, difference-disk pairs
+and grid cells alike); verify ignores it and always runs at the built-in
+caps.
 
 bounds runs on the standard library alone: the other subcommands import
 their numpy-backed modules (cover, raster, images, verify) when they run.
@@ -84,7 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_param_args(c)
     c.add_argument("--depth", type=int, required=True)
     c.add_argument("--samples", type=int, default=512)
-    c.add_argument("--workers", type=int, default=1)
+    c.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; pieces are always built serially")
     c.add_argument("--format", choices=("csv", "json"), default="csv")
     c.add_argument("--output", type=Path, default=None)
     c.add_argument("--render", type=Path, default=None, help="write a PPM image here")
@@ -94,7 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_param_args(d)
     d.add_argument("--depth", type=int, required=True)
     d.add_argument("--samples", type=int, default=512)
-    d.add_argument("--workers", type=int, default=1)
     d.add_argument("--cell", type=float, default=0.01, help="union grid cell size")
     d.add_argument("--format", choices=("csv", "json"), default="csv")
     d.add_argument("--output", type=Path, default=None)
@@ -107,7 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--cell", type=float, default=0.02)
     o.add_argument("--samples", type=int, default=512,
                    help="boundary samples per piece for the disk-cover side")
-    o.add_argument("--workers", type=int, default=1)
+    o.add_argument("--workers", type=int, default=1,
+                   help="threads for the inner and outer rasters (default 1)")
     o.add_argument("--outdir", type=Path, required=True)
 
     v = sub.add_parser("verify", help="run the cross-validation suite")
@@ -118,7 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--count", type=int, default=20000)
     v.add_argument("--seed", type=int, default=20260816)
     v.add_argument("--epsilon", type=_parse_epsilon, default=None, metavar="X|auto")
-    v.add_argument("--threads", type=int, default=1)
     v.add_argument("--report", type=Path, default=None, help="write the JSON report here")
 
     return parser
@@ -220,9 +221,7 @@ def _run_cover(args, cap: int | None) -> int:
     from .cover import generate_pieces
 
     param = Parameter(complex(args.c_re, args.c_im))
-    pieces = generate_pieces(
-        param, args.depth, args.samples, max_points=cap, workers=args.workers
-    )
+    pieces = generate_pieces(param, args.depth, args.samples, max_points=cap)
     kn = piece_diameter_bound(param, args.depth)
     max_diam = float(pieces.sampled_diam.max())
     disks = pieces.disks
@@ -266,9 +265,7 @@ def _run_diff(args, cap: int | None) -> int:
     from .cover import generate_pieces, sandwich
 
     param = Parameter(complex(args.c_re, args.c_im))
-    pieces = generate_pieces(
-        param, args.depth, args.samples, max_points=cap, workers=args.workers
-    )
+    pieces = generate_pieces(param, args.depth, args.samples, max_points=cap)
     sw = sandwich(param, pieces, args.cell, cap)
     diff, grid = sw.disks, sw.union
     count = len(pieces)
@@ -348,9 +345,7 @@ def _run_oracle(args, cap: int | None) -> int:
     if args.depth >= 1:
         # disk-cover side at the matching piece depth: depth-(d-1) pieces
         # tile the d-fold preimage the rasters just measured
-        pieces = generate_pieces(
-            param, args.depth - 1, args.samples, max_points=cap, workers=args.workers
-        )
+        pieces = generate_pieces(param, args.depth - 1, args.samples, max_points=cap)
         sw = sandwich(param, pieces, args.cell, cap)
         report["sandwich"] = {
             "piece_depth": args.depth - 1,
@@ -388,7 +383,6 @@ def _run_verify(args, cap: int | None) -> int:
         count=args.count,
         seed=args.seed,
         epsilon=args.epsilon,
-        workers=args.threads,
     )
     report = run_verification(cfg)
     for check in report["checks"]:

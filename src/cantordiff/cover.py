@@ -27,7 +27,6 @@ computes both next to the certified closed-form bound.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,15 +161,9 @@ def piece_sample_tree(
     return levels
 
 
-def _pieces(level: np.ndarray, workers: int) -> Pieces:
-    """Diametral pairs, sampled diameters and enclosing disks of one level,
-    row by row (on a pool when workers > 1) and reassembled in row order."""
-    if workers <= 1:
-        pairs = [diametral_pair(row) for row in level]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            pairs = list(ex.map(diametral_pair, level))
-    i, j = np.array(pairs).T
+def _pieces(level: np.ndarray) -> Pieces:
+    """Diametral pairs, sampled diameters and enclosing disks of one level."""
+    i, j = np.array([diametral_pair(row) for row in level]).T
     rows = np.arange(len(level))
     x, y = level[rows, i], level[rows, j]
     d = x - y
@@ -187,13 +180,9 @@ def generate_pieces(
     depth: int,
     samples: int = 512,
     max_points: int | None = None,
-    workers: int = 1,
 ) -> Pieces:
-    """The 2^(depth+1) sampled pieces at one depth, with enclosing disks.
-
-    Output is independent of workers.
-    """
-    return _pieces(piece_sample_tree(param, depth, samples, max_points)[-1], workers)
+    """The 2^(depth+1) sampled pieces at one depth, with enclosing disks."""
+    return _pieces(piece_sample_tree(param, depth, samples, max_points)[-1])
 
 
 def piece_tree(
@@ -201,11 +190,9 @@ def piece_tree(
     depth: int,
     samples: int = 512,
     max_points: int | None = None,
-    workers: int = 1,
 ) -> list[Pieces]:
     """Pieces for every depth 0..depth (shared sample tree)."""
-    levels = piece_sample_tree(param, depth, samples, max_points)
-    return [_pieces(level, workers) for level in levels]
+    return [_pieces(level) for level in piece_sample_tree(param, depth, samples, max_points)]
 
 
 def difference_cover(disks: Disks, max_pairs: int | None = None) -> Disks:

@@ -33,7 +33,6 @@ __all__ = [
     "diameter",
     "diametral_pair",
     "diametral_disks",
-    "enclosing_disk",
     "disk_difference",
 ]
 
@@ -233,8 +232,8 @@ def _pair_search(pts: np.ndarray) -> tuple[int, int, float]:
     return bk // m, bk % m, best
 
 
-def _diametral(points) -> tuple[np.ndarray, int, int, float]:
-    """Points plus (i, j, distance) of a diametral pair.
+def _diametral(points) -> tuple[int, int, float]:
+    """(i, j, distance) of a diametral pair.
 
     (i, j), i <= j, is the lexicographically smallest pair attaining the
     maximum distance: np.abs of complex differences in the all-pairs scan up
@@ -242,7 +241,7 @@ def _diametral(points) -> tuple[np.ndarray, int, int, float]:
     """
     pts = _as_points(points)
     search = _pair_scan if pts.size <= _ALL_PAIRS_LIMIT else _pair_search
-    return (pts, *search(pts))
+    return search(pts)
 
 
 def diametral_pair(points) -> tuple[int, int]:
@@ -252,13 +251,13 @@ def diametral_pair(points) -> tuple[int, int]:
     with distances as in _diametral (np.abs up to _ALL_PAIRS_LIMIT points,
     np.hypot above; the two can differ in the last bit).
     """
-    _, i, j, _ = _diametral(points)
+    i, j, _ = _diametral(points)
     return i, j
 
 
 def diameter(points) -> float:
     """Exact diameter max |p - q| of a finite point set."""
-    return _diametral(points)[3]
+    return _diametral(points)[2]
 
 
 def diametral_disks(x, y) -> Disks:
@@ -272,12 +271,6 @@ def diametral_disks(x, y) -> Disks:
     d = x - y
     # hypot, not np.abs: it rounds exactly like scalar abs() of a complex
     return Disks((x + y) / 2.0, (math.sqrt(3.0) / 2.0) * np.hypot(d.real, d.imag))
-
-
-def enclosing_disk(points) -> Disk:
-    """Certified enclosing disk: diametral_disks on a diametral pair."""
-    pts, i, j, _ = _diametral(points)
-    return diametral_disks(pts[i], pts[j])[0]
 
 
 def disk_difference(d2: Disk, d1: Disk) -> Disk:

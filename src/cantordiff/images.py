@@ -23,7 +23,6 @@ __all__ = [
     "write_pgm",
     "read_pgm",
     "write_ppm",
-    "render_mask",
     "render_disks",
     "MASK_SCHEMA",
 ]
@@ -118,33 +117,17 @@ def write_ppm(pixels: np.ndarray, path: str | Path) -> Path:
     return _write_netpbm(path, "P6", pixels, lambda s: s)
 
 
-def render_mask(mask: GridMask, fg: tuple[int, int, int] = _PALETTE[0]) -> np.ndarray:
-    """RGB render of a mask (top row = largest imaginary part)."""
-    img = np.empty((mask.height, mask.width, 3), dtype=np.uint8)
-    img[:] = _BG
-    flipped = mask.bits[::-1, :]
-    for ch in range(3):
-        img[..., ch][flipped] = fg[ch]
-    return img
+def render_disks(disks: Disks, cell: float) -> np.ndarray:
+    """RGB render of filled disks with outlines and axes, fixed palette.
 
-
-def render_disks(
-    disks: Disks,
-    cell: float,
-    pad: float | None = None,
-    axes: bool = True,
-) -> np.ndarray:
-    """RGB render of filled disks with outlines, fixed palette.
-
-    Pixel (0, 0) is the top-left corner of the bounding window (all disks
-    plus pad, default one radius of slack).  Purely for inspection; the
-    certified numbers never come from this raster.
+    Pixel (0, 0) is the top-left corner of the bounding window: all disks
+    plus a pad of half the largest radius, at least half a cell.  Purely
+    for inspection; the certified numbers never come from this raster.
     """
     if not (math.isfinite(cell) and cell > 0.0):
         raise ValueError(f"cell must be finite and > 0, got {cell!r}")
     cx, cy, r = disks.centers.real, disks.centers.imag, disks.radii
-    if pad is None:
-        pad = max(float(r.max()), cell) * 0.5
+    pad = max(float(r.max()), cell) * 0.5
     x_lo = float((cx - r).min()) - pad
     x_hi = float((cx + r).max()) + pad
     y_lo = float((cy - r).min()) - pad
@@ -157,13 +140,12 @@ def render_disks(
     ys = y_hi - (np.arange(h) + 0.5) * cell
     img = np.empty((h, w, 3), dtype=np.float64)
     img[:] = _BG
-    if axes:
-        col = np.argmin(np.abs(xs))
-        row = np.argmin(np.abs(ys))
-        if abs(xs[col]) <= cell:
-            img[:, col] = _AXIS
-        if abs(ys[row]) <= cell:
-            img[row, :] = _AXIS
+    col = np.argmin(np.abs(xs))
+    row = np.argmin(np.abs(ys))
+    if abs(xs[col]) <= cell:
+        img[:, col] = _AXIS
+    if abs(ys[row]) <= cell:
+        img[row, :] = _AXIS
     for idx, (x, y, rad) in enumerate(zip(cx.tolist(), cy.tolist(), r.tolist())):
         color = np.array(_PALETTE[idx % len(_PALETTE)], dtype=np.float64)
         dist = np.hypot(xs[None, :] - x, ys[:, None] - y)

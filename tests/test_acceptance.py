@@ -34,7 +34,7 @@ from cantordiff import (
     union_area_grid,
 )
 from cantordiff.cli import main
-from cantordiff.verify import _eventually_constant_monotone, diff_proof_numbers
+from cantordiff.verify import diff_proof_numbers
 
 SEED = 20260816
 
@@ -191,6 +191,15 @@ def test_criterion_7_sandwich_chain(p5):
         print(line)
 
 
+def _eventually_constant_monotone(seq, direction: int) -> bool:
+    d = np.diff(np.asarray(seq, dtype=np.float64)) * direction
+    if np.any(d < 0):
+        return False
+    flat = np.nonzero(d == 0)[0]
+    # once two consecutive terms coincide the tail must stay constant
+    return flat.size == 0 or bool(np.all(d[flat[0]:] == 0))
+
+
 def test_criterion_8_radius_fixtures(p5):
     rows = bound_table(p5, 10000)
     assert rows[0].outer_radius == pytest.approx(math.sqrt(10.0), abs=1e-12)
@@ -203,24 +212,29 @@ def test_criterion_8_radius_fixtures(p5):
     print("criterion 8: closed forms to 1e-12, monotone over 10^4 terms")
 
 
+def _cli(*argv: str) -> bytes:
+    r = subprocess.run([sys.executable, "-m", "cantordiff.cli", *argv], capture_output=True)
+    assert r.returncode == 0, r.stderr.decode()
+    return r.stdout
+
+
 def test_criterion_9_verify_determinism(tmp_path):
     rp = tmp_path / "report.json"
-
-    def run(threads: int) -> tuple[bytes, bytes]:
-        argv = [
-            sys.executable, "-m", "cantordiff.cli", "verify",
-            "--c-re", "5", "--depth", "2", "--samples", "64",
-            "--cell", "0.05", "--count", "2000",
-            "--threads", str(threads), "--report", str(rp),
-        ]
-        r = subprocess.run(argv, capture_output=True)
-        assert r.returncode == 0, r.stderr.decode()
-        return r.stdout, rp.read_bytes()
-
-    out_a, rep_a = run(1)
-    out_b, rep_b = run(1)
-    out_c, rep_c = run(8)
-    assert out_a == out_b and rep_a == rep_b
-    assert out_a == out_c and rep_a == rep_c
+    verify = ("verify", "--c-re", "5", "--depth", "2", "--samples", "64",
+              "--cell", "0.05", "--count", "2000", "--report", str(rp))
+    out_a = _cli(*verify)
+    rep_a = rp.read_bytes()
+    assert _cli(*verify) == out_a and rp.read_bytes() == rep_a
     assert json.loads(rep_a)["passed"] is True
-    print("criterion 9: verify byte-identical twice and at 1 vs 8 threads")
+
+    # the raster pool is the one thread knob: its output must not depend on it
+    outdir = tmp_path / "oracle"
+    files = ("report.json", "inner.pgm", "outer.pgm", "diff.pgm")
+
+    def oracle(workers: str) -> list[bytes]:
+        out = _cli("oracle", "--c-re", "5", "--depth", "2", "--cell", "0.05",
+                   "--samples", "64", "--workers", workers, "--outdir", str(outdir))
+        return [out] + [(outdir / name).read_bytes() for name in files]
+
+    assert oracle("1") == oracle("2")
+    print("criterion 9: verify byte-identical twice, oracle at 1 vs 2 workers")

@@ -137,6 +137,23 @@ def test_verify_cli_passes(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize(
+    "c",
+    [("30",), ("2.000000000001",), ("0.24504285082390193", "--c-im", "2.487961816680492")],
+    ids=["30", "2+1e-12", "2.5-at-0.47pi"],
+)
+def test_verify_cli_passes_at_the_ends_of_the_domain(capsys, c):
+    code, out, _ = run_cli(capsys, "verify", "--c-re", *c, "--depth", "2", "--count", "1000")
+    assert code == 0, out
+    assert out.strip().splitlines()[-1] == "verify: 24/24 checks passed"
+
+
+def test_verify_cli_stops_at_the_raster_cell_cap(capsys):
+    code, _, err = run_cli(capsys, "verify", "--c-re", "1e7", "--depth", "2", "--count", "1000")
+    assert code == 2
+    assert err.startswith("error: raster cells: 1000000004000000004 needed")
+
+
 def test_verify_report_file(tmp_path, capsys):
     rp = tmp_path / "r.json"
     code, _, _ = run_cli(capsys, "verify", "--c-re", "5", "--depth", "2",

@@ -110,16 +110,6 @@ def test_children_nest_in_parent_disk(p5):
             assert dev <= parent.radius * (1 + 1e-9), (k, j)
 
 
-def test_workers_do_not_change_output(p5):
-    a = generate_pieces(p5, 3, samples=32, workers=1)
-    b = generate_pieces(p5, 3, samples=32, workers=4)
-    assert a.depth == b.depth == 3
-    for name in ("samples", "sampled_diam"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
-    assert np.array_equal(a.disks.centers, b.disks.centers)
-    assert np.array_equal(a.disks.radii, b.disks.radii)
-
-
 def test_max_points_cap(p5):
     with pytest.raises(ValueError, match="cap"):
         generate_pieces(p5, 6, samples=512, max_points=1000)

@@ -17,7 +17,6 @@ from cantordiff import (
     diametral_disks,
     diametral_pair,
     disk_difference,
-    enclosing_disk,
     forward_map,
     generate_pieces,
     inverse_branch,
@@ -262,9 +261,14 @@ def test_hull_path_on_degenerate_inputs():
         assert (i, j, diameter(pts)) == _smallest_max_pair(pts)
 
 
+def _enclosing_disk(pts) -> Disk:
+    i, j = diametral_pair(pts)
+    return diametral_disks(pts[i], pts[j])[0]
+
+
 def test_enclosing_disk_two_points():
     pts = np.array([-1.0 + 0j, 1.0 + 0j])
-    d = enclosing_disk(pts)
+    d = _enclosing_disk(pts)
     assert d.center == 0
     assert d.radius == pytest.approx(math.sqrt(3.0), rel=1e-15)
 
@@ -286,7 +290,7 @@ def test_enclosing_disk_covers_equilateral():
     # worst case for the sqrt(3)/2 factor: circumradius equals d/sqrt(3)
     ang = np.array([0.0, 2 * math.pi / 3, 4 * math.pi / 3])
     pts = np.exp(1j * ang)
-    d = enclosing_disk(pts)
+    d = _enclosing_disk(pts)
     assert np.all(np.abs(pts - d.center) <= d.radius)
     assert d.radius == pytest.approx(math.sqrt(3) / 2 * diameter(pts), rel=1e-15)
 
@@ -295,7 +299,7 @@ def test_enclosing_disk_covers_random_clouds():
     rng = np.random.default_rng(29)
     for _ in range(20):
         pts = rng.normal(size=60) + 1j * rng.normal(size=60)
-        d = enclosing_disk(pts)
+        d = _enclosing_disk(pts)
         assert np.all(np.abs(pts - d.center) <= d.radius + 1e-12)
 
 

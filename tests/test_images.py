@@ -8,7 +8,7 @@ import pytest
 
 from cantordiff import images
 from cantordiff import Disk, Disks, GridMask, Parameter, disk_mask, rasterize_preimage
-from cantordiff.images import read_pgm, render_disks, render_mask, write_pgm, write_ppm
+from cantordiff.images import read_pgm, render_disks, write_pgm, write_ppm
 
 
 def test_pgm_roundtrip(tmp_path, p5):
@@ -47,13 +47,6 @@ def test_pgm_image_row_order(tmp_path):
     raw = path.read_bytes()
     pix = raw[-6:]
     assert pix[3] == 255 and pix[4] == 0 and pix[5] == 0
-
-
-def test_render_mask_shape():
-    m = disk_mask(Disk(0j, 1.0), 0.1)
-    img = render_mask(m)
-    assert img.shape == (m.height, m.width, 3)
-    assert img.dtype == np.uint8
 
 
 def test_render_disks_and_ppm(tmp_path):

@@ -43,13 +43,6 @@ def test_report_repeatable(p5):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_report_thread_invariant(p5):
-    a = run_verification(_cfg(p5, workers=1))
-    b = run_verification(_cfg(p5, workers=8))
-    assert "workers" not in a["config"]
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-
 def test_config_validation(p5):
     with pytest.raises(ValueError):
         VerifyConfig(param=p5, depth=0)
@@ -118,6 +111,34 @@ def test_radius_recursion_brackets_the_certified_rows(c):
     ok, detail = check(verify._Ctx(VerifyConfig(param=Parameter(c))))
     assert ok, detail
     assert detail.startswith("bracket of the 50-digit recursion=True,")
+
+
+_PARAMETER_CHECKS = (
+    "radius-recursion",
+    "radius-limits",
+    "decay-threshold-equivalence",
+    "decay-tail-envelope",
+    "bound-telescoping",
+)
+# three rings of 16 arguments, then both ends of the domain: near |c| = 2,
+# on and off the axis, and where the bounds fall below the normal range
+# (from |c| of about 30)
+_SWEEP = [
+    (f"{r}-at-{k}pi/8", r * cmath.exp(1j * math.pi * k / 8))
+    for r in (2.05, 2.5, 5.0)
+    for k in range(16)
+] + [(str(a), a) for a in (2 + 1e-12, 2 + 1e-9, 30.0, 1e7, 1e300)] + [
+    ("2+1e-12-at-0.3i", (2 + 1e-12) * cmath.exp(0.3j))
+]
+
+
+@pytest.mark.parametrize("c", [c for _, c in _SWEEP], ids=[name for name, _ in _SWEEP])
+def test_parameter_checks_hold_across_the_domain(c):
+    ctx = verify._Ctx(VerifyConfig(param=Parameter(c), depth=2, count=1000))
+    checks = dict(verify._CHECKS)
+    failed = [(name, checks[name](ctx)) for name in _PARAMETER_CHECKS]
+    failed = [(name, detail) for name, (ok, detail) in failed if not ok]
+    assert not failed, failed
 
 
 def _inside(x: Decimal, toward: float) -> float:
