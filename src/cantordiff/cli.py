@@ -311,6 +311,8 @@ def _run_diff(args, cap: int | None) -> int:
 
 
 def _run_oracle(args, cap: int | None) -> int:
+    import numpy as np
+
     from .cover import generate_pieces, sandwich
     from .images import write_pgm
     from .raster import mask_area, mask_difference, rasterize_preimage
@@ -319,29 +321,22 @@ def _run_oracle(args, cap: int | None) -> int:
     outdir: Path = args.outdir
     outdir.mkdir(parents=True, exist_ok=True)
     meta = {"c": [param.c.real, param.c.imag], "depth": args.depth}
-    inner = rasterize_preimage(
-        param, args.depth, args.cell, mode="inner", max_cells=cap, workers=args.workers
-    )
-    outer = rasterize_preimage(
-        param, args.depth, args.cell, mode="outer", max_cells=cap, workers=args.workers
-    )
-    diff = mask_difference(inner, inner)
-    write_pgm(inner, outdir / "inner.pgm", meta)
-    write_pgm(outer, outdir / "outer.pgm", meta)
-    write_pgm(diff, outdir / "diff.pgm", meta)
-    report = {
-        "schema": ORACLE_SCHEMA,
-        "c": [param.c.real, param.c.imag],
-        "depth": args.depth,
-        "cell": args.cell,
-        "inner_cells": int(inner.bits.sum()),
-        "inner_area": mask_area(inner),
-        "outer_cells": int(outer.bits.sum()),
-        "outer_area": mask_area(outer),
-        "diff_cells": int(diff.bits.sum()),
-        "diff_area": mask_area(diff),
-        "sandwich": None,
-    }
+    report = {"schema": ORACLE_SCHEMA, **meta, "cell": args.cell, "sandwich": None}
+
+    def record(name: str, mask) -> None:
+        write_pgm(mask, outdir / f"{name}.pgm", meta)
+        report[f"{name}_cells"] = int(np.count_nonzero(mask.bits))
+        report[f"{name}_area"] = mask_area(mask)
+
+    def build(mode: str):
+        return rasterize_preimage(param, args.depth, args.cell, mode, cap, args.workers)
+
+    # each raster is dropped once its PGM is written
+    inner = build("inner")
+    record("inner", inner)
+    record("outer", build("outer"))
+    record("diff", mask_difference(inner, inner))
+    del inner
     if args.depth >= 1:
         # disk-cover side at the matching piece depth: depth-(d-1) pieces
         # tile the d-fold preimage the rasters just measured

@@ -270,7 +270,7 @@ def test_stdout_determinism_subprocess():
 
 def test_import_does_not_load_scipy():
     # every CLI call pays the import; keep heavy dependencies out of it,
-    # including lazily on the FFT difference path
+    # including lazily on the mask difference path
     code = (
         "import sys\n"
         "import cantordiff.cli\n"

@@ -1,6 +1,7 @@
 """Preimage rasters, mask differences and the deterministic sampler."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,13 +111,13 @@ def test_mask_difference_direct_equals_fft():
     assert np.array_equal(d1.bits, d2.bits)
 
 
-def _assert_fft_matches_direct(a, b):
+def _assert_matches_direct(a, b):
     direct = _shift_or(a, b)
-    fft = mask_difference(a, b)
-    assert fft.origin == direct.origin and fft.cell == direct.cell
-    assert fft.bits.shape == direct.bits.shape
-    assert np.array_equal(fft.bits, direct.bits)
-    return fft
+    runs = mask_difference(a, b)
+    assert runs.origin == direct.origin and runs.cell == direct.cell
+    assert runs.bits.shape == direct.bits.shape
+    assert np.array_equal(runs.bits, direct.bits)
+    return runs
 
 
 def _mask(bits, origin=0j):
@@ -127,11 +128,11 @@ def test_mask_difference_fft_self_difference(p5):
     # the same GridMask twice (as oracle and verify pass it) and a copy of
     # its bits must give the same difference
     m = rasterize_preimage(p5, 2, 0.05)
-    same = _assert_fft_matches_direct(m, m)
+    same = _assert_matches_direct(m, m)
     copy = mask_difference(m, _mask(m.bits.copy(), m.origin))
     assert np.array_equal(same.bits, copy.bits)
     d = disk_mask(Disk(0.3 - 0.1j, 0.4), 0.05)
-    _assert_fft_matches_direct(d, d)
+    _assert_matches_direct(d, d)
 
 
 def test_mask_difference_fft_cells_on_window_edges():
@@ -145,9 +146,9 @@ def test_mask_difference_fft_cells_on_window_edges():
         corners = np.zeros((h + 2, w + 1), dtype=bool)
         corners[[0, 0, -1, -1], [0, -1, 0, -1]] = True
         a, b = _mask(bits), _mask(corners, 0.2 - 0.35j)
-        _assert_fft_matches_direct(a, a)
-        _assert_fft_matches_direct(a, b)
-        _assert_fft_matches_direct(b, a)
+        _assert_matches_direct(a, a)
+        _assert_matches_direct(a, b)
+        _assert_matches_direct(b, a)
 
 
 def test_mask_difference_fft_single_cell():
@@ -156,16 +157,16 @@ def test_mask_difference_fft_single_cell():
     other = np.zeros((4, 4), dtype=bool)
     other[3, 0] = True
     a, b = _mask(one), _mask(other, 1 + 1j)
-    assert np.count_nonzero(_assert_fft_matches_direct(a, a).bits) == 1
-    assert np.count_nonzero(_assert_fft_matches_direct(a, b).bits) == 1
-    _assert_fft_matches_direct(b, a)
+    assert np.count_nonzero(_assert_matches_direct(a, a).bits) == 1
+    assert np.count_nonzero(_assert_matches_direct(a, b).bits) == 1
+    _assert_matches_direct(b, a)
 
 
 def test_mask_difference_fft_empty_masks():
     full = _mask(np.ones((4, 6)))
     empty = _mask(np.zeros((5, 3)))
     for a, b in ((empty, full), (full, empty), (empty, empty)):
-        out = _assert_fft_matches_direct(a, b)
+        out = _assert_matches_direct(a, b)
         assert not out.bits.any()
 
 
@@ -174,9 +175,78 @@ def test_mask_difference_fft_shape_parity():
     shapes = [(7, 8), (8, 7), (9, 9), (10, 10), (1, 6), (6, 1)]
     for sa in shapes:
         a = _mask(rng.random(sa) < 0.3)
-        _assert_fft_matches_direct(a, a)
+        _assert_matches_direct(a, a)
         for sb in shapes:
-            _assert_fft_matches_direct(a, _mask(rng.random(sb) < 0.3, -0.5j))
+            _assert_matches_direct(a, _mask(rng.random(sb) < 0.3, -0.5j))
+
+
+def _checkerboard(h, w):
+    return (np.add.outer(np.arange(h), np.arange(w)) % 2).astype(bool)
+
+
+def test_mask_difference_random_shapes_and_densities():
+    rng = np.random.default_rng(53)
+    fixed = [
+        np.ones((1, 1)),
+        np.ones((1, 9)),
+        np.ones((8, 1)),
+        np.ones((5, 6)),
+        _checkerboard(7, 9),
+        _checkerboard(1, 10),
+        ~_checkerboard(6, 1),
+    ]
+    masks = [_mask(bits) for bits in fixed]
+    for _ in range(12):
+        h, w = (int(v) for v in rng.integers(1, 25, size=2))
+        masks.append(_mask(rng.random((h, w)) < rng.choice([0.05, 0.3, 0.7, 0.95])))
+    for i, a in enumerate(masks):
+        _assert_matches_direct(a, a)
+        for b in masks[i + 1 :: 3]:
+            _assert_matches_direct(a, b)
+            _assert_matches_direct(b, a)
+
+
+def test_mask_difference_runs_end_in_last_column():
+    rng = np.random.default_rng(59)
+    for _ in range(8):
+        h, w = (int(v) for v in rng.integers(2, 20, size=2))
+        bits = rng.random((h, w)) < 0.4
+        # every row ends in a run through the last column, of length 1..w
+        for row, start in enumerate(rng.integers(0, w, size=h)):
+            bits[row, start:] = True
+        other = rng.random((int(rng.integers(1, 9)), w)) < 0.5
+        other[:, -1] = True
+        a, b = _mask(bits), _mask(other, 0.3j)
+        _assert_matches_direct(a, a)
+        _assert_matches_direct(a, b)
+        _assert_matches_direct(b, a)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_mask_difference_chunks_of_run_pairs(monkeypatch, chunk):
+    # many run pairs through tiny chunks, including a partial last one
+    monkeypatch.setattr(raster, "_PAIR_CHUNK", chunk)
+    rng = np.random.default_rng(61)
+    a = _mask(rng.random((13, 17)) < 0.4)
+    b = _mask(rng.random((9, 11)) < 0.4, 1 - 1j)
+    _assert_matches_direct(a, b)
+    _assert_matches_direct(b, a)
+    _assert_matches_direct(_mask(_checkerboard(6, 8)), a)
+
+
+def test_mask_difference_holds_one_window(p5):
+    # oracle-fine's self-difference: beyond the 16 MB output window only
+    # the edge array of the cropped block and one chunk of run pairs live
+    inner = rasterize_preimage(p5, 3, 0.005)
+    h, w = 2 * inner.height - 1, 2 * inner.width - 1
+    tracemalloc.start()
+    try:
+        out = mask_difference(inner, inner)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.bits.shape == (h, w)
+    assert peak < h * w + 6 * (1 << 20)
 
 
 def test_mask_self_difference_symmetric(p5):
