@@ -6,6 +6,13 @@ area estimates), oracle (brute-force rasters), verify (cross-validation
 suite).  Exit codes: 0 success, 1 verification failure, 2 argument or
 domain errors (one "error: ..." line on stderr).
 
+bounds, cover and diff each build one record, its header fields plus a
+table of rows, and print it in either format from that one record.  JSON
+is the header fields plus the table under its name, one object per row,
+a complex cell as [re, im].  CSV is a header line of the column names (a
+complex column as <name>_re,<name>_im), one line per row and "# key,value"
+trailer lines, with true/false for booleans.
+
 All output is deterministic: numbers print with 17 significant digits,
 JSON is emitted with sorted keys, and nothing depends on time or on
 oracle's --workers, the thread count of its two rasters.  Set
@@ -23,6 +30,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from .bounds import (
@@ -55,8 +65,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+def _cell(v) -> str:
+    """One CSV value: %.17g floats, true/false booleans, else str."""
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v)
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _add_param_args(p: argparse.ArgumentParser) -> None:
@@ -125,81 +144,58 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(body: list[str] | dict, output: Path | None) -> None:
-    """Write CSV lines, or a dict as sorted JSON, to output or stdout."""
-    if isinstance(body, dict):
-        text = json.dumps(body, indent=2, sort_keys=True) + "\n"
+def _emit(args, fields: dict, table: str, columns: tuple, rows: list, trailer: list) -> None:
+    """Print one record in args.format to args.output or stdout.
+
+    fields are the JSON header and rows the tuples of the table named
+    table, with the given columns; a complex quantity is the column pair
+    <name>_re, <name>_im, one [re, im] value in JSON.  trailer holds the
+    (key, value) items that follow the rows in CSV.
+    """
+    if args.format == "json":
+        # a <name>_re column and the <name>_im after it give one slice of two
+        kept = [(k, name) for k, name in enumerate(columns) if not name.endswith("_im")]
+        keys = [name.removesuffix("_re") for _, name in kept]
+        cells = itemgetter(*(slice(k, k + 2) if name.endswith("_re") else k for k, name in kept))
+        text = [_json_text({**fields, table: [dict(zip(keys, cells(row))) for row in rows]})]
     else:
-        text = "\n".join(body) + "\n"
-    if output is None:
-        sys.stdout.write(text)
+        # the first row's types pick each column's format
+        line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
+        text = chain(
+            [",".join(columns) + "\n"],
+            map(line.__mod__, rows),
+            (f"# {key},{_cell(value)}\n" for key, value in trailer),
+        )
+    if args.output is None:
+        sys.stdout.writelines(text)
     else:
-        output.write_text(text)
-        print(f"wrote {output}")
+        with args.output.open("w") as f:
+            f.writelines(text)
+        print(f"wrote {args.output}")
 
 
-def _decay_block(param: Parameter, epsilon: float | None) -> tuple[bool, dict | None]:
-    if not decay_condition(param):
-        return False, None
-    dp = decay_parameters(param, epsilon)
-    return True, {
-        "epsilon": dp.epsilon,
-        "delta": dp.delta,
-        "settle_index": dp.settle_index,
-        "ratio": dp.ratio,
-        "prefactor": dp.prefactor,
-    }
-
-
-def _run_bounds(args, cap: int | None) -> int:
-    param = Parameter(complex(args.c_re, args.c_im))
+def _run_bounds(args, param: Parameter, cap: int | None) -> int:
     if args.depth < 1:
         raise ValueError(f"--depth must be >= 1, got {args.depth}")
-    base = first_piece_diameter(param)
-    rows = bound_table(param, args.depth)
-    guaranteed, decay = _decay_block(param, args.epsilon)
-    if args.format == "json":
-        obj = {
-            "schema": BOUNDS_SCHEMA,
-            "c": [param.c.real, param.c.imag],
-            "depth": args.depth,
-            "diam_mode": "certified",
-            "base_diam": base,
-            "rows": [
-                {
-                    "n": r.n,
-                    "R_n": r.outer_radius,
-                    "r_n": r.inner_radius,
-                    "K_n": r.diam_bound,
-                    "bound": r.bound,
-                    "ratio_step": r.ratio_step,
-                }
-                for r in rows
-            ],
-            "decay_guaranteed": guaranteed,
-            "decay": decay,
-            "note": None if guaranteed else _DECAY_NOTE,
-        }
-        _emit(obj, args.output)
-        return 0
-    lines = ["n,R_n,r_n,K_n,bound,ratio_step"]
-    for r in rows:
-        lines.append(
-            f"{r.n},{_fmt(r.outer_radius)},{_fmt(r.inner_radius)},"
-            f"{_fmt(r.diam_bound)},{_fmt(r.bound)},{_fmt(r.ratio_step)}"
-        )
-    lines.append("# diam_mode,certified")
-    lines.append(f"# base_diam,{_fmt(base)}")
-    lines.append(f"# decay_guaranteed,{'true' if guaranteed else 'false'}")
-    if guaranteed:
-        lines.append(f"# epsilon,{_fmt(decay['epsilon'])}")
-        lines.append(f"# delta,{_fmt(decay['delta'])}")
-        lines.append(f"# settle_index,{decay['settle_index']}")
-        lines.append(f"# ratio,{_fmt(decay['ratio'])}")
-        lines.append(f"# prefactor,{_fmt(decay['prefactor'])}")
-    else:
-        lines.append(f"# note,{_DECAY_NOTE}")
-    _emit(lines, args.output)
+    rows = [
+        (r.n, r.outer_radius, r.inner_radius, r.diam_bound, r.bound, r.ratio_step)
+        for r in bound_table(param, args.depth)
+    ]
+    guaranteed = decay_condition(param)
+    decay = asdict(decay_parameters(param, args.epsilon)) if guaranteed else None
+    fields = {
+        "schema": BOUNDS_SCHEMA,
+        "c": [param.c.real, param.c.imag],
+        "depth": args.depth,
+        "diam_mode": "certified",
+        "base_diam": first_piece_diameter(param),
+        "decay_guaranteed": guaranteed,
+        "decay": decay,
+        "note": None if guaranteed else _DECAY_NOTE,
+    }
+    trailer = [(key, fields[key]) for key in ("diam_mode", "base_diam", "decay_guaranteed")]
+    trailer += list(decay.items()) if guaranteed else [("note", _DECAY_NOTE)]
+    _emit(args, fields, "rows", ("n", "R_n", "r_n", "K_n", "bound", "ratio_step"), rows, trailer)
     return 0
 
 
@@ -217,107 +213,70 @@ def _render_cover(disks, render: Path, render_cell: float | None) -> None:
     print(f"wrote {render}")
 
 
-def _run_cover(args, cap: int | None) -> int:
+def _run_cover(args, param: Parameter, cap: int | None) -> int:
     from .cover import generate_pieces
 
-    param = Parameter(complex(args.c_re, args.c_im))
     pieces = generate_pieces(param, args.depth, args.samples, max_points=cap)
-    kn = piece_diameter_bound(param, args.depth)
-    max_diam = float(pieces.sampled_diam.max())
     disks = pieces.disks
-    rows = list(zip(disks.centers.tolist(), disks.radii.tolist(), pieces.sampled_diam.tolist()))
-    if args.format == "json":
-        obj = {
-            "schema": COVER_SCHEMA,
-            "c": [param.c.real, param.c.imag],
-            "depth": args.depth,
-            "samples": args.samples,
-            "diam_bound": kn,
-            "max_sampled_diam": max_diam,
-            "pieces": [
-                {
-                    "seq": pieces.label(j),
-                    "center": [z.real, z.imag],
-                    "radius": r,
-                    "sampled_diam": d,
-                }
-                for j, (z, r, d) in enumerate(rows)
-            ],
-        }
-        _emit(obj, args.output)
-    else:
-        lines = ["seq,center_re,center_im,radius,sampled_diam"]
-        for j, (z, r, d) in enumerate(rows):
-            lines.append(
-                f"{pieces.label(j)},{_fmt(z.real)},{_fmt(z.imag)},{_fmt(r)},{_fmt(d)}"
-            )
-        lines.append(f"# pieces,{len(pieces)}")
-        lines.append(f"# depth,{args.depth}")
-        lines.append(f"# diam_bound,{_fmt(kn)}")
-        lines.append(f"# max_sampled_diam,{_fmt(max_diam)}")
-        _emit(lines, args.output)
+    fields = {
+        "schema": COVER_SCHEMA,
+        "c": [param.c.real, param.c.imag],
+        "depth": args.depth,
+        "samples": args.samples,
+        "diam_bound": piece_diameter_bound(param, args.depth),
+        "max_sampled_diam": float(pieces.sampled_diam.max()),
+    }
+    labels = [pieces.label(j) for j in range(len(pieces))]
+    c, r, d = disks.centers, disks.radii, pieces.sampled_diam
+    rows = list(zip(labels, c.real.tolist(), c.imag.tolist(), r.tolist(), d.tolist()))
+    trailer = [("pieces", len(pieces))]
+    trailer += [(key, fields[key]) for key in ("depth", "diam_bound", "max_sampled_diam")]
+    columns = ("seq", "center_re", "center_im", "radius", "sampled_diam")
+    _emit(args, fields, "pieces", columns, rows, trailer)
     if args.render is not None:
         _render_cover(disks, args.render, args.render_cell)
     return 0
 
 
-def _run_diff(args, cap: int | None) -> int:
+def _run_diff(args, param: Parameter, cap: int | None) -> int:
     from .cover import generate_pieces, sandwich
 
-    param = Parameter(complex(args.c_re, args.c_im))
     pieces = generate_pieces(param, args.depth, args.samples, max_points=cap)
     sw = sandwich(param, pieces, args.cell, cap)
     diff, grid = sw.disks, sw.union
     count = len(pieces)
-    rows = list(zip(diff.centers.tolist(), diff.radii.tolist()))
-    if args.format == "json":
-        obj = {
-            "schema": DIFF_SCHEMA,
-            "c": [param.c.real, param.c.imag],
-            "depth": args.depth,
-            "samples": args.samples,
-            "cell": args.cell,
-            "sum_area": sw.total,
-            "union_area": grid.area,
-            "union_margin": grid.margin,
-            "union_cells": grid.cells,
-            "worst_case_bound": sw.bound,
-            "disks": [
-                {
-                    "i": t // count,
-                    "j": t % count,
-                    "center": [z.real, z.imag],
-                    "radius": r,
-                }
-                for t, (z, r) in enumerate(rows)
-            ],
-        }
-        _emit(obj, args.output)
-    else:
-        lines = ["i,j,center_re,center_im,radius"]
-        for t, (z, r) in enumerate(rows):
-            lines.append(
-                f"{t // count},{t % count},{_fmt(z.real)},{_fmt(z.imag)},{_fmt(r)}"
-            )
-        lines.append(f"# sum_area,{_fmt(sw.total)}")
-        lines.append(f"# union_area,{_fmt(grid.area)}")
-        lines.append(f"# union_margin,{_fmt(grid.margin)}")
-        lines.append(f"# union_cells,{grid.cells}")
-        lines.append(f"# worst_case_bound,{_fmt(sw.bound)}")
-        _emit(lines, args.output)
+    fields = {
+        "schema": DIFF_SCHEMA,
+        "c": [param.c.real, param.c.imag],
+        "depth": args.depth,
+        "samples": args.samples,
+        "cell": args.cell,
+        "sum_area": sw.total,
+        "union_area": grid.area,
+        "union_margin": grid.margin,
+        "union_cells": grid.cells,
+        "worst_case_bound": sw.bound,
+    }
+    c, r = diff.centers, diff.radii
+    rows = [
+        (t // count, t % count, x, y, rad)
+        for t, (x, y, rad) in enumerate(zip(c.real.tolist(), c.imag.tolist(), r.tolist()))
+    ]
+    keys = ("sum_area", "union_area", "union_margin", "union_cells", "worst_case_bound")
+    trailer = [(key, fields[key]) for key in keys]
+    _emit(args, fields, "disks", ("i", "j", "center_re", "center_im", "radius"), rows, trailer)
     if args.render is not None:
         _render_cover(diff, args.render, args.render_cell)
     return 0
 
 
-def _run_oracle(args, cap: int | None) -> int:
+def _run_oracle(args, param: Parameter, cap: int | None) -> int:
     import numpy as np
 
     from .cover import generate_pieces, sandwich
     from .images import write_pgm
     from .raster import mask_area, mask_difference, rasterize_preimage
 
-    param = Parameter(complex(args.c_re, args.c_im))
     outdir: Path = args.outdir
     outdir.mkdir(parents=True, exist_ok=True)
     meta = {"c": [param.c.real, param.c.imag], "depth": args.depth}
@@ -350,26 +309,23 @@ def _run_oracle(args, cap: int | None) -> int:
             "worst_case_bound": sw.bound,
             "holds": sw.holds(report["diff_area"]),
         }
-    (outdir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
-    print(f"inner_area,{_fmt(report['inner_area'])}")
-    print(f"outer_area,{_fmt(report['outer_area'])}")
-    print(f"diff_area,{_fmt(report['diff_area'])}")
+    (outdir / "report.json").write_text(_json_text(report))
+    print(f"inner_area,{_cell(report['inner_area'])}")
+    print(f"outer_area,{_cell(report['outer_area'])}")
+    print(f"diff_area,{_cell(report['diff_area'])}")
     sw = report["sandwich"]
     if sw is not None:
-        print(f"union_area,{_fmt(sw['union_area'])}")
-        print(f"sum_area,{_fmt(sw['sum_area'])}")
-        print(f"worst_case_bound,{_fmt(sw['worst_case_bound'])}")
-        print(f"sandwich_holds,{'true' if sw['holds'] else 'false'}")
+        print(f"union_area,{_cell(sw['union_area'])}")
+        print(f"sum_area,{_cell(sw['sum_area'])}")
+        print(f"worst_case_bound,{_cell(sw['worst_case_bound'])}")
+        print(f"sandwich_holds,{_cell(sw['holds'])}")
     print(f"wrote {outdir}")
     return 0
 
 
-def _run_verify(args, cap: int | None) -> int:
+def _run_verify(args, param: Parameter, cap: int | None) -> int:
     from .verify import VerifyConfig, run_verification
 
-    param = Parameter(complex(args.c_re, args.c_im))
     cfg = VerifyConfig(
         param=param,
         depth=args.depth,
@@ -386,7 +342,7 @@ def _run_verify(args, cap: int | None) -> int:
     npass = sum(1 for c in report["checks"] if c["passed"])
     print(f"verify: {npass}/{len(report['checks'])} checks passed")
     if args.report is not None:
-        args.report.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        args.report.write_text(_json_text(report))
         print(f"wrote {args.report}")
     return 0 if report["passed"] else 1
 
@@ -409,17 +365,14 @@ def dispatch(args: argparse.Namespace) -> int:
         "oracle": _run_oracle,
         "verify": _run_verify,
     }
-    return runners[args.command](args, cap)
+    return runners[args.command](args, Parameter(complex(args.c_re, args.c_im)), cap)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return dispatch(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,8 @@ guarantees identity, one-sided where a certified number must lie outward
 of the true one (the radius rows, bracketed by a 50-digit decimal
 recursion and at most 1e-14-relative from it), 1e-12-relative where only
 rounding noise separates the two sides, and 1e-9-relative where a
-forward-inverse roundtrip feeds one side.  The piece-nesting check
+forward-inverse roundtrip feeds one side; piece-membership carries a
+rounding bound derived from operation counts.  The piece-nesting check
 additionally allows a sampling slack that shrinks like 1/samples^2:
 enclosing disks built from sampled diametral pairs undershoot the true
 set slightly, and the quadratic rate comes from the smoothness of the
@@ -58,6 +59,17 @@ REPORT_SCHEMA = "cantordiff-verify/1"
 # ever observed (the sqrt(3)/2 factor already cushions the circumradius),
 # so this guards only unexplored corners of parameter space.
 _NEST_C = 16.0
+
+# piece-membership's rounding per orbit step, in units of u = 2^-53 times
+# |w|^2 + |c|: 4 for forward_map (complex square and + c), 2 for np.abs,
+# 1 for the threshold sum, 24 for the inverse step that built the point
+# (sqrt_branch is within 12u relative: u for z - c, 2.5u for the root of
+# the modulus, 6.5u for half the arctan2 argument shifted by 2*pi, 2u for
+# the exponential, u for the product; squaring doubles it) and 16 for the
+# chain points, at most 16u*|c| outside |z| = |c| (3u at the boundary,
+# then 12u plus a quarter of the excess per step).  47, rounded up to
+# leave a 1/48 relative slack for the terms of order u^2.
+_ORBIT_KAPPA = 48.0
 
 
 @dataclass(frozen=True)
@@ -275,17 +287,39 @@ def _check_bound_telescoping(ctx: _Ctx) -> tuple[bool, str]:
 
 
 def _check_piece_membership(ctx: _Ctx) -> tuple[bool, str]:
+    """Every sample's forward orbit stays in |z| <= |c| up to rounding.
+
+    The float orbit w_m of a level-k sample retraces the inverse chain v_m
+    that built it, back to the circle at m = k + 1.  With ku = _ORBIT_KAPPA
+    * u, e_0 = ku*(|w_0| + |c|) and, as in raster._outer_block,
+    e_{m+1} = (2|w_m| + e_m)*e_m + ku*(|w_m|^2 + |c|) bound |w_m - v_m|,
+    how far v_m may sit outside |z| = |c| and the rounding of the test
+    |w_m| <= |c| + e_m.  An orbit stops once e_m passes R_1 = sqrt(2|c|),
+    the bound of every chain point but the last: nothing is left to falsify.
+    """
     cfg = ctx.cfg
-    tol = cfg.param.abs_c * (1.0 + 1e-9)
-    worst = 0.0
+    a = cfg.param.abs_c
+    r1 = math.sqrt(2.0 * a)
+    ku = _ORBIT_KAPPA * 2.0**-53
+    worst, ok, stopped = 0.0, True, 0
     for k, level in enumerate(ctx.pieces):
-        z = level.samples
-        worst = max(worst, float(np.abs(z).max()))
-        for _ in range(k + 1):
-            z = forward_map(z, cfg.param)
-            worst = max(worst, float(np.abs(z).max()))
-    ok = worst <= tol
-    return ok, f"max forward-orbit modulus {worst:.12f} vs |c| = {cfg.param.abs_c:.12f}"
+        w = level.samples.ravel()
+        mod = np.abs(w)
+        e = ku * (mod + a)
+        for step in range(k + 2):
+            if step:
+                live = e <= r1
+                w, mod, e = w[live], mod[live], e[live]
+                e = (2.0 * mod + e) * e + ku * (mod * mod + a)
+                w = forward_map(w, cfg.param)
+                mod = np.abs(w)
+            worst = max(worst, float(mod.max(initial=0.0)))
+            ok = ok and bool(np.all(mod <= a + e))
+        stopped += level.samples.size - w.size
+    detail = f"max forward-orbit modulus {worst:.12f} vs |c| = {a:.12f}"
+    if stopped:
+        detail += f", {stopped} orbits stopped once their error bound passed R_1 = {r1:.6g}"
+    return ok, detail
 
 
 def _check_suffix_sharing(ctx: _Ctx) -> tuple[bool, str]:
@@ -582,7 +616,7 @@ def _check_area_sandwich(ctx: _Ctx) -> tuple[bool, str]:
                 f"depth {n}: ordering failed: raster {raster_area:.9f}, "
                 f"grid {grid.area:.9f} (+{grid.margin:.9f}), sum {total:.9f}"
             )
-        if not total <= worst * (1.0 + 1e-12):
+        if not total <= worst:
             return False, f"depth {n}: sum {total:.9f} exceeds certified bound {worst:.9f}"
         last = (
             f"depth {n}: raster {raster_area:.9f} <= grid {grid.area:.9f} "

@@ -110,6 +110,57 @@ def test_diff_and_oracle_share_the_sandwich(tmp_path, capsys, piece_depth):
         assert diff[key].hex() == sw[key].hex(), key
 
 
+def _same(text: str, value) -> bool:
+    """A CSV cell against its JSON value, floats bit for bit."""
+    if isinstance(value, bool):
+        return text == ("true" if value else "false")
+    if isinstance(value, str):
+        return text == value
+    return float(text).hex() == float(value).hex()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--c-re", "5", "--depth", "40"),
+        ("bounds", "--c-re", "3", "--depth", "40"),
+        ("cover", "--c-re", "0", "--c-im", "2.5", "--depth", "2", "--samples", "64"),
+        ("diff", "--c-re", "0", "--c-im", "2.5", "--depth", "1", "--samples", "64",
+         "--cell", "0.05"),
+    ],
+    ids=["bounds-decay", "bounds-no-decay", "cover", "diff"],
+)
+def test_csv_and_json_carry_the_same_record(capsys, argv):
+    code, csv_text, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, json_text, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    obj = json.loads(json_text)
+    lines = csv_text.splitlines()
+    header, *body = [line.split(",") for line in lines if not line.startswith("# ")]
+    # a JSON [re, im] pair is the two CSV columns <name>_re and <name>_im
+    table = []
+    for row in obj[{"bounds": "rows", "cover": "pieces", "diff": "disks"}[argv[0]]]:
+        flat = {}
+        for key, value in row.items():
+            if isinstance(value, list):
+                flat[f"{key}_re"], flat[f"{key}_im"] = value
+            else:
+                flat[key] = value
+        table.append(flat)
+    assert len(body) == len(table) > 0
+    for cells, want in zip(body, table):
+        assert sorted(header) == sorted(want)
+        assert all(_same(text, want[name]) for name, text in zip(header, cells)), cells
+    trailer = [line[2:].split(",", 1) for line in lines if line.startswith("# ")]
+    assert trailer
+    for key, text in trailer:
+        value = obj[key] if key in obj else obj["decay"][key]
+        if isinstance(value, list):  # cover's "# pieces" counts the table
+            value = len(value)
+        assert _same(text, value), (key, text, value)
+
+
 def test_oracle_writes_artifacts(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "oracle", "--c-re", "5", "--depth", "1",
                            "--cell", "0.05", "--outdir", str(tmp_path / "o"))
@@ -144,6 +195,15 @@ def test_verify_cli_passes(capsys):
 )
 def test_verify_cli_passes_at_the_ends_of_the_domain(capsys, c):
     code, out, _ = run_cli(capsys, "verify", "--c-re", *c, "--depth", "2", "--count", "1000")
+    assert code == 0, out
+    assert out.strip().splitlines()[-1] == "verify: 24/24 checks passed"
+
+
+def test_verify_cli_passes_at_depth_9(capsys):
+    # the orbits of 16 samples at depth 9 pass |c| by 5.9e-9, within their
+    # rounding bound
+    code, out, _ = run_cli(capsys, "verify", "--c-re", "5", "--depth", "9", "--samples", "16",
+                           "--count", "1000")
     assert code == 0, out
     assert out.strip().splitlines()[-1] == "verify: 24/24 checks passed"
 

@@ -212,3 +212,45 @@ def test_shift_or_oracle_on_a_hand_made_pair():
     assert d.bits.shape == (2, 4)
     centers = sorted((round(z.real), round(z.imag)) for z in d.set_centers())
     assert centers == [(-1, -1), (1, -1)]
+
+
+@pytest.mark.parametrize(
+    "c, depth", [(5.0, 10), (1e7, 2), (1e300, 2)], ids=["5-d10", "1e7", "1e300"]
+)
+def test_piece_membership_allows_the_rounding_of_the_orbit(c, depth):
+    # the orbit's rounding error grows with depth and with |c|: at the first
+    # two points the orbit passes |c| by 3.2e-8 and 0.215; at 1e300 every
+    # orbit stops before it can overflow (warnings are errors here)
+    check = dict(verify._CHECKS)["piece-membership"]
+    cfg = VerifyConfig(param=Parameter(c), depth=depth, samples=16, count=1000)
+    ok, detail = check(verify._Ctx(cfg))
+    assert ok, detail
+    stopped = ", 224 orbits stopped once their error bound passed R_1 = 1.41421e+150"
+    assert detail.endswith(stopped) if c == 1e300 else "stopped" not in detail
+
+
+def test_piece_membership_rejects_a_moved_piece():
+    check = dict(verify._CHECKS)["piece-membership"]
+    ctx = verify._Ctx(_cfg(Parameter(5.0), depth=4))
+    assert check(ctx)[0]
+    level = ctx.pieces[-1]
+    moved = level.samples.copy()
+    moved[0] *= 1.0 + 1e-9
+    ctx.pieces[-1] = dataclasses.replace(level, samples=moved)
+    ok, detail = check(ctx)
+    assert not ok, detail
+
+
+def test_area_sandwich_decides_the_bound_without_slack(monkeypatch):
+    # a sum 5e-13 relative above the bound fails, as Sandwich.holds decides
+    real = verify.cov.sandwich
+
+    def tight(*args, **kwargs):
+        sw = real(*args, **kwargs)
+        return dataclasses.replace(sw, bound=sw.total * (1.0 - 5e-13))
+
+    monkeypatch.setattr(verify.cov, "sandwich", tight)
+    check = dict(verify._CHECKS)["area-sandwich"]
+    ok, detail = check(verify._Ctx(_cfg(Parameter(5.0))))
+    assert not ok
+    assert detail.startswith("depth 1: sum ") and " exceeds certified bound " in detail

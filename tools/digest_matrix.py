@@ -2,11 +2,14 @@
 
     python3 tools/digest_matrix.py OUTDIR [--src SRC]
 
-Runs 84 invocations, 14 at each of six parameters c: `cover` at depths 3
-and 4 with 64, 512, 5000 and 16384 samples, `diff` at depths 2 and 3,
-`verify --report` with 256 and 5000 samples, and `oracle` at depth 2 and
-at the oracle-fine configuration (depth 3, cell 0.005, 16384 samples, 2
-workers; at c = 5 it is the benchmark's oracle-fine command).  Each one
+Runs 108 invocations, 18 at each of six parameters c: `bounds` at depth
+60 (CSV), at depth 300 (JSON) and at depth 20 with `--epsilon 0.1`
+(JSON), `cover` at depths 3 and 4 with 64, 512, 5000 and 16384 samples
+and at depth 3 with 64 samples into `--output cover.csv`, `diff` at
+depths 2 and 3, `verify --report` with 256 and 5000 samples, and
+`oracle` at depth 2 and at the oracle-fine configuration (depth 3, cell
+0.005, 16384 samples, 2 workers; at c = 5 it is the benchmark's
+oracle-fine command).  Each one
 runs in a fresh child with PYTHONPATH=SRC (default: this checkout's src)
 and its own directory OUTDIR/NN-label as working directory, so output
 paths on the command line are relative.  Absolute occurrences of that
@@ -33,12 +36,20 @@ def invocations() -> list[tuple[str, list[str]]]:
     for re_, im in PARAMS:
         c = ["--c-re", re_, "--c-im", im]
         tag = f"c{re_}+{im}i"
+        runs += [
+            (f"{tag}-bounds-d60", ["bounds", *c, "--depth", "60"]),
+            (f"{tag}-bounds-d300", ["bounds", *c, "--depth", "300", "--format", "json"]),
+            (f"{tag}-bounds-eps", ["bounds", *c, "--depth", "20", "--epsilon", "0.1",
+                                   "--format", "json"]),
+        ]
         for depth, fmt in ((3, "csv"), (4, "json")):
             for samples in (64, 512, 5000, 16384):
                 runs.append((f"{tag}-cover-d{depth}-s{samples}", [
                     "cover", *c, "--depth", str(depth), "--samples", str(samples),
                     "--format", fmt]))
         runs += [
+            (f"{tag}-cover-output", ["cover", *c, "--depth", "3", "--samples", "64",
+                                     "--output", "cover.csv"]),
             (f"{tag}-diff-d2", ["diff", *c, "--depth", "2", "--samples", "5000",
                                 "--cell", "0.02", "--format", "json"]),
             (f"{tag}-diff-d3", ["diff", *c, "--depth", "3", "--cell", "0.02"]),
