@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -365,7 +366,12 @@ def dispatch(args: argparse.Namespace) -> int:
         "oracle": _run_oracle,
         "verify": _run_verify,
     }
-    return runners[args.command](args, Parameter(complex(args.c_re, args.c_im)), cap)
+    param = Parameter(complex(args.c_re, args.c_im))
+    epsilon = getattr(args, "epsilon", None)
+    # where decay holds, decay_parameters checks epsilon against its margin
+    if epsilon is not None and not decay_condition(param) and not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be a positive finite number, got {epsilon!r}")
+    return runners[args.command](args, param, cap)
 
 
 def main(argv: list[str] | None = None) -> int:

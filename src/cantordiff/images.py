@@ -4,8 +4,9 @@ Masks go out as P5 PGM (255 = set cell, 0 = empty) with a small JSON
 sidecar describing the window geometry; disk covers render to P6 PPM with
 a fixed palette.  Both formats stream to disk: the header, then the pixel
 rows in strips of about 1 MB, so writing an image holds one strip beyond
-the array it comes from, never a whole-image copy.  read_pgm reads the
-strips back straight into the mask.  No timestamps, no
+the array it comes from, never a whole-image copy.  A PGM strip is one
+uint8 negation of the bools' bytes (0 stays 0, 1 becomes 255).  read_pgm
+reads the strips back straight into the mask.  No timestamps, no
 library metadata: the same inputs produce byte-identical files.
 """
 from __future__ import annotations
@@ -77,9 +78,7 @@ def write_pgm(mask: GridMask, path: str | Path, extra: dict | None = None) -> Pa
 
     Image rows run top to bottom (largest imaginary part first).
     """
-    path = _write_netpbm(
-        path, "P5", mask.bits[::-1], lambda s: np.where(s, np.uint8(255), np.uint8(0))
-    )
+    path = _write_netpbm(path, "P5", mask.bits[::-1], lambda s: np.negative(s.view(np.uint8)))
     side = path.with_name(path.name + ".json")
     side.write_text(json.dumps(_sidecar(mask, extra), sort_keys=True, indent=2) + "\n")
     return path

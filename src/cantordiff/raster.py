@@ -20,8 +20,11 @@ Determinism.  All randomness comes from an explicit 64-bit linear
 congruential generator (s <- 6364136223846793005*s + 1442695040888963407
 mod 2^64, doubles taken as (s >> 11) / 2^53), vectorized by precomputed
 stride coefficients but bit-identical to the scalar recurrence.  Thread
-counts never change any output: each row block fills its own slice of
-one preallocated raster.
+counts never change any output: a preimage raster is symmetric under
+z -> -z, exactly so on its cell centers, so only its upper half is
+iterated, each row block filling its own disjoint slice of it, and the
+lower half is copied from the upper one turned by half a turn once every
+block is done.
 """
 from __future__ import annotations
 
@@ -132,7 +135,9 @@ def _survivors(z: np.ndarray, c: complex, thresholds: list[float]) -> np.ndarray
     idx = np.flatnonzero(np.abs(z) <= thresholds[0])
     w = z.ravel()[idx]
     for thr in thresholds[1:]:
-        w = w * w + c
+        # an orbit that overflows to inf or NaN fails the test below
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = w * w + c
         keep = np.abs(w) <= thr
         idx, w = idx[keep], w[keep]
     alive = np.zeros(z.shape, dtype=bool)
@@ -205,26 +210,29 @@ def rasterize_preimage(
 
     # rows per block; 32 keeps the variable-size survivor arrays of two
     # workers small enough that the process peak RSS does not grow.  The
-    # blocks are disjoint slices of bits, so any thread count gives the
-    # same bits.
+    # blocks are disjoint slices of the upper half of bits, so any thread
+    # count gives the same bits.
     block = 32
     bits = np.empty((width, width), dtype=bool)
 
     def fill_rows(y_lo: int) -> None:
-        y_hi = min(y_lo + block, width)
+        y_hi = min(y_lo + block, nhalf)
         z0 = coords[None, :] + 1j * coords[y_lo:y_hi, None]
         if mode == "inner":
             bits[y_lo:y_hi] = preimage_member(z0, param, depth)
         else:
             bits[y_lo:y_hi] = _outer_block(z0, param, depth, half_diag)
 
-    starts = range(0, width, block)
+    starts = range(0, nhalf, block)
     if workers <= 1:
         for lo in starts:
             fill_rows(lo)
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             list(ex.map(fill_rows, starts))
+    # Q(-z) = Q(z) and coords[width-1-k] == -coords[k] exactly, so the
+    # orbit of cell (width-1-iy, width-1-ix) is that of cell (iy, ix)
+    bits[nhalf:] = bits[nhalf - 1 :: -1, ::-1]
     return GridMask(origin=origin, cell=cell, bits=bits, mode=mode)
 
 

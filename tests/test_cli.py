@@ -55,6 +55,30 @@ def test_bounds_epsilon(capsys):
     assert obj["decay"]["settle_index"] == 3
 
 
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+@pytest.mark.parametrize("epsilon", ["-1", "0", "nan", "inf"])
+def test_epsilon_must_be_positive_and_finite(capsys, command, epsilon):
+    # at c = 3 decay is not guaranteed and epsilon goes unused, yet a value
+    # no certificate could take is still refused
+    code, out, err = run_cli(capsys, command, "--c-re", "3", "--depth", "2",
+                             "--epsilon", epsilon)
+    assert code == 2 and out == ""
+    assert err == f"error: epsilon must be a positive finite number, got {float(epsilon)!r}\n"
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_epsilon_outside_the_decay_margin(capsys, command):
+    code, out, err = run_cli(capsys, command, "--c-re", "5", "--depth", "2",
+                             "--epsilon", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: epsilon must lie in (0, 0.41742430504416017), got -1.0\n"
+
+
+def test_unused_epsilon_leaves_bounds_output(capsys):
+    plain = run_cli(capsys, "bounds", "--c-re", "3", "--depth", "5")
+    assert run_cli(capsys, "bounds", "--c-re", "3", "--depth", "5", "--epsilon", "0.1") == plain
+
+
 def test_complex_parameter(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--c-re", "-2", "--c-im", "2",
                            "--depth", "2", "--format", "json")

@@ -207,6 +207,48 @@ def test_scan_and_search_agree_between_the_limits():
                 assert _pair_scan(row)[:2] == _pair_search(row)[:2], (c, samples, k)
 
 
+def _pruning_inputs(n, rng):
+    # inputs where dropping points is delicate: exact ties, repeats, equal
+    # points, far offsets and extreme scales
+    k = rng.integers(0, 24, size=n)
+    blob = rng.normal(size=n) + 1j * rng.normal(size=n)
+    yield 2.5 * np.exp(2j * math.pi * k / 24) + 0.5
+    yield np.exp(2j * math.pi * (k % 5) / 5) - 3j
+    yield np.full(n, 0.3 - 0.7j)
+    yield (1e6 + 1e6j) + 1e-3 * blob
+    yield 1e-300 * blob
+    yield 1e150 * blob
+    # from index 0 the farthest-point sweeps go 0 -> 1 -> 0 and stop on a
+    # pair at distance 1, but the last two points lie 1.05 apart
+    box = 0.1 * (rng.uniform(-1, 1, size=n - 4) + 1j * rng.uniform(-1, 1, size=n - 4))
+    sweep = np.r_[0.0, 1.0, 0.5 + box, 0.5 + 0.52j, 0.5 - 0.53j]
+    assert np.abs(sweep - sweep[0]).argmax() == 1 and np.abs(sweep - sweep[1]).argmax() == 0
+    yield sweep
+
+
+@pytest.mark.parametrize("n", [4, 64, _ALL_PAIRS_LIMIT, _ALL_PAIRS_LIMIT + 1, 3000])
+def test_diametral_pair_equals_unpruned_paths(n):
+    # diametral_pair searches only the points that can end a diametral pair;
+    # the unpruned scan or search on every point must give the same answer
+    rng = np.random.default_rng(n)
+    plain = _pair_scan if n <= _ALL_PAIRS_LIMIT else _pair_search
+    for case, pts in enumerate(_pruning_inputs(n, rng)):
+        assert pts.size == n
+        assert (*diametral_pair(pts), diameter(pts)) == plain(pts), (case, n)
+
+
+@pytest.mark.parametrize("n, sides", [(64, 8), (64, 60), (_ALL_PAIRS_LIMIT + 80, 8)])
+def test_pruning_keeps_the_ties_of_turned_polygons(n, sides):
+    # the tied diagonals of a turned polygon differ from the start pair's
+    # distance in the last bits; without its slack the prune drops some
+    # of them on a few of these turns and the tie-break moves
+    k = (7 * np.arange(n)) % sides
+    plain = _pair_scan if n <= _ALL_PAIRS_LIMIT else _pair_search
+    for r in range(200):
+        pts = 6000.0 * np.exp(2j * math.pi * (r / 200 + k) / sides)
+        assert (*diametral_pair(pts), diameter(pts)) == plain(pts), r
+
+
 def test_block_search_memory_on_a_large_circle():
     # the vertices of a regular 2^18-gon in shuffled order: the search's
     # worst case, with a few hundred antipodal pairs tied after rounding

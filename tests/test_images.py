@@ -96,6 +96,16 @@ def test_streamed_writers_match_whole_image_bytes(tmp_path, monkeypatch, budget,
     assert write_ppm(pixels, tmp_path / "m.ppm").read_bytes() == _old_ppm(pixels)
 
 
+def test_pgm_pixels_of_a_strided_mask(tmp_path, monkeypatch):
+    # write_pgm converts each strip through a uint8 view of the bools; a
+    # mask that is a strided view of a larger array gives the same pixels
+    monkeypatch.setattr(images, "_STRIP_BYTES", 100)
+    bits = np.random.default_rng(43).random((90, 120)) < 0.5
+    m = GridMask(bits=bits[::2, 1::3], origin=0j, cell=1.0)
+    raw = write_pgm(m, tmp_path / "s.pgm").read_bytes()
+    assert raw == b"P5\n40 45\n255\n" + np.where(m.bits[::-1], 255, 0).astype(np.uint8).tobytes()
+
+
 def test_pgm_io_holds_one_strip(tmp_path):
     bits = np.zeros((4000, 4000), dtype=bool)
     bits[::3, 1::2] = True

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +285,35 @@ def test_raster_workers_identical(p5):
     b = rasterize_preimage(p5, 2, 0.02, workers=4)
     assert a.origin == b.origin
     assert np.array_equal(a.bits, b.bits)
+
+
+@pytest.mark.parametrize("c", [5.0, -5.0, 2.5j, 3 + 4j, 2.05 * np.exp(3j), 1e7])
+def test_raster_equals_cell_by_cell_tests(c):
+    # the raster fills the upper half and mirrors it; the plain forms test
+    # every cell of the full window.  nhalf is 41 and 96, one of them not a
+    # multiple of the 32-row block
+    p = Parameter(c)
+    for cell in (p.abs_c / 40.0, p.abs_c / 95.0):
+        nhalf = math.ceil((p.abs_c + cell) / cell)
+        coords = (np.arange(2 * nhalf) - nhalf + 0.5) * cell
+        z = coords[None, :] + 1j * coords[:, None]
+        for depth in range(5):
+            inner = preimage_member(z, p, depth)
+            outer = raster._outer_block(z, p, depth, cell * math.sqrt(2.0) / 2.0)
+            for workers in (1, 2):
+                for mode, want in (("inner", inner), ("outer", outer)):
+                    m = rasterize_preimage(p, depth, cell, mode, workers=workers)
+                    assert np.array_equal(m.bits, want), (cell, depth, workers, mode)
+
+
+def test_raster_orbit_overflow_is_silent():
+    # at c = 1e300 orbits overflow to inf or NaN; they fail the threshold
+    # test and drop out without a RuntimeWarning
+    p = Parameter(1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inner, outer = [rasterize_preimage(p, 2, 1e298, mode) for mode in ("inner", "outer")]
+    assert not np.any(inner.bits & ~outer.bits)
 
 
 def test_lcg_matches_scalar_reference():
