@@ -175,6 +175,13 @@ def _emit(args, fields: dict, table: str, columns: tuple, rows: list, trailer: l
         print(f"wrote {args.output}")
 
 
+def _check_cell_area(cell: float) -> None:
+    """Refuse a finite cell whose area cell^2 overflows: every grid and
+    raster area would read inf, which no sandwich can compare."""
+    if math.isfinite(cell) and not math.isfinite(cell * cell):
+        raise ValueError(f"--cell must have a finite square, got {cell!r}")
+
+
 def _run_bounds(args, param: Parameter, cap: int | None) -> int:
     if args.depth < 1:
         raise ValueError(f"--depth must be >= 1, got {args.depth}")
@@ -242,6 +249,7 @@ def _run_cover(args, param: Parameter, cap: int | None) -> int:
 def _run_diff(args, param: Parameter, cap: int | None) -> int:
     from .cover import generate_pieces, sandwich
 
+    _check_cell_area(args.cell)
     pieces = generate_pieces(param, args.depth, args.samples, max_points=cap)
     sw = sandwich(param, pieces, args.cell, cap)
     diff, grid = sw.disks, sw.union
@@ -278,6 +286,7 @@ def _run_oracle(args, param: Parameter, cap: int | None) -> int:
     from .images import write_pgm
     from .raster import mask_area, mask_difference, rasterize_preimage
 
+    _check_cell_area(args.cell)
     outdir: Path = args.outdir
     outdir.mkdir(parents=True, exist_ok=True)
     meta = {"c": [param.c.real, param.c.imag], "depth": args.depth}

@@ -122,9 +122,16 @@ class Sandwich:
     bound: float
 
     def holds(self, raster_area: float) -> bool:
-        """raster <= union <= sum + margin, and sum <= bound."""
+        """raster <= union <= sum + margin, and sum <= bound, all areas finite.
+
+        An area that overflowed to inf would satisfy any upper bound, so
+        it fails the chain instead; the bound alone may be inf (it
+        saturates near |c| = 2).
+        """
+        areas = (raster_area, self.union.area, self.total, self.union.margin)
         return (
-            raster_area <= self.union.area <= self.total + self.union.margin
+            all(map(math.isfinite, areas))
+            and raster_area <= self.union.area <= self.total + self.union.margin
             and self.total <= self.bound
         )
 

@@ -341,15 +341,17 @@ def _check_suffix_sharing(ctx: _Ctx) -> tuple[bool, str]:
 def _check_pairwise_contraction(ctx: _Ctx) -> tuple[bool, str]:
     cfg = ctx.cfg
     worst = 0.0
+    # |a - b| == |b - a| bit for bit, so each unordered pair once
+    i, j = np.triu_indices(cfg.samples, 1)
     for k in range(1, len(ctx.pieces)):
         factor = math.sqrt(2.0) * ctx.rows[k].inner_radius
         children = ctx.pieces[k].samples
-        half = 1 << k  # parent j has the children j and j + half
-        for j, parent in enumerate(ctx.pieces[k - 1].samples):
-            dp = np.abs(parent[:, None] - parent[None, :])
+        half = 1 << k  # parent p has the children p and p + half
+        for p, parent in enumerate(ctx.pieces[k - 1].samples):
+            dp = np.abs(parent[i] - parent[j])
             mask = dp > 0
-            for child in (children[j], children[j + half]):
-                dc = np.abs(child[:, None] - child[None, :]) * factor
+            for child in (children[p], children[p + half]):
+                dc = np.abs(child[i] - child[j]) * factor
                 np.divide(dc, dp, out=dc, where=mask)
                 worst = max(worst, float(dc.max(where=mask, initial=0.0)))
     ok = worst <= 1.0 + 1e-9

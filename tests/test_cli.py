@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -284,6 +285,20 @@ def test_exit_code_2_on_huge_parameter(argv):
     assert r.returncode == 2 and r.stdout == ""
     assert r.stderr.startswith("error: need |c| <= 4.4942328371557893e+307 ")
     assert r.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["oracle", "diff"])
+def test_cell_with_an_overflowing_square_is_refused(tmp_path, capsys, command):
+    # at c = 1e300 a cell of 1e298 has the area 1e596: every area would
+    # read inf and the sandwich would "hold" against it
+    extra = ["--outdir", str(tmp_path / "out")] if command == "oracle" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, command, "--c-re", "1e300", "--depth", "2",
+                                 "--cell", "1e298", *extra)
+    assert code == 2 and out == ""
+    assert err == "error: --cell must have a finite square, got 1e+298\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_2_on_bad_flag_value(capsys):

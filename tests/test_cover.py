@@ -1,5 +1,6 @@
 """Piece generation, enclosing-disk covers and the union-of-disks grid."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from cantordiff import (
     piece_diameter_bound,
     piece_sample_tree,
     piece_tree,
+    sandwich,
     sum_area,
     union_area_grid,
 )
@@ -195,3 +197,14 @@ def test_union_grid_cell_validation():
         union_area_grid(Disks([0j], [1.0]), 0.0)
     with pytest.raises(ValueError, match="cap"):
         union_area_grid(Disks([0j], [1.0]), 1e-5, max_cells=1000)
+
+
+def test_sandwich_fails_on_an_area_that_is_not_finite(p5):
+    sw = sandwich(p5, generate_pieces(p5, 1, samples=64), 0.05)
+    area = sw.union.area / 2.0
+    assert sw.holds(area)
+    assert not sw.holds(math.inf)
+    assert not sw.holds(math.nan)
+    # an overflowed sum or union would sit below an infinite bound
+    overflowed = dataclasses.replace(sw, total=math.inf, bound=math.inf)
+    assert not overflowed.holds(area)

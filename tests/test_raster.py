@@ -287,23 +287,72 @@ def test_raster_workers_identical(p5):
     assert np.array_equal(a.bits, b.bits)
 
 
-@pytest.mark.parametrize("c", [5.0, -5.0, 2.5j, 3 + 4j, 2.05 * np.exp(3j), 1e7])
+@pytest.mark.parametrize(
+    "c",
+    [
+        5.0,
+        -5.0,
+        2.5j,
+        3 + 4j,
+        2.05 * np.exp(3j),
+        1e7,
+        2 + 1e-9,
+        2.05 * np.exp(1j * np.pi),
+        4.7 * np.exp(2j),
+        1e300,
+    ],
+)
 def test_raster_equals_cell_by_cell_tests(c):
-    # the raster fills the upper half and mirrors it; the plain forms test
-    # every cell of the full window.  nhalf is 41 and 96, one of them not a
-    # multiple of the 32-row block
+    # the raster skips the blocks certified empty, fills the rest of the
+    # upper half and mirrors it; the plain forms test every cell of the
+    # full window.  nhalf is 41 and 96: 41 and the width 82 are not
+    # multiples of the 16-cell block (partial blocks on both axes), 96 is
     p = Parameter(c)
-    for cell in (p.abs_c / 40.0, p.abs_c / 95.0):
-        nhalf = math.ceil((p.abs_c + cell) / cell)
-        coords = (np.arange(2 * nhalf) - nhalf + 0.5) * cell
-        z = coords[None, :] + 1j * coords[:, None]
-        for depth in range(5):
-            inner = preimage_member(z, p, depth)
-            outer = raster._outer_block(z, p, depth, cell * math.sqrt(2.0) / 2.0)
-            for workers in (1, 2):
-                for mode, want in (("inner", inner), ("outer", outer)):
-                    m = rasterize_preimage(p, depth, cell, mode, workers=workers)
-                    assert np.array_equal(m.bits, want), (cell, depth, workers, mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cell in (p.abs_c / 40.0, p.abs_c / 95.0):
+            nhalf = math.ceil((p.abs_c + cell) / cell)
+            coords = (np.arange(2 * nhalf) - nhalf + 0.5) * cell
+            z = coords[None, :] + 1j * coords[:, None]
+            for depth in range(7):
+                inner = preimage_member(z, p, depth)
+                outer = raster._outer_block(z, p, depth, cell * math.sqrt(2.0) / 2.0)
+                for workers in (1, 2, 3):
+                    for mode, want in (("inner", inner), ("outer", outer)):
+                        m = rasterize_preimage(p, depth, cell, mode, workers=workers)
+                        assert np.array_equal(m.bits, want), (cell, depth, workers, mode)
+
+
+@pytest.mark.parametrize("mode", ["inner", "outer"])
+def test_block_test_rules_out_most_of_the_window(p5, mode):
+    # oracle-fine's rasters: if the margin ever stopped dropping blocks the
+    # bits would not change, only the time, so pin the live share
+    cell, depth = 0.005, 3
+    nhalf = math.ceil((p5.abs_c + cell) / cell)
+    coords = (np.arange(2 * nhalf) - nhalf + 0.5) * cell
+    if mode == "inner":
+        thresholds = [p5.abs_c] * (depth + 1)
+    else:
+        thresholds = raster._outer_thresholds(p5, depth, cell * math.sqrt(2.0) / 2.0)
+    live = raster._live_blocks(coords, nhalf, p5, thresholds)
+    assert live.shape == (math.ceil(nhalf / 16), math.ceil(2 * nhalf / 16))
+    assert 0 < live.sum() * 16 * 16 < 0.05 * nhalf * 2 * nhalf
+
+
+def test_raster_worker_error_reaches_the_caller(p5, monkeypatch):
+    # a failure on a worker thread is raised by rasterize_preimage itself
+    calls = []
+    survivors = raster._survivors
+
+    def failing(z, c, thresholds):
+        calls.append(None)
+        if len(calls) == 2:
+            raise MemoryError("worker out of memory")
+        return survivors(z, c, thresholds)
+
+    monkeypatch.setattr(raster, "_survivors", failing)
+    with pytest.raises(MemoryError, match="worker"):
+        rasterize_preimage(p5, 1, 0.05, workers=3)
 
 
 def test_raster_orbit_overflow_is_silent():
