@@ -15,7 +15,7 @@ trailer lines, with true/false for booleans.
 
 All output is deterministic: numbers print with 17 significant digits,
 JSON is emitted with sorted keys, and nothing depends on time or on
-oracle's --workers, the thread count of its two rasters.  Set
+--workers, which cover and oracle accept and ignore.  Set
 CANTORDIFF_MEMORY_CAP to an integer to override the default allocation
 caps of cover, diff and oracle (sample-tree points, difference-disk pairs
 and grid cells alike); verify ignores it and always runs at the built-in
@@ -129,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--samples", type=int, default=512,
                    help="boundary samples per piece for the disk-cover side")
     o.add_argument("--workers", type=int, default=1,
-                   help="threads for the inner and outer rasters (default 1)")
+                   help="accepted for compatibility; the rasters are always filled serially")
     o.add_argument("--outdir", type=Path, required=True)
 
     v = sub.add_parser("verify", help="run the cross-validation suite")
@@ -175,11 +175,24 @@ def _emit(args, fields: dict, table: str, columns: tuple, rows: list, trailer: l
         print(f"wrote {args.output}")
 
 
-def _check_cell_area(cell: float) -> None:
-    """Refuse a finite cell whose area cell^2 overflows: every grid and
-    raster area would read inf, which no sandwich can compare."""
-    if math.isfinite(cell) and not math.isfinite(cell * cell):
-        raise ValueError(f"--cell must have a finite square, got {cell!r}")
+def _check_cell_area(param: Parameter, cell: float, piece_depth: int | None) -> None:
+    """Refuse a cell at which an area of oracle or diff could overflow.
+
+    The samples of every piece lie in |z| <= |c|, so its enclosing disk
+    has |center| <= |c| and radius <= sqrt(3)|c|, and a difference disk
+    |center| <= 2|c| and radius <= 2*sqrt(3)|c|.  The rasters and the
+    union grid, spare cells included, then fit in a square of side
+    s = 12(|c| + cell): every squared offset, raster area and grid area is
+    at most s^2, and the sum area and the grid margin of the
+    4^(piece_depth + 1) difference disks are at most 4^(piece_depth + 1)
+    s^2.  Below 2^1023 all of them are finite.  piece_depth is None when
+    no disk cover is built.
+    """
+    if not (math.isfinite(cell) and cell > 0.0):
+        return  # the raster and the grid refuse it themselves
+    log2_disks = 0 if piece_depth is None else 2 * (piece_depth + 1)
+    if 2.0 * math.log2(12.0 * (param.abs_c + cell)) + log2_disks >= 1023.0:
+        raise ValueError(f"areas would overflow at --cell {cell!r} and |c| = {param.abs_c!r}")
 
 
 def _run_bounds(args, param: Parameter, cap: int | None) -> int:
@@ -249,8 +262,8 @@ def _run_cover(args, param: Parameter, cap: int | None) -> int:
 def _run_diff(args, param: Parameter, cap: int | None) -> int:
     from .cover import generate_pieces, sandwich
 
-    _check_cell_area(args.cell)
     pieces = generate_pieces(param, args.depth, args.samples, max_points=cap)
+    _check_cell_area(param, args.cell, args.depth)
     sw = sandwich(param, pieces, args.cell, cap)
     diff, grid = sw.disks, sw.union
     count = len(pieces)
@@ -286,7 +299,7 @@ def _run_oracle(args, param: Parameter, cap: int | None) -> int:
     from .images import write_pgm
     from .raster import mask_area, mask_difference, rasterize_preimage
 
-    _check_cell_area(args.cell)
+    _check_cell_area(param, args.cell, args.depth - 1 if args.depth >= 1 else None)
     outdir: Path = args.outdir
     outdir.mkdir(parents=True, exist_ok=True)
     meta = {"c": [param.c.real, param.c.imag], "depth": args.depth}

@@ -62,26 +62,22 @@ center p of the block whose orbit is still alive.  With u = 2^-53:
 Every cell of a dropped block is therefore clear in the per-cell test
 too, and the blocks that survive go through the unchanged _survivors on
 contiguous column runs: the bits are those of the cell-by-cell test, in
-both modes and at any thread count.  preimage_member and _outer_block
-test every cell and stay the references.  At c = 5, depth 3 and cell
-0.005, 38 of the 7,938 blocks of the upper half survive.
+both modes.  preimage_member and _outer_block test every cell and stay
+the references.  At c = 5, depth 3 and cell 0.005, 38 of the 7,938
+blocks of the upper half survive.
 
 Determinism.  All randomness comes from an explicit 64-bit linear
 congruential generator (s <- 6364136223846793005*s + 1442695040888963407
 mod 2^64, doubles taken as (s >> 11) / 2^53), vectorized by precomputed
-stride coefficients but bit-identical to the scalar recurrence.  Thread
-counts never change any output: a preimage raster is symmetric under
-z -> -z, exactly so on its cell centers, so only its upper half is
-iterated.  Its strips of live blocks are dealt out to `workers` plain
-threads, the calling one among them, each filling its own disjoint
-slices of the bits, and the lower
-half is copied from the upper one turned by half a turn once every
-thread is done.
+stride coefficients but bit-identical to the scalar recurrence.  A
+preimage raster is symmetric under z -> -z, exactly so on its cell
+centers, so only its upper half is iterated and the lower half is copied
+from it turned by half a turn.  The rasters are filled serially: after
+the block test too little work is left to share between threads.
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,6 +290,9 @@ def rasterize_preimage(
     certified to lie outside, giving a true superset of the preimage.
     The outer dilation grows rapidly with depth, so outer masks are only
     tight for small depths; they stay correct as supersets regardless.
+
+    workers is accepted for compatibility and ignored; the raster is
+    always filled serially.
     """
     if mode not in ("inner", "outer"):
         raise ValueError(f"mode must be 'inner' or 'outer', got {mode!r}")
@@ -313,41 +312,17 @@ def rasterize_preimage(
     else:
         thresholds = _outer_thresholds(param, depth, half_diag)
     live = _live_blocks(coords, nhalf, param, thresholds)
-    # each strip of _BLOCK rows with a live block, and its runs of live
-    # columns as (start, stop) cell indices
+    bits = np.zeros((width, width), dtype=bool)
+    # each strip of _BLOCK rows with a live block, filled by its runs of
+    # live columns as slices, so that a fully live strip is one call
     edges = np.diff(live.astype(np.int8), axis=1, prepend=0, append=0)
-    strips = []
     for i in np.flatnonzero(live.any(axis=1)).tolist():
+        y_lo, y_hi = i * _BLOCK, min(i * _BLOCK + _BLOCK, nhalf)
         starts = np.flatnonzero(edges[i] > 0) * _BLOCK
         stops = np.minimum(np.flatnonzero(edges[i] < 0) * _BLOCK, width)
-        runs = list(zip(starts.tolist(), stops.tolist()))
-        strips.append((i * _BLOCK, min(i * _BLOCK + _BLOCK, nhalf), runs))
-    bits = np.zeros((width, width), dtype=bool)
-    errors: list[Exception] = []
-
-    def fill(share: list) -> None:
-        # the strips are disjoint slices of the upper half of bits, so any
-        # thread count gives the same bits
-        try:
-            for y_lo, y_hi, runs in share:
-                for x_lo, x_hi in runs:
-                    z0 = coords[x_lo:x_hi] + 1j * coords[y_lo:y_hi, None]
-                    bits[y_lo:y_hi, x_lo:x_hi] = _survivors(z0, param.c, thresholds)
-        except Exception as exc:  # raised again below, on the calling thread
-            errors.append(exc)
-
-    # the calling thread takes the first share and one thread each the rest
-    threads = [
-        threading.Thread(target=fill, args=(strips[t::workers],))
-        for t in range(1, min(workers, len(strips)))
-    ]
-    for thread in threads:
-        thread.start()
-    fill(strips[:: max(workers, 1)])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+        for x_lo, x_hi in zip(starts.tolist(), stops.tolist()):
+            z0 = coords[x_lo:x_hi] + 1j * coords[y_lo:y_hi, None]
+            bits[y_lo:y_hi, x_lo:x_hi] = _survivors(z0, param.c, thresholds)
     # Q(-z) = Q(z) and coords[width-1-k] == -coords[k] exactly, so the
     # orbit of cell (width-1-iy, width-1-ix) is that of cell (iy, ix)
     bits[nhalf:] = bits[nhalf - 1 :: -1, ::-1]

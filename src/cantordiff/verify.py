@@ -613,13 +613,13 @@ def _check_area_sandwich(ctx: _Ctx) -> tuple[bool, str]:
         if stray:
             return False, f"depth {n}: {stray} difference cells escape the union grid"
         raster_area = mask_area(dm)
-        if not (raster_area <= grid.area and grid.area <= total + grid.margin):
+        if not sw.holds(raster_area):
+            if math.isfinite(total) and not total <= worst:
+                return False, f"depth {n}: sum {total:.9f} exceeds certified bound {worst:.9f}"
             return False, (
-                f"depth {n}: ordering failed: raster {raster_area:.9f}, "
-                f"grid {grid.area:.9f} (+{grid.margin:.9f}), sum {total:.9f}"
+                f"depth {n}: ordering failed or an area is not finite: raster "
+                f"{raster_area:.9f}, grid {grid.area:.9f} (+{grid.margin:.9f}), sum {total:.9f}"
             )
-        if not total <= worst:
-            return False, f"depth {n}: sum {total:.9f} exceeds certified bound {worst:.9f}"
         last = (
             f"depth {n}: raster {raster_area:.9f} <= grid {grid.area:.9f} "
             f"<= sum {total:.9f} <= bound {worst:.9f}"

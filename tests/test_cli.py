@@ -1,6 +1,7 @@
 """Command line interface: formats, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -287,18 +288,33 @@ def test_exit_code_2_on_huge_parameter(argv):
     assert r.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["oracle", "diff"])
-def test_cell_with_an_overflowing_square_is_refused(tmp_path, capsys, command):
-    # at c = 1e300 a cell of 1e298 has the area 1e596: every area would
-    # read inf and the sandwich would "hold" against it
+def _run_silently(capsys, tmp_path, command, c, cell):
     extra = ["--outdir", str(tmp_path / "out")] if command == "oracle" else []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, command, "--c-re", "1e300", "--depth", "2",
-                                 "--cell", "1e298", *extra)
+        return run_cli(capsys, command, "--c-re", c, "--depth", "2", "--cell", cell, *extra)
+
+
+@pytest.mark.parametrize("command", ["oracle", "diff"])
+@pytest.mark.parametrize("c, cell", [("1e300", "1e298"), ("1e155", "1.3e154")])
+def test_cell_at_which_an_area_overflows_is_refused(tmp_path, capsys, command, c, cell):
+    # at c = 1e300 a cell of 1e298 has the area 1e596; at c = 1e155 the
+    # square of 1.3e154 is finite, but 2 such cells or an offset of 1.5
+    # cells are not: every area would read inf and the sandwich "hold"
+    code, out, err = _run_silently(capsys, tmp_path, command, c, cell)
     assert code == 2 and out == ""
-    assert err == "error: --cell must have a finite square, got 1e+298\n"
+    assert err == f"error: areas would overflow at --cell {float(cell)!r} and |c| = {float(c)!r}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, c, cell", [("oracle", "1e152", "2e150"), ("diff", "1e151", "2e149")])
+def test_cell_just_inside_the_area_limit_runs_silently(tmp_path, capsys, command, c, cell):
+    code, out, _ = _run_silently(capsys, tmp_path, command, c, cell)
+    assert code == 0
+    # oracle prints "name,value" lines, diff "# name,value" trailer lines
+    fields = [line.removeprefix("# ").split(",") for line in out.splitlines()]
+    areas = [float(f[1]) for f in fields if f[0].endswith(("_area", "_margin", "_bound"))]
+    assert len(areas) >= 4 and all(map(math.isfinite, areas))
 
 
 def test_exit_code_2_on_bad_flag_value(capsys):

@@ -339,22 +339,6 @@ def test_block_test_rules_out_most_of_the_window(p5, mode):
     assert 0 < live.sum() * 16 * 16 < 0.05 * nhalf * 2 * nhalf
 
 
-def test_raster_worker_error_reaches_the_caller(p5, monkeypatch):
-    # a failure on a worker thread is raised by rasterize_preimage itself
-    calls = []
-    survivors = raster._survivors
-
-    def failing(z, c, thresholds):
-        calls.append(None)
-        if len(calls) == 2:
-            raise MemoryError("worker out of memory")
-        return survivors(z, c, thresholds)
-
-    monkeypatch.setattr(raster, "_survivors", failing)
-    with pytest.raises(MemoryError, match="worker"):
-        rasterize_preimage(p5, 1, 0.05, workers=3)
-
-
 def test_raster_orbit_overflow_is_silent():
     # at c = 1e300 orbits overflow to inf or NaN; they fail the threshold
     # test and drop out without a RuntimeWarning

@@ -254,3 +254,18 @@ def test_area_sandwich_decides_the_bound_without_slack(monkeypatch):
     ok, detail = check(verify._Ctx(_cfg(Parameter(5.0))))
     assert not ok
     assert detail.startswith("depth 1: sum ") and " exceeds certified bound " in detail
+
+
+def test_area_sandwich_fails_on_an_area_that_is_not_finite(monkeypatch):
+    # an overflowed sum sits below an infinite bound; Sandwich.holds, which
+    # the check defers to, refuses it
+    real = verify.cov.sandwich
+
+    def overflowed(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), total=math.inf, bound=math.inf)
+
+    monkeypatch.setattr(verify.cov, "sandwich", overflowed)
+    check = dict(verify._CHECKS)["area-sandwich"]
+    ok, detail = check(verify._Ctx(_cfg(Parameter(5.0))))
+    assert not ok
+    assert detail.startswith("depth 1: ordering failed or an area is not finite: ")
