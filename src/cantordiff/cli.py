@@ -176,7 +176,7 @@ def _emit(args, fields: dict, table: str, columns: tuple, rows: list, trailer: l
 
 
 def _check_cell_area(param: Parameter, cell: float, piece_depth: int | None) -> None:
-    """Refuse a cell at which an area of oracle or diff could overflow.
+    """Refuse a cell at which an area of oracle, diff or verify could overflow.
 
     The samples of every piece lie in |z| <= |c|, so its enclosing disk
     has |center| <= |c| and radius <= sqrt(3)|c|, and a difference disk
@@ -311,7 +311,7 @@ def _run_oracle(args, param: Parameter, cap: int | None) -> int:
         report[f"{name}_area"] = mask_area(mask)
 
     def build(mode: str):
-        return rasterize_preimage(param, args.depth, args.cell, mode, cap, args.workers)
+        return rasterize_preimage(param, args.depth, args.cell, mode, cap)
 
     # each raster is dropped once its PGM is written
     inner = build("inner")
@@ -349,6 +349,8 @@ def _run_oracle(args, param: Parameter, cap: int | None) -> int:
 def _run_verify(args, param: Parameter, cap: int | None) -> int:
     from .verify import VerifyConfig, run_verification
 
+    # verify's area sandwich builds pieces down to depth min(depth, 4)
+    _check_cell_area(param, args.cell, min(args.depth, 4))
     cfg = VerifyConfig(
         param=param,
         depth=args.depth,

@@ -152,7 +152,7 @@ def _as_points(points) -> np.ndarray:
 
 
 def _pair_scan(pts: np.ndarray) -> tuple[int, int, float]:
-    """Exact diametral pair by blocked all-pairs scan.
+    """Exact diametral pair by blocked all-pairs scan of np.hypot distances.
 
     Returns (i, j, distance) with i <= j and (i, j) lexicographically
     smallest among pairs attaining the maximum: the distance matrix is
@@ -162,7 +162,8 @@ def _pair_scan(pts: np.ndarray) -> tuple[int, int, float]:
     m = pts.size
     best, bi, bj = -1.0, 0, 0
     for lo in range(0, m, _BLOCK):
-        d = np.abs(pts[lo : lo + _BLOCK, None] - pts[None, :])
+        d = pts[lo : lo + _BLOCK, None] - pts[None, :]
+        d = np.hypot(d.real, d.imag)
         k = int(d.argmax())
         v = float(d.flat[k])
         if v > best:
@@ -192,7 +193,7 @@ def _unit_frame(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, i
 
 
 def _pair_search(pts: np.ndarray) -> tuple[int, int, float]:
-    """_pair_scan's contract with np.hypot distances, by branch-and-bound
+    """_pair_scan's contract, by branch-and-bound
     over blocks of _FAN**k angle-sorted points: from the top down, a block
     pair whose bound still reaches the best distance splits into its child
     pairs, highest bound first; O(m) memory plus _CHUNK pairs per level."""
@@ -270,9 +271,9 @@ def _diametral(points) -> tuple[int, int, float]:
     """(i, j, distance) of a diametral pair.
 
     (i, j), i <= j, is the lexicographically smallest pair attaining the
-    maximum distance: np.abs of complex differences in the all-pairs scan up
-    to _ALL_PAIRS_LIMIT points, np.hypot in the block search above it.  The
-    point count picks the method, and either runs on the _candidates only:
+    maximum distance, measured with np.hypot: the all-pairs scan up to
+    _ALL_PAIRS_LIMIT points, the block search above it.  The point count
+    picks the method, and either runs on the _candidates only:
     dropping points that end no diametral pair changes neither the pair nor
     its distance, and the ascending index map keeps the tie-break.
     """
@@ -287,8 +288,7 @@ def diametral_pair(points) -> tuple[int, int]:
     """Indices (i, j), i <= j, of a pair attaining the set diameter.
 
     Deterministic: the lexicographically smallest such pair at any size,
-    with distances as in _diametral (np.abs up to _ALL_PAIRS_LIMIT points,
-    np.hypot above; the two can differ in the last bit).
+    with distances rounded as scalar abs() of a complex rounds them.
     """
     i, j, _ = _diametral(points)
     return i, j

@@ -16,20 +16,26 @@ the two estimates comparable cell for cell.  Mask differences have one
 implementation, exact integer sums over pairs of row runs; verify holds
 it against a plain shift-and-OR of its own.
 
-Block culling.  A preimage raster decides each cell center p by the float
-orbit p~_0 = p, p~_{k+1} = fl(p~_k * p~_k + c) and the tests
-fl|p~_k| <= thr_k of _survivors, and a cell is set iff it passes every
-one.  rasterize_preimage first tiles the upper half of the window into
-blocks of _BLOCK x _BLOCK cells and runs the same float orbit b~_k from
-each block's center b, carrying a bound D_k >= |p~_k - b~_k| for every
-center p of the block whose orbit is still alive.  With u = 2^-53:
+The block test.  _live_blocks rules out a square of side x side cells at
+once.  It runs the float orbit b~_0 = b, b~_{k+1} = fl(b~_k * b~_k + c)
+from the square's float midpoint b and carries a bound D_k on the
+distance from b~_k to the orbit of every point the square stands for:
+with pad = 0 the float orbits p~_k of its float cell centers, the orbits
+that _survivors tests by fl|p~_k| <= thr_k; with pad at least the half
+diagonal the exact orbits Q^k(p) of every point p of its cells.  With
+u = 2^-53 and a_k = fl|b~_k|:
 
-  * D_0 is the block's half diagonal, measured on its float corner
-    centers, plus the rounding of their midpoint b.  The half widths and
-    their hypot h round down by a factor of at most 1 + 3u + O(u^2)
-    together, and b is off the true midpoint m by at most u|m| <=
-    1.01u*a_0, where a_k = fl|b~_k|.  So D_0 = (h + 2u*a_0) * (1 + 8u)
-    covers both, its own two roundings included.
+  * D_0 = (h + pad + 2u*a_0) * (1 + 8u), with h the hypot of the half
+    widths measured on the float corner centers.  b is off their exact
+    midpoint m by at most u|m|, every float center q~ lies within the
+    exact h of m, a cell's exact center q is off q~ by at most u|q| (one
+    rounded product per axis), and |m| <= (1 + 3.01u)*a_0 (np.abs is
+    hypot, within 2u).  So a float center lies within h + 1.01u*a_0 of
+    b, and a point p within h(1 + 1.01u) + pad + 2u*a_0 + 7.1u^2*a_0.
+    The computed h rounds down by a factor of at most 1 + 3u and D_0's
+    three roundings by (1 + u)^3, so D_0 >= (h + pad + 2u*a_0)(1 + 1.9u)
+    covers both while 1.9u*pad >= 3.3u^2*a_0, that is while the window
+    is under 2^51 cells wide (its bits alone would need 2^102 bytes).
   * One orbit step of numpy's w*w + c, rounded to nearest, errs by at
     most 4u(|w|^2 + |c|).  Each component of the square is two rounded
     products and a rounded sum (or a fused multiply-add), off by at most
@@ -43,28 +49,34 @@ center p of the block whose orbit is still alive.  With u = 2^-53:
         D_{k+1} = (2*a_k + D_k)*D_k + KAPPA*u*((a_k + D_k)^2 + a_k^2 + 2|c|)
 
     holds with KAPPA = 16.  Of it, 4 covers the rounding of the two orbit
-    steps; 2 covers using a_k in the first term, since np.abs is hypot,
-    within one ulp, so a_k may lie below |b~_k| by 2u relative, and
-    4u*a_k*D_k <= 2u(a_k + D_k)^2; 3 covers the round-to-nearest
+    steps (an exact step Q^k(p) -> Q^{k+1}(p) adds none); 2 covers using
+    a_k in the first term, since a_k may lie below |b~_k| by 2u relative,
+    and 4u*a_k*D_k <= 2u(a_k + D_k)^2; 3 covers the round-to-nearest
     evaluation of D_{k+1} itself, whose first term is at most
     (a_k + D_k)^2.  The other 7 are slack for the O(u^2) terms.
-  * At step k the block is certified empty once
+  * At step k the square is certified empty once
     (a_k*(1 - 4u) - D_k)*(1 - 4u) > thr_k in float.  Each of the three
     roundings of that expression errs upward by at most u relative, and
     a_k <= (1 + 2u)|b~_k|, so it exceeds thr_k only if |b~_k| - D_k >
-    thr_k / (1 - 2u).  Then every live cell has fl|p~_k| >=
-    (1 - 2u)|p~_k| >= (1 - 2u)(|b~_k| - D_k) > thr_k: its test fails.
-    A cell whose orbit is not finite at step k fails it as well (inf and
-    NaN are never <= thr_k), and a cell that failed an earlier test is
-    clear already.  The bound needs every step before k finite, so a
-    block whose orbit reaches inf or NaN is never dropped.
+    thr_k / (1 - 2u).  Then |Q^k(p)| > thr_k, and fl|p~_k| >= (1 -
+    2u)|p~_k| >= (1 - 2u)(|b~_k| - D_k) > thr_k: the test fails.  A cell
+    whose orbit is not finite at step k fails it as well (inf and NaN
+    are never <= thr_k), and a cell that failed an earlier test is clear
+    already.  The bound needs every step before k finite, so a square
+    whose orbit or margin reaches inf or NaN is kept and not iterated.
 
-Every cell of a dropped block is therefore clear in the per-cell test
-too, and the blocks that survive go through the unchanged _survivors on
-contiguous column runs: the bits are those of the cell-by-cell test, in
-both modes.  preimage_member and _outer_block test every cell and stay
-the references.  At c = 5, depth 3 and cell 0.005, 38 of the 7,938
-blocks of the upper half survive.
+Both modes tile the upper half of the window into squares of _BLOCK x
+_BLOCK cells and drop those certified empty.  Mode "inner" runs the
+unchanged _survivors on the column runs of the rest, so its bits are
+those of the cell-by-cell test (preimage_member); at c = 5, depth 3 and
+cell 0.005, 38 of the 7,938 squares survive.  Mode "outer" runs the test
+at a side of one cell.  A point p of the depth-n preimage has |Q^n(p)| <=
+|c|, and |Q^k(p)| <= sqrt(2|c|) for k < n, since |z|^2 <= |z^2 + c| + |c|
+and sqrt(2|c|) <= |c|.  _thresholds rounds both up, so a dropped cell
+holds no preimage point: the outer raster is a certified superset.  It
+equals the side-one test on the whole window at every parameter the
+tests sweep; that is not proven, as the two sides round differently.
+Nothing here imports the bound or verify machinery.
 
 Determinism.  All randomness comes from an explicit 64-bit linear
 congruential generator (s <- 6364136223846793005*s + 1442695040888963407
@@ -107,10 +119,6 @@ _CHUNK = 1 << 14
 # run pairs per np.add.at call in mask_difference (more only raise the
 # peak), and a one of the edge dtype, which np.add.at's fast path needs
 _PAIR_CHUNK, _ONE = 1 << 16, np.int32(1)
-
-# cap for the outer-mode dilation radii; once the certified error passes
-# it no further cell can be ruled out, so the iteration stops early
-_ERR_CAP = 1.0e6
 
 # cells per side of the blocks rasterize_preimage rules out whole, then
 # the unit roundoff of float64 and the rounding constant of the block
@@ -200,71 +208,57 @@ def _survivors(z: np.ndarray, c: complex, thresholds: list[float]) -> np.ndarray
     return alive
 
 
-def _outer_block(z0: np.ndarray, param: Parameter, depth: int, half_diag: float):
-    """Superset test: keep every cell not certified to miss the preimage.
-
-    If the cell contains a point p of the depth-fold preimage, the orbit
-    of p satisfies |Q^k(p)| <= R_1 for k < depth and <= |c| at k = depth,
-    while the center orbit w_k drifts from Q^k(p) by at most
-
-        e_0 = half diagonal,   e_{k+1} = (2*R_1 + e_k) * e_k
-
-    (from |Q(z) - Q(w)| = |z - w| |z + w| and the R_1 modulus bound).  So
-    a cell is certified out as soon as |w_k| exceeds the inflated
-    threshold; whatever survives is a superset of the preimage.  Once
-    e_k explodes past _ERR_CAP no further cell can be ruled out and the
-    loop stops early, which only enlarges the superset.
-    """
-    return _survivors(z0, param.c, _outer_thresholds(param, depth, half_diag))
-
-
-def _outer_thresholds(param: Parameter, depth: int, half_diag: float) -> list[float]:
-    """The inflated thresholds of _outer_block, one per orbit step."""
-    a = param.abs_c
-    r1 = math.sqrt(2.0 * a)
-    e = half_diag
-    thresholds = [(r1 if depth >= 1 else a) + e]
-    for k in range(1, depth + 1):
-        e = (2.0 * r1 + e) * e
-        if e > _ERR_CAP:
-            break
-        thresholds.append((r1 if k < depth else a) + e)
-    return thresholds
+def _thresholds(param: Parameter, depth: int, cell: float, mode: str) -> tuple[list[float], float]:
+    """(thresholds, pad) of the raster test, one threshold per orbit step:
+    |c| and no pad in mode "inner"; in mode "outer" sqrt(2|c|) before the
+    last step, |c| at it and the half diagonal, each rounded up
+    (math.sqrt(0.5) rounds up, and abs(c) is within an ulp)."""
+    if mode == "inner":
+        return [param.abs_c] * (depth + 1), 0.0
+    a = math.nextafter(param.abs_c, math.inf)
+    r1 = math.nextafter(math.sqrt(2.0 * a), math.inf)
+    pad = math.nextafter(cell * math.sqrt(0.5), math.inf)
+    return [r1] * depth + [a], pad
 
 
 def _live_blocks(
-    coords: np.ndarray, nhalf: int, param: Parameter, thresholds: list[float]
+    xs: np.ndarray, ys: np.ndarray, side: int, pad: float, param: Parameter, thresholds: list[float]
 ) -> np.ndarray:
-    """Blocks of the upper half that the block test cannot rule out.
+    """Squares of side x side cells over the column and row centers xs and
+    ys that the block test cannot rule out (module docstring).
 
-    Entry [i, j] covers the rows [i, i + 1) * _BLOCK of the raster and its
-    columns [j, j + 1) * _BLOCK, both clipped to the window; it is False
-    only when every cell center in it fails some test of _survivors with
-    these thresholds (the margin is derived in the module docstring).
+    Entry [i, j] covers the rows [i, i + 1) * side and the columns
+    [j, j + 1) * side, both clipped.  Only undecided squares are iterated.
     """
 
-    def axis(n: int) -> tuple[np.ndarray, np.ndarray]:
-        # float midpoints and half widths of the blocks along one axis
-        lo = coords[:n:_BLOCK]
-        hi = coords[np.minimum(np.arange(_BLOCK, n + _BLOCK, _BLOCK), n) - 1]
+    def axis(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # float midpoints and half widths of the squares along one axis
+        n = coords.size
+        lo = coords[::side]
+        hi = coords[np.minimum(np.arange(side, n + side, side), n) - 1]
         return (lo + hi) * 0.5, (hi - lo) * 0.5
 
-    (bx, hx), (by, hy) = axis(coords.size), axis(nhalf)
-    b = bx[None, :] + 1j * by[:, None]
-    a = np.abs(b)
-    d = (np.hypot(hx[None, :], hy[:, None]) + 2.0 * _U * a) * (1.0 + 8.0 * _U)
-    finite = np.ones(b.shape, dtype=bool)
-    live = np.ones(b.shape, dtype=bool)
+    (bx, hx), (by, hy) = axis(xs), axis(ys)
+    live = np.ones((by.size, bx.size), dtype=bool)
     shrink = 1.0 - 4.0 * _U
     with np.errstate(over="ignore", invalid="ignore"):
+        b = (bx[None, :] + 1j * by[:, None]).ravel()
+        a = np.abs(b)
+        d = (np.hypot(hx[None, :], hy[:, None]).ravel() + pad + 2.0 * _U * a) * (1.0 + 8.0 * _U)
+        idx = np.arange(b.size)
         for k, thr in enumerate(thresholds):
             if k:
                 d = (2.0 * a + d) * d + _KAPPA * _U * ((a + d) ** 2 + a * a + 2.0 * param.abs_c)
                 b = b * b + param.c
                 a = np.abs(b)
-            finite &= np.isfinite(a)
-            # a NaN margin compares False and keeps its block
-            live &= ~(finite & ((a * shrink - d) * shrink > thr))
+            finite = np.isfinite(a)
+            # a NaN or inf margin compares False and keeps its square
+            out = finite & ((a * shrink - d) * shrink > thr)
+            live.flat[idx[out]] = False
+            keep = finite & ~out & np.isfinite(d)
+            idx, b, a, d = idx[keep], b[keep], a[keep], d[keep]
+            if not idx.size:
+                break
     return live
 
 
@@ -274,7 +268,6 @@ def rasterize_preimage(
     cell: float,
     mode: str = "inner",
     max_cells: int | None = None,
-    workers: int = 1,
 ) -> GridMask:
     """Raster of the depth-fold preimage of the starting disk.
 
@@ -286,13 +279,9 @@ def rasterize_preimage(
     cell size.
 
     mode "inner" tests cell centers exactly (every marked center is a
-    true preimage point); mode "outer" marks every cell that cannot be
-    certified to lie outside, giving a true superset of the preimage.
-    The outer dilation grows rapidly with depth, so outer masks are only
-    tight for small depths; they stay correct as supersets regardless.
-
-    workers is accepted for compatibility and ignored; the raster is
-    always filled serially.
+    true preimage point); mode "outer" marks every cell that the block
+    test at a side of one cell cannot certify to lie outside, giving a
+    certified superset of the preimage (module docstring).
     """
     if mode not in ("inner", "outer"):
         raise ValueError(f"mode must be 'inner' or 'outer', got {mode!r}")
@@ -305,13 +294,9 @@ def rasterize_preimage(
     check_cap("raster cells", width * width, max_cells, DEFAULT_MAX_CELLS)
     coords = (np.arange(width, dtype=np.float64) - nhalf + 0.5) * cell
     origin = complex(-nhalf * cell, -nhalf * cell)
-    half_diag = cell * math.sqrt(2.0) / 2.0
 
-    if mode == "inner":
-        thresholds = [param.abs_c] * (depth + 1)
-    else:
-        thresholds = _outer_thresholds(param, depth, half_diag)
-    live = _live_blocks(coords, nhalf, param, thresholds)
+    thresholds, pad = _thresholds(param, depth, cell, mode)
+    live = _live_blocks(coords, coords[:nhalf], _BLOCK, pad, param, thresholds)
     bits = np.zeros((width, width), dtype=bool)
     # each strip of _BLOCK rows with a live block, filled by its runs of
     # live columns as slices, so that a fully live strip is one call
@@ -321,8 +306,12 @@ def rasterize_preimage(
         starts = np.flatnonzero(edges[i] > 0) * _BLOCK
         stops = np.minimum(np.flatnonzero(edges[i] < 0) * _BLOCK, width)
         for x_lo, x_hi in zip(starts.tolist(), stops.tolist()):
-            z0 = coords[x_lo:x_hi] + 1j * coords[y_lo:y_hi, None]
-            bits[y_lo:y_hi, x_lo:x_hi] = _survivors(z0, param.c, thresholds)
+            xs, ys = coords[x_lo:x_hi], coords[y_lo:y_hi]
+            if mode == "inner":
+                run = _survivors(xs + 1j * ys[:, None], param.c, thresholds)
+            else:
+                run = _live_blocks(xs, ys, 1, pad, param, thresholds)
+            bits[y_lo:y_hi, x_lo:x_hi] = run
     # Q(-z) = Q(z) and coords[width-1-k] == -coords[k] exactly, so the
     # orbit of cell (width-1-iy, width-1-ix) is that of cell (iy, ix)
     bits[nhalf:] = bits[nhalf - 1 :: -1, ::-1]

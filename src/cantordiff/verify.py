@@ -291,7 +291,7 @@ def _check_piece_membership(ctx: _Ctx) -> tuple[bool, str]:
 
     The float orbit w_m of a level-k sample retraces the inverse chain v_m
     that built it, back to the circle at m = k + 1.  With ku = _ORBIT_KAPPA
-    * u, e_0 = ku*(|w_0| + |c|) and, as in raster._outer_block,
+    * u, e_0 = ku*(|w_0| + |c|) and, from |Q(z) - Q(w)| = |z - w||z + w|,
     e_{m+1} = (2|w_m| + e_m)*e_m + ku*(|w_m|^2 + |c|) bound |w_m - v_m|,
     how far v_m may sit outside |z| = |c| and the rounding of the test
     |w_m| <= |c| + e_m.  An orbit stops once e_m passes R_1 = sqrt(2|c|),

@@ -295,7 +295,7 @@ def _run_silently(capsys, tmp_path, command, c, cell):
         return run_cli(capsys, command, "--c-re", c, "--depth", "2", "--cell", cell, *extra)
 
 
-@pytest.mark.parametrize("command", ["oracle", "diff"])
+@pytest.mark.parametrize("command", ["oracle", "diff", "verify"])
 @pytest.mark.parametrize("c, cell", [("1e300", "1e298"), ("1e155", "1.3e154")])
 def test_cell_at_which_an_area_overflows_is_refused(tmp_path, capsys, command, c, cell):
     # at c = 1e300 a cell of 1e298 has the area 1e596; at c = 1e155 the

@@ -92,12 +92,20 @@ def test_diametral_pair_tie_break_is_lexicographic():
     # unit square: both diagonals realize the diameter, pick smallest (i, j)
     pts = np.array([0.0, 1.0, 1.0 + 1.0j, 1.0j])
     assert diametral_pair(pts) == (0, 2)
+    # a 24-gon: vectorised np.abs rounds (0, 12) to 6.0 and misses the
+    # scalar maximum 6.000000000000001 of (5, 17)
+    pts = 3.0 * np.exp(2j * math.pi * np.arange(24) / 24) - 1.5j
+    best = max(abs(a - b) for a in pts for b in pts)
+    assert best == 6.000000000000001
+    assert _pair_scan(pts) == (5, 17, best) == (*_first_attaining_pair(pts), best)
+    assert (*diametral_pair(pts), diameter(pts)) == (5, 17, best)
 
 
 def _first_attaining_pair(pts):
     # brute-force oracle: smallest (i, j), i <= j, over every pair whose
-    # distance equals the maximum of the full distance matrix
-    d = np.abs(pts[:, None] - pts[None, :])
+    # np.hypot distance equals the maximum of the full distance matrix
+    d = pts[:, None] - pts[None, :]
+    d = np.hypot(d.real, d.imag)
     hits = np.argwhere(d == d.max())
     return min((int(i), int(j)) for i, j in hits if i <= j)
 
@@ -297,8 +305,7 @@ def test_hull_path_on_degenerate_inputs():
         # run on the few distinct points
         distinct = np.unique(pts)
         assert abs(pts[i] - pts[j]) == diameter(pts) == _max_hypot(distinct)
-        # the scan reaches the same distance up to its own rounding
-        assert diameter(pts) == pytest.approx(_pair_scan(distinct)[2], rel=1e-15)
+        assert diameter(pts) == _pair_scan(distinct)[2]
         assert diametral_pair(pts.copy()) == (i, j)
         assert (i, j, diameter(pts)) == _smallest_max_pair(pts)
 

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -280,13 +281,6 @@ def test_raster_cap(p5):
         rasterize_preimage(p5, 1, 1e-4, max_cells=10_000)
 
 
-def test_raster_workers_identical(p5):
-    a = rasterize_preimage(p5, 2, 0.02, workers=1)
-    b = rasterize_preimage(p5, 2, 0.02, workers=4)
-    assert a.origin == b.origin
-    assert np.array_equal(a.bits, b.bits)
-
-
 @pytest.mark.parametrize(
     "c",
     [
@@ -305,8 +299,9 @@ def test_raster_workers_identical(p5):
 def test_raster_equals_cell_by_cell_tests(c):
     # the raster skips the blocks certified empty, fills the rest of the
     # upper half and mirrors it; the plain forms test every cell of the
-    # full window.  nhalf is 41 and 96: 41 and the width 82 are not
-    # multiples of the 16-cell block (partial blocks on both axes), 96 is
+    # full window, the outer one at a side of one cell.  nhalf is 41 and
+    # 96: 41 and the width 82 are not multiples of the 16-cell block
+    # (partial blocks on both axes), 96 is
     p = Parameter(c)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -315,12 +310,11 @@ def test_raster_equals_cell_by_cell_tests(c):
             coords = (np.arange(2 * nhalf) - nhalf + 0.5) * cell
             z = coords[None, :] + 1j * coords[:, None]
             for depth in range(7):
-                inner = preimage_member(z, p, depth)
-                outer = raster._outer_block(z, p, depth, cell * math.sqrt(2.0) / 2.0)
-                for workers in (1, 2, 3):
-                    for mode, want in (("inner", inner), ("outer", outer)):
-                        m = rasterize_preimage(p, depth, cell, mode, workers=workers)
-                        assert np.array_equal(m.bits, want), (cell, depth, workers, mode)
+                thresholds, pad = raster._thresholds(p, depth, cell, "outer")
+                outer = raster._live_blocks(coords, coords, 1, pad, p, thresholds)
+                for mode, want in (("inner", preimage_member(z, p, depth)), ("outer", outer)):
+                    m = rasterize_preimage(p, depth, cell, mode)
+                    assert np.array_equal(m.bits, want), (cell, depth, mode)
 
 
 @pytest.mark.parametrize("mode", ["inner", "outer"])
@@ -330,13 +324,67 @@ def test_block_test_rules_out_most_of_the_window(p5, mode):
     cell, depth = 0.005, 3
     nhalf = math.ceil((p5.abs_c + cell) / cell)
     coords = (np.arange(2 * nhalf) - nhalf + 0.5) * cell
-    if mode == "inner":
-        thresholds = [p5.abs_c] * (depth + 1)
-    else:
-        thresholds = raster._outer_thresholds(p5, depth, cell * math.sqrt(2.0) / 2.0)
-    live = raster._live_blocks(coords, nhalf, p5, thresholds)
+    thresholds, pad = raster._thresholds(p5, depth, cell, mode)
+    live = raster._live_blocks(coords, coords[:nhalf], 16, pad, p5, thresholds)
     assert live.shape == (math.ceil(nhalf / 16), math.ceil(2 * nhalf / 16))
     assert 0 < live.sum() * 16 * 16 < 0.05 * nhalf * 2 * nhalf
+
+
+def _exact_escapes(c: complex, depth: int, points) -> bool:
+    # |Q^depth(p)|^2 > |c|^2 in exact rational arithmetic, p = (x, y)
+    cr, ci = Fraction(c.real), Fraction(c.imag)
+    bound = cr * cr + ci * ci
+    for x, y in points:
+        for _ in range(depth):
+            x, y = x * x - y * y + cr, 2 * x * y + ci
+        if not x * x + y * y > bound:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("c", [5.0, 2.5j, 3 + 4j])
+def test_outer_cells_dropped_next_to_kept_ones_hold_no_preimage_point(c):
+    # |c| is exact at these parameters.  The dropped cells that border a
+    # kept one are those nearest the preimage; the corners and the center
+    # of each, exact multiples of the cell size, must escape exactly
+    p = Parameter(c)
+    cell = 0.05
+    for depth in (1, 2, 3):
+        m = rasterize_preimage(p, depth, cell, "outer")
+        kept = np.pad(m.bits, 1)
+        near = np.zeros_like(kept)
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                near |= np.roll(kept, (dy, dx), axis=(0, 1))
+        iy, ix = np.nonzero((near & ~kept)[1:-1, 1:-1])
+        assert iy.size > 100
+        nhalf, h = m.width // 2, Fraction(cell)
+        points = set()
+        for j, i in zip((iy - nhalf).tolist(), (ix - nhalf).tolist()):
+            points |= {(i * h, j * h), ((i + 1) * h, j * h), (i * h, (j + 1) * h),
+                       ((i + 1) * h, (j + 1) * h), ((2 * i + 1) * h / 2, (2 * j + 1) * h / 2)}
+        assert _exact_escapes(p.c, depth, points), depth
+
+
+def test_piece_samples_lie_in_outer_cells():
+    # the samples of the depth-(n - 1) pieces lie on the boundary of the
+    # depth-n preimage, so the cells that hold them must be kept
+    from cantordiff import generate_pieces
+
+    for c in (5.0, 2.5j, 3 + 4j, 2.2):
+        p = Parameter(c)
+        for depth in (1, 3, 5):
+            m = rasterize_preimage(p, depth, 0.01, "outer")
+            z = generate_pieces(p, depth - 1, samples=2048).samples.ravel()
+            ix = np.floor((z.real - m.origin.real) / m.cell).astype(int)
+            iy = np.floor((z.imag - m.origin.imag) / m.cell).astype(int)
+            assert m.bits[iy, ix].all(), (c, depth)
+
+
+def test_outer_raster_is_tight_at_depth_4(p5):
+    # a superset that stopped dropping cells would pass every containment
+    # test, so pin how tight the outer raster is
+    assert mask_area(rasterize_preimage(p5, 4, 0.01, "outer")) < 0.03
 
 
 def test_raster_orbit_overflow_is_silent():
