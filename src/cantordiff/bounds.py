@@ -42,8 +42,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from itertools import islice
 
 __all__ = [
@@ -65,8 +65,7 @@ _SQRT2_UP = math.nextafter(math.sqrt(2.0), math.inf)
 _TWELVE_PI_UP = math.nextafter(12.0 * math.nextafter(math.pi, math.inf), math.inf)
 
 
-@dataclass(frozen=True)
-class Parameter:
+class Parameter(namedtuple("Parameter", "c")):
     """Parameter c of the quadratic map, restricted to |c| > 2.
 
     For |c| > 2 the filled Julia set is totally disconnected and the whole
@@ -76,11 +75,10 @@ class Parameter:
     limits and the decay margin) would overflow.
     """
 
-    c: complex
-    abs_c: float = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        c = complex(self.c)
+    def __new__(cls, c):
+        c = complex(c)
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise ValueError("parameter c must be finite")
         try:
@@ -95,35 +93,39 @@ class Parameter:
             raise ValueError(
                 f"need |c| <= {_ABS_C_MAX:.17g} (4|c| must stay finite), got c = {c}"
             )
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "abs_c", a)
+        return super().__new__(cls, c)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace validates too
+        return cls(*iterable)
+
+    @property
+    def abs_c(self) -> float:
+        return abs(self.c)
 
 
-@dataclass(frozen=True)
-class BoundRow:
-    """One depth of the certified bound table."""
+class BoundRow(
+    namedtuple("BoundRow", "n outer_radius inner_radius diam_bound bound ratio_step")
+):
+    """One depth of the certified bound table.
 
-    n: int
-    outer_radius: float  # R_n, rounded up
-    inner_radius: float  # r_n, rounded down
-    diam_bound: float  # K_n, certified piece diameter at depth n
-    bound: float  # 12*pi*4^n*K_n^2, certified cover area
-    ratio_step: float  # bound(n+1)/bound(n) = 2/r_{n+2}^2, rounded up
+    outer_radius is R_n, rounded up; inner_radius r_n, rounded down;
+    diam_bound K_n, the certified piece diameter at depth n; bound
+    12*pi*4^n*K_n^2, the certified cover area; ratio_step
+    bound(n+1)/bound(n) = 2/r_{n+2}^2, rounded up.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DecayParams:
+class DecayParams(namedtuple("DecayParams", "epsilon delta settle_index ratio prefactor")):
     """Geometric-decay certificate for the bound sequence.
 
     For every n >= settle_index the table satisfies
     bound(n) <= prefactor * ratio^n with ratio < 1.
     """
 
-    epsilon: float
-    delta: float
-    settle_index: int
-    ratio: float
-    prefactor: float
+    __slots__ = ()
 
 
 def _up(x: float) -> float:

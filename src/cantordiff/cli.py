@@ -21,17 +21,17 @@ caps of cover, diff and oracle (sample-tree points, difference-disk pairs
 and grid cells alike); verify ignores it and always runs at the built-in
 caps.
 
-bounds runs on the standard library alone: the other subcommands import
-their numpy-backed modules (cover, raster, images, verify) when they run.
+`import cantordiff.cli` loads argparse, pathlib and the bounds module, all
+on the standard library, and bounds runs on nothing more: json is imported
+where JSON is written, and the other subcommands import their numpy-backed
+modules (cover, raster, images, verify) when they run.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -76,6 +76,8 @@ def _cell(v) -> str:
 
 
 def _json_text(obj) -> str:
+    import json
+
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
@@ -203,7 +205,7 @@ def _run_bounds(args, param: Parameter, cap: int | None) -> int:
         for r in bound_table(param, args.depth)
     ]
     guaranteed = decay_condition(param)
-    decay = asdict(decay_parameters(param, args.epsilon)) if guaranteed else None
+    decay = decay_parameters(param, args.epsilon)._asdict() if guaranteed else None
     fields = {
         "schema": BOUNDS_SCHEMA,
         "c": [param.c.real, param.c.imag],

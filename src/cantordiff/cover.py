@@ -27,7 +27,7 @@ computes both next to the certified closed-form bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -61,7 +61,6 @@ _MIN_SAMPLES = 16
 _STRIP = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
 class Pieces:
     """The 2^(depth+1) sampled pieces of one depth with their enclosing disks.
 
@@ -70,14 +69,23 @@ class Pieces:
     disk on that pair.
     """
 
-    depth: int
-    samples: np.ndarray
-    sampled_diam: np.ndarray
-    disks: Disks
+    __slots__ = ("depth", "samples", "sampled_diam", "disks")
 
-    def __post_init__(self) -> None:
-        self.samples.setflags(write=False)
-        self.sampled_diam.setflags(write=False)
+    def __init__(
+        self, depth: int, samples: np.ndarray, sampled_diam: np.ndarray, disks: Disks
+    ) -> None:
+        samples.setflags(write=False)
+        sampled_diam.setflags(write=False)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "sampled_diam", sampled_diam)
+        object.__setattr__(self, "disks", disks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -87,16 +95,14 @@ class Pieces:
         return format(j, f"0{self.depth + 1}b")
 
 
-@dataclass(frozen=True)
-class GridArea:
+class GridArea(namedtuple("GridArea", "mask margin")):
     """Grid estimate of a union area plus its certified allowance.
 
     area counts the marked cells of mask times cell^2; the dilation used
     while marking guarantees area <= (sum of member areas) + margin.
     """
 
-    mask: GridMask = field(repr=False, compare=False)
-    margin: float
+    __slots__ = ()
 
     @property
     def cells(self) -> int:
@@ -107,8 +113,7 @@ class GridArea:
         return self.cells * self.mask.cell * self.mask.cell
 
 
-@dataclass(frozen=True)
-class Sandwich:
+class Sandwich(namedtuple("Sandwich", "disks union total bound")):
     """The area chain for one depth of pieces.
 
     disks is the difference cover of the pieces' sampled enclosing disks,
@@ -116,10 +121,7 @@ class Sandwich:
     the certified closed form 12*pi*4^n*K_n^2 at the pieces' depth n.
     """
 
-    disks: Disks
-    union: GridArea
-    total: float
-    bound: float
+    __slots__ = ()
 
     def holds(self, raster_area: float) -> bool:
         """raster <= union <= sum + margin, and sum <= bound, all areas finite.

@@ -26,7 +26,7 @@ sample rows a few points of thousands remain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -56,36 +56,35 @@ _FAN = 8
 _CHUNK = 256
 
 
-@dataclass(frozen=True)
-class Disk:
+class Disk(namedtuple("Disk", "center radius")):
     """Closed disk {z : |z - center| <= radius}."""
 
-    center: complex
-    radius: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        r = float(self.radius)
+    def __new__(cls, center, radius):
+        r = float(radius)
         if not (math.isfinite(r) and r >= 0.0):
             raise ValueError(f"radius must be finite and >= 0, got {r!r}")
-        object.__setattr__(self, "center", complex(self.center))
-        object.__setattr__(self, "radius", r)
+        return super().__new__(cls, complex(center), r)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace validates too
+        return cls(*iterable)
 
     @property
     def area(self) -> float:
         return math.pi * self.radius * self.radius
 
 
-@dataclass(frozen=True, eq=False)
 class Disks:
     """A nonempty set of closed disks {|z - centers[k]| <= radii[k]} as
     parallel read-only 1-D arrays; disks[k] is the scalar Disk k."""
 
-    centers: np.ndarray
-    radii: np.ndarray
+    __slots__ = ("centers", "radii")
 
-    def __post_init__(self) -> None:
-        c = np.asarray(self.centers, dtype=np.complex128).reshape(-1).view()
-        r = np.asarray(self.radii, dtype=np.float64).reshape(-1).view()
+    def __init__(self, centers, radii) -> None:
+        c = np.asarray(centers, dtype=np.complex128).reshape(-1).view()
+        r = np.asarray(radii, dtype=np.float64).reshape(-1).view()
         if r.size == 0:
             raise ValueError("need at least one disk")
         if c.shape != r.shape:
@@ -96,6 +95,12 @@ class Disks:
         r.setflags(write=False)
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "radii", r)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __len__(self) -> int:
         return self.radii.size

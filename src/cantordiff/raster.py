@@ -90,7 +90,7 @@ the block test too little work is left to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -128,21 +128,22 @@ _U = 2.0**-53
 _KAPPA = 16.0
 
 
-@dataclass(frozen=True)
-class GridMask:
+class GridMask(namedtuple("GridMask", "origin cell bits mode")):
     """Bit raster over an axis-aligned window of the plane."""
 
-    origin: complex
-    cell: float
-    bits: np.ndarray
-    mode: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.bits.dtype != np.bool_ or self.bits.ndim != 2:
+    def __new__(cls, origin: complex, cell: float, bits: np.ndarray, mode: str = ""):
+        if bits.dtype != np.bool_ or bits.ndim != 2:
             raise ValueError("bits must be a 2-d boolean array")
-        if not (math.isfinite(self.cell) and self.cell > 0.0):
-            raise ValueError(f"cell must be finite and > 0, got {self.cell!r}")
-        self.bits.setflags(write=False)
+        if not (math.isfinite(cell) and cell > 0.0):
+            raise ValueError(f"cell must be finite and > 0, got {cell!r}")
+        bits.setflags(write=False)
+        return super().__new__(cls, origin, cell, bits, mode)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace validates too
+        return cls(*iterable)
 
     @property
     def height(self) -> int:

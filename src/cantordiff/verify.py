@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -71,22 +71,31 @@ _NEST_C = 16.0
 # leave a 1/48 relative slack for the terms of order u^2.
 _ORBIT_KAPPA = 48.0
 
+# sample pairs per block of pairwise-contraction: the default 256 samples
+# (32,640 pairs) are one block, and a block's temporaries stay near 4 MB
+_PAIR_BLOCK = 1 << 16
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    param: Parameter
-    depth: int = 4
-    samples: int = 256
-    cell: float = 0.02
-    count: int = 20000
-    seed: int = 20260816
-    epsilon: float | None = None
 
-    def __post_init__(self) -> None:
+class VerifyConfig(
+    namedtuple(
+        "VerifyConfig",
+        "param depth samples cell count seed epsilon",
+        defaults=(4, 256, 0.02, 20000, 20260816, None),
+    )
+):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         if self.count < 1000:
             raise ValueError(f"count must be >= 1000, got {self.count}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace validates too
+        return cls(*iterable)
 
 
 class _Ctx:
@@ -340,20 +349,28 @@ def _check_suffix_sharing(ctx: _Ctx) -> tuple[bool, str]:
 
 def _check_pairwise_contraction(ctx: _Ctx) -> tuple[bool, str]:
     cfg = ctx.cfg
+    n = cfg.samples
     worst = 0.0
-    # |a - b| == |b - a| bit for bit, so each unordered pair once
-    i, j = np.triu_indices(cfg.samples, 1)
-    for k in range(1, len(ctx.pieces)):
-        factor = math.sqrt(2.0) * ctx.rows[k].inner_radius
-        children = ctx.pieces[k].samples
-        half = 1 << k  # parent p has the children p and p + half
-        for p, parent in enumerate(ctx.pieces[k - 1].samples):
-            dp = np.abs(parent[i] - parent[j])
-            mask = dp > 0
-            for child in (children[p], children[p + half]):
-                dc = np.abs(child[i] - child[j]) * factor
-                np.divide(dc, dp, out=dc, where=mask)
-                worst = max(worst, float(dc.max(where=mask, initial=0.0)))
+    # |a - b| == |b - a| bit for bit, so each unordered pair once, taken in
+    # blocks of rows lo..hi-1 with at most _PAIR_BLOCK pairs (one row at least)
+    lo = 0
+    while lo < n - 1:
+        hi = min(n - 1, lo + max(1, _PAIR_BLOCK // (n - 1 - lo)))
+        i, j = np.triu_indices(hi - lo, 1, n - lo)
+        i += lo
+        j += lo
+        for k in range(1, len(ctx.pieces)):
+            factor = math.sqrt(2.0) * ctx.rows[k].inner_radius
+            children = ctx.pieces[k].samples
+            half = 1 << k  # parent p has the children p and p + half
+            for p, parent in enumerate(ctx.pieces[k - 1].samples):
+                dp = np.abs(parent[i] - parent[j])
+                mask = dp > 0
+                for child in (children[p], children[p + half]):
+                    dc = np.abs(child[i] - child[j]) * factor
+                    np.divide(dc, dp, out=dc, where=mask)
+                    worst = max(worst, float(dc.max(where=mask, initial=0.0)))
+        lo = hi
     ok = worst <= 1.0 + 1e-9
     return ok, f"max contracted/original pairwise ratio {worst:.12f} (depths 1..{cfg.depth})"
 

@@ -1,13 +1,18 @@
 """Command line interface: formats, exit codes, determinism."""
 
+import ast
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
+import numpy
 import pytest
 
+import cantordiff
 from cantordiff.cli import main
 
 
@@ -427,6 +432,36 @@ def test_bounds_runs_without_numpy():
     assert out["csv_rows"] == 1 + 300 + 8
     assert out["json_rows"] > 300
     assert out["loaded"] == ["cantordiff.bounds", "cantordiff.cli"]
+
+
+def test_cli_imports_only_what_it_runs():
+    # -S: no site hooks, so nothing is preloaded that a plain interpreter
+    # lacks; numpy's directory goes on the path by hand for verify
+    path = [str(Path(m.__file__).resolve().parents[1]) for m in (cantordiff, numpy)]
+    code = (
+        "import contextlib, io, sys\n"
+        "from cantordiff.cli import main\n"
+        "def loaded(*argv):\n"
+        "    if argv:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            assert main(list(argv)) == 0\n"
+        "    heavy = ('dataclasses', 'inspect', 'json', 'typing', 'numpy')\n"
+        "    return [m for m in heavy if m in sys.modules]\n"
+        "print(loaded())\n"
+        "print(loaded('bounds', '--c-re', '5', '--depth', '30'))\n"
+        "print(loaded('verify', '--c-re', '5', '--depth', '1', '--samples', '16', '--count', '1000'))\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    )
+    assert r.returncode == 0, r.stderr
+    on_import, after_bounds, after_verify = map(ast.literal_eval, r.stdout.splitlines())
+    assert on_import == after_bounds == []
+    assert "dataclasses" not in after_verify and "json" not in after_verify
+    assert "numpy" in after_verify
 
 
 def test_package_resolves_names_lazily():

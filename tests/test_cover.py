@@ -1,6 +1,5 @@
 """Piece generation, enclosing-disk covers and the union-of-disks grid."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -206,5 +205,5 @@ def test_sandwich_fails_on_an_area_that_is_not_finite(p5):
     assert not sw.holds(math.inf)
     assert not sw.holds(math.nan)
     # an overflowed sum or union would sit below an infinite bound
-    overflowed = dataclasses.replace(sw, total=math.inf, bound=math.inf)
+    overflowed = sw._replace(total=math.inf, bound=math.inf)
     assert not overflowed.holds(area)

@@ -1,0 +1,137 @@
+"""The record types: read-only, compared by value where they were, validated."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from cantordiff import (
+    DecayParams,
+    Disk,
+    Disks,
+    GridMask,
+    Parameter,
+    Pieces,
+    VerifyConfig,
+    bound_table,
+    decay_parameters,
+    generate_pieces,
+    sandwich,
+)
+from cantordiff.cli import main
+
+
+def _records():
+    p = Parameter(5.0)
+    pieces = generate_pieces(p, 1, samples=32)
+    sw = sandwich(p, pieces, 0.1)
+    return [
+        p,
+        bound_table(p, 2)[0],
+        decay_parameters(p),
+        Disk(1j, 2.0),
+        pieces.disks,
+        pieces,
+        sw.union,
+        sw,
+        sw.union.mask,
+        VerifyConfig(param=p),
+    ]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_fields_refuse_assignment(record):
+    fields = getattr(record, "_fields", None) or type(record).__slots__
+    assert fields
+    for name in fields:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is value
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_disk_and_parameter_compare_and_hash_by_value():
+    assert Parameter(5) == Parameter(5.0 + 0j)
+    assert hash(Parameter(5)) == hash(Parameter(complex(5.0)))
+    assert Parameter(5) != Parameter(-5)
+    assert Parameter(5).c == complex(5.0) and type(Parameter(5).c) is complex
+    assert Parameter(3 + 4j).abs_c == 5.0
+    assert repr(Parameter(5)) == "Parameter(c=(5+0j))"
+    assert Disk(1, 2) == Disk(1 + 0j, 2.0)
+    assert hash(Disk(1, 2)) == hash(Disk(1 + 0j, 2.0))
+    assert Disk(1, 2) != Disk(1, 3)
+    assert len({Disk(0, 1), Disk(0j, 1.0), Disk(1, 1)}) == 2
+    assert Disk(0, 2).area == math.pi * 4.0
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Parameter(2.0), r"need \|c\| > 2 \(totally disconnected regime\), got \|c\| = 2$"),
+        (lambda: Parameter(1.2 + 1.6j), r"need \|c\| > 2 .*, got \|c\| = 2$"),
+        (lambda: Parameter(complex(math.inf, 0.0)), "^parameter c must be finite$"),
+        (lambda: Parameter(complex(0.0, math.nan)), "^parameter c must be finite$"),
+        (lambda: Parameter(1.5e308 + 1.5e308j), r"need \|c\| <= .*4\|c\| must stay finite"),
+        (lambda: Disk(0, -1.0), r"^radius must be finite and >= 0, got -1\.0$"),
+        (lambda: Disk(0, math.nan), "^radius must be finite and >= 0, got nan$"),
+        (lambda: GridMask(0j, 1.0, np.zeros((2, 2), np.uint8)), "^bits must be a 2-d boolean array$"),
+        (lambda: GridMask(0j, 0.0, np.zeros((2, 2), bool)), r"^cell must be finite and > 0, got 0\.0$"),
+        (lambda: VerifyConfig(param=Parameter(5.0), depth=0), "^depth must be >= 1, got 0$"),
+        (lambda: VerifyConfig(Parameter(5.0), 2, 16, 0.1, 999), "^count must be >= 1000, got 999$"),
+        (lambda: Disks([], []), "^need at least one disk$"),
+    ],
+)
+def test_constructors_keep_their_errors(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_replace_validates_like_the_constructor():
+    with pytest.raises(ValueError, match="need"):
+        Parameter(5.0)._replace(c=1.0)
+    with pytest.raises(ValueError, match="radius"):
+        Disk(0, 1.0)._replace(radius=-1.0)
+    with pytest.raises(ValueError, match="count"):
+        VerifyConfig(param=Parameter(5.0))._replace(count=10)
+    bits = np.ones((2, 3), bool)
+    mask = GridMask(0j, 1.0, np.zeros((2, 3), bool))._replace(bits=bits)
+    assert not bits.flags.writeable and mask.bits is bits
+    assert Parameter(5.0)._replace(c=-5) == Parameter(-5.0)
+    assert Disk(0, 1.0)._replace(radius=3) == Disk(0, 3.0)
+
+
+def test_arrays_are_read_only():
+    p = Parameter(5.0)
+    pieces = generate_pieces(p, 1, samples=32)
+    mask = sandwich(p, pieces, 0.1).union.mask
+    for arr in (pieces.samples, pieces.sampled_diam, pieces.disks.centers,
+                pieces.disks.radii, mask.bits):
+        assert not arr.flags.writeable
+
+
+def test_verify_config_keeps_its_defaults():
+    cfg = VerifyConfig(param=Parameter(5.0))
+    assert cfg._asdict() == {
+        "param": Parameter(5.0),
+        "depth": 4,
+        "samples": 256,
+        "cell": 0.02,
+        "count": 20000,
+        "seed": 20260816,
+        "epsilon": None,
+    }
+    assert VerifyConfig(Parameter(5.0), 2).depth == 2
+
+
+def test_decay_fields_are_the_bounds_json_decay_block(capsys):
+    assert main(["bounds", "--c-re", "5", "--depth", "3", "--format", "json"]) == 0
+    decay = json.loads(capsys.readouterr().out)["decay"]
+    assert decay == decay_parameters(Parameter(5.0))._asdict()
+    assert list(DecayParams._fields) == [
+        "epsilon", "delta", "settle_index", "ratio", "prefactor"
+    ]

@@ -1,7 +1,6 @@
 """The cross-validation harness: every check green and fully reproducible."""
 
 import cmath
-import dataclasses
 import json
 import math
 from decimal import Decimal
@@ -9,7 +8,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from cantordiff import Disk, GridMask, Parameter, VerifyConfig, run_verification
+from cantordiff import Disk, GridMask, Parameter, Pieces, VerifyConfig, run_verification
 from cantordiff import bounds as bnd
 from cantordiff import verify
 from cantordiff.verify import REPORT_SCHEMA, raster_diff_proof
@@ -91,9 +90,9 @@ def test_bound_telescoping_rejects_a_bad_finite_row(monkeypatch, c, edit):
         rows = table(param, depth)
         assert math.isfinite(rows[40].bound)
         if edit == "ratio_step":
-            rows[40] = dataclasses.replace(rows[40], ratio_step=rows[40].ratio_step * (1.0 + 1e-6))
+            rows[40] = rows[40]._replace(ratio_step=rows[40].ratio_step * (1.0 + 1e-6))
         else:
-            rows[40:] = [dataclasses.replace(row, **{edit: math.inf}) for row in rows[40:]]
+            rows[40:] = [row._replace(**{edit: math.inf}) for row in rows[40:]]
         return rows
 
     cfg = VerifyConfig(param=Parameter(c))
@@ -164,11 +163,11 @@ def test_radius_recursion_rejects_an_inward_row(monkeypatch, c, edit):
     def tampered(param, depth):
         rows = table(param, depth)
         if edit == "inner-1-one-ulp-up":
-            rows[0] = dataclasses.replace(rows[0], inner_radius=math.nextafter(0.0, 1.0))
+            rows[0] = rows[0]._replace(inner_radius=math.nextafter(0.0, 1.0))
         elif edit == "outer-10-inside":
-            rows[9] = dataclasses.replace(rows[9], outer_radius=_inside(outer[9], -math.inf))
+            rows[9] = rows[9]._replace(outer_radius=_inside(outer[9], -math.inf))
         else:
-            rows[9] = dataclasses.replace(rows[9], inner_radius=_inside(inner[9], math.inf))
+            rows[9] = rows[9]._replace(inner_radius=_inside(inner[9], math.inf))
         return rows
 
     cfg = VerifyConfig(param=param)
@@ -236,7 +235,7 @@ def test_piece_membership_rejects_a_moved_piece():
     level = ctx.pieces[-1]
     moved = level.samples.copy()
     moved[0] *= 1.0 + 1e-9
-    ctx.pieces[-1] = dataclasses.replace(level, samples=moved)
+    ctx.pieces[-1] = Pieces(level.depth, moved, level.sampled_diam, level.disks)
     ok, detail = check(ctx)
     assert not ok, detail
 
@@ -247,7 +246,7 @@ def test_area_sandwich_decides_the_bound_without_slack(monkeypatch):
 
     def tight(*args, **kwargs):
         sw = real(*args, **kwargs)
-        return dataclasses.replace(sw, bound=sw.total * (1.0 - 5e-13))
+        return sw._replace(bound=sw.total * (1.0 - 5e-13))
 
     monkeypatch.setattr(verify.cov, "sandwich", tight)
     check = dict(verify._CHECKS)["area-sandwich"]
@@ -262,10 +261,51 @@ def test_area_sandwich_fails_on_an_area_that_is_not_finite(monkeypatch):
     real = verify.cov.sandwich
 
     def overflowed(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), total=math.inf, bound=math.inf)
+        return real(*args, **kwargs)._replace(total=math.inf, bound=math.inf)
 
     monkeypatch.setattr(verify.cov, "sandwich", overflowed)
     check = dict(verify._CHECKS)["area-sandwich"]
     ok, detail = check(verify._Ctx(_cfg(Parameter(5.0))))
     assert not ok
     assert detail.startswith("depth 1: ordering failed or an area is not finite: ")
+
+
+def _pairwise_ratio_all_at_once(ctx) -> float:
+    # the check before its pairs were blocked: every pair held at once
+    i, j = np.triu_indices(ctx.cfg.samples, 1)
+    worst = 0.0
+    for k in range(1, len(ctx.pieces)):
+        factor = math.sqrt(2.0) * ctx.rows[k].inner_radius
+        children = ctx.pieces[k].samples
+        for p, parent in enumerate(ctx.pieces[k - 1].samples):
+            dp = np.abs(parent[i] - parent[j])
+            for child in (children[p], children[p + (1 << k)]):
+                dc = np.abs(child[i] - child[j]) * factor
+                worst = max(worst, float((dc[dp > 0] / dp[dp > 0]).max()))
+    return worst
+
+
+@pytest.mark.parametrize("samples", [16, 255, 256, 300, 700])
+def test_pairwise_contraction_blocks_keep_the_ratio(samples):
+    # 256 samples are one block of pairs, 300 two and 700 five
+    ctx = verify._Ctx(_cfg(Parameter(0.0 + 2.5j), depth=3, samples=samples))
+    ok, detail = dict(verify._CHECKS)["pairwise-contraction"](ctx)
+    assert ok
+    assert detail.startswith(f"max contracted/original pairwise ratio {_pairwise_ratio_all_at_once(ctx):.12f} ")
+
+
+def test_pairwise_contraction_memory_is_bounded():
+    # 2048 samples have 2,096,128 pairs: held at once, their indices and
+    # distances took more than 100 MB
+    import tracemalloc
+
+    ctx = verify._Ctx(_cfg(Parameter(5.0), depth=1, samples=2048))
+    ctx.pieces, ctx.rows
+    tracemalloc.start()
+    try:
+        ok, _ = dict(verify._CHECKS)["pairwise-contraction"](ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 8 << 20, peak
