@@ -16,15 +16,17 @@ trailer lines, with true/false for booleans.
 All output is deterministic: numbers print with 17 significant digits,
 JSON is emitted with sorted keys, and nothing depends on time or on
 --workers, which cover and oracle accept and ignore.  Set
-CANTORDIFF_MEMORY_CAP to an integer to override the default allocation
-caps of cover, diff and oracle (sample-tree points, difference-disk pairs
-and grid cells alike); verify ignores it and always runs at the built-in
-caps.
+CANTORDIFF_MEMORY_CAP to a positive integer to replace every built-in
+allocation cap (sample points, difference-disk pairs, raster and grid
+cells, render pixels) of cover, diff, oracle and verify alike; bounds
+allocates nothing capped and ignores it.  A run over a cap, or with a
+malformed cap, exits 2.
 
-`import cantordiff.cli` loads argparse, pathlib and the bounds module, all
-on the standard library, and bounds runs on nothing more: json is imported
-where JSON is written, and the other subcommands import their numpy-backed
-modules (cover, raster, images, verify) when they run.
+`import cantordiff.cli` loads argparse and the bounds module, both on the
+standard library, and bounds runs on nothing more: json is imported where
+JSON is written, and the other subcommands import their numpy-backed
+modules (cover, raster, images, verify) when they run.  Paths stay plain
+strings, so pathlib is not loaded either.
 """
 from __future__ import annotations
 
@@ -34,7 +36,6 @@ import os
 import sys
 from itertools import chain
 from operator import itemgetter
-from pathlib import Path
 
 from .bounds import (
     Parameter,
@@ -51,8 +52,6 @@ BOUNDS_SCHEMA = "cantordiff-bounds/1"
 COVER_SCHEMA = "cantordiff-cover/1"
 DIFF_SCHEMA = "cantordiff-diff/1"
 ORACLE_SCHEMA = "cantordiff-oracle/1"
-
-ENV_CAP = "CANTORDIFF_MEMORY_CAP"
 
 _DECAY_NOTE = "decay not guaranteed: need |c| > 3 and |c|^2 - 6|c| + 6 > 0"
 
@@ -101,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--depth", type=int, default=50, help="table depth (default 50)")
     b.add_argument("--epsilon", type=_parse_epsilon, default=None, metavar="X|auto")
     b.add_argument("--format", choices=("csv", "json"), default="csv")
-    b.add_argument("--output", type=Path, default=None)
+    b.add_argument("--output", default=None)
 
     c = sub.add_parser("cover", help="sampled pieces and enclosing disks")
     _add_param_args(c)
@@ -110,8 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; pieces are always built serially")
     c.add_argument("--format", choices=("csv", "json"), default="csv")
-    c.add_argument("--output", type=Path, default=None)
-    c.add_argument("--render", type=Path, default=None, help="write a PPM image here")
+    c.add_argument("--output", default=None)
+    c.add_argument("--render", default=None, help="write a PPM image here")
     c.add_argument("--render-cell", type=float, default=None)
 
     d = sub.add_parser("diff", help="difference-disk cover and area estimates")
@@ -120,8 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--samples", type=int, default=512)
     d.add_argument("--cell", type=float, default=0.01, help="union grid cell size")
     d.add_argument("--format", choices=("csv", "json"), default="csv")
-    d.add_argument("--output", type=Path, default=None)
-    d.add_argument("--render", type=Path, default=None)
+    d.add_argument("--output", default=None)
+    d.add_argument("--render", default=None)
     d.add_argument("--render-cell", type=float, default=None)
 
     o = sub.add_parser("oracle", help="brute-force preimage and difference rasters")
@@ -132,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="boundary samples per piece for the disk-cover side")
     o.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; the rasters are always filled serially")
-    o.add_argument("--outdir", type=Path, required=True)
+    o.add_argument("--outdir", required=True)
 
     v = sub.add_parser("verify", help="run the cross-validation suite")
     _add_param_args(v)
@@ -142,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--count", type=int, default=20000)
     v.add_argument("--seed", type=int, default=20260816)
     v.add_argument("--epsilon", type=_parse_epsilon, default=None, metavar="X|auto")
-    v.add_argument("--report", type=Path, default=None, help="write the JSON report here")
+    v.add_argument("--report", default=None, help="write the JSON report here")
 
     return parser
 
@@ -172,7 +171,7 @@ def _emit(args, fields: dict, table: str, columns: tuple, rows: list, trailer: l
     if args.output is None:
         sys.stdout.writelines(text)
     else:
-        with args.output.open("w") as f:
+        with open(args.output, "w") as f:
             f.writelines(text)
         print(f"wrote {args.output}")
 
@@ -197,7 +196,7 @@ def _check_cell_area(param: Parameter, cell: float, piece_depth: int | None) -> 
         raise ValueError(f"areas would overflow at --cell {cell!r} and |c| = {param.abs_c!r}")
 
 
-def _run_bounds(args, param: Parameter, cap: int | None) -> int:
+def _run_bounds(args, param: Parameter) -> int:
     if args.depth < 1:
         raise ValueError(f"--depth must be >= 1, got {args.depth}")
     rows = [
@@ -222,7 +221,7 @@ def _run_bounds(args, param: Parameter, cap: int | None) -> int:
     return 0
 
 
-def _render_cover(disks, render: Path, render_cell: float | None) -> None:
+def _render_cover(disks, render: str, render_cell: float | None) -> None:
     from .images import render_disks, write_ppm
 
     if render_cell is None:
@@ -236,10 +235,10 @@ def _render_cover(disks, render: Path, render_cell: float | None) -> None:
     print(f"wrote {render}")
 
 
-def _run_cover(args, param: Parameter, cap: int | None) -> int:
+def _run_cover(args, param: Parameter) -> int:
     from .cover import generate_pieces
 
-    pieces = generate_pieces(param, args.depth, args.samples, max_points=cap)
+    pieces = generate_pieces(param, args.depth, args.samples)
     disks = pieces.disks
     fields = {
         "schema": COVER_SCHEMA,
@@ -261,12 +260,12 @@ def _run_cover(args, param: Parameter, cap: int | None) -> int:
     return 0
 
 
-def _run_diff(args, param: Parameter, cap: int | None) -> int:
+def _run_diff(args, param: Parameter) -> int:
     from .cover import generate_pieces, sandwich
 
-    pieces = generate_pieces(param, args.depth, args.samples, max_points=cap)
+    pieces = generate_pieces(param, args.depth, args.samples)
     _check_cell_area(param, args.cell, args.depth)
-    sw = sandwich(param, pieces, args.cell, cap)
+    sw = sandwich(param, pieces, args.cell)
     diff, grid = sw.disks, sw.union
     count = len(pieces)
     fields = {
@@ -294,7 +293,7 @@ def _run_diff(args, param: Parameter, cap: int | None) -> int:
     return 0
 
 
-def _run_oracle(args, param: Parameter, cap: int | None) -> int:
+def _run_oracle(args, param: Parameter) -> int:
     import numpy as np
 
     from .cover import generate_pieces, sandwich
@@ -302,21 +301,22 @@ def _run_oracle(args, param: Parameter, cap: int | None) -> int:
     from .raster import mask_area, mask_difference, rasterize_preimage
 
     _check_cell_area(param, args.cell, args.depth - 1 if args.depth >= 1 else None)
-    outdir: Path = args.outdir
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = args.outdir
     meta = {"c": [param.c.real, param.c.imag], "depth": args.depth}
     report = {"schema": ORACLE_SCHEMA, **meta, "cell": args.cell, "sandwich": None}
 
     def record(name: str, mask) -> None:
-        write_pgm(mask, outdir / f"{name}.pgm", meta)
+        write_pgm(mask, os.path.join(outdir, f"{name}.pgm"), meta)
         report[f"{name}_cells"] = int(np.count_nonzero(mask.bits))
         report[f"{name}_area"] = mask_area(mask)
 
     def build(mode: str):
-        return rasterize_preimage(param, args.depth, args.cell, mode, cap)
+        return rasterize_preimage(param, args.depth, args.cell, mode)
 
-    # each raster is dropped once its PGM is written
+    # each raster is dropped once its PGM is written; a run refused by the
+    # first raster's cap leaves no directory behind
     inner = build("inner")
+    os.makedirs(outdir or os.curdir, exist_ok=True)
     record("inner", inner)
     record("outer", build("outer"))
     record("diff", mask_difference(inner, inner))
@@ -324,8 +324,8 @@ def _run_oracle(args, param: Parameter, cap: int | None) -> int:
     if args.depth >= 1:
         # disk-cover side at the matching piece depth: depth-(d-1) pieces
         # tile the d-fold preimage the rasters just measured
-        pieces = generate_pieces(param, args.depth - 1, args.samples, max_points=cap)
-        sw = sandwich(param, pieces, args.cell, cap)
+        pieces = generate_pieces(param, args.depth - 1, args.samples)
+        sw = sandwich(param, pieces, args.cell)
         report["sandwich"] = {
             "piece_depth": args.depth - 1,
             "union_area": sw.union.area,
@@ -334,7 +334,8 @@ def _run_oracle(args, param: Parameter, cap: int | None) -> int:
             "worst_case_bound": sw.bound,
             "holds": sw.holds(report["diff_area"]),
         }
-    (outdir / "report.json").write_text(_json_text(report))
+    with open(os.path.join(outdir, "report.json"), "w") as f:
+        f.write(_json_text(report))
     print(f"inner_area,{_cell(report['inner_area'])}")
     print(f"outer_area,{_cell(report['outer_area'])}")
     print(f"diff_area,{_cell(report['diff_area'])}")
@@ -348,7 +349,7 @@ def _run_oracle(args, param: Parameter, cap: int | None) -> int:
     return 0
 
 
-def _run_verify(args, param: Parameter, cap: int | None) -> int:
+def _run_verify(args, param: Parameter) -> int:
     from .verify import VerifyConfig, run_verification
 
     # verify's area sandwich builds pieces down to depth min(depth, 4)
@@ -369,22 +370,14 @@ def _run_verify(args, param: Parameter, cap: int | None) -> int:
     npass = sum(1 for c in report["checks"] if c["passed"])
     print(f"verify: {npass}/{len(report['checks'])} checks passed")
     if args.report is not None:
-        args.report.write_text(_json_text(report))
+        with open(args.report, "w") as f:
+            f.write(_json_text(report))
         print(f"wrote {args.report}")
     return 0 if report["passed"] else 1
 
 
 def dispatch(args: argparse.Namespace) -> int:
     """Route parsed arguments to their subcommand."""
-    cap_text = os.environ.get(ENV_CAP)
-    cap = None
-    if cap_text is not None:
-        try:
-            cap = int(cap_text)
-        except ValueError:
-            raise ValueError(f"{ENV_CAP} must be an integer, got {cap_text!r}")
-        if cap <= 0:
-            raise ValueError(f"{ENV_CAP} must be positive, got {cap}")
     runners = {
         "bounds": _run_bounds,
         "cover": _run_cover,
@@ -397,7 +390,7 @@ def dispatch(args: argparse.Namespace) -> int:
     # where decay holds, decay_parameters checks epsilon against its margin
     if epsilon is not None and not decay_condition(param) and not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be a positive finite number, got {epsilon!r}")
-    return runners[args.command](args, param, cap)
+    return runners[args.command](args, param)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .bounds import difference_measure_bound
 from .geometry import Disks, Parameter, diametral_disks, diametral_pair, inverse_branch
-from .raster import DEFAULT_MAX_CELLS, GridMask, check_cap
+from .raster import DEFAULT_MAX_CELLS, DEFAULT_MAX_PAIRS, DEFAULT_MAX_POINTS, GridMask, check_cap
 
 __all__ = [
     "Pieces",
@@ -52,9 +52,6 @@ __all__ = [
     "DEFAULT_MAX_PAIRS",
     "DEFAULT_MAX_CELLS",
 ]
-
-DEFAULT_MAX_POINTS = 1 << 24
-DEFAULT_MAX_PAIRS = 1 << 20
 
 _MIN_SAMPLES = 16
 # cells per strip when union_grid_mask tests one disk window
@@ -104,6 +101,14 @@ class GridArea(namedtuple("GridArea", "mask margin")):
 
     __slots__ = ()
 
+    def __eq__(self, other):
+        if not isinstance(other, GridArea):
+            return NotImplemented
+        return self.mask == other.mask and self.margin == other.margin
+
+    def __ne__(self, other):  # tuple's own would compare the masks' bits cell by cell
+        return not self == other
+
     @property
     def cells(self) -> int:
         return int(np.count_nonzero(self.mask.bits))
@@ -146,12 +151,7 @@ def boundary_samples(param: Parameter, count: int) -> np.ndarray:
     return param.abs_c * np.exp(2j * math.pi * k / count)
 
 
-def piece_sample_tree(
-    param: Parameter,
-    depth: int,
-    samples: int = 512,
-    max_points: int | None = None,
-) -> list[np.ndarray]:
+def piece_sample_tree(param: Parameter, depth: int, samples: int = 512) -> list[np.ndarray]:
     """Sampled pieces for every depth 0..depth, lexicographic order.
 
     Returns one array per level; level k has shape (2^(k+1), samples),
@@ -161,7 +161,7 @@ def piece_sample_tree(
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     total = ((1 << (depth + 2)) - 2) * samples
-    check_cap("sample tree points", total, max_points, DEFAULT_MAX_POINTS)
+    check_cap("sample tree points", total, DEFAULT_MAX_POINTS)
     level = boundary_samples(param, samples)[None, :]
     levels: list[np.ndarray] = []
     for _ in range(depth + 1):
@@ -184,27 +184,17 @@ def _pieces(level: np.ndarray) -> Pieces:
     )
 
 
-def generate_pieces(
-    param: Parameter,
-    depth: int,
-    samples: int = 512,
-    max_points: int | None = None,
-) -> Pieces:
+def generate_pieces(param: Parameter, depth: int, samples: int = 512) -> Pieces:
     """The 2^(depth+1) sampled pieces at one depth, with enclosing disks."""
-    return _pieces(piece_sample_tree(param, depth, samples, max_points)[-1])
+    return _pieces(piece_sample_tree(param, depth, samples)[-1])
 
 
-def piece_tree(
-    param: Parameter,
-    depth: int,
-    samples: int = 512,
-    max_points: int | None = None,
-) -> list[Pieces]:
+def piece_tree(param: Parameter, depth: int, samples: int = 512) -> list[Pieces]:
     """Pieces for every depth 0..depth (shared sample tree)."""
-    return [_pieces(level) for level in piece_sample_tree(param, depth, samples, max_points)]
+    return [_pieces(level) for level in piece_sample_tree(param, depth, samples)]
 
 
-def difference_cover(disks: Disks, max_pairs: int | None = None) -> Disks:
+def difference_cover(disks: Disks) -> Disks:
     """All pairwise difference disks, row-major over (i, j).
 
     Element i*len(disks)+j is the exact difference set of disks i and j:
@@ -212,7 +202,7 @@ def difference_cover(disks: Disks, max_pairs: int | None = None) -> Disks:
     difference set of any sets the input disks cover.
     """
     n = len(disks)
-    check_cap("difference disks", n * n, max_pairs, DEFAULT_MAX_PAIRS)
+    check_cap("difference disks", n * n, DEFAULT_MAX_PAIRS)
     c, r = disks.centers, disks.radii
     return Disks(c[:, None] - c[None, :], r[:, None] + r[None, :])
 
@@ -223,9 +213,7 @@ def sum_area(disks: Disks) -> float:
     return math.fsum((math.pi * r * r).tolist())
 
 
-def union_grid_mask(
-    disks: Disks, cell: float, max_cells: int | None = None
-) -> GridMask:
+def union_grid_mask(disks: Disks, cell: float) -> GridMask:
     """Dilated membership raster of a disk union.
 
     Marks every cell of the lattice (i*cell, j*cell) whose center lies
@@ -243,7 +231,7 @@ def union_grid_mask(
     ky_hi = math.ceil(float((cy + r + dil).max()) / cell) + 1
     nx = kx_hi - kx_lo + 1
     ny = ky_hi - ky_lo + 1
-    check_cap("union grid cells", nx * ny, max_cells, DEFAULT_MAX_CELLS)
+    check_cap("union grid cells", nx * ny, DEFAULT_MAX_CELLS)
     mask = np.zeros((ny, nx), dtype=bool)
     for x, y, rad in zip(cx.tolist(), cy.tolist(), r.tolist()):
         rr = rad + dil
@@ -266,9 +254,7 @@ def union_grid_mask(
     return GridMask(origin=origin, cell=cell, bits=mask, mode="union")
 
 
-def union_area_grid(
-    disks: Disks, cell: float, max_cells: int | None = None
-) -> GridArea:
+def union_area_grid(disks: Disks, cell: float) -> GridArea:
     """Grid over-estimate of the union area of the disks.
 
     Counts the cells of union_grid_mask times cell^2.  Each marked cell is
@@ -278,26 +264,18 @@ def union_area_grid(
 
         margin = sum_i pi * (2*sqrt(2)*cell*r_i + 2*cell^2).
     """
-    mask = union_grid_mask(disks, cell, max_cells)
+    mask = union_grid_mask(disks, cell)
     terms = math.pi * (2.0 * math.sqrt(2.0) * cell * disks.radii + 2.0 * cell * cell)
     return GridArea(mask=mask, margin=math.fsum(terms.tolist()))
 
 
-def sandwich(
-    param: Parameter,
-    pieces: Pieces,
-    cell: float,
-    cap: int | None = None,
-) -> Sandwich:
+def sandwich(param: Parameter, pieces: Pieces, cell: float) -> Sandwich:
     """Difference cover of one depth of pieces, its two area estimates
-    and the closed-form bound at that depth.
-
-    cap, when given, replaces both the pair cap and the cell cap.
-    """
-    disks = difference_cover(pieces.disks, max_pairs=cap)
+    and the closed-form bound at that depth."""
+    disks = difference_cover(pieces.disks)
     return Sandwich(
         disks=disks,
-        union=union_area_grid(disks, cell, max_cells=cap),
+        union=union_area_grid(disks, cell),
         total=sum_area(disks),
         bound=float(difference_measure_bound(param, pieces.depth).bound),
     )

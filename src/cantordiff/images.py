@@ -133,8 +133,7 @@ def render_disks(disks: Disks, cell: float) -> np.ndarray:
     y_hi = float((cy + r).max()) + pad
     w = max(int(math.ceil((x_hi - x_lo) / cell)), 8)
     h = max(int(math.ceil((y_hi - y_lo) / cell)), 8)
-    # renders keep their fixed 2^24-pixel cap; CANTORDIFF_MEMORY_CAP does not apply
-    check_cap(f"render of {w}x{h} pixels", w * h, None, 1 << 24)
+    check_cap(f"render of {w}x{h} pixels", w * h, 1 << 24)
     xs = x_lo + (np.arange(w) + 0.5) * cell
     ys = y_hi - (np.arange(h) + 0.5) * cell
     img = np.empty((h, w, 3), dtype=np.float64)

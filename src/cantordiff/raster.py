@@ -90,6 +90,7 @@ the block test too little work is left to share between threads.
 from __future__ import annotations
 
 import math
+import os
 from collections import namedtuple
 
 import numpy as np
@@ -105,11 +106,17 @@ __all__ = [
     "mask_area",
     "sample_diff_check",
     "lcg_uniforms",
+    "DEFAULT_MAX_POINTS",
+    "DEFAULT_MAX_PAIRS",
     "DEFAULT_MAX_CELLS",
 ]
 
-# built-in cap on the cells of any one raster or union grid
+# built-in caps: sampled points, difference-disk pairs, and the cells of
+# any one raster or union grid
+DEFAULT_MAX_POINTS = 1 << 24
+DEFAULT_MAX_PAIRS = 1 << 20
 DEFAULT_MAX_CELLS = 1 << 26
+_ENV_CAP = "CANTORDIFF_MEMORY_CAP"
 
 _LCG_A = 6364136223846793005
 _LCG_C = 1442695040888963407
@@ -145,6 +152,19 @@ class GridMask(namedtuple("GridMask", "origin cell bits mode")):
     def _make(cls, iterable):  # so _replace validates too
         return cls(*iterable)
 
+    def __eq__(self, other):
+        if not isinstance(other, GridMask):
+            return NotImplemented
+        return (
+            self.origin == other.origin
+            and self.cell == other.cell
+            and self.mode == other.mode
+            and bool(np.array_equal(self.bits, other.bits))  # shapes included
+        )
+
+    def __ne__(self, other):  # tuple's own would compare the bits cell by cell
+        return not self == other
+
     @property
     def height(self) -> int:
         return int(self.bits.shape[0])
@@ -166,9 +186,21 @@ class GridMask(namedtuple("GridMask", "origin cell bits mode")):
         return xs[ix] + 1j * ys[iy]
 
 
-def check_cap(what: str, need: int, cap: int | None, default: int) -> None:
-    """Refuse an allocation of need units above cap (None: the default)."""
-    limit = default if cap is None else cap
+def check_cap(what: str, need: int, default: int) -> None:
+    """Refuse an allocation of need units above the cap.
+
+    The cap is CANTORDIFF_MEMORY_CAP, a positive integer, when it is set:
+    it then replaces every built-in default.  Otherwise it is default.
+    """
+    text = os.environ.get(_ENV_CAP)
+    limit = default
+    if text is not None:
+        try:
+            limit = int(text)
+        except ValueError:
+            raise ValueError(f"{_ENV_CAP} must be an integer, got {text!r}") from None
+        if limit <= 0:
+            raise ValueError(f"{_ENV_CAP} must be positive, got {limit}")
     if need > limit:
         raise ValueError(
             f"{what}: {need} needed, which exceeds the cap {limit}; lower "
@@ -263,13 +295,7 @@ def _live_blocks(
     return live
 
 
-def rasterize_preimage(
-    param: Parameter,
-    depth: int,
-    cell: float,
-    mode: str = "inner",
-    max_cells: int | None = None,
-) -> GridMask:
+def rasterize_preimage(param: Parameter, depth: int, cell: float, mode: str = "inner") -> GridMask:
     """Raster of the depth-fold preimage of the starting disk.
 
     Depth 0 is the starting disk itself; depth n marks (an approximation
@@ -292,7 +318,7 @@ def rasterize_preimage(
         raise ValueError(f"cell must be finite and > 0, got {cell!r}")
     nhalf = math.ceil((param.abs_c + cell) / cell)
     width = 2 * nhalf
-    check_cap("raster cells", width * width, max_cells, DEFAULT_MAX_CELLS)
+    check_cap("raster cells", width * width, DEFAULT_MAX_CELLS)
     coords = (np.arange(width, dtype=np.float64) - nhalf + 0.5) * cell
     origin = complex(-nhalf * cell, -nhalf * cell)
 
@@ -493,6 +519,7 @@ def sample_diff_check(d2: Disk, d1: Disk, count: int, seed: int) -> float:
     if count < 1000:
         raise ValueError(f"need count >= 1000, got {count}")
     need = 2 * count
+    check_cap("difference samples", need, DEFAULT_MAX_POINTS)
     kept: list[np.ndarray] = []
     have = 0
     state = seed

@@ -584,7 +584,7 @@ def _check_correlation_methods(ctx: _Ctx) -> tuple[bool, str]:
         got_pairs.add((round(cx), round(cy)))
     oracle = got_pairs == want_pairs
     ok = same and oracle
-    return ok, f"fft==direct on 96x80*64x48: {same}, exhaustive small oracle match: {oracle}"
+    return ok, f"run pairs==shift-or on 96x80*64x48: {same}, exhaustive small oracle match: {oracle}"
 
 
 def _check_mask_symmetry(ctx: _Ctx) -> tuple[bool, str]:

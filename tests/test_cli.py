@@ -342,6 +342,61 @@ def test_memory_cap_env(tmp_path, capsys, monkeypatch):
     assert "cap" in err
 
 
+_CAPPED_RUNS = {
+    "cover": ("cover", "--c-re", "5", "--depth", "1", "--samples", "16"),
+    "diff": ("diff", "--c-re", "5", "--depth", "1", "--samples", "16"),
+    "oracle": ("oracle", "--c-re", "5", "--depth", "1", "--cell", "0.1"),
+    "verify": ("verify", "--c-re", "5", "--depth", "1", "--samples", "16", "--count", "1000"),
+}
+
+
+@pytest.mark.parametrize("text", ["abc", "0", "-5"])
+@pytest.mark.parametrize("command", sorted(_CAPPED_RUNS))
+def test_malformed_memory_cap_exits_2(command, text, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CANTORDIFF_MEMORY_CAP", text)
+    argv = _CAPPED_RUNS[command]
+    if command == "oracle":
+        argv += ("--outdir", str(tmp_path / "out"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: CANTORDIFF_MEMORY_CAP must be ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "cap, count",
+    [("1000", "1000"), (None, "10000000")],
+    ids=["capped run", "over-cap count"],
+)
+def test_verify_obeys_the_memory_cap(cap, count, capsys, monkeypatch):
+    if cap is None:
+        monkeypatch.delenv("CANTORDIFF_MEMORY_CAP", raising=False)
+    else:
+        monkeypatch.setenv("CANTORDIFF_MEMORY_CAP", cap)
+    code, out, err = run_cli(capsys, "verify", "--c-re", "5", "--depth", "2",
+                             "--count", count)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "exceeds the cap" in err
+    assert err.count("\n") == 1
+
+
+def test_bounds_ignores_the_memory_cap():
+    # bounds allocates nothing capped: a malformed cap neither stops it nor
+    # makes it load numpy or the raster module to check the value
+    code = (
+        "import contextlib, io, sys\n"
+        "from cantordiff.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['bounds', '--c-re', '5', '--depth', '30'])\n"
+        "print(code, [m for m in ('numpy', 'cantordiff.raster') if m in sys.modules])\n"
+    )
+    env = {**os.environ, "CANTORDIFF_MEMORY_CAP": "abc"}
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "0 []\n"
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     out_path = tmp_path / "b.csv"
     code, out, _ = run_cli(capsys, "bounds", "--c-re", "5", "--depth", "3",
@@ -349,6 +404,14 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert code == 0
     text = out_path.read_text()
     assert text.startswith("n,R_n")
+
+
+def test_written_paths_echo_as_given(tmp_path, capsys):
+    given = f"{tmp_path}/./b.csv"
+    code, out, _ = run_cli(capsys, "bounds", "--c-re", "5", "--depth", "3",
+                           "--output", given)
+    assert code == 0 and out == f"wrote {given}\n"
+    assert (tmp_path / "b.csv").read_text().startswith("n,R_n")
 
 
 def test_cli_entrypoint_subprocess():
@@ -445,7 +508,7 @@ def test_cli_imports_only_what_it_runs():
         "    if argv:\n"
         "        with contextlib.redirect_stdout(io.StringIO()):\n"
         "            assert main(list(argv)) == 0\n"
-        "    heavy = ('dataclasses', 'inspect', 'json', 'typing', 'numpy')\n"
+        "    heavy = ('dataclasses', 'inspect', 'json', 'typing', 'numpy', 'pathlib')\n"
         "    return [m for m in heavy if m in sys.modules]\n"
         "print(loaded())\n"
         "print(loaded('bounds', '--c-re', '5', '--depth', '30'))\n"

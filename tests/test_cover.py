@@ -111,9 +111,10 @@ def test_children_nest_in_parent_disk(p5):
             assert dev <= parent.radius * (1 + 1e-9), (k, j)
 
 
-def test_max_points_cap(p5):
+def test_max_points_cap(p5, monkeypatch):
+    monkeypatch.setenv("CANTORDIFF_MEMORY_CAP", "1000")
     with pytest.raises(ValueError, match="cap"):
-        generate_pieces(p5, 6, samples=512, max_points=1000)
+        generate_pieces(p5, 6, samples=512)
 
 
 def test_difference_cover_is_all_pairs(p5):
@@ -128,10 +129,11 @@ def test_difference_cover_is_all_pairs(p5):
         assert diff[t] == disk_difference(disks[i], disks[j])
 
 
-def test_difference_cover_cap():
+def test_difference_cover_cap(monkeypatch):
     disks = Disks(np.arange(40, dtype=np.float64), np.full(40, 0.1))
+    monkeypatch.setenv("CANTORDIFF_MEMORY_CAP", "100")
     with pytest.raises(ValueError, match="cap"):
-        difference_cover(disks, max_pairs=100)
+        difference_cover(disks)
 
 
 def test_disks_arrays_are_checked_and_read_only():
@@ -191,11 +193,12 @@ def test_union_grid_mask_lattice():
     assert np.allclose((ax_y / 0.25) % 1.0, 0.0)
 
 
-def test_union_grid_cell_validation():
+def test_union_grid_cell_validation(monkeypatch):
     with pytest.raises(ValueError):
         union_area_grid(Disks([0j], [1.0]), 0.0)
+    monkeypatch.setenv("CANTORDIFF_MEMORY_CAP", "1000")
     with pytest.raises(ValueError, match="cap"):
-        union_area_grid(Disks([0j], [1.0]), 1e-5, max_cells=1000)
+        union_area_grid(Disks([0j], [1.0]), 1e-5)
 
 
 def test_sandwich_fails_on_an_area_that_is_not_finite(p5):

@@ -11,17 +11,22 @@ import pytest
 from cantordiff import raster
 from cantordiff import (
     Disk,
+    Disks,
     GridMask,
     Parameter,
+    difference_cover,
     disk_mask,
     forward_map,
     lcg_uniforms,
     mask_area,
     mask_difference,
+    piece_sample_tree,
     preimage_member,
     rasterize_preimage,
     sample_diff_check,
+    union_grid_mask,
 )
+from cantordiff.images import render_disks
 from cantordiff.verify import _shift_or
 
 # area of the depth-1 preimage at c=5, from the change-of-variables
@@ -276,9 +281,42 @@ def test_mask_difference_rejects_mixed_cells():
         mask_difference(a, b)
 
 
-def test_raster_cap(p5):
+def test_raster_cap(p5, monkeypatch):
+    monkeypatch.setenv("CANTORDIFF_MEMORY_CAP", "10000")
     with pytest.raises(ValueError, match="cap"):
-        rasterize_preimage(p5, 1, 1e-4, max_cells=10_000)
+        rasterize_preimage(p5, 1, 1e-4)
+
+
+# each capped allocation at a size of a few hundred units, far inside its
+# built-in default
+_CAPPED = {
+    "sample tree": lambda p: piece_sample_tree(p, 1, samples=64),
+    "difference disks": lambda p: difference_cover(Disks(np.arange(20.0), np.full(20, 0.1))),
+    "union grid": lambda p: union_grid_mask(Disks([0j], [1.0]), 0.1),
+    "raster": lambda p: rasterize_preimage(p, 1, 0.5),
+    "render": lambda p: render_disks(Disks([0j], [1.0]), 0.1),
+    "difference samples": lambda p: sample_diff_check(Disk(0j, 1.0), Disk(1.0, 0.5), 1000, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CAPPED))
+def test_every_capped_allocation_obeys_the_env_cap(name, p5, monkeypatch):
+    monkeypatch.delenv("CANTORDIFF_MEMORY_CAP", raising=False)
+    _CAPPED[name](p5)
+    monkeypatch.setenv("CANTORDIFF_MEMORY_CAP", "100")
+    with pytest.raises(ValueError, match="exceeds the cap 100"):
+        _CAPPED[name](p5)
+
+
+def test_env_cap_replaces_the_default_and_is_validated(monkeypatch):
+    monkeypatch.setenv("CANTORDIFF_MEMORY_CAP", str(1 << 40))
+    raster.check_cap("units", 1 << 30, 1)
+    for text, message in (("abc", "must be an integer, got 'abc'"),
+                          ("0", "must be positive, got 0"),
+                          ("-5", "must be positive, got -5")):
+        monkeypatch.setenv("CANTORDIFF_MEMORY_CAP", text)
+        with pytest.raises(ValueError, match=f"^CANTORDIFF_MEMORY_CAP {message}$"):
+            raster.check_cap("units", 1, 10)
 
 
 @pytest.mark.parametrize(

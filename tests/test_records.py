@@ -10,6 +10,7 @@ from cantordiff import (
     DecayParams,
     Disk,
     Disks,
+    GridArea,
     GridMask,
     Parameter,
     Pieces,
@@ -67,6 +68,27 @@ def test_disk_and_parameter_compare_and_hash_by_value():
     assert Disk(1, 2) != Disk(1, 3)
     assert len({Disk(0, 1), Disk(0j, 1.0), Disk(1, 1)}) == 2
     assert Disk(0, 2).area == math.pi * 4.0
+
+
+def test_grid_records_compare_by_value():
+    bits = np.zeros((3, 4), bool)
+    bits[1, 2] = True
+    mask = GridMask(0.5j, 0.25, bits, "union")
+    same = GridMask(0.5j, 0.25, bits.copy(), "union")
+    flipped = bits.copy()
+    flipped[0, 0] = True
+    other = GridMask(0.5j, 0.25, flipped, "union")
+    assert mask == same and not mask != same
+    assert mask != other and not mask == other
+    assert mask != GridMask(0.5j, 0.25, bits.copy(), "inner")
+    assert mask != GridMask(0.5j, 0.25, bits.reshape(4, 3).copy(), "union")
+    area = GridArea(mask, 1.5)
+    assert area == GridArea(same, 1.5) and not area != GridArea(same, 1.5)
+    assert area != GridArea(other, 1.5) and not area == GridArea(other, 1.5)
+    assert area != GridArea(same, 2.5)
+    for record in (mask, area):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
 
 
 @pytest.mark.parametrize(

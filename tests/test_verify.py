@@ -193,12 +193,12 @@ def test_correlation_methods_rejects_one_flipped_bit(monkeypatch):
     cfg = _cfg(Parameter(5.0))
     check = dict(verify._CHECKS)["correlation-methods"]
     assert check(verify._Ctx(cfg)) == (
-        True, "fft==direct on 96x80*64x48: True, exhaustive small oracle match: True"
+        True, "run pairs==shift-or on 96x80*64x48: True, exhaustive small oracle match: True"
     )
     monkeypatch.setattr(verify, "mask_difference", flipped)
     ok, detail = check(verify._Ctx(cfg))
     assert not ok
-    assert detail == "fft==direct on 96x80*64x48: False, exhaustive small oracle match: False"
+    assert detail == "run pairs==shift-or on 96x80*64x48: False, exhaustive small oracle match: False"
 
 
 def test_shift_or_oracle_on_a_hand_made_pair():
