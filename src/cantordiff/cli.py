@@ -17,10 +17,10 @@ All output is deterministic: numbers print with 17 significant digits,
 JSON is emitted with sorted keys, and nothing depends on time or on
 --workers, which cover and oracle accept and ignore.  Set
 CANTORDIFF_MEMORY_CAP to a positive integer to replace every built-in
-allocation cap (sample points, difference-disk pairs, raster and grid
-cells, render pixels) of cover, diff, oracle and verify alike; bounds
-allocates nothing capped and ignores it.  A run over a cap, or with a
-malformed cap, exits 2.
+allocation cap (sample points, difference-disk pairs, raster, difference
+window and grid cells, render pixels) of cover, diff, oracle and verify
+alike; bounds allocates nothing capped and ignores it.  A run over a cap,
+or with a malformed cap, exits 2.
 
 `import cantordiff.cli` loads argparse and the bounds module, both on the
 standard library, and bounds runs on nothing more: json is imported where

@@ -402,12 +402,19 @@ def mask_difference(a: GridMask, b: GridMask) -> GridMask:
     Cost: O(runs_a * runs_b) pair updates, _PAIR_CHUNK at a time, plus
     O(block).  A preimage raster has few runs, a noisy mask up to one per
     two cells (verify's 96x80 by 64x48 noise pair makes about 1M pairs).
+
+    The window's cells are capped like a raster's, before anything is
+    allocated; the int32 edge array spans at most the window plus one
+    column, so the cap bounds its cells too.  A self-difference window
+    has about four times the cells of its raster, so it, not the raster,
+    sets the finest cell that oracle and verify accept.
     """
     if a.cell != b.cell:
         raise ValueError(
             f"cell sizes must match exactly, got {a.cell!r} and {b.cell!r}"
         )
     (ha, wa), (hb, wb) = a.bits.shape, b.bits.shape
+    check_cap("difference window cells", (ha + hb - 1) * (wa + wb - 1), DEFAULT_MAX_CELLS)
     out = np.zeros((ha + hb - 1, wa + wb - 1), dtype=bool)
     if a.bits.any() and b.bits.any():
         (ya, xa), (yb, xb) = _bbox(a.bits), _bbox(b.bits)
@@ -486,7 +493,11 @@ def _lcg_states(seed: int, count: int) -> np.ndarray:
 
 
 def _unit(states: np.ndarray) -> np.ndarray:
-    return (states >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    """(s >> 11) / 2^53 for each state s; shifts states in place."""
+    states >>= np.uint64(11)
+    u = states.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 def lcg_uniforms(seed: int, count: int) -> np.ndarray:
@@ -499,10 +510,6 @@ def lcg_uniforms(seed: int, count: int) -> np.ndarray:
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     return _unit(_lcg_states(seed, count))
-
-
-def _disk_points(unit: np.ndarray, disk: Disk) -> np.ndarray:
-    return disk.center + disk.radius * unit
 
 
 def sample_diff_check(d2: Disk, d1: Disk, count: int, seed: int) -> float:
@@ -520,7 +527,9 @@ def sample_diff_check(d2: Disk, d1: Disk, count: int, seed: int) -> float:
         raise ValueError(f"need count >= 1000, got {count}")
     need = 2 * count
     check_cap("difference samples", need, DEFAULT_MAX_POINTS)
-    kept: list[np.ndarray] = []
+    # accepted unit-disk points, x and y alternating, in one buffer that
+    # becomes x - y - center in place
+    buf = np.empty(need, dtype=np.complex128)
     have = 0
     state = seed
     while have < need:
@@ -529,15 +538,24 @@ def sample_diff_check(d2: Disk, d1: Disk, count: int, seed: int) -> float:
         u = _lcg_states(state, draw)
         state = int(u[-1])  # each round continues the one stream
         u = _unit(u)
-        cand = (2.0 * u[0::2] - 1.0) + 1j * (2.0 * u[1::2] - 1.0)
-        acc = cand[cand.real**2 + cand.imag**2 <= 1.0]
-        kept.append(acc)
+        # candidates 2u - 1 of the bounding square, real and imaginary
+        # parts interleaved, so that u viewed as complex holds them
+        u *= 2.0
+        u -= 1.0
+        r2 = np.square(u[0::2])
+        r2 += np.square(u[1::2])
+        acc = u.view(np.complex128)[r2 <= 1.0][:short]
+        buf[have : have + acc.size] = acc
         have += acc.size
-    unit = np.concatenate(kept)[:need]
-    x = _disk_points(unit[0::2], d2)
-    y = _disk_points(unit[1::2], d1)
+    x, y = buf[0::2], buf[1::2]
+    x *= d2.radius
+    x += d2.center
+    y *= d1.radius
+    y += d1.center
+    x -= y
     pred = disk_difference(d2, d1)
-    dev = np.abs((x - y) - pred.center)
+    x -= pred.center
+    dev = np.abs(x)
     tol = 1e-12 * (pred.radius + 1.0)
     worst = float(dev.max())
     if worst > pred.radius + tol:

@@ -476,22 +476,23 @@ def _int_origin_index(mask: GridMask) -> tuple[int, int]:
     return kx, ky
 
 
-def _on_common_lattice(
-    m1: GridMask, m2: GridMask
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Embed two integer-aligned masks into one window."""
-    k1 = _int_origin_index(m1)
-    k2 = _int_origin_index(m2)
-    kx_lo = min(k1[0], k2[0])
-    ky_lo = min(k1[1], k2[1])
-    kx_hi = max(k1[0] + m1.width, k2[0] + m2.width)
-    ky_hi = max(k1[1] + m1.height, k2[1] + m2.height)
-    shape = (ky_hi - ky_lo, kx_hi - kx_lo)
-    b1 = np.zeros(shape, dtype=bool)
-    b2 = np.zeros(shape, dtype=bool)
-    b1[k1[1] - ky_lo : k1[1] - ky_lo + m1.height, k1[0] - kx_lo : k1[0] - kx_lo + m1.width] = m1.bits
-    b2[k2[1] - ky_lo : k2[1] - ky_lo + m2.height, k2[0] - kx_lo : k2[0] - kx_lo + m2.width] = m2.bits
-    return b1, b2, kx_lo, ky_lo
+def _overlap(m1: GridMask, m2: GridMask) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
+    """Row and column slices of m1.bits and of m2.bits over the cells the
+    two integer-aligned windows share (empty slices when they share none)."""
+    (x1, y1), (x2, y2) = _int_origin_index(m1), _int_origin_index(m2)
+    x_lo, y_lo = max(x1, x2), max(y1, y2)
+    x_hi = max(x_lo, min(x1 + m1.width, x2 + m2.width))
+    y_hi = max(y_lo, min(y1 + m1.height, y2 + m2.height))
+    return (
+        (slice(y_lo - y1, y_hi - y1), slice(x_lo - x1, x_hi - x1)),
+        (slice(y_lo - y2, y_hi - y2), slice(x_lo - x2, x_hi - x2)),
+    )
+
+
+def _outside(m1: GridMask, m2: GridMask) -> int:
+    """Set cells of m1 that are not set cells of m2, both integer-aligned."""
+    s1, s2 = _overlap(m1, m2)
+    return int(np.count_nonzero(m1.bits)) - int(np.count_nonzero(m1.bits[s1] & m2.bits[s2]))
 
 
 def raster_diff_proof(d2: Disk, d1: Disk, cell: float) -> tuple[bool, str]:
@@ -519,13 +520,16 @@ def diff_proof_numbers(d2: Disk, d1: Disk, cell: float) -> tuple[int, float]:
     dm = mask_difference(disk_mask(d2, cell), disk_mask(d1, cell))
     pred = disk_difference(d2, d1)
     pm = disk_mask(pred, cell, align="integer")
-    bd, bp, kx_lo, ky_lo = _on_common_lattice(dm, pm)
-    extra = int(np.count_nonzero(bd & ~bp))
-    missing = bp & ~bd
+    extra = _outside(dm, pm)
+    # the predicted cells that the difference mask misses, on pm's lattice
+    missing = pm.bits.copy()
+    sp, sd = _overlap(pm, dm)
+    missing[sp] &= ~dm.bits[sd]
     deepest = 0.0
     if missing.any():
+        kx, ky = _int_origin_index(pm)
         iy, ix = np.nonzero(missing)
-        centers = (ix + kx_lo) * cell + 1j * ((iy + ky_lo) * cell)
+        centers = (ix + kx) * cell + 1j * ((iy + ky) * cell)
         deepest = float((pred.radius - np.abs(centers - pred.center)).max())
     return extra, deepest
 
@@ -614,34 +618,39 @@ def _check_raster_nesting(ctx: _Ctx) -> tuple[bool, str]:
     return ok, f"cell counts depth2<=depth1<=outer1: {counts}, nested={nested}, inner-in-outer={inside}"
 
 
-def _check_area_sandwich(ctx: _Ctx) -> tuple[bool, str]:
+def _sandwich_at(ctx: _Ctx, n: int) -> tuple[bool, str]:
+    """area-sandwich at piece depth n; its masks are freed on return."""
     # depth-n pieces decompose the (n+1)-fold preimage, so the raster
     # side of the sandwich runs one level deeper than the piece depth
     cfg = ctx.cfg
-    top = min(cfg.depth, 4)
-    last = ""
-    for n in range(1, top + 1):
-        inner = ctx.inner(n + 1)
-        dm = mask_difference(inner, inner)
-        sw = cov.sandwich(cfg.param, ctx.pieces[n], cfg.cell)
-        grid, total, worst = sw.union, sw.total, sw.bound
-        bd, bu, _, _ = _on_common_lattice(dm, grid.mask)
-        stray = int(np.count_nonzero(bd & ~bu))
-        if stray:
-            return False, f"depth {n}: {stray} difference cells escape the union grid"
-        raster_area = mask_area(dm)
-        if not sw.holds(raster_area):
-            if math.isfinite(total) and not total <= worst:
-                return False, f"depth {n}: sum {total:.9f} exceeds certified bound {worst:.9f}"
-            return False, (
-                f"depth {n}: ordering failed or an area is not finite: raster "
-                f"{raster_area:.9f}, grid {grid.area:.9f} (+{grid.margin:.9f}), sum {total:.9f}"
-            )
-        last = (
-            f"depth {n}: raster {raster_area:.9f} <= grid {grid.area:.9f} "
-            f"<= sum {total:.9f} <= bound {worst:.9f}"
+    inner = ctx.inner(n + 1)
+    dm = mask_difference(inner, inner)
+    sw = cov.sandwich(cfg.param, ctx.pieces[n], cfg.cell)
+    grid, total, worst = sw.union, sw.total, sw.bound
+    stray = _outside(dm, grid.mask)
+    if stray:
+        return False, f"depth {n}: {stray} difference cells escape the union grid"
+    raster_area = mask_area(dm)
+    if not sw.holds(raster_area):
+        if math.isfinite(total) and not total <= worst:
+            return False, f"depth {n}: sum {total:.9f} exceeds certified bound {worst:.9f}"
+        return False, (
+            f"depth {n}: ordering failed or an area is not finite: raster "
+            f"{raster_area:.9f}, grid {grid.area:.9f} (+{grid.margin:.9f}), sum {total:.9f}"
         )
-    return True, last
+    return True, (
+        f"depth {n}: raster {raster_area:.9f} <= grid {grid.area:.9f} "
+        f"<= sum {total:.9f} <= bound {worst:.9f}"
+    )
+
+
+def _check_area_sandwich(ctx: _Ctx) -> tuple[bool, str]:
+    # the detail of the first failing depth, else of the deepest
+    for n in range(1, min(ctx.cfg.depth, 4) + 1):
+        ok, detail = _sandwich_at(ctx, n)
+        if not ok:
+            break
+    return ok, detail
 
 
 def _check_worst_case_identity(ctx: _Ctx) -> tuple[bool, str]:

@@ -381,6 +381,19 @@ def test_verify_obeys_the_memory_cap(cap, count, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_oracle_refuses_the_difference_window_before_writing_it(tmp_path, capsys, monkeypatch):
+    # the 102^2-cell rasters fit the cap; their 203^2-cell self-difference does not
+    monkeypatch.setenv("CANTORDIFF_MEMORY_CAP", "10404")
+    code, out, err = run_cli(capsys, "oracle", "--c-re", "5", "--depth", "1", "--cell", "0.1",
+                             "--outdir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == (
+        "error: difference window cells: 41209 needed, which exceeds the cap 10404; "
+        "lower the depth, the sample count or the resolution\n"
+    )
+    assert not (tmp_path / "diff.pgm").exists()
+
+
 def test_bounds_ignores_the_memory_cap():
     # bounds allocates nothing capped: a malformed cap neither stops it nor
     # makes it load numpy or the raster module to check the value

@@ -296,6 +296,9 @@ _CAPPED = {
     "raster": lambda p: rasterize_preimage(p, 1, 0.5),
     "render": lambda p: render_disks(Disks([0j], [1.0]), 0.1),
     "difference samples": lambda p: sample_diff_check(Disk(0j, 1.0), Disk(1.0, 0.5), 1000, 7),
+    "difference window": lambda p: mask_difference(
+        _mask(np.eye(8, dtype=bool)), _mask(np.eye(8, dtype=bool))
+    ),
 }
 
 
@@ -472,6 +475,40 @@ def test_sample_diff_check_reads_one_stream():
     y = d1.center + d1.radius * unit[1::2]
     want = float(np.abs((x - y) - (2 + 2j)).max())
     assert sample_diff_check(d2, d1, 20_000, seed=5) == want
+
+
+def _scalar_diff_check(d2, d1, count, seed):
+    # the scalar LCG recurrence, rejection pair by pair, and the points in
+    # Python complex arithmetic; only the final modulus is numpy's
+    s, unit = seed & (2**64 - 1), []
+    while len(unit) < 2 * count:
+        u = []
+        for _ in range(2):
+            s = (s * 6364136223846793005 + 1442695040888963407) % 2**64
+            u.append((s >> 11) * 2.0**-53)
+        x, y = 2.0 * u[0] - 1.0, 2.0 * u[1] - 1.0
+        if x * x + y * y <= 1.0:
+            unit.append(complex(x, y))
+    center = d2.center - d1.center
+    dev = [
+        (d2.center + d2.radius * p) - (d1.center + d1.radius * q) - center
+        for p, q in zip(unit[0::2], unit[1::2])
+    ]
+    return float(np.abs(np.array(dev)).max())
+
+
+@pytest.mark.parametrize("count, rounds", [(1000, 1), (4321, 2), (20_000, 2), (33_333, 2)])
+def test_sample_diff_check_equals_the_scalar_reference(count, rounds, monkeypatch):
+    real, calls = raster._lcg_states, []
+
+    def counted(seed, n):
+        calls.append(n)
+        return real(seed, n)
+
+    monkeypatch.setattr(raster, "_lcg_states", counted)
+    d2, d1 = Disk(0.3 - 1.7j, 1.25), Disk(-2.1 + 0.4j, 0.6)
+    assert sample_diff_check(d2, d1, count, seed=count) == _scalar_diff_check(d2, d1, count, count)
+    assert len(calls) == rounds
 
 
 def test_sample_diff_check_sup_below_radius():

@@ -309,3 +309,103 @@ def test_pairwise_contraction_memory_is_bounded():
         tracemalloc.stop()
     assert ok
     assert peak < 8 << 20, peak
+
+
+def _embed(m1, m2):
+    # reference: both integer-aligned masks copied into one common window
+    (x1, y1), (x2, y2) = verify._int_origin_index(m1), verify._int_origin_index(m2)
+    x_lo, y_lo = min(x1, x2), min(y1, y2)
+    shape = (max(y1 + m1.height, y2 + m2.height) - y_lo, max(x1 + m1.width, x2 + m2.width) - x_lo)
+    b1, b2 = np.zeros(shape, bool), np.zeros(shape, bool)
+    b1[y1 - y_lo : y1 - y_lo + m1.height, x1 - x_lo : x1 - x_lo + m1.width] = m1.bits
+    b2[y2 - y_lo : y2 - y_lo + m2.height, x2 - x_lo : x2 - x_lo + m2.width] = m2.bits
+    return b1, b2, x_lo, y_lo
+
+
+def _lattice_mask(rng, kx, ky, h, w, cell=0.25):
+    # cell (0, 0) centred on the lattice point (kx, ky) * cell
+    bits = rng.random((h, w)) < 0.4
+    return GridMask(complex((kx - 0.5) * cell, (ky - 0.5) * cell), cell, bits)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ((0, 0, 7, 9), (20, -3, 5, 6)),  # disjoint
+        ((0, 0, 7, 9), (9, 30, 5, 6)),  # disjoint, rows only
+        ((0, 0, 12, 10), (4, -5, 11, 13)),  # partly overlapping
+        ((-3, 2, 20, 25), (2, 5, 6, 7)),  # nested
+        ((2, 5, 6, 7), (-3, 2, 20, 25)),  # nested the other way
+        ((1, -1, 9, 9), (1, -1, 9, 9)),  # equal windows
+    ],
+)
+def test_outside_counts_as_on_one_common_window(first, second):
+    rng = np.random.default_rng(sum(first + second) + 100)
+    m1, m2 = _lattice_mask(rng, *first), _lattice_mask(rng, *second)
+    b1, b2, _, _ = _embed(m1, m2)
+    assert verify._outside(m1, m2) == np.count_nonzero(b1 & ~b2)
+    assert verify._outside(m2, m1) == np.count_nonzero(b2 & ~b1)
+
+
+@pytest.mark.parametrize(
+    "d2, d1, cell",
+    [
+        (Disk(1 + 2j, 0.8), Disk(-0.3j, 0.6), 0.01),
+        (Disk(0j, 1.0), Disk(0j, 1.0), 0.02),
+        (Disk(-1.3 + 0.7j, 0.25), Disk(2.2 - 1.1j, 1.4), 0.05),
+    ],
+)
+def test_diff_proof_numbers_equal_the_common_window_reference(d2, d1, cell):
+    dm = verify.mask_difference(verify.disk_mask(d2, cell), verify.disk_mask(d1, cell))
+    pred = verify.disk_difference(d2, d1)
+    bd, bp, kx_lo, ky_lo = _embed(dm, verify.disk_mask(pred, cell, align="integer"))
+    iy, ix = np.nonzero(bp & ~bd)
+    centers = (ix + kx_lo) * cell + 1j * ((iy + ky_lo) * cell)
+    deepest = float((pred.radius - np.abs(centers - pred.center)).max()) if iy.size else 0.0
+    assert verify.diff_proof_numbers(d2, d1, cell) == (int(np.count_nonzero(bd & ~bp)), deepest)
+
+
+def test_area_sandwich_counts_the_cells_the_grid_misses(monkeypatch):
+    # the union grid loses its top 45 rows and every seventh column of the
+    # rest, so difference cells are missed outside its window and inside it
+    real, grids = verify.cov.sandwich, []
+
+    def holed(*args, **kwargs):
+        sw = real(*args, **kwargs)
+        mask = sw.union.mask
+        bits = mask.bits[:-45].copy()
+        bits[:, ::7] = False
+        grids.append(mask._replace(bits=bits))
+        return sw._replace(union=sw.union._replace(mask=grids[-1]))
+
+    monkeypatch.setattr(verify.cov, "sandwich", holed)
+    ctx = verify._Ctx(_cfg(Parameter(5.0)))
+    ok, detail = dict(verify._CHECKS)["area-sandwich"](ctx)
+    inner = ctx.inner(2)
+    dm = verify.mask_difference(inner, inner)
+    bd, bu, _, _ = _embed(dm, grids[0])
+    _, window, _, _ = _embed(dm, grids[0]._replace(bits=np.ones_like(grids[0].bits)))
+    stray, outside = int(np.count_nonzero(bd & ~bu)), int(np.count_nonzero(bd & ~window))
+    assert not ok
+    assert detail == f"depth 1: {stray} difference cells escape the union grid"
+    assert 0 < outside < stray
+
+
+@pytest.mark.parametrize("c, limit", [(5.0, 3.5), (-5.0, 4.0)])
+def test_area_sandwich_memory_is_bounded(c, limit):
+    # with the default cell 0.02 a difference window has 1003^2 cells: a
+    # copy of both masks into one common window, and the temporaries of
+    # comparing them there, took 4.9 MiB at c = 5 and 5.5 MiB at c = -5
+    import tracemalloc
+
+    ctx = verify._Ctx(VerifyConfig(Parameter(c)))
+    for n in range(2, min(ctx.cfg.depth, 4) + 2):
+        ctx.inner(n)
+    ctx.pieces
+    tracemalloc.start()
+    try:
+        dict(verify._CHECKS)["area-sandwich"](ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit * (1 << 20), peak
