@@ -313,14 +313,18 @@ def _run_oracle(args, param: Parameter) -> int:
     def build(mode: str):
         return rasterize_preimage(param, args.depth, args.cell, mode)
 
-    # each raster is dropped once its PGM is written; a run refused by the
-    # first raster's cap leaves no directory behind
+    # nothing is written before the inner raster and its self-difference
+    # pass their caps, so a refused run leaves no directory behind; the
+    # outer raster has the inner one's window, and each mask is dropped
+    # once its PGM is written
     inner = build("inner")
+    diff = mask_difference(inner, inner)
     os.makedirs(outdir or os.curdir, exist_ok=True)
     record("inner", inner)
-    record("outer", build("outer"))
-    record("diff", mask_difference(inner, inner))
     del inner
+    record("diff", diff)
+    del diff
+    record("outer", build("outer"))
     if args.depth >= 1:
         # disk-cover side at the matching piece depth: depth-(d-1) pieces
         # tile the d-fold preimage the rasters just measured

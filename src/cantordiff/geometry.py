@@ -14,14 +14,16 @@ midpoint of a diametral pair and inflating by sqrt(3)/2 gives a certified
 cover of the whole set from the diameter alone, which is what the area
 bounds downstream consume.
 
-Diametral pairs come from an exact all-pairs scan or an exact block search,
-the point count choosing which.  Either runs only on the points that could
-end a pair at least as long as a start pair found by farthest-point
-sweeps: with m the start pair's midpoint and R the largest |p - m|, no
-pair through p is longer than |p - m| + R.  The slack of that test exceeds
-its rounding, so every point of a diametral or tied pair stays, and the
-pair, its distance and the tie-break are those of the full set.  On piece
-sample rows a few points of thousands remain.
+Diametral pairs come from an exact all-pairs scan or an exact block search.
+Either runs only on the points that could end a pair at least as long as
+a start pair found by farthest-point sweeps: with m the start pair's
+midpoint and R the largest |p - m|, no pair through p is longer than
+|p - m| + R.  The slack of that test exceeds its rounding, so every point
+of a diametral or tied pair stays, and the pair, its distance and the
+tie-break are those of the full set.  The count of the points that stay
+picks the method.  On most piece sample rows a few points of thousands
+stay, so the scan runs; on the round pieces of c on or near the
+imaginary axis (2.5i, 2.05i) nearly all stay, and the block search runs.
 """
 from __future__ import annotations
 
@@ -47,8 +49,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# the all-pairs scan up to this many points, the block search above: the
-# two cost the same per piece sample row between 320 and 352 points
+# the all-pairs scan up to this many candidates, the block search above:
+# the two cost the same on piece sample rows of 320 to 352 points
 _ALL_PAIRS_LIMIT = 320
 _BLOCK = 256
 # children per block of the block search, and block pairs per chunk
@@ -276,15 +278,15 @@ def _diametral(points) -> tuple[int, int, float]:
     """(i, j, distance) of a diametral pair.
 
     (i, j), i <= j, is the lexicographically smallest pair attaining the
-    maximum distance, measured with np.hypot: the all-pairs scan up to
-    _ALL_PAIRS_LIMIT points, the block search above it.  The point count
-    picks the method, and either runs on the _candidates only:
-    dropping points that end no diametral pair changes neither the pair nor
-    its distance, and the ascending index map keeps the tie-break.
+    maximum distance, measured with np.hypot.  Only the _candidates are
+    searched: dropping points that end no diametral pair changes neither
+    the pair nor its distance, and the ascending index map keeps the
+    tie-break.  Their count picks the method, the all-pairs scan up to
+    _ALL_PAIRS_LIMIT candidates and the block search above it.
     """
     pts = _as_points(points)
-    search = _pair_scan if pts.size <= _ALL_PAIRS_LIMIT else _pair_search
     keep = _candidates(pts)
+    search = _pair_scan if keep.size <= _ALL_PAIRS_LIMIT else _pair_search
     i, j, d = search(pts[keep])
     return int(keep[i]), int(keep[j]), d
 

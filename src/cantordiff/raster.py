@@ -80,8 +80,8 @@ Nothing here imports the bound or verify machinery.
 
 Determinism.  All randomness comes from an explicit 64-bit linear
 congruential generator (s <- 6364136223846793005*s + 1442695040888963407
-mod 2^64, doubles taken as (s >> 11) / 2^53), vectorized by precomputed
-stride coefficients but bit-identical to the scalar recurrence.  A
+mod 2^64, doubles taken as (s >> 11) / 2^53), vectorized by strides of
+up to 2^14 steps but bit-identical to the scalar recurrence.  A
 preimage raster is symmetric under z -> -z, exactly so on its cell
 centers, so only its upper half is iterated and the lower half is copied
 from it turned by half a turn.  The rasters are filled serially: after
@@ -452,43 +452,24 @@ def mask_area(mask: GridMask) -> float:
     return int(np.count_nonzero(mask.bits)) * mask.cell * mask.cell
 
 
-def _lcg_coeffs() -> tuple[np.ndarray, np.ndarray]:
-    """Stride coefficients: s_{i+k} = A[k-1]*s_i + B[k-1] mod 2^64.
+def _lcg_states(seed: int, count: int) -> np.ndarray:
+    """States s_1..s_count of the LCG seeded with s_0 = seed.
 
-    Built by doubling: a stride of m + k composes stride k after stride m,
-    so A[m+k-1] = A[k-1]*A[m-1] and B[m+k-1] = A[k-1]*B[m-1] + B[k-1]
+    A stride of k steps is s_{i+k} = A^k*s_i + C*(1 + A + ... + A^(k-1))
+    mod 2^64: the tables below hold both for k = 1..min(count, _CHUNK),
+    and each chunk of states is one stride of the last state before it
     (uint64 arithmetic wraps mod 2^64).
     """
-    a_pow = np.empty(_CHUNK, dtype=np.uint64)
-    b_acc = np.empty(_CHUNK, dtype=np.uint64)
-    a_pow[0], b_acc[0] = _LCG_A, _LCG_C
-    m = 1
-    with np.errstate(over="ignore"):
-        while m < _CHUNK:
-            a_pow[m : 2 * m] = a_pow[:m] * a_pow[m - 1]
-            b_acc[m : 2 * m] = a_pow[:m] * b_acc[m - 1] + b_acc[:m]
-            m *= 2
-    return a_pow, b_acc
-
-
-_COEFFS: tuple[np.ndarray, np.ndarray] | None = None
-
-
-def _lcg_states(seed: int, count: int) -> np.ndarray:
-    """States s_1..s_count of the LCG seeded with s_0 = seed."""
-    global _COEFFS
-    if _COEFFS is None:
-        _COEFFS = _lcg_coeffs()
-    a_pow, b_acc = _COEFFS
+    size = min(count, _CHUNK)
+    a_pow = np.cumprod(np.full(size, _LCG_A, dtype=np.uint64))
+    b_acc = np.cumsum(np.concatenate(([np.uint64(1)], a_pow[:-1])))
+    b_acc *= np.uint64(_LCG_C)
     states = np.empty(count, dtype=np.uint64)
     s = np.uint64(seed & _LCG_MASK)
-    filled = 0
-    while filled < count:
-        take = min(_CHUNK, count - filled)
-        with np.errstate(over="ignore"):
-            states[filled : filled + take] = a_pow[:take] * s + b_acc[:take]
-        s = states[filled + take - 1]
-        filled += take
+    for lo in range(0, count, _CHUNK):
+        take = min(_CHUNK, count - lo)
+        states[lo : lo + take] = a_pow[:take] * s + b_acc[:take]
+        s = states[lo + take - 1]
     return states
 
 
@@ -504,8 +485,8 @@ def lcg_uniforms(seed: int, count: int) -> np.ndarray:
     """count doubles in [0, 1) from the 64-bit LCG stream.
 
     The i-th output (i >= 1) is (s_i >> 11) / 2^53 where s_i is the i-th
-    state after seeding with s_0 = seed.  Vectorized with precomputed
-    stride coefficients; identical to stepping the scalar recurrence.
+    state after seeding with s_0 = seed.  Vectorized by strides (see
+    _lcg_states); identical to stepping the scalar recurrence.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")

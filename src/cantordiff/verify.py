@@ -71,9 +71,10 @@ _NEST_C = 16.0
 # leave a 1/48 relative slack for the terms of order u^2.
 _ORBIT_KAPPA = 48.0
 
-# sample pairs per block of pairwise-contraction: the default 256 samples
-# (32,640 pairs) are one block, and a block's temporaries stay near 4 MB
-_PAIR_BLOCK = 1 << 16
+# cells per block of pairwise-contraction's rows-by-columns differences:
+# the default 256 samples take two blocks of 128 rows, whose complex
+# temporaries are 0.5 MB each
+_PAIR_BLOCK = 1 << 15
 
 
 class VerifyConfig(
@@ -351,26 +352,23 @@ def _check_pairwise_contraction(ctx: _Ctx) -> tuple[bool, str]:
     cfg = ctx.cfg
     n = cfg.samples
     worst = 0.0
-    # |a - b| == |b - a| bit for bit, so each unordered pair once, taken in
-    # blocks of rows lo..hi-1 with at most _PAIR_BLOCK pairs (one row at least)
-    lo = 0
-    while lo < n - 1:
-        hi = min(n - 1, lo + max(1, _PAIR_BLOCK // (n - 1 - lo)))
-        i, j = np.triu_indices(hi - lo, 1, n - lo)
-        i += lo
-        j += lo
+    # rows lo..lo+rows-1 against the columns after lo: every pair i < j
+    # once at least, and the pairs seen twice give the same ratio, since
+    # |a - b| == |b - a| bit for bit
+    rows = max(1, _PAIR_BLOCK // n)
+    for lo in range(0, n - 1, rows):
+        i, j = slice(lo, lo + rows), slice(lo + 1, n)
         for k in range(1, len(ctx.pieces)):
             factor = math.sqrt(2.0) * ctx.rows[k].inner_radius
             children = ctx.pieces[k].samples
             half = 1 << k  # parent p has the children p and p + half
             for p, parent in enumerate(ctx.pieces[k - 1].samples):
-                dp = np.abs(parent[i] - parent[j])
+                dp = np.abs(parent[i, None] - parent[None, j])
                 mask = dp > 0
                 for child in (children[p], children[p + half]):
-                    dc = np.abs(child[i] - child[j]) * factor
+                    dc = np.abs(child[i, None] - child[None, j]) * factor
                     np.divide(dc, dp, out=dc, where=mask)
                     worst = max(worst, float(dc.max(where=mask, initial=0.0)))
-        lo = hi
     ok = worst <= 1.0 + 1e-9
     return ok, f"max contracted/original pairwise ratio {worst:.12f} (depths 1..{cfg.depth})"
 
@@ -398,18 +396,16 @@ def _check_enclosure(ctx: _Ctx) -> tuple[bool, str]:
     return ok, f"max sample distance / disk radius {worst:.15f}"
 
 
-def _circular_spread(z: np.ndarray) -> float:
-    args = np.sort(np.angle(z))
-    gaps = np.diff(args)
-    wrap = 2.0 * math.pi - (args[-1] - args[0])
-    return 2.0 * math.pi - max(float(gaps.max()) if gaps.size else 0.0, wrap)
-
-
 def _check_argument_spread(ctx: _Ctx) -> tuple[bool, str]:
     worst = 0.0
     for level in ctx.pieces[1:]:
-        for z in level.samples:
-            worst = max(worst, _circular_spread(z))
+        # a row's spread is 2*pi less its widest gap between arguments,
+        # the one across the cut included
+        args = np.sort(np.angle(level.samples), axis=1)
+        gaps = np.diff(args, axis=1).max(axis=1, initial=0.0)
+        wrap = 2.0 * math.pi - (args[:, -1] - args[:, 0])
+        spread = 2.0 * math.pi - np.maximum(gaps, wrap)
+        worst = float(np.fmax.reduce(spread, initial=worst))
     ok = worst < math.pi / 2.0
     return ok, f"max argument spread {worst:.12f} < pi/2 = {math.pi / 2.0:.12f}"
 
@@ -574,18 +570,14 @@ def _check_correlation_methods(ctx: _Ctx) -> tuple[bool, str]:
     sa = _random_mask(cfg, (12, 10), stream=8, p=0.4)
     sb = _random_mask(cfg, (9, 11), stream=9, p=0.4)
     dm = mask_difference(sa, sb)
-    want_pairs = set()
     ay, ax = np.nonzero(sa.bits)
     by, bx = np.nonzero(sb.bits)
-    for j in range(ay.size):
-        for t in range(by.size):
-            want_pairs.add((int(ax[j]) - int(bx[t]), int(ay[j]) - int(by[t])))
-    got_pairs = set()
+    dx, dy = ax[:, None] - bx, ay[:, None] - by
+    want_pairs = set(zip(dx.ravel().tolist(), dy.ravel().tolist()))
     ys, xs = np.nonzero(dm.bits)
-    for iy, ix in zip(ys.tolist(), xs.tolist()):
-        cx = dm.origin.real + (ix + 0.5) * dm.cell
-        cy = dm.origin.imag + (iy + 0.5) * dm.cell
-        got_pairs.add((round(cx), round(cy)))
+    cx = (dm.origin.real + (xs + 0.5) * dm.cell).tolist()
+    cy = (dm.origin.imag + (ys + 0.5) * dm.cell).tolist()
+    got_pairs = {(round(x), round(y)) for x, y in zip(cx, cy)}
     oracle = got_pairs == want_pairs
     ok = same and oracle
     return ok, f"run pairs==shift-or on 96x80*64x48: {same}, exhaustive small oracle match: {oracle}"

@@ -382,16 +382,17 @@ def test_verify_obeys_the_memory_cap(cap, count, capsys, monkeypatch):
 
 
 def test_oracle_refuses_the_difference_window_before_writing_it(tmp_path, capsys, monkeypatch):
-    # the 102^2-cell rasters fit the cap; their 203^2-cell self-difference does not
+    # the 102^2-cell rasters fit the cap; their 203^2-cell self-difference
+    # does not, and is refused before anything is written
     monkeypatch.setenv("CANTORDIFF_MEMORY_CAP", "10404")
     code, out, err = run_cli(capsys, "oracle", "--c-re", "5", "--depth", "1", "--cell", "0.1",
-                             "--outdir", str(tmp_path))
+                             "--outdir", str(tmp_path / "out"))
     assert code == 2 and out == ""
     assert err == (
         "error: difference window cells: 41209 needed, which exceeds the cap 10404; "
         "lower the depth, the sample count or the resolution\n"
     )
-    assert not (tmp_path / "diff.pgm").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_bounds_ignores_the_memory_cap():

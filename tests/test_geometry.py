@@ -23,6 +23,7 @@ from cantordiff import (
     piece_tree,
     sqrt_branch,
 )
+from cantordiff import geometry
 from cantordiff.geometry import _ALL_PAIRS_LIMIT, _BLOCK, _pair_scan, _pair_search
 
 
@@ -125,13 +126,16 @@ def test_diametral_pair_tie_break_spans_blocks():
         assert _pair_scan(pts)[:2] == _first_attaining_pair(pts), case
 
 
-def test_diameter_matches_bruteforce_beyond_hull_cutoff():
+def test_block_search_diameter_matches_bruteforce():
     rng = np.random.default_rng(23)
     n = _ALL_PAIRS_LIMIT + 321
     pts = rng.normal(size=n) + 1j * rng.normal(size=n)
     d_fast = diameter(pts)
-    # independent quadratic oracle on a thinned copy plus the fast pair
+    # independent quadratic oracle on a thinned copy plus the fast pair;
+    # the prune leaves few points of this cloud, so the block search runs
+    # on all of them directly
     i, j = diametral_pair(pts)
+    assert _pair_search(pts) == (i, j, d_fast)
     assert abs(pts[i] - pts[j]) == d_fast
     sub = pts[:: 7]
     brute = max(
@@ -171,8 +175,9 @@ def _smallest_max_pair(pts):
 
 
 def test_diametral_pair_matches_bruteforce_beyond_scan_limit():
-    # above the scan limit the block search runs; its pair must be the
-    # oracle's exactly, ties and duplicates included
+    # above the scan limit, both behind the prune and unpruned, the block
+    # search's pair must be the oracle's exactly, ties and duplicates
+    # included
     rng = np.random.default_rng(61)
     for kind in range(7):
         n = int(rng.integers(_ALL_PAIRS_LIMIT + 1, 6001))
@@ -193,6 +198,7 @@ def test_diametral_pair_matches_bruteforce_beyond_scan_limit():
             pts = np.exp(2j * math.pi * rng.integers(0, 3, size=n) / 3) + blob
         want = _smallest_max_pair(pts)
         assert (*diametral_pair(pts), diameter(pts)) == want, (kind, n)
+        assert _pair_search(pts) == want, (kind, n)
 
 
 @pytest.mark.parametrize("c", [5.0, -5.0, 2.5j, 3 + 4j])
@@ -213,6 +219,25 @@ def test_scan_and_search_agree_between_the_limits():
         for level in piece_tree(Parameter(c), 2, samples):
             for k, row in enumerate(level.samples):
                 assert _pair_scan(row)[:2] == _pair_search(row)[:2], (c, samples, k)
+
+
+def test_search_dispatch_counts_the_points_the_prune_keeps(monkeypatch):
+    # at c = 5 the prune keeps a few of 5,000 points per row, so the scan
+    # runs; the round pieces at c = 2.5i keep nearly all, so the search runs
+    calls = []
+
+    def search(pts):
+        calls.append(pts.size)
+        if refuse:
+            raise AssertionError(f"block search on {pts.size} points")
+        return _pair_search(pts)
+
+    monkeypatch.setattr(geometry, "_pair_search", search)
+    refuse = True
+    generate_pieces(Parameter(5.0), 2, samples=5000)
+    refuse = False
+    generate_pieces(Parameter(2.5j), 2, samples=5000)
+    assert calls and min(calls) > _ALL_PAIRS_LIMIT
 
 
 def _pruning_inputs(n, rng):
@@ -280,9 +305,10 @@ def test_block_search_memory_on_a_large_circle():
     assert (i, j, diameter(pts)) == (lo[k], hi[k], d.max())
 
 
-def test_hull_path_on_degenerate_inputs():
-    # above the scan limit the block search runs; lattices and repeated
-    # circle points give many duplicates, collinear runs and distance ties
+def test_block_search_on_degenerate_inputs():
+    # lattices and repeated circle points give many duplicates, collinear
+    # runs and distance ties; the block search runs behind the prune on
+    # the inputs it cannot shrink below the scan limit, directly on all
     rng = np.random.default_rng(53)
     ring = np.exp(2j * math.pi * rng.integers(0, 24, size=5000) / 24)
     grid = rng.integers(0, 7, size=5000) + 1j * rng.integers(0, 7, size=5000)
@@ -308,6 +334,7 @@ def test_hull_path_on_degenerate_inputs():
         assert diameter(pts) == _pair_scan(distinct)[2]
         assert diametral_pair(pts.copy()) == (i, j)
         assert (i, j, diameter(pts)) == _smallest_max_pair(pts)
+        assert _pair_search(pts) == (i, j, diameter(pts))
 
 
 def _enclosing_disk(pts) -> Disk:

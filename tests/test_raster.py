@@ -108,7 +108,7 @@ def test_mask_difference_of_disks_is_difference_disk():
     assert np.abs(pts - pred.center).max() <= pred.radius + 1e-9
 
 
-def test_mask_difference_direct_equals_fft():
+def test_mask_difference_of_disks_equals_shift_or():
     # the direct reference is verify's shift-and-OR oracle
     a = disk_mask(Disk(0.4 - 0.3j, 1.1), 0.05)
     b = disk_mask(Disk(-0.2 + 0.9j, 0.7), 0.05)
@@ -131,7 +131,7 @@ def _mask(bits, origin=0j):
     return GridMask(origin=origin, cell=0.05, bits=np.asarray(bits, dtype=bool))
 
 
-def test_mask_difference_fft_self_difference(p5):
+def test_mask_difference_self_difference_equals_shift_or(p5):
     # the same GridMask twice (as oracle and verify pass it) and a copy of
     # its bits must give the same difference
     m = rasterize_preimage(p5, 2, 0.05)
@@ -142,7 +142,7 @@ def test_mask_difference_fft_self_difference(p5):
     _assert_matches_direct(d, d)
 
 
-def test_mask_difference_fft_cells_on_window_edges():
+def test_mask_difference_cells_on_window_edges_equal_shift_or():
     rng = np.random.default_rng(43)
     for _ in range(6):
         h, w = (int(v) for v in rng.integers(3, 30, size=2))
@@ -158,7 +158,7 @@ def test_mask_difference_fft_cells_on_window_edges():
         _assert_matches_direct(b, a)
 
 
-def test_mask_difference_fft_single_cell():
+def test_mask_difference_single_cell_equals_shift_or():
     one = np.zeros((5, 7), dtype=bool)
     one[2, 3] = True
     other = np.zeros((4, 4), dtype=bool)
@@ -169,7 +169,7 @@ def test_mask_difference_fft_single_cell():
     _assert_matches_direct(b, a)
 
 
-def test_mask_difference_fft_empty_masks():
+def test_mask_difference_empty_masks_equal_shift_or():
     full = _mask(np.ones((4, 6)))
     empty = _mask(np.zeros((5, 3)))
     for a, b in ((empty, full), (full, empty), (empty, empty)):
@@ -177,7 +177,7 @@ def test_mask_difference_fft_empty_masks():
         assert not out.bits.any()
 
 
-def test_mask_difference_fft_shape_parity():
+def test_mask_difference_shape_parity_equals_shift_or():
     rng = np.random.default_rng(47)
     shapes = [(7, 8), (8, 7), (9, 9), (10, 10), (1, 6), (6, 1)]
     for sa in shapes:
@@ -455,12 +455,16 @@ def test_lcg_matches_scalar_reference():
 
 
 def test_lcg_coeff_table_matches_scalar_recurrence():
-    a_pow, b_acc = raster._lcg_coeffs()
-    a, b = 6364136223846793005, 1442695040888963407
-    for k in range(raster._CHUNK):
-        assert (int(a_pow[k]), int(b_acc[k])) == (a, b), k
-        a = a * 6364136223846793005 % 2**64
-        b = (b * 6364136223846793005 + 1442695040888963407) % 2**64
+    # short stride tables, and counts on both sides of each chunk edge
+    chunk = raster._CHUNK
+    for count in (0, 1, 5, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        s, want = 987654321, []
+        for _ in range(count):
+            s = (s * 6364136223846793005 + 1442695040888963407) % 2**64
+            want.append(s)
+        states = raster._lcg_states(987654321, count)
+        assert states.dtype == np.uint64
+        assert states.tolist() == want, count
 
 
 def test_sample_diff_check_reads_one_stream():

@@ -287,7 +287,7 @@ def _pairwise_ratio_all_at_once(ctx) -> float:
 
 @pytest.mark.parametrize("samples", [16, 255, 256, 300, 700])
 def test_pairwise_contraction_blocks_keep_the_ratio(samples):
-    # 256 samples are one block of pairs, 300 two and 700 five
+    # 16 samples are one block of rows, 255 and 256 two, 300 three and 700 sixteen
     ctx = verify._Ctx(_cfg(Parameter(0.0 + 2.5j), depth=3, samples=samples))
     ok, detail = dict(verify._CHECKS)["pairwise-contraction"](ctx)
     assert ok
@@ -309,6 +309,24 @@ def test_pairwise_contraction_memory_is_bounded():
         tracemalloc.stop()
     assert ok
     assert peak < 8 << 20, peak
+
+
+def _spread_per_row(ctx) -> float:
+    # reference: one sort per row
+    worst = 0.0
+    for level in ctx.pieces[1:]:
+        for z in level.samples:
+            args = np.sort(np.angle(z))
+            gap = max(float(np.diff(args).max()), 2.0 * math.pi - (args[-1] - args[0]))
+            worst = max(worst, 2.0 * math.pi - gap)
+    return worst
+
+
+@pytest.mark.parametrize("c", [5.0, -5.0, 2.5j, 3 + 4j])
+def test_argument_spread_equals_the_per_row_spread(c):
+    ctx = verify._Ctx(_cfg(Parameter(c), depth=3, samples=100))
+    _, detail = dict(verify._CHECKS)["argument-spread"](ctx)
+    assert detail.startswith(f"max argument spread {_spread_per_row(ctx):.12f} < pi/2")
 
 
 def _embed(m1, m2):
