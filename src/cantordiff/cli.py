@@ -298,7 +298,7 @@ def _run_oracle(args, param: Parameter) -> int:
 
     from .cover import generate_pieces, sandwich
     from .images import write_pgm
-    from .raster import mask_area, mask_difference, rasterize_preimage
+    from .raster import mask_difference, rasterize_preimage
 
     _check_cell_area(param, args.cell, args.depth - 1 if args.depth >= 1 else None)
     outdir = args.outdir
@@ -307,8 +307,8 @@ def _run_oracle(args, param: Parameter) -> int:
 
     def record(name: str, mask) -> None:
         write_pgm(mask, os.path.join(outdir, f"{name}.pgm"), meta)
-        report[f"{name}_cells"] = int(np.count_nonzero(mask.bits))
-        report[f"{name}_area"] = mask_area(mask)
+        cells = report[f"{name}_cells"] = int(np.count_nonzero(mask.bits))
+        report[f"{name}_area"] = cells * mask.cell * mask.cell  # as mask_area
 
     def build(mode: str):
         return rasterize_preimage(param, args.depth, args.cell, mode)

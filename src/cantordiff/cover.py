@@ -33,7 +33,8 @@ import numpy as np
 
 from .bounds import difference_measure_bound
 from .geometry import Disks, Parameter, diametral_disks, diametral_pair, inverse_branch
-from .raster import DEFAULT_MAX_CELLS, DEFAULT_MAX_PAIRS, DEFAULT_MAX_POINTS, GridMask, check_cap
+from .raster import DEFAULT_MAX_CELLS, DEFAULT_MAX_PAIRS, DEFAULT_MAX_POINTS, GridMask
+from .raster import _disk_cells, check_cap, check_cell
 
 __all__ = [
     "Pieces",
@@ -54,8 +55,6 @@ __all__ = [
 ]
 
 _MIN_SAMPLES = 16
-# cells per strip when union_grid_mask tests one disk window
-_STRIP = 1 << 16
 
 
 class Pieces:
@@ -165,7 +164,8 @@ def piece_sample_tree(param: Parameter, depth: int, samples: int = 512) -> list[
     level = boundary_samples(param, samples)[None, :]
     levels: list[np.ndarray] = []
     for _ in range(depth + 1):
-        level = np.concatenate([inverse_branch(level, b, param) for b in (0, 1)])
+        root = inverse_branch(level, 0, param)  # branch 1 is -root, bit for bit
+        level = np.concatenate([root, -root])
         levels.append(level)
     return levels
 
@@ -216,42 +216,13 @@ def sum_area(disks: Disks) -> float:
 def union_grid_mask(disks: Disks, cell: float) -> GridMask:
     """Dilated membership raster of a disk union.
 
-    Marks every cell of the lattice (i*cell, j*cell) whose center lies
-    within radius + cell*sqrt(2)/2 of some disk center.  Cell centers sit
-    on integer multiples of cell so that difference masks of half-integer
-    rasters (which land on the same lattice) compare cell for cell.
+    Marks, with raster's one disk rasterizer, every cell of the lattice
+    (i*cell, j*cell) whose center lies within radius + cell*sqrt(2)/2 of
+    some disk center: the lattice that difference masks of half-integer
+    rasters land on, so the two compare cell for cell.
     """
-    if not (math.isfinite(cell) and cell > 0.0):
-        raise ValueError(f"cell must be finite and > 0, got {cell!r}")
-    dil = cell * math.sqrt(2.0) / 2.0
-    cx, cy, r = disks.centers.real, disks.centers.imag, disks.radii
-    kx_lo = math.floor(float((cx - r - dil).min()) / cell) - 1
-    kx_hi = math.ceil(float((cx + r + dil).max()) / cell) + 1
-    ky_lo = math.floor(float((cy - r - dil).min()) / cell) - 1
-    ky_hi = math.ceil(float((cy + r + dil).max()) / cell) + 1
-    nx = kx_hi - kx_lo + 1
-    ny = ky_hi - ky_lo + 1
-    check_cap("union grid cells", nx * ny, DEFAULT_MAX_CELLS)
-    mask = np.zeros((ny, nx), dtype=bool)
-    for x, y, rad in zip(cx.tolist(), cy.tolist(), r.tolist()):
-        rr = rad + dil
-        ax_lo = max(kx_lo, math.floor((x - rr) / cell) - 1)
-        ax_hi = min(kx_hi, math.ceil((x + rr) / cell) + 1)
-        ay_lo = max(ky_lo, math.floor((y - rr) / cell) - 1)
-        ay_hi = min(ky_hi, math.ceil((y + rr) / cell) + 1)
-        if ax_lo > ax_hi or ay_lo > ay_hi:
-            continue
-        dx2 = (np.arange(ax_lo, ax_hi + 1, dtype=np.float64) * cell - x) ** 2
-        dy = np.arange(ay_lo, ay_hi + 1, dtype=np.float64) * cell - y
-        cols = mask[:, ax_lo - kx_lo : ax_hi - kx_lo + 1]
-        # row strips of about _STRIP cells bound the float temporary
-        rows = max(1, _STRIP // dx2.size)
-        for lo in range(0, dy.size, rows):
-            dy2 = dy[lo : lo + rows, None] ** 2
-            top = ay_lo - ky_lo + lo
-            cols[top : top + dy2.shape[0]] |= dx2 + dy2 <= rr * rr
-    origin = complex((kx_lo - 0.5) * cell, (ky_lo - 0.5) * cell)
-    return GridMask(origin=origin, cell=cell, bits=mask, mode="union")
+    check_cell(cell)
+    return _disk_cells(disks, cell, cell * math.sqrt(2.0) / 2.0, 0.5, "union grid cells", "union")
 
 
 def union_area_grid(disks: Disks, cell: float) -> GridArea:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Disks
-from .raster import GridMask, check_cap
+from .raster import GridMask, check_cap, check_cell
 
 __all__ = [
     "write_pgm",
@@ -123,8 +123,7 @@ def render_disks(disks: Disks, cell: float) -> np.ndarray:
     plus a pad of half the largest radius, at least half a cell.  Purely
     for inspection; the certified numbers never come from this raster.
     """
-    if not (math.isfinite(cell) and cell > 0.0):
-        raise ValueError(f"cell must be finite and > 0, got {cell!r}")
+    check_cell(cell)
     cx, cy, r = disks.centers.real, disks.centers.imag, disks.radii
     pad = max(float(r.max()), cell) * 0.5
     x_lo = float((cx - r).min()) - pad

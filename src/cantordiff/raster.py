@@ -12,9 +12,12 @@ cell (origin is the lower-left corner of the window).  Preimage rasters
 are centered on 0, so their cell centers sit on half-integer multiples of
 the cell size; difference masks of two such rasters then land on integer
 multiples, the same lattice the union-area grid uses, which is what makes
-the two estimates comparable cell for cell.  Mask differences have one
-implementation, exact integer sums over pairs of row runs; verify holds
-it against a plain shift-and-OR of its own.
+the two estimates comparable cell for cell.  Disks have one capped
+rasterizer, _disk_cells, on either lattice: disk_mask is one disk, the
+union grid many disks grown by half a cell diagonal on the integer
+lattice.  Mask differences have one implementation, exact integer sums
+over pairs of row runs; verify holds it against a plain shift-and-OR of
+its own.
 
 The block test.  _live_blocks rules out a square of side x side cells at
 once.  It runs the float orbit b~_0 = b, b~_{k+1} = fl(b~_k * b~_k + c)
@@ -95,7 +98,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .geometry import Disk, Parameter, disk_difference
+from .geometry import Disk, Disks, Parameter, disk_difference
 
 __all__ = [
     "GridMask",
@@ -126,6 +129,7 @@ _CHUNK = 1 << 14
 # run pairs per np.add.at call in mask_difference (more only raise the
 # peak), and a one of the edge dtype, which np.add.at's fast path needs
 _PAIR_CHUNK, _ONE = 1 << 16, np.int32(1)
+_STRIP = 1 << 16  # cells per row strip of one disk window in _disk_cells
 
 # cells per side of the blocks rasterize_preimage rules out whole, then
 # the unit roundoff of float64 and the rounding constant of the block
@@ -143,8 +147,7 @@ class GridMask(namedtuple("GridMask", "origin cell bits mode")):
     def __new__(cls, origin: complex, cell: float, bits: np.ndarray, mode: str = ""):
         if bits.dtype != np.bool_ or bits.ndim != 2:
             raise ValueError("bits must be a 2-d boolean array")
-        if not (math.isfinite(cell) and cell > 0.0):
-            raise ValueError(f"cell must be finite and > 0, got {cell!r}")
+        check_cell(cell)
         bits.setflags(write=False)
         return super().__new__(cls, origin, cell, bits, mode)
 
@@ -184,6 +187,12 @@ class GridMask(namedtuple("GridMask", "origin cell bits mode")):
         xs, ys = self.center_axes()
         iy, ix = np.nonzero(self.bits)
         return xs[ix] + 1j * ys[iy]
+
+
+def check_cell(cell: float) -> None:
+    """Refuse a cell size that is not finite and positive."""
+    if not (math.isfinite(cell) and cell > 0.0):
+        raise ValueError(f"cell must be finite and > 0, got {cell!r}")
 
 
 def check_cap(what: str, need: int, default: int) -> None:
@@ -314,8 +323,7 @@ def rasterize_preimage(param: Parameter, depth: int, cell: float, mode: str = "i
         raise ValueError(f"mode must be 'inner' or 'outer', got {mode!r}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    if not (math.isfinite(cell) and cell > 0.0):
-        raise ValueError(f"cell must be finite and > 0, got {cell!r}")
+    check_cell(cell)
     nhalf = math.ceil((param.abs_c + cell) / cell)
     width = 2 * nhalf
     check_cap("raster cells", width * width, DEFAULT_MAX_CELLS)
@@ -345,6 +353,38 @@ def rasterize_preimage(param: Parameter, depth: int, cell: float, mode: str = "i
     return GridMask(origin=origin, cell=cell, bits=bits, mode=mode)
 
 
+def _disk_cells(
+    disks: Disks, cell: float, grow: float, shift: float, what: str, mode: str
+) -> GridMask:
+    """Raster, capped as `what`, of the cells whose centers (k + 0.5 -
+    shift) * cell lie within radius + grow of some disk center: shift 0
+    is the half-integer lattice, 0.5 the integer one.  The window spans
+    the grown disks plus one spare cell a side; each disk tests only its
+    own window, in row strips of about _STRIP cells."""
+    cx, cy, r = disks.centers.real, disks.centers.imag, disks.radii
+    kx_lo = math.floor(float((cx - r - grow).min()) / cell) - 1
+    kx_hi = math.ceil(float((cx + r + grow).max()) / cell) + 1
+    ky_lo = math.floor(float((cy - r - grow).min()) / cell) - 1
+    ky_hi = math.ceil(float((cy + r + grow).max()) / cell) + 1
+    shape = (ky_hi - ky_lo + 1, kx_hi - kx_lo + 1)
+    check_cap(what, shape[0] * shape[1], DEFAULT_MAX_CELLS)
+    bits = np.zeros(shape, dtype=bool)
+    for x, y, rad in zip(cx.tolist(), cy.tolist(), r.tolist()):
+        rr = rad + grow
+        ax_lo = max(kx_lo, math.floor((x - rr) / cell) - 1)
+        ax_hi = min(kx_hi, math.ceil((x + rr) / cell) + 1)
+        ay_lo = max(ky_lo, math.floor((y - rr) / cell) - 1)
+        ay_hi = min(ky_hi, math.ceil((y + rr) / cell) + 1)
+        dx2 = ((np.arange(ax_lo, ax_hi + 1, dtype=np.float64) + (0.5 - shift)) * cell - x) ** 2
+        dy = (np.arange(ay_lo, ay_hi + 1, dtype=np.float64) + (0.5 - shift)) * cell - y
+        win = bits[ay_lo - ky_lo : ay_hi - ky_lo + 1, ax_lo - kx_lo : ax_hi - kx_lo + 1]
+        rows = max(1, _STRIP // dx2.size)
+        for lo in range(0, dy.size, rows):
+            win[lo : lo + rows] |= dx2 + dy[lo : lo + rows, None] ** 2 <= rr * rr
+    origin = complex((kx_lo - shift) * cell, (ky_lo - shift) * cell)
+    return GridMask(origin=origin, cell=cell, bits=bits, mode=mode)
+
+
 def disk_mask(disk: Disk, cell: float, align: str = "half") -> GridMask:
     """Plain center-membership raster of one disk.
 
@@ -352,22 +392,12 @@ def disk_mask(disk: Disk, cell: float, align: str = "half") -> GridMask:
     size (the preimage raster convention); align "integer" puts them on
     integer multiples (the lattice difference masks land on).
     """
-    if not (math.isfinite(cell) and cell > 0.0):
-        raise ValueError(f"cell must be finite and > 0, got {cell!r}")
+    check_cell(cell)
     if align not in ("half", "integer"):
         raise ValueError(f"align must be 'half' or 'integer', got {align!r}")
     shift = 0.0 if align == "half" else 0.5
-    kx_lo = math.floor((disk.center.real - disk.radius) / cell) - 1
-    kx_hi = math.ceil((disk.center.real + disk.radius) / cell) + 1
-    ky_lo = math.floor((disk.center.imag - disk.radius) / cell) - 1
-    ky_hi = math.ceil((disk.center.imag + disk.radius) / cell) + 1
-    xs = (np.arange(kx_lo, kx_hi + 1, dtype=np.float64) + 0.5 - shift) * cell
-    ys = (np.arange(ky_lo, ky_hi + 1, dtype=np.float64) + 0.5 - shift) * cell
-    bits = (xs[None, :] - disk.center.real) ** 2 + (
-        ys[:, None] - disk.center.imag
-    ) ** 2 <= disk.radius * disk.radius
-    origin = complex((kx_lo - shift) * cell, (ky_lo - shift) * cell)
-    return GridMask(origin=origin, cell=cell, bits=bits, mode="disk")
+    disks = Disks([disk.center], [disk.radius])
+    return _disk_cells(disks, cell, 0.0, shift, "disk mask cells", "disk")
 
 
 def _bbox(bits: np.ndarray) -> tuple[slice, slice]:

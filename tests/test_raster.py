@@ -99,6 +99,72 @@ def test_disk_mask_area():
     assert np.abs(pts - (0.3 + 0.2j)).max() <= 1.0
 
 
+def _all_cells(centers, radii, cell, grow, shift):
+    # every disk tested on every cell of the documented window: the
+    # grown disks' bounding box plus one spare cell a side, centers at
+    # (k + 0.5 - shift) * cell
+    cx, cy = centers.real, centers.imag
+    kx = math.floor(float((cx - radii - grow).min()) / cell) - 1
+    ky = math.floor(float((cy - radii - grow).min()) / cell) - 1
+    nx = math.ceil(float((cx + radii + grow).max()) / cell) + 1 - kx + 1
+    ny = math.ceil(float((cy + radii + grow).max()) / cell) + 1 - ky + 1
+    xs = (np.arange(kx, kx + nx, dtype=np.float64) + (0.5 - shift)) * cell
+    ys = (np.arange(ky, ky + ny, dtype=np.float64) + (0.5 - shift)) * cell
+    inside = np.zeros((ny, nx), dtype=bool)
+    for x, y, rr in zip(cx, cy, radii + grow):
+        inside |= (xs[None, :] - x) ** 2 + (ys[:, None] - y) ** 2 <= rr * rr
+    return inside, complex((kx - shift) * cell, (ky - shift) * cell)
+
+
+_DISK_SETS = {
+    "one disk": lambda rng: (np.array([0.3 - 0.7j]), np.array([1.3])),
+    "zero radius": lambda rng: (np.array([0.21 + 0.4j, -1.0]), np.array([0.0, 0.0])),
+    "far apart": lambda rng: (np.array([-6.0 + 2j, 5.0 - 4j]), np.array([0.5, 1.7])),
+    "seeded": lambda rng: (
+        rng.uniform(-2, 2, 9) + 1j * rng.uniform(-2, 2, 9), rng.uniform(0.0, 1.5, 9)
+    ),
+}
+
+
+@pytest.mark.parametrize("strip", [raster._STRIP, 7])
+@pytest.mark.parametrize("cell", [0.013, 0.05, 0.1 / 3, 0.37])
+@pytest.mark.parametrize("name", sorted(_DISK_SETS))
+def test_disk_rasters_equal_the_all_cells_test(name, cell, strip, monkeypatch):
+    monkeypatch.setattr(raster, "_STRIP", strip)
+    centers, radii = _DISK_SETS[name](np.random.default_rng(17))
+    union = union_grid_mask(Disks(centers, radii), cell)
+    bits, origin = _all_cells(centers, radii, cell, cell * math.sqrt(2.0) / 2.0, 0.5)
+    assert union.origin == origin and union.mode == "union"
+    assert union.bits.shape == bits.shape and np.array_equal(union.bits, bits)
+    for align, shift in (("half", 0.0), ("integer", 0.5)):
+        for c, r in zip(centers, radii):
+            m = disk_mask(Disk(c, r), cell, align)
+            bits, origin = _all_cells(np.array([c]), np.array([r]), cell, 0.0, shift)
+            assert m.origin == origin and m.mode == "disk"
+            assert m.bits.shape == bits.shape and np.array_equal(m.bits, bits)
+
+
+def test_disk_mask_obeys_the_cell_cap(monkeypatch):
+    monkeypatch.setenv("CANTORDIFF_MEMORY_CAP", "10000")
+    # 203 x 203 cells: the unit disk's 200 cells a side plus one spare
+    # cell on each side and the fencepost
+    with pytest.raises(ValueError, match="disk mask cells: 41209 needed"):
+        disk_mask(Disk(0j, 1.0), 0.01)
+
+
+def test_disk_mask_memory_is_its_bits_plus_a_strip():
+    # 2003 x 2003 cells: 4 MB of bits, where whole-window float64
+    # temporaries would take 32 MB each
+    tracemalloc.start()
+    try:
+        m = disk_mask(Disk(0j, 1.0), 0.001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.bits.shape == (2003, 2003)
+    assert peak <= 8 << 20
+
+
 def test_mask_difference_of_disks_is_difference_disk():
     a = disk_mask(Disk(1 + 1j, 0.8), 0.02)
     b = disk_mask(Disk(-0.5j, 0.6), 0.02)
@@ -293,6 +359,7 @@ _CAPPED = {
     "sample tree": lambda p: piece_sample_tree(p, 1, samples=64),
     "difference disks": lambda p: difference_cover(Disks(np.arange(20.0), np.full(20, 0.1))),
     "union grid": lambda p: union_grid_mask(Disks([0j], [1.0]), 0.1),
+    "disk mask": lambda p: disk_mask(Disk(0j, 1.0), 0.1),
     "raster": lambda p: rasterize_preimage(p, 1, 0.5),
     "render": lambda p: render_disks(Disks([0j], [1.0]), 0.1),
     "difference samples": lambda p: sample_diff_check(Disk(0j, 1.0), Disk(1.0, 0.5), 1000, 7),
