@@ -146,13 +146,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, fields: dict, table: str, columns: tuple, rows: list, trailer: list) -> None:
+def _emit(args, fields: dict, table: str, columns: tuple, rows: list, trailer: list, image=None):
     """Print one record in args.format to args.output or stdout.
 
     fields are the JSON header and rows the tuples of the table named
     table, with the given columns; a complex quantity is the column pair
     <name>_re, <name>_im, one [re, im] value in JSON.  trailer holds the
-    (key, value) items that follow the rows in CSV.
+    (key, value) items that follow the rows in CSV.  image, built before
+    the call so that a refused render prints nothing, goes to args.render.
     """
     if args.format == "json":
         # a <name>_re column and the <name>_im after it give one slice of two
@@ -174,6 +175,11 @@ def _emit(args, fields: dict, table: str, columns: tuple, rows: list, trailer: l
         with open(args.output, "w") as f:
             f.writelines(text)
         print(f"wrote {args.output}")
+    if image is not None:
+        from .images import write_ppm
+
+        write_ppm(image, args.render)
+        print(f"wrote {args.render}")
 
 
 def _check_cell_area(param: Parameter, cell: float, piece_depth: int | None) -> None:
@@ -221,18 +227,19 @@ def _run_bounds(args, param: Parameter) -> int:
     return 0
 
 
-def _render_cover(disks, render: str, render_cell: float | None) -> None:
-    from .images import render_disks, write_ppm
+def _render(args, disks):
+    """The image --render asks for, or None."""
+    if args.render is None:
+        return None
+    from .images import render_disks
 
-    if render_cell is None:
-        cx, cy, r = disks.centers.real, disks.centers.imag, disks.radii
-        spread = max(
-            float((cx + r).max()) - float((cx - r).min()),
-            float((cy + r).max()) - float((cy - r).min()),
-        )
-        render_cell = max(spread / 900.0, 1e-6)
-    write_ppm(render_disks(disks, render_cell), render)
-    print(f"wrote {render}")
+    cx, cy, r = disks.centers.real, disks.centers.imag, disks.radii
+    spread = max(
+        float((cx + r).max()) - float((cx - r).min()),
+        float((cy + r).max()) - float((cy - r).min()),
+    )
+    cell = max(spread / 900.0, 1e-6) if args.render_cell is None else args.render_cell
+    return render_disks(disks, cell)
 
 
 def _run_cover(args, param: Parameter) -> int:
@@ -254,9 +261,7 @@ def _run_cover(args, param: Parameter) -> int:
     trailer = [("pieces", len(pieces))]
     trailer += [(key, fields[key]) for key in ("depth", "diam_bound", "max_sampled_diam")]
     columns = ("seq", "center_re", "center_im", "radius", "sampled_diam")
-    _emit(args, fields, "pieces", columns, rows, trailer)
-    if args.render is not None:
-        _render_cover(disks, args.render, args.render_cell)
+    _emit(args, fields, "pieces", columns, rows, trailer, _render(args, disks))
     return 0
 
 
@@ -287,9 +292,8 @@ def _run_diff(args, param: Parameter) -> int:
     ]
     keys = ("sum_area", "union_area", "union_margin", "union_cells", "worst_case_bound")
     trailer = [(key, fields[key]) for key in keys]
-    _emit(args, fields, "disks", ("i", "j", "center_re", "center_im", "radius"), rows, trailer)
-    if args.render is not None:
-        _render_cover(diff, args.render, args.render_cell)
+    columns = ("i", "j", "center_re", "center_im", "radius")
+    _emit(args, fields, "disks", columns, rows, trailer, _render(args, diff))
     return 0
 
 

@@ -2,12 +2,13 @@
 
 Masks go out as P5 PGM (255 = set cell, 0 = empty) with a small JSON
 sidecar describing the window geometry; disk covers render to P6 PPM with
-a fixed palette.  Both formats stream to disk: the header, then the pixel
-rows in strips of about 1 MB, so writing an image holds one strip beyond
-the array it comes from, never a whole-image copy.  A PGM strip is one
-uint8 negation of the bools' bytes (0 stays 0, 1 becomes 255).  read_pgm
-reads the strips back straight into the mask.  No timestamps, no
-library metadata: the same inputs produce byte-identical files.
+a fixed palette, in float strips of about raster._STRIP pixels over which
+raster._disk_windows walks the disks.  Both formats stream to disk: the
+header, then the pixel rows in strips of about 1 MB, so writing an image
+holds one strip beyond the array it comes from, never a whole-image copy.
+A PGM strip is one uint8 negation of the bools' bytes (0 stays 0, 1
+becomes 255), and read_pgm reads the strips back straight into the mask.
+No timestamps, no library metadata: equal inputs give byte-identical files.
 """
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Disks
-from .raster import GridMask, check_cap, check_cell
+from . import raster
+from .raster import GridMask, _disk_windows, check_cap, check_cell
 
 __all__ = [
     "write_pgm",
@@ -31,14 +33,14 @@ __all__ = [
 MASK_SCHEMA = "cantordiff-mask/1"
 
 # fixed fill palette, cycled by disk index
-_PALETTE = (
+_PALETTE = np.array([
     (31, 119, 180),
     (255, 127, 14),
     (44, 160, 44),
     (214, 39, 40),
     (148, 103, 189),
     (140, 86, 75),
-)
+], dtype=np.float64)
 _BG = (252, 252, 252)
 _AXIS = (210, 210, 210)
 _OUTLINE_SCALE = 0.55
@@ -135,19 +137,23 @@ def render_disks(disks: Disks, cell: float) -> np.ndarray:
     check_cap(f"render of {w}x{h} pixels", w * h, 1 << 24)
     xs = x_lo + (np.arange(w) + 0.5) * cell
     ys = y_hi - (np.arange(h) + 0.5) * cell
-    img = np.empty((h, w, 3), dtype=np.float64)
-    img[:] = _BG
     col = np.argmin(np.abs(xs))
     row = np.argmin(np.abs(ys))
-    if abs(xs[col]) <= cell:
-        img[:, col] = _AXIS
-    if abs(ys[row]) <= cell:
-        img[row, :] = _AXIS
-    for idx, (x, y, rad) in enumerate(zip(cx.tolist(), cy.tolist(), r.tolist())):
-        color = np.array(_PALETTE[idx % len(_PALETTE)], dtype=np.float64)
-        dist = np.hypot(xs[None, :] - x, ys[:, None] - y)
-        fill = dist <= rad
-        img[fill] = 0.65 * img[fill] + 0.35 * color
-        edge = np.abs(dist - rad) <= cell
-        img[edge] = _OUTLINE_SCALE * color
-    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
+    reach = r + cell  # the outlines reach a cell past the radius
+    img = np.empty((h, w, 3), dtype=np.uint8)
+    step = max(1, raster._STRIP // w)
+    for top in range(0, h, step):
+        buf = np.full((min(step, h - top), w, 3), _BG, dtype=np.float64)
+        if abs(xs[col]) <= cell:
+            buf[:, col] = _AXIS
+        if abs(ys[row]) <= cell and top <= row < top + step:
+            buf[row - top] = _AXIS
+        # the walker wants ascending axes, so the strip is walked bottom up
+        for k, rows, cols, dx, dy in _disk_windows(xs, ys[top : top + step][::-1], disks, reach):
+            win, color, rad = buf[::-1][rows, cols], _PALETTE[k % len(_PALETTE)], r[k]
+            dist = np.hypot(dx, dy[:, None])
+            fill = dist <= rad
+            win[fill] = 0.65 * win[fill] + 0.35 * color
+            win[np.abs(dist - rad) <= cell] = _OUTLINE_SCALE * color
+        img[top : top + step] = np.clip(np.rint(buf), 0, 255)
+    return img

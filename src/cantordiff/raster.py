@@ -12,12 +12,12 @@ cell (origin is the lower-left corner of the window).  Preimage rasters
 are centered on 0, so their cell centers sit on half-integer multiples of
 the cell size; difference masks of two such rasters then land on integer
 multiples, the same lattice the union-area grid uses, which is what makes
-the two estimates comparable cell for cell.  Disks have one capped
-rasterizer, _disk_cells, on either lattice: disk_mask is one disk, the
-union grid many disks grown by half a cell diagonal on the integer
-lattice.  Mask differences have one implementation, exact integer sums
-over pairs of row runs; verify holds it against a plain shift-and-OR of
-its own.
+the two estimates comparable cell for cell.  All three disk rasters walk
+each disk's own cells in row strips with one walker, _disk_windows:
+disk_mask and the union grid (grown by half a cell diagonal on the
+integer lattice) through the capped _disk_cells, and images.render_disks.
+Mask differences have one implementation, exact integer sums over pairs
+of row runs; verify holds it against a plain shift-and-OR of its own.
 
 The block test.  _live_blocks rules out a square of side x side cells at
 once.  It runs the float orbit b~_0 = b, b~_{k+1} = fl(b~_k * b~_k + c)
@@ -129,7 +129,7 @@ _CHUNK = 1 << 14
 # run pairs per np.add.at call in mask_difference (more only raise the
 # peak), and a one of the edge dtype, which np.add.at's fast path needs
 _PAIR_CHUNK, _ONE = 1 << 16, np.int32(1)
-_STRIP = 1 << 16  # cells per row strip of one disk window in _disk_cells
+_STRIP = 1 << 16  # cells per row strip of a disk window in _disk_windows
 
 # cells per side of the blocks rasterize_preimage rules out whole, then
 # the unit roundoff of float64 and the rounding constant of the block
@@ -353,14 +353,33 @@ def rasterize_preimage(param: Parameter, depth: int, cell: float, mode: str = "i
     return GridMask(origin=origin, cell=cell, bits=bits, mode=mode)
 
 
+def _disk_windows(xs: np.ndarray, ys: np.ndarray, disks: Disks, reach: np.ndarray):
+    """For each disk k in turn, the cells within reach[k] of its center plus
+    one spare cell a side, of the grid with ascending center axes xs, ys:
+    yields (k, rows, cols, xs[cols] - x_k, ys[rows] - y_k) for row strips
+    of about _STRIP cells, rows and cols slices of the grid."""
+    cx, cy = disks.centers.real, disks.centers.imag
+    x_lo = np.maximum(np.searchsorted(xs, cx - reach) - 1, 0).tolist()
+    x_hi = np.minimum(np.searchsorted(xs, cx + reach, "right") + 1, xs.size).tolist()
+    y_lo = np.maximum(np.searchsorted(ys, cy - reach) - 1, 0).tolist()
+    y_hi = np.minimum(np.searchsorted(ys, cy + reach, "right") + 1, ys.size).tolist()
+    for k, (x, y) in enumerate(zip(cx.tolist(), cy.tolist())):
+        cols = slice(x_lo[k], x_hi[k])
+        dx = xs[cols] - x
+        step = max(1, _STRIP // dx.size)
+        for lo in range(y_lo[k], y_hi[k], step):
+            rows = slice(lo, min(lo + step, y_hi[k]))
+            yield k, rows, cols, dx, ys[rows] - y
+
+
 def _disk_cells(
     disks: Disks, cell: float, grow: float, shift: float, what: str, mode: str
 ) -> GridMask:
     """Raster, capped as `what`, of the cells whose centers (k + 0.5 -
     shift) * cell lie within radius + grow of some disk center: shift 0
     is the half-integer lattice, 0.5 the integer one.  The window spans
-    the grown disks plus one spare cell a side; each disk tests only its
-    own window, in row strips of about _STRIP cells."""
+    the grown disks plus one spare cell a side; _disk_windows walks each
+    disk's own cells."""
     cx, cy, r = disks.centers.real, disks.centers.imag, disks.radii
     kx_lo = math.floor(float((cx - r - grow).min()) / cell) - 1
     kx_hi = math.ceil(float((cx + r + grow).max()) / cell) + 1
@@ -368,19 +387,12 @@ def _disk_cells(
     ky_hi = math.ceil(float((cy + r + grow).max()) / cell) + 1
     shape = (ky_hi - ky_lo + 1, kx_hi - kx_lo + 1)
     check_cap(what, shape[0] * shape[1], DEFAULT_MAX_CELLS)
+    xs = (np.arange(kx_lo, kx_hi + 1, dtype=np.float64) + (0.5 - shift)) * cell
+    ys = (np.arange(ky_lo, ky_hi + 1, dtype=np.float64) + (0.5 - shift)) * cell
     bits = np.zeros(shape, dtype=bool)
-    for x, y, rad in zip(cx.tolist(), cy.tolist(), r.tolist()):
-        rr = rad + grow
-        ax_lo = max(kx_lo, math.floor((x - rr) / cell) - 1)
-        ax_hi = min(kx_hi, math.ceil((x + rr) / cell) + 1)
-        ay_lo = max(ky_lo, math.floor((y - rr) / cell) - 1)
-        ay_hi = min(ky_hi, math.ceil((y + rr) / cell) + 1)
-        dx2 = ((np.arange(ax_lo, ax_hi + 1, dtype=np.float64) + (0.5 - shift)) * cell - x) ** 2
-        dy = (np.arange(ay_lo, ay_hi + 1, dtype=np.float64) + (0.5 - shift)) * cell - y
-        win = bits[ay_lo - ky_lo : ay_hi - ky_lo + 1, ax_lo - kx_lo : ax_hi - kx_lo + 1]
-        rows = max(1, _STRIP // dx2.size)
-        for lo in range(0, dy.size, rows):
-            win[lo : lo + rows] |= dx2 + dy[lo : lo + rows, None] ** 2 <= rr * rr
+    reach = r + grow
+    for k, rows, cols, dx, dy in _disk_windows(xs, ys, disks, reach):
+        bits[rows, cols] |= dx**2 + dy[:, None] ** 2 <= reach[k] * reach[k]
     origin = complex((kx_lo - shift) * cell, (ky_lo - shift) * cell)
     return GridMask(origin=origin, cell=cell, bits=bits, mode=mode)
 

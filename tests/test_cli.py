@@ -395,6 +395,43 @@ def test_oracle_refuses_the_difference_window_before_writing_it(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+def _render_run(command):
+    # depth-1 pieces of 64 samples at c = 5; diff's union grid at a cell
+    # of 0.05 stays under a cap of 100000 cells
+    argv = (command, "--c-re", "5", "--depth", "1", "--samples", "64")
+    return argv if command == "cover" else argv + ("--cell", "0.05")
+
+
+@pytest.mark.parametrize("command", ["cover", "diff"])
+def test_refused_render_leaves_no_output(command, tmp_path, capsys, monkeypatch):
+    # the image is built before the table is printed or --output written
+    monkeypatch.setenv("CANTORDIFF_MEMORY_CAP", "100000")
+    code, out, err = run_cli(capsys, *_render_run(command), "--output", str(tmp_path / "t.csv"),
+                             "--render", str(tmp_path / "x.ppm"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: render of 390x994 pixels: 387660 needed")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["cover", "diff"])
+def test_render_writes_the_ppm_of_the_disks(command, tmp_path, capsys):
+    from cantordiff.cover import difference_cover, generate_pieces
+    from cantordiff.images import render_disks, write_ppm
+
+    disks = generate_pieces(cantordiff.Parameter(5.0), 1, 64).disks
+    disks = disks if command == "cover" else difference_cover(disks)
+    cx, cy, r = disks.centers.real, disks.centers.imag, disks.radii
+    spread = max(float((cx + r).max() - (cx - r).min()), float((cy + r).max() - (cy - r).min()))
+    # the default cell fits the larger side of the disks into 900 pixels
+    for cell, extra in ((spread / 900.0, ()), (0.05, ("--render-cell", "0.05"))):
+        path = tmp_path / f"{cell}.ppm"
+        code, out, _ = run_cli(capsys, *_render_run(command), "--render", str(path), *extra)
+        assert code == 0 and out.endswith(f"\nwrote {path}\n")
+        ref = write_ppm(render_disks(disks, cell), tmp_path / "ref.ppm").read_bytes()
+        assert path.read_bytes() == ref
+    assert (tmp_path / f"{spread / 900.0}.ppm").stat().st_size > (tmp_path / "0.05.ppm").stat().st_size
+
+
 def test_bounds_ignores_the_memory_cap():
     # bounds allocates nothing capped: a malformed cap neither stops it nor
     # makes it load numpy or the raster module to check the value

@@ -1,13 +1,15 @@
 """PGM/PPM writers and the sidecar metadata."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cantordiff import images
+from cantordiff import images, raster
 from cantordiff import Disk, Disks, GridMask, Parameter, disk_mask, rasterize_preimage
+from cantordiff.cover import difference_cover, generate_pieces
 from cantordiff.images import read_pgm, render_disks, write_pgm, write_ppm
 
 
@@ -55,6 +57,85 @@ def test_render_disks_and_ppm(tmp_path):
     path = write_ppm(img, tmp_path / "d.ppm")
     raw = path.read_bytes()
     assert raw.startswith(b"P6")
+
+
+def _whole_image_render(disks, cell):
+    # the render as one whole-image float64 pass per disk: the reference
+    # for the strip-by-strip render_disks
+    cx, cy, r = disks.centers.real, disks.centers.imag, disks.radii
+    pad = max(float(r.max()), cell) * 0.5
+    x_lo = float((cx - r).min()) - pad
+    x_hi = float((cx + r).max()) + pad
+    y_lo = float((cy - r).min()) - pad
+    y_hi = float((cy + r).max()) + pad
+    w = max(int(math.ceil((x_hi - x_lo) / cell)), 8)
+    h = max(int(math.ceil((y_hi - y_lo) / cell)), 8)
+    xs = x_lo + (np.arange(w) + 0.5) * cell
+    ys = y_hi - (np.arange(h) + 0.5) * cell
+    img = np.empty((h, w, 3), dtype=np.float64)
+    img[:] = (252, 252, 252)
+    col = np.argmin(np.abs(xs))
+    row = np.argmin(np.abs(ys))
+    if abs(xs[col]) <= cell:
+        img[:, col] = (210, 210, 210)
+    if abs(ys[row]) <= cell:
+        img[row, :] = (210, 210, 210)
+    palette = [(31, 119, 180), (255, 127, 14), (44, 160, 44),
+               (214, 39, 40), (148, 103, 189), (140, 86, 75)]
+    for idx, (x, y, rad) in enumerate(zip(cx.tolist(), cy.tolist(), r.tolist())):
+        color = np.array(palette[idx % len(palette)], dtype=np.float64)
+        dist = np.hypot(xs[None, :] - x, ys[:, None] - y)
+        fill = dist <= rad
+        img[fill] = 0.65 * img[fill] + 0.35 * color
+        edge = np.abs(dist - rad) <= cell
+        img[edge] = 0.55 * color
+    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
+
+
+def _difference_disks(c):
+    return difference_cover(generate_pieces(Parameter(c), 1, 64).disks)
+
+
+def _seeded_disks():
+    rng = np.random.default_rng(23)
+    return Disks(rng.uniform(-2, 2, 12) + 1j * rng.uniform(-2, 2, 12), rng.uniform(0.0, 1.0, 12))
+
+
+_RENDER_CASES = {
+    "difference c=5": (lambda: _difference_disks(5.0), 0.04),
+    "difference c=-5": (lambda: _difference_disks(-5.0), 0.05),
+    "difference c=2.5i": (lambda: _difference_disks(2.5j), 0.03),
+    "seeded": (_seeded_disks, 0.02),
+    "zero radii": (lambda: Disks([0.21 + 0.4j, -1.0], [0.0, 0.0]), 0.01),
+    "far apart": (lambda: Disks([-6.0 + 2j, 5.0 - 4j], [0.5, 1.7]), 0.03),
+    "two disks": (lambda: Disks([0j, 1 + 1j], [1.0, 0.5]), 0.01),
+    "axes through pixel centers": (lambda: Disks([0j], [1.0]), 0.1),
+}
+
+
+@pytest.mark.parametrize("strip", [raster._STRIP, 7])
+@pytest.mark.parametrize("name", sorted(_RENDER_CASES))
+def test_render_disks_equals_the_whole_image_render(name, strip, monkeypatch):
+    monkeypatch.setattr(raster, "_STRIP", strip)
+    build, cell = _RENDER_CASES[name]
+    disks = build()
+    img = render_disks(disks, cell)
+    ref = _whole_image_render(disks, cell)
+    assert img.dtype == np.uint8 and img.shape == ref.shape
+    assert img.tobytes() == ref.tobytes()
+
+
+def test_render_disks_memory_is_its_image_plus_a_strip():
+    # 1167 x 1167 pixels: 3.9 MiB of output, where one whole-image
+    # float64 distance pass alone takes 10.4 MiB
+    tracemalloc.start()
+    try:
+        img = render_disks(Disks([0j, 1 + 1j], [1.0, 0.5]), 0.003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert img.shape == (1167, 1167, 3)
+    assert peak <= 16 << 20
 
 
 def test_render_disks_pixel_cap():

@@ -2,11 +2,12 @@
 
     python3 tools/digest_matrix.py OUTDIR [--src SRC]
 
-Runs 108 invocations, 18 at each of six parameters c: `bounds` at depth
+Runs 120 invocations, 20 at each of six parameters c: `bounds` at depth
 60 (CSV), at depth 300 (JSON) and at depth 20 with `--epsilon 0.1`
-(JSON), `cover` at depths 3 and 4 with 64, 512, 5000 and 16384 samples
-and at depth 3 with 64 samples into `--output cover.csv`, `diff` at
-depths 2 and 3, `verify --report` with 256 and 5000 samples, and
+(JSON), `cover` at depths 3 and 4 with 64, 512, 5000 and 16384 samples,
+at depth 3 with 64 samples into `--output cover.csv` and at depth 3
+with `--render cover.ppm`, `diff` at depths 2 and 3 and at depth 2 with
+`--render diff.ppm`, `verify --report` with 256 and 5000 samples, and
 `oracle` at depth 2 and at the oracle-fine configuration (depth 3, cell
 0.005, 16384 samples, 2 workers; at c = 5 it is the benchmark's
 oracle-fine command).  Each one
@@ -52,7 +53,10 @@ def invocations() -> list[tuple[str, list[str]]]:
                                      "--output", "cover.csv"]),
             (f"{tag}-diff-d2", ["diff", *c, "--depth", "2", "--samples", "5000",
                                 "--cell", "0.02", "--format", "json"]),
+            (f"{tag}-cover-render", ["cover", *c, "--depth", "3", "--render", "cover.ppm"]),
             (f"{tag}-diff-d3", ["diff", *c, "--depth", "3", "--cell", "0.02"]),
+            (f"{tag}-diff-render", ["diff", *c, "--depth", "2", "--cell", "0.02",
+                                    "--render", "diff.ppm"]),
             (f"{tag}-verify", ["verify", *c, "--report", "report.json"]),
             (f"{tag}-verify-s5000", ["verify", *c, "--depth", "3", "--samples", "5000",
                                      "--report", "report.json"]),
