@@ -20,10 +20,10 @@ for depth in (0, 1, 2, 3):
     bound = piece_diameter_bound(p, depth)
     print(f"depth {depth}: {len(pieces)} pieces, widest sampled "
           f"{widest:.6f} vs certified {bound:.6f}")
+    disks = pieces.disks
     for j in range(min(4, len(pieces))):
-        disk = pieces.disks[j]
-        print(f"  {pieces.label(j)}: center {disk.center:.4f}, "
-              f"radius {disk.radius:.5f}")
+        print(f"  {pieces.label(j)}: center {disks.centers[j]:.4f}, "
+              f"radius {disks.radii[j]:.5f}")
 
 # one image per depth; disks shrink by roughly 1/(sqrt(2) r) per level
 out = Path(__file__).resolve().parent

@@ -13,7 +13,6 @@ from pathlib import Path
 from cantordiff import (
     Parameter,
     generate_pieces,
-    mask_area,
     mask_difference,
     rasterize_preimage,
     sandwich,
@@ -28,7 +27,7 @@ out = Path(__file__).resolve().parent
 # lower estimate: rasterize the preimage, difference it against itself
 inner = rasterize_preimage(p, depth + 1, cell)
 diff_mask = mask_difference(inner, inner)
-raster = mask_area(diff_mask)
+raster = diff_mask.area
 write_pgm(inner, out / "preimage.pgm", extra={"depth": depth + 1})
 write_pgm(diff_mask, out / "difference.pgm")
 
@@ -36,11 +35,11 @@ write_pgm(diff_mask, out / "difference.pgm")
 # difference disks, their area sum and a dilated union grid with an
 # explicit margin; on top the closed form 12 pi 4^n K_n^2
 sw = sandwich(p, generate_pieces(p, depth, samples=512), cell)
-write_pgm(sw.union.mask, out / "union.pgm")
+write_pgm(sw.union, out / "union.pgm")
 
 print(f"c = {p.c}, piece depth {depth}, cell {cell}")
 print(f"raster lower estimate   {raster:.6f}")
-print(f"union-of-disks estimate {sw.union.area:.6f} (margin {sw.union.margin:.6f})")
+print(f"union-of-disks estimate {sw.union.area:.6f} (margin {sw.margin:.6f})")
 print(f"sum of disk areas       {sw.total:.6f}")
 print(f"worst-case closed form  {sw.bound:.6f}")
 assert sw.holds(raster)

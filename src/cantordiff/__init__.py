@@ -31,7 +31,6 @@ _HOME = {
     ),
     **dict.fromkeys(
         (
-            "GridArea",
             "Pieces",
             "Sandwich",
             "boundary_samples",
@@ -41,14 +40,13 @@ _HOME = {
             "piece_tree",
             "sandwich",
             "sum_area",
-            "union_area_grid",
             "union_grid_mask",
+            "union_margin",
         ),
         "cover",
     ),
     **dict.fromkeys(
         (
-            "Disk",
             "Disks",
             "diameter",
             "diametral_disks",
@@ -65,7 +63,6 @@ _HOME = {
             "GridMask",
             "disk_mask",
             "lcg_uniforms",
-            "mask_area",
             "mask_difference",
             "preimage_member",
             "rasterize_preimage",

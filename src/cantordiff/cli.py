@@ -4,7 +4,8 @@ Subcommands: bounds (certified bound table plus decay certificate), cover
 (sampled pieces with enclosing disks), diff (difference-disk cover and
 area estimates), oracle (brute-force rasters), verify (cross-validation
 suite).  Exit codes: 0 success, 1 verification failure, 2 argument or
-domain errors (one "error: ..." line on stderr).
+domain errors and output paths that cannot be written (one "error: ..."
+line on stderr).
 
 bounds, cover and diff each build one record, its header fields plus a
 table of rows, and print it in either format from that one record.  JSON
@@ -271,7 +272,7 @@ def _run_diff(args, param: Parameter) -> int:
     pieces = generate_pieces(param, args.depth, args.samples)
     _check_cell_area(param, args.cell, args.depth)
     sw = sandwich(param, pieces, args.cell)
-    diff, grid = sw.disks, sw.union
+    diff = sw.disks
     count = len(pieces)
     fields = {
         "schema": DIFF_SCHEMA,
@@ -280,9 +281,9 @@ def _run_diff(args, param: Parameter) -> int:
         "samples": args.samples,
         "cell": args.cell,
         "sum_area": sw.total,
-        "union_area": grid.area,
-        "union_margin": grid.margin,
-        "union_cells": grid.cells,
+        "union_area": sw.union.area,
+        "union_margin": sw.margin,
+        "union_cells": sw.union.cells,
         "worst_case_bound": sw.bound,
     }
     c, r = diff.centers, diff.radii
@@ -298,8 +299,6 @@ def _run_diff(args, param: Parameter) -> int:
 
 
 def _run_oracle(args, param: Parameter) -> int:
-    import numpy as np
-
     from .cover import generate_pieces, sandwich
     from .images import write_pgm
     from .raster import mask_difference, rasterize_preimage
@@ -311,8 +310,8 @@ def _run_oracle(args, param: Parameter) -> int:
 
     def record(name: str, mask) -> None:
         write_pgm(mask, os.path.join(outdir, f"{name}.pgm"), meta)
-        cells = report[f"{name}_cells"] = int(np.count_nonzero(mask.bits))
-        report[f"{name}_area"] = cells * mask.cell * mask.cell  # as mask_area
+        report[f"{name}_cells"] = mask.cells
+        report[f"{name}_area"] = mask.area
 
     def build(mode: str):
         return rasterize_preimage(param, args.depth, args.cell, mode)
@@ -337,7 +336,7 @@ def _run_oracle(args, param: Parameter) -> int:
         report["sandwich"] = {
             "piece_depth": args.depth - 1,
             "union_area": sw.union.area,
-            "union_margin": sw.union.margin,
+            "union_margin": sw.margin,
             "sum_area": sw.total,
             "worst_case_bound": sw.bound,
             "holds": sw.holds(report["diff_area"]),
@@ -405,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return dispatch(args)
-    except (_UsageError, ValueError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

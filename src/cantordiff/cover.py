@@ -32,13 +32,13 @@ from collections import namedtuple
 import numpy as np
 
 from .bounds import difference_measure_bound
-from .geometry import Disks, Parameter, diametral_disks, diametral_pair, inverse_branch
+from .geometry import Disks, Parameter, diametral_disks, diametral_pair, disk_difference
+from .geometry import inverse_branch
 from .raster import DEFAULT_MAX_CELLS, DEFAULT_MAX_PAIRS, DEFAULT_MAX_POINTS, GridMask
 from .raster import _disk_cells, check_cap, check_cell
 
 __all__ = [
     "Pieces",
-    "GridArea",
     "Sandwich",
     "boundary_samples",
     "piece_sample_tree",
@@ -47,7 +47,7 @@ __all__ = [
     "difference_cover",
     "sum_area",
     "union_grid_mask",
-    "union_area_grid",
+    "union_margin",
     "sandwich",
     "DEFAULT_MAX_POINTS",
     "DEFAULT_MAX_PAIRS",
@@ -91,38 +91,14 @@ class Pieces:
         return format(j, f"0{self.depth + 1}b")
 
 
-class GridArea(namedtuple("GridArea", "mask margin")):
-    """Grid estimate of a union area plus its certified allowance.
-
-    area counts the marked cells of mask times cell^2; the dilation used
-    while marking guarantees area <= (sum of member areas) + margin.
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if not isinstance(other, GridArea):
-            return NotImplemented
-        return self.mask == other.mask and self.margin == other.margin
-
-    def __ne__(self, other):  # tuple's own would compare the masks' bits cell by cell
-        return not self == other
-
-    @property
-    def cells(self) -> int:
-        return int(np.count_nonzero(self.mask.bits))
-
-    @property
-    def area(self) -> float:
-        return self.cells * self.mask.cell * self.mask.cell
-
-
-class Sandwich(namedtuple("Sandwich", "disks union total bound")):
+class Sandwich(namedtuple("Sandwich", "disks union margin total bound")):
     """The area chain for one depth of pieces.
 
     disks is the difference cover of the pieces' sampled enclosing disks,
-    union its grid estimate, total the sum of its disk areas and bound
-    the certified closed form 12*pi*4^n*K_n^2 at the pieces' depth n.
+    union its union grid, whose area over-estimates the union's, margin
+    the grid's certified allowance (union_margin), total the sum of its
+    disk areas and bound the certified closed form 12*pi*4^n*K_n^2 at the
+    pieces' depth n.
     """
 
     __slots__ = ()
@@ -134,10 +110,10 @@ class Sandwich(namedtuple("Sandwich", "disks union total bound")):
         it fails the chain instead; the bound alone may be inf (it
         saturates near |c| = 2).
         """
-        areas = (raster_area, self.union.area, self.total, self.union.margin)
+        areas = (raster_area, self.union.area, self.total, self.margin)
         return (
             all(map(math.isfinite, areas))
-            and raster_area <= self.union.area <= self.total + self.union.margin
+            and raster_area <= self.union.area <= self.total + self.margin
             and self.total <= self.bound
         )
 
@@ -195,16 +171,14 @@ def piece_tree(param: Parameter, depth: int, samples: int = 512) -> list[Pieces]
 
 
 def difference_cover(disks: Disks) -> Disks:
-    """All pairwise difference disks, row-major over (i, j).
+    """All pairwise difference disks disk_difference(disks, disks), capped.
 
-    Element i*len(disks)+j is the exact difference set of disks i and j:
-    center c_i - c_j, radius r_i + r_j.  Together they cover the
-    difference set of any sets the input disks cover.
+    Element i*len(disks)+j is the exact difference set of disks i and j.
+    Together they cover the difference set of any sets the input disks
+    cover.
     """
-    n = len(disks)
-    check_cap("difference disks", n * n, DEFAULT_MAX_PAIRS)
-    c, r = disks.centers, disks.radii
-    return Disks(c[:, None] - c[None, :], r[:, None] + r[None, :])
+    check_cap("difference disks", len(disks) ** 2, DEFAULT_MAX_PAIRS)
+    return disk_difference(disks, disks)
 
 
 def sum_area(disks: Disks) -> float:
@@ -225,19 +199,18 @@ def union_grid_mask(disks: Disks, cell: float) -> GridMask:
     return _disk_cells(disks, cell, cell * math.sqrt(2.0) / 2.0, 0.5, "union grid cells", "union")
 
 
-def union_area_grid(disks: Disks, cell: float) -> GridArea:
-    """Grid over-estimate of the union area of the disks.
+def union_margin(disks: Disks, cell: float) -> float:
+    """Certified allowance of the union grid's area over the sum of areas.
 
-    Counts the cells of union_grid_mask times cell^2.  Each marked cell is
-    contained in its disk dilated by cell*sqrt(2), and the dilated disks
-    have total area sum_area(disks) + margin, so the estimate never
-    exceeds that: area <= sum_area(disks) + margin with
+    Each cell union_grid_mask marks is contained in its disk dilated by
+    cell*sqrt(2), and the dilated disks have total area sum_area(disks) +
+    margin, so the grid's area never exceeds that sum, with
 
         margin = sum_i pi * (2*sqrt(2)*cell*r_i + 2*cell^2).
     """
-    mask = union_grid_mask(disks, cell)
+    check_cell(cell)
     terms = math.pi * (2.0 * math.sqrt(2.0) * cell * disks.radii + 2.0 * cell * cell)
-    return GridArea(mask=mask, margin=math.fsum(terms.tolist()))
+    return math.fsum(terms.tolist())
 
 
 def sandwich(param: Parameter, pieces: Pieces, cell: float) -> Sandwich:
@@ -246,7 +219,8 @@ def sandwich(param: Parameter, pieces: Pieces, cell: float) -> Sandwich:
     disks = difference_cover(pieces.disks)
     return Sandwich(
         disks=disks,
-        union=union_area_grid(disks, cell),
+        union=union_grid_mask(disks, cell),
+        margin=union_margin(disks, cell),
         total=sum_area(disks),
         bound=float(difference_measure_bound(param, pieces.depth).bound),
     )

@@ -5,9 +5,10 @@ dtype complex128).  This module provides the quadratic map z -> z^2 + c and
 its two inverse square-root branches with a fixed cut (argument taken in
 [0, 2*pi)), exact point-set diameters with the smallest diametral index
 pair, the sqrt(3)/2 enclosing disk built on that pair, and the exact
-difference set of two disks.  A single disk is a Disk; a set of disks is a
-Disks, two parallel arrays of centers and radii.  Parameter, the map's
-parameter c, lives in the numpy-free bounds module and is re-exported here.
+difference sets of two sets of disks.  Disks, two parallel arrays of
+centers and radii, is the one disk type: a single disk is a one-row
+Disks.  Parameter, the map's parameter c, lives in the numpy-free bounds
+module and is re-exported here.
 
 The enclosing disk is deliberately not the minimal one: centering on the
 midpoint of a diametral pair and inflating by sqrt(3)/2 gives a certified
@@ -28,7 +29,6 @@ imaginary axis (2.5i, 2.05i) nearly all stay, and the block search runs.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .bounds import Parameter
 
 __all__ = [
     "Parameter",
-    "Disk",
     "Disks",
     "forward_map",
     "sqrt_branch",
@@ -58,29 +57,9 @@ _FAN = 8
 _CHUNK = 256
 
 
-class Disk(namedtuple("Disk", "center radius")):
-    """Closed disk {z : |z - center| <= radius}."""
-
-    __slots__ = ()
-
-    def __new__(cls, center, radius):
-        r = float(radius)
-        if not (math.isfinite(r) and r >= 0.0):
-            raise ValueError(f"radius must be finite and >= 0, got {r!r}")
-        return super().__new__(cls, complex(center), r)
-
-    @classmethod
-    def _make(cls, iterable):  # so _replace validates too
-        return cls(*iterable)
-
-    @property
-    def area(self) -> float:
-        return math.pi * self.radius * self.radius
-
-
 class Disks:
     """A nonempty set of closed disks {|z - centers[k]| <= radii[k]} as
-    parallel read-only 1-D arrays; disks[k] is the scalar Disk k."""
+    parallel read-only 1-D arrays."""
 
     __slots__ = ("centers", "radii")
 
@@ -106,9 +85,6 @@ class Disks:
 
     def __len__(self) -> int:
         return self.radii.size
-
-    def __getitem__(self, k: int) -> Disk:
-        return Disk(self.centers[k], self.radii[k])
 
 
 def forward_map(z, param: Parameter):
@@ -319,12 +295,12 @@ def diametral_disks(x, y) -> Disks:
     return Disks((x + y) / 2.0, (math.sqrt(3.0) / 2.0) * np.hypot(d.real, d.imag))
 
 
-def disk_difference(d2: Disk, d1: Disk) -> Disk:
-    """Exact difference set {x - y : x in d2, y in d1}.
+def disk_difference(a: Disks, b: Disks) -> Disks:
+    """Exact difference sets {x - y : x in a_i, y in b_j}, row-major over (i, j).
 
-    The result is the disk centered at the difference of the centers with
-    radius the sum of the radii (equality, not just containment).  For two
-    translates of the same radius-R disk this is the radius-2R disk around
-    the center offset.
+    Element i*len(b)+j is the disk centered at a.centers[i] - b.centers[j]
+    with radius a.radii[i] + b.radii[j] (equality, not just containment).
+    For two translates of the same radius-R disk this is the radius-2R
+    disk around the center offset.  A single disk is a one-row Disks.
     """
-    return Disk(d2.center - d1.center, d2.radius + d1.radius)
+    return Disks(a.centers[:, None] - b.centers[None, :], a.radii[:, None] + b.radii[None, :])

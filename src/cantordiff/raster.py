@@ -11,8 +11,8 @@ square of side `cell` whose center is origin + (ix + 0.5 + (iy + 0.5)i) *
 cell (origin is the lower-left corner of the window).  Preimage rasters
 are centered on 0, so their cell centers sit on half-integer multiples of
 the cell size; difference masks of two such rasters then land on integer
-multiples, the same lattice the union-area grid uses, which is what makes
-the two estimates comparable cell for cell.  All three disk rasters walk
+multiples, the same lattice the union grid uses, which is what makes the
+two estimates comparable cell for cell.  All three disk rasters walk
 each disk's own cells in row strips with one walker, _disk_windows:
 disk_mask and the union grid (grown by half a cell diagonal on the
 integer lattice) through the capped _disk_cells, and images.render_disks.
@@ -98,7 +98,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .geometry import Disk, Disks, Parameter, disk_difference
+from .geometry import Disks, Parameter, disk_difference
 
 __all__ = [
     "GridMask",
@@ -106,7 +106,6 @@ __all__ = [
     "rasterize_preimage",
     "disk_mask",
     "mask_difference",
-    "mask_area",
     "sample_diff_check",
     "lcg_uniforms",
     "DEFAULT_MAX_POINTS",
@@ -140,7 +139,8 @@ _KAPPA = 16.0
 
 
 class GridMask(namedtuple("GridMask", "origin cell bits mode")):
-    """Bit raster over an axis-aligned window of the plane."""
+    """Bit raster over an axis-aligned window of the plane; its area is
+    its set-cell count times cell^2."""
 
     __slots__ = ()
 
@@ -175,6 +175,14 @@ class GridMask(namedtuple("GridMask", "origin cell bits mode")):
     @property
     def width(self) -> int:
         return int(self.bits.shape[1])
+
+    @property
+    def cells(self) -> int:
+        return int(np.count_nonzero(self.bits))
+
+    @property
+    def area(self) -> float:
+        return self.cells * self.cell * self.cell
 
     def center_axes(self) -> tuple[np.ndarray, np.ndarray]:
         """(xs, ys) coordinates of the cell centers along each axis."""
@@ -397,8 +405,8 @@ def _disk_cells(
     return GridMask(origin=origin, cell=cell, bits=bits, mode=mode)
 
 
-def disk_mask(disk: Disk, cell: float, align: str = "half") -> GridMask:
-    """Plain center-membership raster of one disk.
+def disk_mask(disks: Disks, cell: float, align: str = "half") -> GridMask:
+    """Plain center-membership raster of a union of disks.
 
     align "half" puts cell centers on half-integer multiples of the cell
     size (the preimage raster convention); align "integer" puts them on
@@ -408,7 +416,6 @@ def disk_mask(disk: Disk, cell: float, align: str = "half") -> GridMask:
     if align not in ("half", "integer"):
         raise ValueError(f"align must be 'half' or 'integer', got {align!r}")
     shift = 0.0 if align == "half" else 0.5
-    disks = Disks([disk.center], [disk.radius])
     return _disk_cells(disks, cell, 0.0, shift, "disk mask cells", "disk")
 
 
@@ -489,11 +496,6 @@ def mask_difference(a: GridMask, b: GridMask) -> GridMask:
     return GridMask(origin=origin, cell=a.cell, bits=out, mode="difference")
 
 
-def mask_area(mask: GridMask) -> float:
-    """Marked area: set-cell count times cell^2."""
-    return int(np.count_nonzero(mask.bits)) * mask.cell * mask.cell
-
-
 def _lcg_states(seed: int, count: int) -> np.ndarray:
     """States s_1..s_count of the LCG seeded with s_0 = seed.
 
@@ -535,17 +537,19 @@ def lcg_uniforms(seed: int, count: int) -> np.ndarray:
     return _unit(_lcg_states(seed, count))
 
 
-def sample_diff_check(d2: Disk, d1: Disk, count: int, seed: int) -> float:
+def sample_diff_check(d2: Disks, d1: Disks, count: int, seed: int) -> float:
     """Monte Carlo falsification check for the disk difference set.
 
-    Draws count pairs (x in d2, y in d1) by rejection from the bounding
-    square of the unit disk (accepted candidates alternate between the
-    two disks in stream order), verifies every difference x - y lies in
-    disk_difference(d2, d1), and returns the largest |x - y - center|
-    observed (it approaches the radius from below as count grows).  A
-    containment violation raises RuntimeError: it would falsify the
-    difference-disk identity itself.
+    Draws count pairs (x in d2, y in d1), both one-row Disks, by
+    rejection from the bounding square of the unit disk (accepted
+    candidates alternate between the two disks in stream order), verifies
+    every difference x - y lies in disk_difference(d2, d1), and returns
+    the largest |x - y - center| observed (it approaches the radius from
+    below as count grows).  A containment violation raises RuntimeError:
+    it would falsify the difference-disk identity itself.
     """
+    if len(d2) != 1 or len(d1) != 1:
+        raise ValueError(f"need one disk a side, got {len(d2)} and {len(d1)}")
     if count < 1000:
         raise ValueError(f"need count >= 1000, got {count}")
     need = 2 * count
@@ -571,19 +575,19 @@ def sample_diff_check(d2: Disk, d1: Disk, count: int, seed: int) -> float:
         buf[have : have + acc.size] = acc
         have += acc.size
     x, y = buf[0::2], buf[1::2]
-    x *= d2.radius
-    x += d2.center
-    y *= d1.radius
-    y += d1.center
+    x *= d2.radii
+    x += d2.centers
+    y *= d1.radii
+    y += d1.centers
     x -= y
     pred = disk_difference(d2, d1)
-    x -= pred.center
+    x -= pred.centers
     dev = np.abs(x)
-    tol = 1e-12 * (pred.radius + 1.0)
+    radius = float(pred.radii[0])
     worst = float(dev.max())
-    if worst > pred.radius + tol:
+    if worst > radius + 1e-12 * (radius + 1.0):
         raise RuntimeError(
             "difference-disk containment violated: sampled deviation "
-            f"{worst:.17g} exceeds radius {pred.radius:.17g}"
+            f"{worst:.17g} exceeds radius {radius:.17g}"
         )
     return worst

@@ -31,7 +31,6 @@ import numpy as np
 from . import bounds as bnd
 from . import cover as cov
 from .geometry import (
-    Disk,
     Disks,
     Parameter,
     diametral_disks,
@@ -43,7 +42,6 @@ from .raster import (
     GridMask,
     disk_mask,
     lcg_uniforms,
-    mask_area,
     mask_difference,
     rasterize_preimage,
     sample_diff_check,
@@ -422,7 +420,7 @@ def _check_nesting(ctx: _Ctx) -> tuple[bool, str]:
     return ok, f"max child sample / parent disk radius {worst:.12f} (slack {slack:.3e})"
 
 
-def _seeded_disk_pairs(cfg: VerifyConfig, pairs: int, stream: int) -> list[tuple[Disk, Disk]]:
+def _seeded_disk_pairs(cfg: VerifyConfig, pairs: int, stream: int) -> list[tuple[Disks, Disks]]:
     u = lcg_uniforms(cfg.seed + stream, 6 * pairs)
     out = []
     for t in range(pairs):
@@ -430,7 +428,7 @@ def _seeded_disk_pairs(cfg: VerifyConfig, pairs: int, stream: int) -> list[tuple
         c1 = complex(4.0 * u[6 * t + 2] - 2.0, 4.0 * u[6 * t + 3] - 2.0)
         r2 = 0.5 + u[6 * t + 4]
         r1 = 0.5 + u[6 * t + 5]
-        out.append((Disk(c2, r2), Disk(c1, r1)))
+        out.append((Disks(c2, r2), Disks(c1, r1)))
     return out
 
 
@@ -442,8 +440,7 @@ def _check_difference_sampling(ctx: _Ctx) -> tuple[bool, str]:
             sup = sample_diff_check(d2, d1, cfg.count, cfg.seed + 100 + t)
         except RuntimeError as exc:
             return False, str(exc)
-        pred = disk_difference(d2, d1)
-        sup_ratio = max(sup_ratio, sup / pred.radius)
+        sup_ratio = max(sup_ratio, sup / float(disk_difference(d2, d1).radii[0]))
     ok = sup_ratio <= 1.0
     return ok, f"8 pairs, {cfg.count} samples each, max sup/radius {sup_ratio:.9f}"
 
@@ -453,10 +450,10 @@ def _check_difference_attainment(ctx: _Ctx) -> tuple[bool, str]:
     worst = 0.0
     t = np.exp(2j * math.pi * np.arange(64) / 64.0)
     for d2, d1 in _seeded_disk_pairs(cfg, 8, stream=4):
-        x = d2.center + d2.radius * t
-        y = d1.center - d1.radius * t
+        x = d2.centers + d2.radii * t
+        y = d1.centers - d1.radii * t
         pred = disk_difference(d2, d1)
-        dev = np.abs(np.abs((x - y) - pred.center) - pred.radius) / pred.radius
+        dev = np.abs(np.abs((x - y) - pred.centers) - pred.radii) / pred.radii
         worst = max(worst, float(dev.max()))
     ok = worst <= 1e-12
     return ok, f"antipodal boundary probes hit the radius within {worst:.3e} relative"
@@ -491,10 +488,10 @@ def _outside(m1: GridMask, m2: GridMask) -> int:
     return int(np.count_nonzero(m1.bits)) - int(np.count_nonzero(m1.bits[s1] & m2.bits[s2]))
 
 
-def raster_diff_proof(d2: Disk, d1: Disk, cell: float) -> tuple[bool, str]:
+def raster_diff_proof(d2: Disks, d1: Disks, cell: float) -> tuple[bool, str]:
     """Grid falsification of the difference-disk identity.
 
-    Rasterizes both disks, forms the discrete difference mask, and
+    Rasterizes both one-row disks, forms the discrete difference mask, and
     compares it cell for cell with the raster of the predicted disk on
     the same lattice.  The difference mask must be an exact subset, and
     cells of the predicted raster that the difference mask misses must
@@ -510,7 +507,7 @@ def raster_diff_proof(d2: Disk, d1: Disk, cell: float) -> tuple[bool, str]:
     )
 
 
-def diff_proof_numbers(d2: Disk, d1: Disk, cell: float) -> tuple[int, float]:
+def diff_proof_numbers(d2: Disks, d1: Disks, cell: float) -> tuple[int, float]:
     """Cell counts behind the proof: (cells outside the prediction,
     deepest missing cell's distance inside the predicted boundary)."""
     dm = mask_difference(disk_mask(d2, cell), disk_mask(d1, cell))
@@ -526,7 +523,7 @@ def diff_proof_numbers(d2: Disk, d1: Disk, cell: float) -> tuple[int, float]:
         kx, ky = _int_origin_index(pm)
         iy, ix = np.nonzero(missing)
         centers = (ix + kx) * cell + 1j * ((iy + ky) * cell)
-        deepest = float((pred.radius - np.abs(centers - pred.center)).max())
+        deepest = float((pred.radii - np.abs(centers - pred.centers)).max())
     return extra, deepest
 
 
@@ -619,16 +616,16 @@ def _sandwich_at(ctx: _Ctx, n: int) -> tuple[bool, str]:
     dm = mask_difference(inner, inner)
     sw = cov.sandwich(cfg.param, ctx.pieces[n], cfg.cell)
     grid, total, worst = sw.union, sw.total, sw.bound
-    stray = _outside(dm, grid.mask)
+    stray = _outside(dm, grid)
     if stray:
         return False, f"depth {n}: {stray} difference cells escape the union grid"
-    raster_area = mask_area(dm)
+    raster_area = dm.area
     if not sw.holds(raster_area):
         if math.isfinite(total) and not total <= worst:
             return False, f"depth {n}: sum {total:.9f} exceeds certified bound {worst:.9f}"
         return False, (
             f"depth {n}: ordering failed or an area is not finite: raster "
-            f"{raster_area:.9f}, grid {grid.area:.9f} (+{grid.margin:.9f}), sum {total:.9f}"
+            f"{raster_area:.9f}, grid {grid.area:.9f} (+{sw.margin:.9f}), sum {total:.9f}"
         )
     return True, (
         f"depth {n}: raster {raster_area:.9f} <= grid {grid.area:.9f} "
@@ -662,16 +659,16 @@ def _check_worst_case_identity(ctx: _Ctx) -> tuple[bool, str]:
 
 def _check_union_calibration(ctx: _Ctx) -> tuple[bool, str]:
     cell = 0.01
-    one = cov.union_area_grid(Disks([0.3 + 0.2j], [1.0]), cell)
-    err_one = abs(one.area - math.pi)
-    two = cov.union_area_grid(Disks([0.0, 5.0 + 1.0j], [1.0, 1.0]), cell)
-    err_two = abs(two.area - 2.0 * math.pi)
-    dup = cov.union_area_grid(Disks([0.0, 0.0], [1.0, 1.0]), cell)
-    base = cov.union_area_grid(Disks([0.0], [1.0]), cell)
+    one, two = Disks([0.3 + 0.2j], [1.0]), Disks([0.0, 5.0 + 1.0j], [1.0, 1.0])
+    err_one = abs(cov.union_grid_mask(one, cell).area - math.pi)
+    err_two = abs(cov.union_grid_mask(two, cell).area - 2.0 * math.pi)
+    dup = cov.union_grid_mask(Disks([0.0, 0.0], [1.0, 1.0]), cell)
+    base = cov.union_grid_mask(Disks([0.0], [1.0]), cell)
     idem = dup.cells == base.cells
-    ok = err_one <= one.margin and err_two <= two.margin and idem
+    margin = cov.union_margin(one, cell)
+    ok = err_one <= margin and err_two <= cov.union_margin(two, cell) and idem
     return ok, (
-        f"unit disk err {err_one:.6f} (margin {one.margin:.6f}), "
+        f"unit disk err {err_one:.6f} (margin {margin:.6f}), "
         f"disjoint pair err {err_two:.6f}, duplicate idempotent={idem}"
     )
 

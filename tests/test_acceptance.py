@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cantordiff import (
-    Disk,
+    Disks,
     Parameter,
     bound_table,
     decay_condition,
@@ -23,7 +23,6 @@ from cantordiff import (
     difference_measure_bound,
     generate_pieces,
     lcg_uniforms,
-    mask_area,
     mask_difference,
     piece_diameter_bound,
     piece_tree,
@@ -31,7 +30,8 @@ from cantordiff import (
     rasterize_preimage,
     sample_diff_check,
     sum_area,
-    union_area_grid,
+    union_grid_mask,
+    union_margin,
 )
 from cantordiff.cli import main
 from cantordiff.verify import diff_proof_numbers
@@ -93,8 +93,8 @@ def test_criterion_4_difference_disk_oracle():
     best_gap = math.inf
     for t in range(100):
         r = 0.3 + u[5 * t]
-        d2 = Disk(complex(6 * u[5 * t + 1] - 3, 6 * u[5 * t + 2] - 3), r)
-        d1 = Disk(complex(6 * u[5 * t + 3] - 3, 6 * u[5 * t + 4] - 3), r)
+        d2 = Disks(complex(6 * u[5 * t + 1] - 3, 6 * u[5 * t + 2] - 3), r)
+        d1 = Disks(complex(6 * u[5 * t + 3] - 3, 6 * u[5 * t + 4] - 3), r)
         # raises on any containment violation
         sup = sample_diff_check(d2, d1, 100000, seed=SEED + t)
         best_gap = min(best_gap, 2 * r - sup)
@@ -103,8 +103,8 @@ def test_criterion_4_difference_disk_oracle():
     # disk and no interior cell deeper than one diagonal goes missing
     for t in (0, 41, 99):
         r = 0.3 + u[5 * t]
-        d2 = Disk(complex(6 * u[5 * t + 1] - 3, 6 * u[5 * t + 2] - 3), r)
-        d1 = Disk(complex(6 * u[5 * t + 3] - 3, 6 * u[5 * t + 4] - 3), r)
+        d2 = Disks(complex(6 * u[5 * t + 1] - 3, 6 * u[5 * t + 2] - 3), r)
+        d1 = Disks(complex(6 * u[5 * t + 3] - 3, 6 * u[5 * t + 4] - 3), r)
         extra, deepest = diff_proof_numbers(d2, d1, 0.01)
         assert extra == 0
         assert deepest <= math.sqrt(2.0) * 0.01
@@ -171,17 +171,17 @@ def test_criterion_7_sandwich_chain(p5):
     lines = []
     for n in range(1, 6):
         inner = rasterize_preimage(p5, n + 1, cell)
-        raster = mask_area(mask_difference(inner, inner))
+        raster = mask_difference(inner, inner).area
         diff = difference_cover(generate_pieces(p5, n, samples=512).disks)
-        grid = union_area_grid(diff, cell)
+        grid, margin = union_grid_mask(diff, cell), union_margin(diff, cell)
         total = sum_area(diff)
         worst = difference_measure_bound(p5, n).bound
         assert raster < grid.area, n
-        assert grid.area < total + grid.margin, n
+        assert grid.area < total + margin, n
         assert total < worst, n
         lines.append(
             f"  n={n}: raster {raster:.6f} < union {grid.area:.6f} "
-            f"(margin {grid.margin:.6f}) < sum {total:.6f} + margin "
+            f"(margin {margin:.6f}) < sum {total:.6f} + margin "
             f"< worst {worst:.6f}"
         )
     elapsed = time.perf_counter() - t0

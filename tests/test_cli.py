@@ -293,6 +293,30 @@ def test_exit_code_2_on_huge_parameter(argv):
     assert r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cover", "--c-re", "5", "--depth", "1", "--samples", "16", "--output", "{missing}/x.csv"),
+        ("verify", "--c-re", "5", "--depth", "1", "--count", "1000", "--report", "{missing}/r.json"),
+        ("cover", "--c-re", "5", "--depth", "1", "--samples", "16", "--render", "{missing}/x.ppm"),
+        ("oracle", "--c-re", "5", "--depth", "1", "--cell", "0.1", "--outdir", "{file}/out"),
+    ],
+    ids=["output", "report", "render", "outdir"],
+)
+def test_exit_code_2_on_an_unwritable_output_path(argv, tmp_path):
+    # one error line and exit 2, never a traceback, and never exit 1, the
+    # code of a failed verification
+    (tmp_path / "file").write_text("")
+    paths = {"missing": tmp_path / "missing", "file": tmp_path / "file"}
+    r = subprocess.run(
+        [sys.executable, "-m", "cantordiff.cli", *(a.format(**paths) for a in argv)],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def _run_silently(capsys, tmp_path, command, c, cell):
     extra = ["--outdir", str(tmp_path / "out")] if command == "oracle" else []
     with warnings.catch_warnings():
@@ -508,8 +532,8 @@ def test_import_does_not_load_scipy():
     code = (
         "import sys\n"
         "import cantordiff.cli\n"
-        "from cantordiff import Disk, disk_mask, mask_difference\n"
-        "m = disk_mask(Disk(0j, 1.0), 0.1)\n"
+        "from cantordiff import Disks, disk_mask, mask_difference\n"
+        "m = disk_mask(Disks(0j, 1.0), 0.1)\n"
         "mask_difference(m, m)\n"
         "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n"
     )

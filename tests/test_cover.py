@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from cantordiff import (
-    Disk,
     Disks,
     Parameter,
     boundary_samples,
     diametral_pair,
     difference_cover,
-    disk_difference,
     forward_map,
     generate_pieces,
     piece_diameter_bound,
@@ -20,9 +18,9 @@ from cantordiff import (
     piece_tree,
     sandwich,
     sum_area,
-    union_area_grid,
+    union_grid_mask,
+    union_margin,
 )
-from cantordiff.cover import union_grid_mask
 
 
 def test_boundary_samples_on_circle(p5):
@@ -98,17 +96,17 @@ def test_sampled_diameter_rounding_contract(p5):
 def test_disks_cover_their_samples(p5):
     pieces = generate_pieces(p5, 3, samples=64)
     for j, samples in enumerate(pieces.samples):
-        disk = pieces.disks[j]
-        assert np.all(np.abs(samples - disk.center) <= disk.radius + 1e-12), j
+        center, radius = pieces.disks.centers[j], pieces.disks.radii[j]
+        assert np.all(np.abs(samples - center) <= radius + 1e-12), j
 
 
 def test_children_nest_in_parent_disk(p5):
     levels = piece_tree(p5, 3, samples=64)
     for k in range(1, len(levels)):
         for j, samples in enumerate(levels[k].samples):
-            parent = levels[k - 1].disks[j >> 1]
-            dev = np.abs(samples - parent.center).max()
-            assert dev <= parent.radius * (1 + 1e-9), (k, j)
+            parent = levels[k - 1].disks
+            dev = np.abs(samples - parent.centers[j >> 1]).max()
+            assert dev <= parent.radii[j >> 1] * (1 + 1e-9), (k, j)
 
 
 def test_max_points_cap(p5, monkeypatch):
@@ -123,10 +121,12 @@ def test_difference_cover_is_all_pairs(p5):
     n = len(disks)
     assert len(diff) == n * n
     # row-major: entry t corresponds to (i, j) = divmod(t, n), and each
-    # entry is the scalar disk_difference of its pair, bit for bit
-    for t in range(n * n):
-        i, j = divmod(t, n)
-        assert diff[t] == disk_difference(disks[i], disks[j])
+    # entry is c_i - c_j, r_i + r_j in Python complex and float arithmetic,
+    # bit for bit (signed zeros included)
+    c, r = disks.centers.tolist(), disks.radii.tolist()
+    pairs = [divmod(t, n) for t in range(n * n)]
+    assert diff.centers.tobytes() == np.array([c[i] - c[j] for i, j in pairs]).tobytes()
+    assert diff.radii.tobytes() == np.array([r[i] + r[j] for i, j in pairs]).tobytes()
 
 
 def test_difference_cover_cap(monkeypatch):
@@ -139,7 +139,9 @@ def test_difference_cover_cap(monkeypatch):
 def test_disks_arrays_are_checked_and_read_only():
     d = Disks([0j, 1j], [1.0, 0.5])
     assert len(d) == 2
-    assert d[1] == Disk(1j, 0.5)
+    assert d.centers.tolist() == [0j, 1j] and d.radii.tolist() == [1.0, 0.5]
+    one = Disks(1j, 0.5)  # a single disk is a one-row Disks
+    assert len(one) == 1 and one.centers.tolist() == [1j] and one.radii.tolist() == [0.5]
     with pytest.raises(ValueError):
         d.radii[0] = 2.0
     with pytest.raises(ValueError, match="centers"):
@@ -154,33 +156,41 @@ def test_disks_arrays_are_checked_and_read_only():
 
 def test_sum_area_fsum():
     disks = Disks([0j, 1j], [1.0, 0.5])
-    assert sum_area(disks) == math.fsum(disks[k].area for k in range(len(disks)))
+    assert sum_area(disks) == math.fsum(math.pi * r * r for r in disks.radii.tolist())
 
 
 def test_union_grid_unit_disk_area():
-    g = union_area_grid(Disks([0j], [1.0]), 0.01)
+    disks = Disks([0j], [1.0])
+    area, margin = union_grid_mask(disks, 0.01).area, union_margin(disks, 0.01)
     # dilated count overestimates; subtracting the margin must underestimate
-    assert g.area >= math.pi
-    assert g.area - g.margin <= math.pi
-    assert g.area == pytest.approx(math.pi, abs=g.margin)
+    assert area >= math.pi
+    assert area - margin <= math.pi
+    assert area == pytest.approx(math.pi, abs=margin)
 
 
 def test_union_grid_disjoint_pair_adds():
-    g = union_area_grid(Disks([0j, 5 + 0j], [1.0, 1.0]), 0.01)
-    assert g.area == pytest.approx(2 * math.pi, abs=g.margin)
+    disks = Disks([0j, 5 + 0j], [1.0, 1.0])
+    g = union_grid_mask(disks, 0.01)
+    assert g.area == pytest.approx(2 * math.pi, abs=union_margin(disks, 0.01))
 
 
 def test_union_grid_duplicate_is_idempotent():
-    one = union_area_grid(Disks([0.2 + 0.1j], [0.7]), 0.02)
-    two = union_area_grid(Disks([0.2 + 0.1j] * 2, [0.7] * 2), 0.02)
+    one = union_grid_mask(Disks([0.2 + 0.1j], [0.7]), 0.02)
+    two = union_grid_mask(Disks([0.2 + 0.1j] * 2, [0.7] * 2), 0.02)
     assert one.cells == two.cells
     assert one.area == two.area
 
 
+def test_union_margin_is_the_dilation_allowance():
+    disks = Disks([0j, 3 + 1j], [1.0, 0.25])
+    terms = [math.pi * (2.0 * math.sqrt(2.0) * 0.1 * r + 2.0 * 0.1 * 0.1) for r in (1.0, 0.25)]
+    assert union_margin(disks, 0.1) == math.fsum(terms)
+
+
 def test_union_never_exceeds_sum(p5):
     diff = difference_cover(generate_pieces(p5, 2, samples=64).disks)
-    g = union_area_grid(diff, 0.05)
-    assert g.area <= sum_area(diff) + g.margin
+    g = union_grid_mask(diff, 0.05)
+    assert g.area <= sum_area(diff) + union_margin(diff, 0.05)
 
 
 def test_union_grid_mask_lattice():
@@ -194,11 +204,12 @@ def test_union_grid_mask_lattice():
 
 
 def test_union_grid_cell_validation(monkeypatch):
-    with pytest.raises(ValueError):
-        union_area_grid(Disks([0j], [1.0]), 0.0)
+    for f in (union_grid_mask, union_margin):
+        with pytest.raises(ValueError, match="cell must be finite and > 0"):
+            f(Disks([0j], [1.0]), 0.0)
     monkeypatch.setenv("CANTORDIFF_MEMORY_CAP", "1000")
     with pytest.raises(ValueError, match="cap"):
-        union_area_grid(Disks([0j], [1.0]), 1e-5)
+        union_grid_mask(Disks([0j], [1.0]), 1e-5)
 
 
 def test_sandwich_fails_on_an_area_that_is_not_finite(p5):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cantordiff import (
-    Disk,
+    Disks,
     Parameter,
     diameter,
     diametral_disks,
@@ -22,6 +22,7 @@ from cantordiff import (
     inverse_branch,
     piece_tree,
     sqrt_branch,
+    sum_area,
 )
 from cantordiff import geometry
 from cantordiff.geometry import _ALL_PAIRS_LIMIT, _BLOCK, _pair_scan, _pair_search
@@ -337,16 +338,17 @@ def test_block_search_on_degenerate_inputs():
         assert _pair_search(pts) == (i, j, diameter(pts))
 
 
-def _enclosing_disk(pts) -> Disk:
+def _enclosing_disk(pts) -> tuple[complex, float]:
     i, j = diametral_pair(pts)
-    return diametral_disks(pts[i], pts[j])[0]
+    d = diametral_disks(pts[i], pts[j])
+    return d.centers[0], d.radii[0]
 
 
 def test_enclosing_disk_two_points():
     pts = np.array([-1.0 + 0j, 1.0 + 0j])
-    d = _enclosing_disk(pts)
-    assert d.center == 0
-    assert d.radius == pytest.approx(math.sqrt(3.0), rel=1e-15)
+    center, radius = _enclosing_disk(pts)
+    assert center == 0
+    assert radius == pytest.approx(math.sqrt(3.0), rel=1e-15)
 
 
 def test_diametral_disks_scalar_and_array_agree():
@@ -358,44 +360,51 @@ def test_diametral_disks_scalar_and_array_agree():
     for k in range(50):
         one = diametral_disks(x[k], y[k])
         assert len(one) == 1
-        assert one[0] == many[k]
-        assert many[k].radius == math.sqrt(3.0) / 2.0 * abs(x[k] - y[k])
+        assert one.centers[0] == many.centers[k] and one.radii[0] == many.radii[k]
+        assert many.radii[k] == math.sqrt(3.0) / 2.0 * abs(x[k] - y[k])
 
 
 def test_enclosing_disk_covers_equilateral():
     # worst case for the sqrt(3)/2 factor: circumradius equals d/sqrt(3)
     ang = np.array([0.0, 2 * math.pi / 3, 4 * math.pi / 3])
     pts = np.exp(1j * ang)
-    d = _enclosing_disk(pts)
-    assert np.all(np.abs(pts - d.center) <= d.radius)
-    assert d.radius == pytest.approx(math.sqrt(3) / 2 * diameter(pts), rel=1e-15)
+    center, radius = _enclosing_disk(pts)
+    assert np.all(np.abs(pts - center) <= radius)
+    assert radius == pytest.approx(math.sqrt(3) / 2 * diameter(pts), rel=1e-15)
 
 
 def test_enclosing_disk_covers_random_clouds():
     rng = np.random.default_rng(29)
     for _ in range(20):
         pts = rng.normal(size=60) + 1j * rng.normal(size=60)
-        d = _enclosing_disk(pts)
-        assert np.all(np.abs(pts - d.center) <= d.radius + 1e-12)
+        center, radius = _enclosing_disk(pts)
+        assert np.all(np.abs(pts - center) <= radius + 1e-12)
 
 
 def test_disk_difference_exact():
-    got = disk_difference(Disk(3 + 4j, 1.0), Disk(1 + 1j, 1.0))
-    assert got == Disk(2 + 3j, 2.0)
+    got = disk_difference(Disks(3 + 4j, 1.0), Disks(1 + 1j, 1.0))
+    assert got.centers.tolist() == [2 + 3j] and got.radii.tolist() == [2.0]
+
+
+def test_disk_difference_is_row_major_over_both_sides():
+    a, b = Disks([0j, 1j], [1.0, 2.0]), Disks([3.0, 4.0, 5j], [0.5, 0.25, 0.125])
+    got = disk_difference(a, b)
+    assert got.centers.tolist() == [-3, -4, -5j, 1j - 3, 1j - 4, -4j]
+    assert got.radii.tolist() == [1.5, 1.25, 1.125, 2.5, 2.25, 2.125]
 
 
 def test_disk_difference_contains_sampled_differences():
     rng = np.random.default_rng(31)
-    d2, d1 = Disk(0.3 - 0.7j, 1.25), Disk(-2.0 + 0.4j, 0.75)
+    d2, d1 = Disks(0.3 - 0.7j, 1.25), Disks(-2.0 + 0.4j, 0.75)
     dd = disk_difference(d2, d1)
-    u = d2.center + d2.radius * np.sqrt(rng.uniform(size=500)) * np.exp(
+    u = d2.centers + d2.radii * np.sqrt(rng.uniform(size=500)) * np.exp(
         2j * math.pi * rng.uniform(size=500)
     )
-    v = d1.center + d1.radius * np.sqrt(rng.uniform(size=500)) * np.exp(
+    v = d1.centers + d1.radii * np.sqrt(rng.uniform(size=500)) * np.exp(
         2j * math.pi * rng.uniform(size=500)
     )
-    assert np.all(np.abs((u - v) - dd.center) <= dd.radius + 1e-12)
+    assert np.all(np.abs((u - v) - dd.centers) <= dd.radii + 1e-12)
 
 
 def test_disk_area():
-    assert Disk(0j, 2.0).area == pytest.approx(4 * math.pi, rel=1e-15)
+    assert sum_area(Disks(0j, 2.0)) == pytest.approx(4 * math.pi, rel=1e-15)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cantordiff import images, raster
-from cantordiff import Disk, Disks, GridMask, Parameter, disk_mask, rasterize_preimage
+from cantordiff import Disks, GridMask, Parameter, disk_mask, rasterize_preimage
 from cantordiff.cover import difference_cover, generate_pieces
 from cantordiff.images import read_pgm, render_disks, write_pgm, write_ppm
 
@@ -23,7 +23,7 @@ def test_pgm_roundtrip(tmp_path, p5):
 
 
 def test_pgm_sidecar_schema(tmp_path):
-    m = disk_mask(Disk(0j, 1.0), 0.1)
+    m = disk_mask(Disks(0j, 1.0), 0.1)
     path = write_pgm(m, tmp_path / "d.pgm")
     meta = json.loads((tmp_path / "d.pgm.json").read_text())
     assert meta["schema"] == "cantordiff-mask/1"
@@ -32,7 +32,7 @@ def test_pgm_sidecar_schema(tmp_path):
 
 
 def test_pgm_bytes_deterministic(tmp_path):
-    m = disk_mask(Disk(0.5 + 0.5j, 0.8), 0.05)
+    m = disk_mask(Disks(0.5 + 0.5j, 0.8), 0.05)
     p1 = write_pgm(m, tmp_path / "a.pgm")
     p2 = write_pgm(m, tmp_path / "b.pgm")
     assert p1.read_bytes() == p2.read_bytes()

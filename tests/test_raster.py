@@ -10,7 +10,6 @@ import pytest
 
 from cantordiff import raster
 from cantordiff import (
-    Disk,
     Disks,
     GridMask,
     Parameter,
@@ -18,7 +17,6 @@ from cantordiff import (
     disk_mask,
     forward_map,
     lcg_uniforms,
-    mask_area,
     mask_difference,
     piece_sample_tree,
     preimage_member,
@@ -36,12 +34,12 @@ AREA_DEPTH1_C5 = 10.0
 
 def test_depth0_is_starting_disk(p5):
     m = rasterize_preimage(p5, 0, 0.01)
-    assert mask_area(m) == pytest.approx(math.pi * 25, rel=1e-2)
+    assert m.area == pytest.approx(math.pi * 25, rel=1e-2)
 
 
 def test_depth1_area_analytic(p5):
     m = rasterize_preimage(p5, 1, 0.01)
-    assert mask_area(m) == pytest.approx(AREA_DEPTH1_C5, rel=2e-2)
+    assert m.area == pytest.approx(AREA_DEPTH1_C5, rel=2e-2)
 
 
 def test_member_matches_escape_test(p5):
@@ -88,12 +86,12 @@ def test_outer_contains_inner(p5):
         si = set(np.round(inner.set_centers(), 9).tolist())
         so = set(np.round(outer.set_centers(), 9).tolist())
         assert si <= so
-        assert mask_area(inner) <= mask_area(outer)
+        assert inner.area <= outer.area
 
 
 def test_disk_mask_area():
-    m = disk_mask(Disk(0.3 + 0.2j, 1.0), 0.01)
-    assert mask_area(m) == pytest.approx(math.pi, rel=5e-3)
+    m = disk_mask(Disks(0.3 + 0.2j, 1.0), 0.01)
+    assert m.area == pytest.approx(math.pi, rel=5e-3)
     # inner rasterization: marked centers are genuinely inside
     pts = m.set_centers()
     assert np.abs(pts - (0.3 + 0.2j)).max() <= 1.0
@@ -137,9 +135,10 @@ def test_disk_rasters_equal_the_all_cells_test(name, cell, strip, monkeypatch):
     assert union.origin == origin and union.mode == "union"
     assert union.bits.shape == bits.shape and np.array_equal(union.bits, bits)
     for align, shift in (("half", 0.0), ("integer", 0.5)):
-        for c, r in zip(centers, radii):
-            m = disk_mask(Disk(c, r), cell, align)
-            bits, origin = _all_cells(np.array([c]), np.array([r]), cell, 0.0, shift)
+        # each disk alone, then all of them at once
+        for c, r in [*zip(centers[:, None], radii[:, None]), (centers, radii)]:
+            m = disk_mask(Disks(c, r), cell, align)
+            bits, origin = _all_cells(c, r, cell, 0.0, shift)
             assert m.origin == origin and m.mode == "disk"
             assert m.bits.shape == bits.shape and np.array_equal(m.bits, bits)
 
@@ -149,7 +148,7 @@ def test_disk_mask_obeys_the_cell_cap(monkeypatch):
     # 203 x 203 cells: the unit disk's 200 cells a side plus one spare
     # cell on each side and the fencepost
     with pytest.raises(ValueError, match="disk mask cells: 41209 needed"):
-        disk_mask(Disk(0j, 1.0), 0.01)
+        disk_mask(Disks(0j, 1.0), 0.01)
 
 
 def test_disk_mask_memory_is_its_bits_plus_a_strip():
@@ -157,7 +156,7 @@ def test_disk_mask_memory_is_its_bits_plus_a_strip():
     # temporaries would take 32 MB each
     tracemalloc.start()
     try:
-        m = disk_mask(Disk(0j, 1.0), 0.001)
+        m = disk_mask(Disks(0j, 1.0), 0.001)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -166,18 +165,17 @@ def test_disk_mask_memory_is_its_bits_plus_a_strip():
 
 
 def test_mask_difference_of_disks_is_difference_disk():
-    a = disk_mask(Disk(1 + 1j, 0.8), 0.02)
-    b = disk_mask(Disk(-0.5j, 0.6), 0.02)
+    a = disk_mask(Disks(1 + 1j, 0.8), 0.02)
+    b = disk_mask(Disks(-0.5j, 0.6), 0.02)
     d = mask_difference(a, b)
-    pred = Disk(1 + 1j - (-0.5j), 1.4)
     pts = d.set_centers()
-    assert np.abs(pts - pred.center).max() <= pred.radius + 1e-9
+    assert np.abs(pts - (1 + 1j - (-0.5j))).max() <= 1.4 + 1e-9
 
 
 def test_mask_difference_of_disks_equals_shift_or():
     # the direct reference is verify's shift-and-OR oracle
-    a = disk_mask(Disk(0.4 - 0.3j, 1.1), 0.05)
-    b = disk_mask(Disk(-0.2 + 0.9j, 0.7), 0.05)
+    a = disk_mask(Disks(0.4 - 0.3j, 1.1), 0.05)
+    b = disk_mask(Disks(-0.2 + 0.9j, 0.7), 0.05)
     d1 = _shift_or(a, b)
     d2 = mask_difference(a, b)
     assert d1.origin == d2.origin and d1.cell == d2.cell
@@ -204,7 +202,7 @@ def test_mask_difference_self_difference_equals_shift_or(p5):
     same = _assert_matches_direct(m, m)
     copy = mask_difference(m, _mask(m.bits.copy(), m.origin))
     assert np.array_equal(same.bits, copy.bits)
-    d = disk_mask(Disk(0.3 - 0.1j, 0.4), 0.05)
+    d = disk_mask(Disks(0.3 - 0.1j, 0.4), 0.05)
     _assert_matches_direct(d, d)
 
 
@@ -333,16 +331,16 @@ def test_mask_self_difference_symmetric(p5):
 
 
 def test_mask_difference_antisymmetry():
-    a = disk_mask(Disk(0.7 + 0j, 0.9), 0.05)
-    b = disk_mask(Disk(0 + 0.4j, 0.5), 0.05)
+    a = disk_mask(Disks(0.7 + 0j, 0.9), 0.05)
+    b = disk_mask(Disks(0 + 0.4j, 0.5), 0.05)
     ab = mask_difference(a, b)
     ba = mask_difference(b, a)
     assert np.array_equal(ab.bits, ba.bits[::-1, ::-1])
 
 
 def test_mask_difference_rejects_mixed_cells():
-    a = disk_mask(Disk(0j, 1.0), 0.05)
-    b = disk_mask(Disk(0j, 1.0), 0.04)
+    a = disk_mask(Disks(0j, 1.0), 0.05)
+    b = disk_mask(Disks(0j, 1.0), 0.04)
     with pytest.raises(ValueError, match="cell"):
         mask_difference(a, b)
 
@@ -359,10 +357,10 @@ _CAPPED = {
     "sample tree": lambda p: piece_sample_tree(p, 1, samples=64),
     "difference disks": lambda p: difference_cover(Disks(np.arange(20.0), np.full(20, 0.1))),
     "union grid": lambda p: union_grid_mask(Disks([0j], [1.0]), 0.1),
-    "disk mask": lambda p: disk_mask(Disk(0j, 1.0), 0.1),
+    "disk mask": lambda p: disk_mask(Disks(0j, 1.0), 0.1),
     "raster": lambda p: rasterize_preimage(p, 1, 0.5),
     "render": lambda p: render_disks(Disks([0j], [1.0]), 0.1),
-    "difference samples": lambda p: sample_diff_check(Disk(0j, 1.0), Disk(1.0, 0.5), 1000, 7),
+    "difference samples": lambda p: sample_diff_check(Disks(0j, 1.0), Disks(1.0, 0.5), 1000, 7),
     "difference window": lambda p: mask_difference(
         _mask(np.eye(8, dtype=bool)), _mask(np.eye(8, dtype=bool))
     ),
@@ -492,7 +490,7 @@ def test_piece_samples_lie_in_outer_cells():
 def test_outer_raster_is_tight_at_depth_4(p5):
     # a superset that stopped dropping cells would pass every containment
     # test, so pin how tight the outer raster is
-    assert mask_area(rasterize_preimage(p5, 4, 0.01, "outer")) < 0.03
+    assert rasterize_preimage(p5, 4, 0.01, "outer").area < 0.03
 
 
 def test_raster_orbit_overflow_is_silent():
@@ -537,18 +535,18 @@ def test_lcg_coeff_table_matches_scalar_recurrence():
 def test_sample_diff_check_reads_one_stream():
     # 20000 pairs take two rejection rounds; together they must read one
     # unbroken stream, the same as accepting over a single long draw
-    d2, d1 = Disk(2 + 1j, 1.0), Disk(-1j, 1.0)
+    d2, d1 = Disks(2 + 1j, 1.0), Disks(-1j, 1.0)
     u = lcg_uniforms(5, 240_000)
     cand = (2.0 * u[0::2] - 1.0) + 1j * (2.0 * u[1::2] - 1.0)
     unit = cand[cand.real**2 + cand.imag**2 <= 1.0][:40_000]
     assert unit.size == 40_000
-    x = d2.center + d2.radius * unit[0::2]
-    y = d1.center + d1.radius * unit[1::2]
+    x = (2 + 1j) + 1.0 * unit[0::2]
+    y = -1j + 1.0 * unit[1::2]
     want = float(np.abs((x - y) - (2 + 2j)).max())
     assert sample_diff_check(d2, d1, 20_000, seed=5) == want
 
 
-def _scalar_diff_check(d2, d1, count, seed):
+def _scalar_diff_check(c2, r2, c1, r1, count, seed):
     # the scalar LCG recurrence, rejection pair by pair, and the points in
     # Python complex arithmetic; only the final modulus is numpy's
     s, unit = seed & (2**64 - 1), []
@@ -560,9 +558,8 @@ def _scalar_diff_check(d2, d1, count, seed):
         x, y = 2.0 * u[0] - 1.0, 2.0 * u[1] - 1.0
         if x * x + y * y <= 1.0:
             unit.append(complex(x, y))
-    center = d2.center - d1.center
     dev = [
-        (d2.center + d2.radius * p) - (d1.center + d1.radius * q) - center
+        (c2 + r2 * p) - (c1 + r1 * q) - (c2 - c1)
         for p, q in zip(unit[0::2], unit[1::2])
     ]
     return float(np.abs(np.array(dev)).max())
@@ -577,23 +574,32 @@ def test_sample_diff_check_equals_the_scalar_reference(count, rounds, monkeypatc
         return real(seed, n)
 
     monkeypatch.setattr(raster, "_lcg_states", counted)
-    d2, d1 = Disk(0.3 - 1.7j, 1.25), Disk(-2.1 + 0.4j, 0.6)
-    assert sample_diff_check(d2, d1, count, seed=count) == _scalar_diff_check(d2, d1, count, count)
+    pair = (0.3 - 1.7j, 1.25, -2.1 + 0.4j, 0.6)
+    got = sample_diff_check(Disks(*pair[:2]), Disks(*pair[2:]), count, seed=count)
+    assert got == _scalar_diff_check(*pair, count, count)
     assert len(calls) == rounds
 
 
 def test_sample_diff_check_sup_below_radius():
-    sup = sample_diff_check(Disk(2 + 1j, 1.0), Disk(-1j, 1.0), 20000, seed=3)
+    sup = sample_diff_check(Disks(2 + 1j, 1.0), Disks(-1j, 1.0), 20000, seed=3)
     assert sup <= 2.0 * (1 + 1e-12)
     assert sup > 1.5
 
 
 def test_sample_diff_check_deterministic():
-    a = sample_diff_check(Disk(1 + 1j, 0.5), Disk(0j, 0.5), 5000, seed=11)
-    b = sample_diff_check(Disk(1 + 1j, 0.5), Disk(0j, 0.5), 5000, seed=11)
+    a = sample_diff_check(Disks(1 + 1j, 0.5), Disks(0j, 0.5), 5000, seed=11)
+    b = sample_diff_check(Disks(1 + 1j, 0.5), Disks(0j, 0.5), 5000, seed=11)
     assert a == b
 
 
 def test_sample_diff_check_count_floor():
     with pytest.raises(ValueError):
-        sample_diff_check(Disk(0j, 1.0), Disk(0j, 1.0), 10, seed=1)
+        sample_diff_check(Disks(0j, 1.0), Disks(0j, 1.0), 10, seed=1)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_sample_diff_check_refuses_a_side_of_two_disks(side):
+    pair = [Disks(0j, 1.0), Disks(1j, 0.5)]
+    pair[side] = Disks([0j, 2.0], [1.0, 0.5])
+    with pytest.raises(ValueError, match="^need one disk a side, got [12] and [12]$"):
+        sample_diff_check(*pair, 1000, seed=1)

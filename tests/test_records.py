@@ -8,9 +8,7 @@ import pytest
 
 from cantordiff import (
     DecayParams,
-    Disk,
     Disks,
-    GridArea,
     GridMask,
     Parameter,
     Pieces,
@@ -31,12 +29,10 @@ def _records():
         p,
         bound_table(p, 2)[0],
         decay_parameters(p),
-        Disk(1j, 2.0),
         pieces.disks,
         pieces,
-        sw.union,
         sw,
-        sw.union.mask,
+        sw.union,
         VerifyConfig(param=p),
     ]
 
@@ -56,18 +52,13 @@ def test_fields_refuse_assignment(record):
         record.extra = 1
 
 
-def test_disk_and_parameter_compare_and_hash_by_value():
+def test_parameter_compares_and_hashes_by_value():
     assert Parameter(5) == Parameter(5.0 + 0j)
     assert hash(Parameter(5)) == hash(Parameter(complex(5.0)))
     assert Parameter(5) != Parameter(-5)
     assert Parameter(5).c == complex(5.0) and type(Parameter(5).c) is complex
     assert Parameter(3 + 4j).abs_c == 5.0
     assert repr(Parameter(5)) == "Parameter(c=(5+0j))"
-    assert Disk(1, 2) == Disk(1 + 0j, 2.0)
-    assert hash(Disk(1, 2)) == hash(Disk(1 + 0j, 2.0))
-    assert Disk(1, 2) != Disk(1, 3)
-    assert len({Disk(0, 1), Disk(0j, 1.0), Disk(1, 1)}) == 2
-    assert Disk(0, 2).area == math.pi * 4.0
 
 
 def test_grid_records_compare_by_value():
@@ -82,13 +73,10 @@ def test_grid_records_compare_by_value():
     assert mask != other and not mask == other
     assert mask != GridMask(0.5j, 0.25, bits.copy(), "inner")
     assert mask != GridMask(0.5j, 0.25, bits.reshape(4, 3).copy(), "union")
-    area = GridArea(mask, 1.5)
-    assert area == GridArea(same, 1.5) and not area != GridArea(same, 1.5)
-    assert area != GridArea(other, 1.5) and not area == GridArea(other, 1.5)
-    assert area != GridArea(same, 2.5)
-    for record in (mask, area):
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(record)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(mask)
+    # a mask knows its own area: set cells times cell^2
+    assert (mask.cells, mask.area, other.cells, other.area) == (1, 0.0625, 2, 0.125)
 
 
 @pytest.mark.parametrize(
@@ -99,8 +87,8 @@ def test_grid_records_compare_by_value():
         (lambda: Parameter(complex(math.inf, 0.0)), "^parameter c must be finite$"),
         (lambda: Parameter(complex(0.0, math.nan)), "^parameter c must be finite$"),
         (lambda: Parameter(1.5e308 + 1.5e308j), r"need \|c\| <= .*4\|c\| must stay finite"),
-        (lambda: Disk(0, -1.0), r"^radius must be finite and >= 0, got -1\.0$"),
-        (lambda: Disk(0, math.nan), "^radius must be finite and >= 0, got nan$"),
+        (lambda: Disks(0j, -1.0), "^radii must be finite and >= 0$"),
+        (lambda: Disks([0j, 1j], [1.0, math.nan]), "^radii must be finite and >= 0$"),
         (lambda: GridMask(0j, 1.0, np.zeros((2, 2), np.uint8)), "^bits must be a 2-d boolean array$"),
         (lambda: GridMask(0j, 0.0, np.zeros((2, 2), bool)), r"^cell must be finite and > 0, got 0\.0$"),
         (lambda: VerifyConfig(param=Parameter(5.0), depth=0), "^depth must be >= 1, got 0$"),
@@ -116,21 +104,18 @@ def test_constructors_keep_their_errors(make, message):
 def test_replace_validates_like_the_constructor():
     with pytest.raises(ValueError, match="need"):
         Parameter(5.0)._replace(c=1.0)
-    with pytest.raises(ValueError, match="radius"):
-        Disk(0, 1.0)._replace(radius=-1.0)
     with pytest.raises(ValueError, match="count"):
         VerifyConfig(param=Parameter(5.0))._replace(count=10)
     bits = np.ones((2, 3), bool)
     mask = GridMask(0j, 1.0, np.zeros((2, 3), bool))._replace(bits=bits)
     assert not bits.flags.writeable and mask.bits is bits
     assert Parameter(5.0)._replace(c=-5) == Parameter(-5.0)
-    assert Disk(0, 1.0)._replace(radius=3) == Disk(0, 3.0)
 
 
 def test_arrays_are_read_only():
     p = Parameter(5.0)
     pieces = generate_pieces(p, 1, samples=32)
-    mask = sandwich(p, pieces, 0.1).union.mask
+    mask = sandwich(p, pieces, 0.1).union
     for arr in (pieces.samples, pieces.sampled_diam, pieces.disks.centers,
                 pieces.disks.radii, mask.bits):
         assert not arr.flags.writeable

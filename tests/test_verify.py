@@ -8,7 +8,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from cantordiff import Disk, GridMask, Parameter, Pieces, VerifyConfig, run_verification
+from cantordiff import Disks, GridMask, Parameter, Pieces, VerifyConfig, run_verification
 from cantordiff import bounds as bnd
 from cantordiff import verify
 from cantordiff.verify import REPORT_SCHEMA, raster_diff_proof
@@ -50,12 +50,12 @@ def test_config_validation(p5):
 
 
 def test_raster_diff_proof_exact_subset():
-    ok, detail = raster_diff_proof(Disk(1 + 2j, 0.8), Disk(-0.3j, 0.6), 0.01)
+    ok, detail = raster_diff_proof(Disks(1 + 2j, 0.8), Disks(-0.3j, 0.6), 0.01)
     assert ok, detail
 
 
 def test_raster_diff_proof_concentric():
-    ok, detail = raster_diff_proof(Disk(0j, 1.0), Disk(0j, 1.0), 0.02)
+    ok, detail = raster_diff_proof(Disks(0j, 1.0), Disks(0j, 1.0), 0.02)
     assert ok, detail
 
 
@@ -368,9 +368,9 @@ def test_outside_counts_as_on_one_common_window(first, second):
 @pytest.mark.parametrize(
     "d2, d1, cell",
     [
-        (Disk(1 + 2j, 0.8), Disk(-0.3j, 0.6), 0.01),
-        (Disk(0j, 1.0), Disk(0j, 1.0), 0.02),
-        (Disk(-1.3 + 0.7j, 0.25), Disk(2.2 - 1.1j, 1.4), 0.05),
+        (Disks(1 + 2j, 0.8), Disks(-0.3j, 0.6), 0.01),
+        (Disks(0j, 1.0), Disks(0j, 1.0), 0.02),
+        (Disks(-1.3 + 0.7j, 0.25), Disks(2.2 - 1.1j, 1.4), 0.05),
     ],
 )
 def test_diff_proof_numbers_equal_the_common_window_reference(d2, d1, cell):
@@ -379,7 +379,7 @@ def test_diff_proof_numbers_equal_the_common_window_reference(d2, d1, cell):
     bd, bp, kx_lo, ky_lo = _embed(dm, verify.disk_mask(pred, cell, align="integer"))
     iy, ix = np.nonzero(bp & ~bd)
     centers = (ix + kx_lo) * cell + 1j * ((iy + ky_lo) * cell)
-    deepest = float((pred.radius - np.abs(centers - pred.center)).max()) if iy.size else 0.0
+    deepest = float((pred.radii - np.abs(centers - pred.centers)).max()) if iy.size else 0.0
     assert verify.diff_proof_numbers(d2, d1, cell) == (int(np.count_nonzero(bd & ~bp)), deepest)
 
 
@@ -390,11 +390,10 @@ def test_area_sandwich_counts_the_cells_the_grid_misses(monkeypatch):
 
     def holed(*args, **kwargs):
         sw = real(*args, **kwargs)
-        mask = sw.union.mask
-        bits = mask.bits[:-45].copy()
+        bits = sw.union.bits[:-45].copy()
         bits[:, ::7] = False
-        grids.append(mask._replace(bits=bits))
-        return sw._replace(union=sw.union._replace(mask=grids[-1]))
+        grids.append(sw.union._replace(bits=bits))
+        return sw._replace(union=grids[-1])
 
     monkeypatch.setattr(verify.cov, "sandwich", holed)
     ctx = verify._Ctx(_cfg(Parameter(5.0)))
