@@ -48,7 +48,6 @@ _HOME = {
     **dict.fromkeys(
         (
             "Disks",
-            "diameter",
             "diametral_disks",
             "diametral_pair",
             "disk_difference",

@@ -234,13 +234,7 @@ def _render(args, disks):
         return None
     from .images import render_disks
 
-    cx, cy, r = disks.centers.real, disks.centers.imag, disks.radii
-    spread = max(
-        float((cx + r).max()) - float((cx - r).min()),
-        float((cy + r).max()) - float((cy - r).min()),
-    )
-    cell = max(spread / 900.0, 1e-6) if args.render_cell is None else args.render_cell
-    return render_disks(disks, cell)
+    return render_disks(disks, args.render_cell)
 
 
 def _run_cover(args, param: Parameter) -> int:
@@ -269,8 +263,8 @@ def _run_cover(args, param: Parameter) -> int:
 def _run_diff(args, param: Parameter) -> int:
     from .cover import generate_pieces, sandwich
 
-    pieces = generate_pieces(param, args.depth, args.samples)
     _check_cell_area(param, args.cell, args.depth)
+    pieces = generate_pieces(param, args.depth, args.samples)
     sw = sandwich(param, pieces, args.cell)
     diff = sw.disks
     count = len(pieces)
@@ -361,6 +355,12 @@ def _run_verify(args, param: Parameter) -> int:
 
     # verify's area sandwich builds pieces down to depth min(depth, 4)
     _check_cell_area(param, args.cell, min(args.depth, 4))
+    # a --report that the write after the checks would refuse fails now:
+    # "a" leaves an existing file as it is, and where no file can be made
+    # it raises without making one
+    out, folder = args.report, os.path.dirname(args.report or "") or "."
+    if out is not None and (os.path.exists(out) or not os.access(folder, os.W_OK)):
+        open(out, "a").close()
     cfg = VerifyConfig(
         param=param,
         depth=args.depth,

@@ -61,8 +61,8 @@ class Pieces:
     """The 2^(depth+1) sampled pieces of one depth with their enclosing disks.
 
     Row j of samples is the piece with branch word j; sampled_diam[j] is
-    the distance of its diametral sample pair and disks[j] the sqrt(3)/2
-    disk on that pair.
+    the distance diametral_pair returned for that row, and disks[j] the
+    sqrt(3)/2 disk on the pair it returned.
     """
 
     __slots__ = ("depth", "samples", "sampled_diam", "disks")
@@ -148,15 +148,13 @@ def piece_sample_tree(param: Parameter, depth: int, samples: int = 512) -> list[
 
 def _pieces(level: np.ndarray) -> Pieces:
     """Diametral pairs, sampled diameters and enclosing disks of one level."""
-    i, j = np.array([diametral_pair(row) for row in level]).T
+    i, j, d = zip(*map(diametral_pair, level))
     rows = np.arange(len(level))
-    x, y = level[rows, i], level[rows, j]
-    d = x - y
     return Pieces(
         depth=len(level).bit_length() - 2,
         samples=level,
-        sampled_diam=np.hypot(d.real, d.imag),
-        disks=diametral_disks(x, y),
+        sampled_diam=np.array(d),
+        disks=diametral_disks(level[rows, i], level[rows, j]),
     )
 
 

@@ -3,12 +3,12 @@
 Points of the plane are plain complex numbers (scalars or numpy arrays of
 dtype complex128).  This module provides the quadratic map z -> z^2 + c and
 its two inverse square-root branches with a fixed cut (argument taken in
-[0, 2*pi)), exact point-set diameters with the smallest diametral index
-pair, the sqrt(3)/2 enclosing disk built on that pair, and the exact
-difference sets of two sets of disks.  Disks, two parallel arrays of
-centers and radii, is the one disk type: a single disk is a one-row
-Disks.  Parameter, the map's parameter c, lives in the numpy-free bounds
-module and is re-exported here.
+[0, 2*pi)), one exact diametral search giving the smallest diametral index
+pair with its distance, the sqrt(3)/2 enclosing disk built on that pair,
+and the exact difference sets of two sets of disks.  Disks, two parallel
+arrays of centers and radii, is the one disk type: a single disk is a
+one-row Disks.  Parameter, the map's parameter c, lives in the numpy-free
+bounds module and is re-exported here.
 
 The enclosing disk is deliberately not the minimal one: centering on the
 midpoint of a diametral pair and inflating by sqrt(3)/2 gives a certified
@@ -40,7 +40,6 @@ __all__ = [
     "forward_map",
     "sqrt_branch",
     "inverse_branch",
-    "diameter",
     "diametral_pair",
     "diametral_disks",
     "disk_difference",
@@ -123,15 +122,6 @@ def inverse_branch(z, branch: int, param: Parameter):
     if branch not in (0, 1):
         raise ValueError("branch must be 0 or 1")
     return sqrt_branch(z - param.c, 1 if branch == 0 else -1)
-
-
-def _as_points(points) -> np.ndarray:
-    pts = np.atleast_1d(np.asarray(points, dtype=np.complex128)).ravel()
-    if pts.size == 0:
-        raise ValueError("need at least one point")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
-    return pts
 
 
 def _pair_scan(pts: np.ndarray) -> tuple[int, int, float]:
@@ -250,36 +240,25 @@ def _candidates(pts: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~(r + r.max() < d * (1.0 - 2.0**-40) - 2.0**-41))
 
 
-def _diametral(points) -> tuple[int, int, float]:
-    """(i, j, distance) of a diametral pair.
+def diametral_pair(points) -> tuple[int, int, float]:
+    """(i, j, distance) of the diameter of a finite point set.
 
     (i, j), i <= j, is the lexicographically smallest pair attaining the
-    maximum distance, measured with np.hypot.  Only the _candidates are
-    searched: dropping points that end no diametral pair changes neither
-    the pair nor its distance, and the ascending index map keeps the
-    tie-break.  Their count picks the method, the all-pairs scan up to
-    _ALL_PAIRS_LIMIT candidates and the block search above it.
+    maximum distance, measured with np.hypot (as scalar abs() of a complex
+    rounds).  Only the _candidates are searched: dropping points that end
+    no diametral pair changes neither the pair nor its distance, and the
+    ascending index map keeps the tie-break.  Their count picks the method,
+    the all-pairs scan up to _ALL_PAIRS_LIMIT candidates, else the search.
     """
-    pts = _as_points(points)
+    pts = np.atleast_1d(np.asarray(points, dtype=np.complex128)).ravel()
+    if pts.size == 0:
+        raise ValueError("need at least one point")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     keep = _candidates(pts)
     search = _pair_scan if keep.size <= _ALL_PAIRS_LIMIT else _pair_search
     i, j, d = search(pts[keep])
     return int(keep[i]), int(keep[j]), d
-
-
-def diametral_pair(points) -> tuple[int, int]:
-    """Indices (i, j), i <= j, of a pair attaining the set diameter.
-
-    Deterministic: the lexicographically smallest such pair at any size,
-    with distances rounded as scalar abs() of a complex rounds them.
-    """
-    i, j, _ = _diametral(points)
-    return i, j
-
-
-def diameter(points) -> float:
-    """Exact diameter max |p - q| of a finite point set."""
-    return _diametral(points)[2]
 
 
 def diametral_disks(x, y) -> Disks:

@@ -118,20 +118,22 @@ def write_ppm(pixels: np.ndarray, path: str | Path) -> Path:
     return _write_netpbm(path, "P6", pixels, lambda s: s)
 
 
-def render_disks(disks: Disks, cell: float) -> np.ndarray:
+def render_disks(disks: Disks, cell: float | None = None) -> np.ndarray:
     """RGB render of filled disks with outlines and axes, fixed palette.
 
     Pixel (0, 0) is the top-left corner of the bounding window: all disks
-    plus a pad of half the largest radius, at least half a cell.  Purely
+    plus a pad of half the largest radius, at least half a cell.  A cell
+    of None is 1/900 of the disks' wider extent, at least 1e-6.  Purely
     for inspection; the certified numbers never come from this raster.
     """
-    check_cell(cell)
     cx, cy, r = disks.centers.real, disks.centers.imag, disks.radii
+    x_lo, x_hi = float((cx - r).min()), float((cx + r).max())
+    y_lo, y_hi = float((cy - r).min()), float((cy + r).max())
+    if cell is None:
+        cell = max(max(x_hi - x_lo, y_hi - y_lo) / 900.0, 1e-6)
+    check_cell(cell)
     pad = max(float(r.max()), cell) * 0.5
-    x_lo = float((cx - r).min()) - pad
-    x_hi = float((cx + r).max()) + pad
-    y_lo = float((cy - r).min()) - pad
-    y_hi = float((cy + r).max()) + pad
+    x_lo, x_hi, y_lo, y_hi = x_lo - pad, x_hi + pad, y_lo - pad, y_hi + pad
     w = max(int(math.ceil((x_hi - x_lo) / cell)), 8)
     h = max(int(math.ceil((y_hi - y_lo) / cell)), 8)
     check_cap(f"render of {w}x{h} pixels", w * h, 1 << 24)

@@ -317,6 +317,39 @@ def test_exit_code_2_on_an_unwritable_output_path(argv, tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_unwritable_report_is_refused_before_the_checks(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(capsys, "verify", "--c-re", "5", "--depth", "1", "--count", "1000",
+                             "--report", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+
+
+def test_refused_verify_leaves_the_report_path_alone(tmp_path, capsys, monkeypatch):
+    # the path check creates no file and leaves an existing one as it is
+    monkeypatch.setenv("CANTORDIFF_MEMORY_CAP", "1000")
+    (tmp_path / "old.json").write_text("kept\n")
+    for name in ("new.json", "old.json"):
+        code, out, _ = run_cli(capsys, "verify", "--c-re", "5", "--depth", "2", "--count", "1000",
+                               "--report", str(tmp_path / name))
+        assert code == 2 and out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["old.json"]
+    assert (tmp_path / "old.json").read_text() == "kept\n"
+
+
+def test_diff_refuses_an_overflowing_cell_before_building_pieces(capsys, monkeypatch):
+    import cantordiff.cover as cover_mod
+
+    def no_pieces(*args):
+        raise AssertionError("generate_pieces ran")
+
+    monkeypatch.setattr(cover_mod, "generate_pieces", no_pieces)
+    code, out, err = run_cli(capsys, "diff", "--c-re", "1e300", "--depth", "9",
+                             "--samples", "8192", "--cell", "1e298")
+    assert code == 2 and out == ""
+    assert err == "error: areas would overflow at --cell 1e+298 and |c| = 1e+300\n"
+
+
 def _run_silently(capsys, tmp_path, command, c, cell):
     extra = ["--outdir", str(tmp_path / "out")] if command == "oracle" else []
     with warnings.catch_warnings():

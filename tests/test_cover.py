@@ -21,6 +21,7 @@ from cantordiff import (
     union_grid_mask,
     union_margin,
 )
+from cantordiff import geometry
 
 
 def test_boundary_samples_on_circle(p5):
@@ -88,9 +89,27 @@ def test_sampled_diameter_rounding_contract(p5):
     # and the disk radius is sqrt(3)/2 times that very double
     pieces = generate_pieces(p5, 3, samples=512)
     for row, diam in zip(pieces.samples, pieces.sampled_diam):
-        i, j = diametral_pair(row)
+        i, j, _ = diametral_pair(row)
         assert diam == abs(row[i] - row[j])
     assert np.array_equal(pieces.disks.radii, math.sqrt(3) / 2 * pieces.sampled_diam)
+
+
+def test_sampled_diameters_are_the_search_distances(monkeypatch):
+    # sampled_diam is the distance diametral_pair returns, which is
+    # np.hypot of its pair's difference bit for bit; the rows below reach
+    # both the all-pairs scan and the block search
+    ran = set()
+    for name in ("_pair_scan", "_pair_search"):
+        kernel = getattr(geometry, name)
+        monkeypatch.setattr(geometry, name, lambda p, k=kernel, n=name: ran.add(n) or k(p))
+    for c in (5.0, -5.0, 2.5j, 2.05j):
+        for samples in (256, 16384):
+            pieces = generate_pieces(Parameter(c), 2, samples)
+            for row, diam in zip(pieces.samples, pieces.sampled_diam):
+                i, j, d = diametral_pair(row)
+                gap = row[i] - row[j]
+                assert diam == d == np.hypot(gap.real, gap.imag), (c, samples)
+    assert ran == {"_pair_scan", "_pair_search"}
 
 
 def test_disks_cover_their_samples(p5):

@@ -13,7 +13,6 @@ import pytest
 from cantordiff import (
     Disks,
     Parameter,
-    diameter,
     diametral_disks,
     diametral_pair,
     disk_difference,
@@ -85,22 +84,20 @@ def test_inverse_branches_differ_by_sign(p5):
 
 def test_diameter_345_triangle():
     pts = np.array([0.0, 3.0, 3.0 + 4.0j])
-    assert diameter(pts) == pytest.approx(5.0, abs=0)
-    i, j = diametral_pair(pts)
-    assert (i, j) == (0, 2)
+    assert diametral_pair(pts) == (0, 2, 5.0)
 
 
 def test_diametral_pair_tie_break_is_lexicographic():
     # unit square: both diagonals realize the diameter, pick smallest (i, j)
     pts = np.array([0.0, 1.0, 1.0 + 1.0j, 1.0j])
-    assert diametral_pair(pts) == (0, 2)
+    assert diametral_pair(pts) == (0, 2, math.hypot(1.0, 1.0))
     # a 24-gon: vectorised np.abs rounds (0, 12) to 6.0 and misses the
     # scalar maximum 6.000000000000001 of (5, 17)
     pts = 3.0 * np.exp(2j * math.pi * np.arange(24) / 24) - 1.5j
     best = max(abs(a - b) for a in pts for b in pts)
     assert best == 6.000000000000001
     assert _pair_scan(pts) == (5, 17, best) == (*_first_attaining_pair(pts), best)
-    assert (*diametral_pair(pts), diameter(pts)) == (5, 17, best)
+    assert diametral_pair(pts) == (5, 17, best)
 
 
 def _first_attaining_pair(pts):
@@ -131,11 +128,10 @@ def test_block_search_diameter_matches_bruteforce():
     rng = np.random.default_rng(23)
     n = _ALL_PAIRS_LIMIT + 321
     pts = rng.normal(size=n) + 1j * rng.normal(size=n)
-    d_fast = diameter(pts)
     # independent quadratic oracle on a thinned copy plus the fast pair;
     # the prune leaves few points of this cloud, so the block search runs
     # on all of them directly
-    i, j = diametral_pair(pts)
+    i, j, d_fast = diametral_pair(pts)
     assert _pair_search(pts) == (i, j, d_fast)
     assert abs(pts[i] - pts[j]) == d_fast
     sub = pts[:: 7]
@@ -198,7 +194,7 @@ def test_diametral_pair_matches_bruteforce_beyond_scan_limit():
             blob = 0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n))
             pts = np.exp(2j * math.pi * rng.integers(0, 3, size=n) / 3) + blob
         want = _smallest_max_pair(pts)
-        assert (*diametral_pair(pts), diameter(pts)) == want, (kind, n)
+        assert diametral_pair(pts) == want, (kind, n)
         assert _pair_search(pts) == want, (kind, n)
 
 
@@ -207,7 +203,7 @@ def test_diametral_pair_on_pieces_beyond_scan_limit(c):
     pieces = generate_pieces(Parameter(c), 2, samples=5000)
     for k, row in enumerate(pieces.samples):
         i, j, d = _smallest_max_pair(row)
-        assert (*diametral_pair(row), diameter(row)) == (i, j, d), k
+        assert diametral_pair(row) == (i, j, d), k
         assert pieces.sampled_diam[k] == d
 
 
@@ -268,7 +264,7 @@ def test_diametral_pair_equals_unpruned_paths(n):
     plain = _pair_scan if n <= _ALL_PAIRS_LIMIT else _pair_search
     for case, pts in enumerate(_pruning_inputs(n, rng)):
         assert pts.size == n
-        assert (*diametral_pair(pts), diameter(pts)) == plain(pts), (case, n)
+        assert diametral_pair(pts) == plain(pts), (case, n)
 
 
 @pytest.mark.parametrize("n, sides", [(64, 8), (64, 60), (_ALL_PAIRS_LIMIT + 80, 8)])
@@ -280,7 +276,7 @@ def test_pruning_keeps_the_ties_of_turned_polygons(n, sides):
     plain = _pair_scan if n <= _ALL_PAIRS_LIMIT else _pair_search
     for r in range(200):
         pts = 6000.0 * np.exp(2j * math.pi * (r / 200 + k) / sides)
-        assert (*diametral_pair(pts), diameter(pts)) == plain(pts), r
+        assert diametral_pair(pts) == plain(pts), r
 
 
 def test_block_search_memory_on_a_large_circle():
@@ -291,7 +287,7 @@ def test_block_search_memory_on_a_large_circle():
     pts = np.exp(2j * math.pi * turn / n)
     tracemalloc.start()
     try:
-        i, j = diametral_pair(pts)
+        i, j, d_max = diametral_pair(pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -303,7 +299,7 @@ def test_block_search_memory_on_a_large_circle():
     d = np.hypot(pts.real[a] - pts.real[b], pts.imag[a] - pts.imag[b])
     lo, hi = np.minimum(a, b)[d == d.max()], np.maximum(a, b)[d == d.max()]
     k = int(np.argmin(lo * n + hi))
-    assert (i, j, diameter(pts)) == (lo[k], hi[k], d.max())
+    assert (i, j, d_max) == (lo[k], hi[k], d.max())
 
 
 def test_block_search_on_degenerate_inputs():
@@ -326,20 +322,20 @@ def test_block_search_on_degenerate_inputs():
     ]
     for pts in inputs:
         assert pts.size > _ALL_PAIRS_LIMIT
-        i, j = diametral_pair(pts)
+        i, j, d = diametral_pair(pts)
         assert i <= j
         # duplicates never change the diameter, so the quadratic oracles
         # run on the few distinct points
         distinct = np.unique(pts)
-        assert abs(pts[i] - pts[j]) == diameter(pts) == _max_hypot(distinct)
-        assert diameter(pts) == _pair_scan(distinct)[2]
-        assert diametral_pair(pts.copy()) == (i, j)
-        assert (i, j, diameter(pts)) == _smallest_max_pair(pts)
-        assert _pair_search(pts) == (i, j, diameter(pts))
+        assert abs(pts[i] - pts[j]) == d == _max_hypot(distinct)
+        assert d == _pair_scan(distinct)[2]
+        assert diametral_pair(pts.copy()) == (i, j, d)
+        assert (i, j, d) == _smallest_max_pair(pts)
+        assert _pair_search(pts) == (i, j, d)
 
 
 def _enclosing_disk(pts) -> tuple[complex, float]:
-    i, j = diametral_pair(pts)
+    i, j, _ = diametral_pair(pts)
     d = diametral_disks(pts[i], pts[j])
     return d.centers[0], d.radii[0]
 
@@ -370,7 +366,7 @@ def test_enclosing_disk_covers_equilateral():
     pts = np.exp(1j * ang)
     center, radius = _enclosing_disk(pts)
     assert np.all(np.abs(pts - center) <= radius)
-    assert radius == pytest.approx(math.sqrt(3) / 2 * diameter(pts), rel=1e-15)
+    assert radius == pytest.approx(math.sqrt(3) / 2 * diametral_pair(pts)[2], rel=1e-15)
 
 
 def test_enclosing_disk_covers_random_clouds():

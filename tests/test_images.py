@@ -138,6 +138,16 @@ def test_render_disks_memory_is_its_image_plus_a_strip():
     assert peak <= 16 << 20
 
 
+@pytest.mark.parametrize(
+    "disks, cell",
+    [(Disks([0j, 2 + 1j], [1.0, 0.5]), 3.5 / 900.0), (Disks([1j], [1e-5]), 1e-6)],
+    ids=["spread", "floor"],
+)
+def test_render_disks_default_cell(disks, cell):
+    # no cell: 1/900 of the wider side of the disks, at least 1e-6
+    assert render_disks(disks).tobytes() == render_disks(disks, cell).tobytes()
+
+
 def test_render_disks_pixel_cap():
     with pytest.raises(ValueError, match="cap|pixel"):
         render_disks(Disks([0j], [1.0]), 1e-5)
