@@ -149,12 +149,12 @@ def piece_sample_tree(param: Parameter, depth: int, samples: int = 512) -> list[
 def _pieces(level: np.ndarray) -> Pieces:
     """Diametral pairs, sampled diameters and enclosing disks of one level."""
     i, j, d = zip(*map(diametral_pair, level))
-    rows = np.arange(len(level))
+    rows, sampled_diam = np.arange(len(level)), np.array(d)
     return Pieces(
         depth=len(level).bit_length() - 2,
         samples=level,
-        sampled_diam=np.array(d),
-        disks=diametral_disks(level[rows, i], level[rows, j]),
+        sampled_diam=sampled_diam,
+        disks=diametral_disks(level[rows, i], level[rows, j], sampled_diam),
     )
 
 

@@ -261,17 +261,16 @@ def diametral_pair(points) -> tuple[int, int, float]:
     return int(keep[i]), int(keep[j]), d
 
 
-def diametral_disks(x, y) -> Disks:
-    """The sqrt(3)/2 disks on diametral pairs (x, y), scalars or arrays.
+def diametral_disks(x, y, distance) -> Disks:
+    """The sqrt(3)/2 disks on diametral pairs (x, y) at the given
+    distances |x - y|, as diametral_pair returns them; scalars or arrays.
 
     Each disk centers on the midpoint of its pair and has radius
     (sqrt(3)/2) * |x - y|.  Any planar set of diameter |x - y| containing
     x and y fits in this disk, so it covers the whole set; it is not the
     minimal enclosing disk.
     """
-    d = x - y
-    # hypot, not np.abs: it rounds exactly like scalar abs() of a complex
-    return Disks((x + y) / 2.0, (math.sqrt(3.0) / 2.0) * np.hypot(d.real, d.imag))
+    return Disks((x + y) / 2.0, (math.sqrt(3.0) / 2.0) * distance)
 
 
 def disk_difference(a: Disks, b: Disks) -> Disks:

@@ -72,11 +72,12 @@ Both modes tile the upper half of the window into squares of _BLOCK x
 _BLOCK cells and drop those certified empty.  Mode "inner" runs the
 unchanged _survivors on the column runs of the rest, so its bits are
 those of the cell-by-cell test (preimage_member); at c = 5, depth 3 and
-cell 0.005, 38 of the 7,938 squares survive.  Mode "outer" runs the test
+cell 0.005, 36 of the 3,200 squares survive.  Mode "outer" runs the test
 at a side of one cell.  A point p of the depth-n preimage has |Q^n(p)| <=
 |c|, and |Q^k(p)| <= sqrt(2|c|) for k < n, since |z|^2 <= |z^2 + c| + |c|
 and sqrt(2|c|) <= |c|.  _thresholds rounds both up, so a dropped cell
-holds no preimage point: the outer raster is a certified superset.  It
+holds no preimage point: the outer raster is a certified superset.  The
+same bound sizes the window at every depth n >= 1.  The outer raster
 equals the side-one test on the whole window at every parameter the
 tests sweep; that is not proven, as the two sides round differently.
 Nothing here imports the bound or verify machinery.
@@ -258,15 +259,21 @@ def _survivors(z: np.ndarray, c: complex, thresholds: list[float]) -> np.ndarray
     return alive
 
 
+def _radii(param: Parameter) -> tuple[float, float]:
+    """(a, r1): |c| and sqrt(2|c|), each rounded up (abs(c) is within an
+    ulp, and the square root rounds by at most half of one)."""
+    a = math.nextafter(param.abs_c, math.inf)
+    return a, math.nextafter(math.sqrt(2.0 * a), math.inf)
+
+
 def _thresholds(param: Parameter, depth: int, cell: float, mode: str) -> tuple[list[float], float]:
     """(thresholds, pad) of the raster test, one threshold per orbit step:
     |c| and no pad in mode "inner"; in mode "outer" sqrt(2|c|) before the
     last step, |c| at it and the half diagonal, each rounded up
-    (math.sqrt(0.5) rounds up, and abs(c) is within an ulp)."""
+    (math.sqrt(0.5) rounds up)."""
     if mode == "inner":
         return [param.abs_c] * (depth + 1), 0.0
-    a = math.nextafter(param.abs_c, math.inf)
-    r1 = math.nextafter(math.sqrt(2.0 * a), math.inf)
+    a, r1 = _radii(param)
     pad = math.nextafter(cell * math.sqrt(0.5), math.inf)
     return [r1] * depth + [a], pad
 
@@ -316,23 +323,48 @@ def rasterize_preimage(param: Parameter, depth: int, cell: float, mode: str = "i
     """Raster of the depth-fold preimage of the starting disk.
 
     Depth 0 is the starting disk itself; depth n marks (an approximation
-    of) the set where |Q^k(z)| <= |c| for every k <= n.  The window is
-    the square of half-side nhalf*cell with nhalf = ceil((|c|+cell)/cell),
-    so it contains the starting disk with at least one spare cell on
-    every side and the cell centers sit on half-integer multiples of the
-    cell size.
+    of) the set where |Q^k(z)| <= |c| for every k <= n.
 
     mode "inner" tests cell centers exactly (every marked center is a
     true preimage point); mode "outer" marks every cell that the block
     test at a side of one cell cannot certify to lie outside, giving a
     certified superset of the preimage (module docstring).
+
+    The window is the square of half-side nhalf*cell, nhalf =
+    ceil((r + cell)/cell), with r = abs(c) at depth 0 and r = r1 of
+    _radii, sqrt(2|c|) rounded up, at depth >= 1 (the module docstring
+    bounds the depth-n preimage by it).  The cell centers are
+    fl((j + 1/2)*cell) for integers j, the same doubles in any window,
+    so a smaller window only crops the lattice.  No center outside the
+    window would be marked.  With A = abs(c) and u = 2^-53:
+
+      * Outside.  The computed nhalf >= (r/cell + 1)(1 - 2u), so a
+        center outside has a coordinate, and so a modulus, of at least
+        fl((nhalf + 1/2)*cell) >= (r + 1.5*cell)(1 - 3u).
+      * Inner.  An accepted center z has fl|z| <= A, so |z| <= A(1 + 3u)
+        (np.abs is within 2u).  At depth >= 1 also fl|w| <= A for w =
+        fl(z^2 + c), which is within 4u(|z|^2 + |c|) of z^2 + c (module
+        docstring), and |c| <= A(1 + 2u).  As |z|^2 <= |z^2 + c| + |c|,
+        (1 - 4u)|z|^2 <= A(1 + 3u) + A(1 + 2u)(1 + 4u), so |z| <=
+        sqrt(2A)(1 + 5u) <= r1(1 + 5u).  Either way |z| <= r(1 + 5u).
+      * Outer.  A kept cell passed step 0, at the threshold t = r1 at
+        depth >= 1 and A rounded up at depth 0, so t <= r(1 + 2u).  Its
+        square is the cell, b its center, D_0 = (pad + 2u*a_0)(1 + 8u)
+        with pad <= (1 + 4u)cell/sqrt(2), and it was kept because
+        fl((fl(a_0(1 - 4u)) - D_0)(1 - 4u)) <= t.  With a_0 >= (1 - 2u)|b|
+        and the four roundings that gives |b| <= (r + cell/sqrt(2))(1 + 24u).
+
+    Both bounds lie below (r + 1.5*cell)(1 - 3u) once cell > 35u*r, that
+    is while the window, at least 2r/cell cells wide, is under 2^48 cells
+    wide: the spare cell absorbs every rounding.
     """
     if mode not in ("inner", "outer"):
         raise ValueError(f"mode must be 'inner' or 'outer', got {mode!r}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     check_cell(cell)
-    nhalf = math.ceil((param.abs_c + cell) / cell)
+    r = _radii(param)[1] if depth else param.abs_c
+    nhalf = math.ceil((r + cell) / cell)
     width = 2 * nhalf
     check_cap("raster cells", width * width, DEFAULT_MAX_CELLS)
     coords = (np.arange(width, dtype=np.float64) - nhalf + 0.5) * cell
@@ -456,7 +488,8 @@ def mask_difference(a: GridMask, b: GridMask) -> GridMask:
     allocated; the int32 edge array spans at most the window plus one
     column, so the cap bounds its cells too.  A self-difference window
     has about four times the cells of its raster, so it, not the raster,
-    sets the finest cell that oracle and verify accept.
+    sets the finest cell that oracle and verify accept: about
+    sqrt(2|c|)/2047 at depth >= 1, whose rasters span sqrt(2|c|).
     """
     if a.cell != b.cell:
         raise ValueError(

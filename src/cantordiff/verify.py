@@ -647,7 +647,7 @@ def _check_worst_case_identity(ctx: _Ctx) -> tuple[bool, str]:
     n = cfg.depth
     kn = bnd.piece_diameter_bound(cfg.param, n)
     # enclosing-disk radius of a piece whose diameter is exactly K_n
-    radius = diametral_disks(0j, complex(kn)).radii[0]
+    radius = diametral_disks(0j, complex(kn), kn).radii[0]
     count = 1 << (n + 1)
     t = np.arange(count, dtype=np.float64)
     total = cov.sum_area(cov.difference_cover(Disks(3.0 * radius * t, np.full(count, radius))))

@@ -239,10 +239,21 @@ def test_verify_cli_passes_at_depth_9(capsys):
     assert out.strip().splitlines()[-1] == "verify: 24/24 checks passed"
 
 
+def test_verify_cli_passes_at_a_large_modulus(capsys):
+    # the depth >= 1 rasters span sqrt(2|c|), not |c|: at |c| = 1e8 and
+    # cell 500 they take 60^2 cells and hold the depth-1 preimage, which
+    # the |c|-wide window, 400002^2 cells, could never fit under the cap
+    code, out, _ = run_cli(capsys, "verify", "--c-re", "1e8", "--cell", "500")
+    assert code == 0, out
+    assert out.strip().splitlines()[-1] == "verify: 24/24 checks passed"
+
+
 def test_verify_cli_stops_at_the_raster_cell_cap(capsys):
+    # the depth-1 window at the default cell 0.02 spans sqrt(2e7) + 0.02,
+    # 223608 cells, each side of 0
     code, _, err = run_cli(capsys, "verify", "--c-re", "1e7", "--depth", "2", "--count", "1000")
     assert code == 2
-    assert err.startswith("error: raster cells: 1000000004000000004 needed")
+    assert err.startswith("error: raster cells: 200002150656 needed")
 
 
 def test_verify_report_file(tmp_path, capsys):
@@ -439,14 +450,14 @@ def test_verify_obeys_the_memory_cap(cap, count, capsys, monkeypatch):
 
 
 def test_oracle_refuses_the_difference_window_before_writing_it(tmp_path, capsys, monkeypatch):
-    # the 102^2-cell rasters fit the cap; their 203^2-cell self-difference
+    # the 66^2-cell rasters fit the cap; their 131^2-cell self-difference
     # does not, and is refused before anything is written
     monkeypatch.setenv("CANTORDIFF_MEMORY_CAP", "10404")
     code, out, err = run_cli(capsys, "oracle", "--c-re", "5", "--depth", "1", "--cell", "0.1",
                              "--outdir", str(tmp_path / "out"))
     assert code == 2 and out == ""
     assert err == (
-        "error: difference window cells: 41209 needed, which exceeds the cap 10404; "
+        "error: difference window cells: 17161 needed, which exceeds the cap 10404; "
         "lower the depth, the sample count or the resolution\n"
     )
     assert not (tmp_path / "out").exists()

@@ -335,8 +335,8 @@ def test_block_search_on_degenerate_inputs():
 
 
 def _enclosing_disk(pts) -> tuple[complex, float]:
-    i, j, _ = diametral_pair(pts)
-    d = diametral_disks(pts[i], pts[j])
+    i, j, dist = diametral_pair(pts)
+    d = diametral_disks(pts[i], pts[j], dist)
     return d.centers[0], d.radii[0]
 
 
@@ -351,10 +351,11 @@ def test_diametral_disks_scalar_and_array_agree():
     rng = np.random.default_rng(19)
     x = rng.normal(size=50) + 1j * rng.normal(size=50)
     y = rng.normal(size=50) + 1j * rng.normal(size=50)
-    many = diametral_disks(x, y)
+    dist = np.hypot((x - y).real, (x - y).imag)
+    many = diametral_disks(x, y, dist)
     assert len(many) == 50
     for k in range(50):
-        one = diametral_disks(x[k], y[k])
+        one = diametral_disks(x[k], y[k], abs(x[k] - y[k]))
         assert len(one) == 1
         assert one.centers[0] == many.centers[k] and one.radii[0] == many.radii[k]
         assert many.radii[k] == math.sqrt(3.0) / 2.0 * abs(x[k] - y[k])

@@ -306,7 +306,7 @@ def test_mask_difference_chunks_of_run_pairs(monkeypatch, chunk):
 
 
 def test_mask_difference_holds_one_window(p5):
-    # oracle-fine's self-difference: beyond the 16 MB output window only
+    # oracle-fine's self-difference: beyond the 6.4 MB output window only
     # the edge array of the cropped block and one chunk of run pairs live
     inner = rasterize_preimage(p5, 3, 0.005)
     h, w = 2 * inner.height - 1, 2 * inner.width - 1
@@ -405,22 +405,87 @@ def test_env_cap_replaces_the_default_and_is_validated(monkeypatch):
 def test_raster_equals_cell_by_cell_tests(c):
     # the raster skips the blocks certified empty, fills the rest of the
     # upper half and mirrors it; the plain forms test every cell of the
-    # full window, the outer one at a side of one cell.  nhalf is 41 and
-    # 96: 41 and the width 82 are not multiples of the 16-cell block
-    # (partial blocks on both axes), 96 is
+    # wide window of half-side |c| + cell, which the raster's window
+    # crops.  The wide nhalf is 41 and 96: 41 and the width 82 are not
+    # multiples of the 16-cell block (partial blocks on both axes), 96 is
     p = Parameter(c)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for cell in (p.abs_c / 40.0, p.abs_c / 95.0):
-            nhalf = math.ceil((p.abs_c + cell) / cell)
-            coords = (np.arange(2 * nhalf) - nhalf + 0.5) * cell
-            z = coords[None, :] + 1j * coords[:, None]
+            coords = _wide_axis(p, cell)
             for depth in range(7):
-                thresholds, pad = raster._thresholds(p, depth, cell, "outer")
-                outer = raster._live_blocks(coords, coords, 1, pad, p, thresholds)
-                for mode, want in (("inner", preimage_member(z, p, depth)), ("outer", outer)):
-                    m = rasterize_preimage(p, depth, cell, mode)
-                    assert np.array_equal(m.bits, want), (cell, depth, mode)
+                for mode in ("inner", "outer"):
+                    _assert_crop(p, depth, cell, mode, _cell_by_cell(p, depth, cell, mode, coords))
+
+
+def _wide_axis(p, cell):
+    # the cell centers along one axis of the window of half-side |c| + cell
+    nhalf = math.ceil((p.abs_c + cell) / cell)
+    return (np.arange(2 * nhalf) - nhalf + 0.5) * cell
+
+
+def _cell_by_cell(p, depth, cell, mode, coords):
+    # the raster's test on every cell of the square over coords, the
+    # outer one at a side of one cell
+    if mode == "inner":
+        return preimage_member(coords[None, :] + 1j * coords[:, None], p, depth)
+    thresholds, pad = raster._thresholds(p, depth, cell, "outer")
+    return raster._live_blocks(coords, coords, 1, pad, p, thresholds)
+
+
+def _assert_crop(p, depth, cell, mode, want):
+    # the raster's window is the documented one: half-side |c| + cell at
+    # depth 0, the wide window itself, and the rounded-up sqrt(2|c|) +
+    # cell after, a centered crop of it.  The bits agree on the crop and
+    # the wide test sets none outside it
+    m = rasterize_preimage(p, depth, cell, mode)
+    nhalf = math.ceil(((raster._radii(p)[1] if depth else p.abs_c) + cell) / cell)
+    k, where = (want.shape[0] - 2 * nhalf) // 2, (cell, depth, mode)
+    assert m.bits.shape == (2 * nhalf, 2 * nhalf), where
+    assert m.origin == complex(-nhalf * cell, -nhalf * cell), where
+    assert k >= 0 if depth else k == 0, where
+    inside = want[k : k + 2 * nhalf, k : k + 2 * nhalf]
+    assert np.array_equal(m.bits, inside), where
+    assert np.count_nonzero(inside) == np.count_nonzero(want), where
+
+
+def _flip_cell(p, j, keeps):
+    # the cells lo < hi, a few ulps apart, between which the center
+    # ((j + 1/2)cell, cell/2) leaves the test keeps: a bisection on the
+    # cell, which moves the center outward as it grows
+    lo, hi = 0.5 * p.abs_c / (j + 0.5), 2.0 * p.abs_c / (j + 0.5)
+    assert keeps((j + 0.5) * lo, 0.5 * lo) and not keeps((j + 0.5) * hi, 0.5 * hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if keeps((j + 0.5) * mid, 0.5 * mid) else (lo, mid)
+    return lo, hi
+
+
+@pytest.mark.parametrize("c", [-5.0, -2.05])
+def test_window_holds_the_cells_at_the_preimage_tip(c):
+    # the depth-1 preimage reaches |z| = sqrt(2|c|) at z = +-sqrt(2|c|),
+    # since 2|c| + c = |c|: the tip of both rasters.  Cells that put a
+    # center within a few ulps of the tip, or of either test's verdict
+    # there, must leave the raster's window holding every bit the wide
+    # window sets
+    p = Parameter(c)
+
+    def inner(x, y):
+        return bool(preimage_member(complex(x, y), p, 1))
+
+    def outer(x, y):  # the one cell of side 2y
+        thresholds, pad = raster._thresholds(p, 1, 2.0 * y, "outer")
+        return bool(raster._live_blocks(np.array([x]), np.array([y]), 1, pad, p, thresholds)[0, 0])
+
+    cells = []
+    for j in (17, 40):
+        cells.append(math.sqrt(2.0 * p.abs_c) / (j + 0.5))
+        for keeps in (inner, outer):
+            cells += _flip_cell(p, j, keeps)
+    for cell in sorted({s * (1.0 + k * 2.0**-52) for s in cells for k in range(-3, 4)}):
+        coords = _wide_axis(p, cell)
+        for depth in (1, 2):
+            for mode in ("inner", "outer"):
+                _assert_crop(p, depth, cell, mode, _cell_by_cell(p, depth, cell, mode, coords))
 
 
 @pytest.mark.parametrize("mode", ["inner", "outer"])
@@ -428,7 +493,7 @@ def test_block_test_rules_out_most_of_the_window(p5, mode):
     # oracle-fine's rasters: if the margin ever stopped dropping blocks the
     # bits would not change, only the time, so pin the live share
     cell, depth = 0.005, 3
-    nhalf = math.ceil((p5.abs_c + cell) / cell)
+    nhalf = math.ceil((raster._radii(p5)[1] + cell) / cell)
     coords = (np.arange(2 * nhalf) - nhalf + 0.5) * cell
     thresholds, pad = raster._thresholds(p5, depth, cell, mode)
     live = raster._live_blocks(coords, coords[:nhalf], 16, pad, p5, thresholds)

@@ -410,9 +410,9 @@ def test_area_sandwich_counts_the_cells_the_grid_misses(monkeypatch):
 
 @pytest.mark.parametrize("c, limit", [(5.0, 3.5), (-5.0, 4.0)])
 def test_area_sandwich_memory_is_bounded(c, limit):
-    # with the default cell 0.02 a difference window has 1003^2 cells: a
+    # with the default cell 0.02 a difference window has 639^2 cells: a
     # copy of both masks into one common window, and the temporaries of
-    # comparing them there, took 4.9 MiB at c = 5 and 5.5 MiB at c = -5
+    # comparing them there, took 0.9 MiB at c = 5 and 1.8 MiB at c = -5
     import tracemalloc
 
     ctx = verify._Ctx(VerifyConfig(Parameter(c)))
