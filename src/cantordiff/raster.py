@@ -77,9 +77,11 @@ at a side of one cell.  A point p of the depth-n preimage has |Q^n(p)| <=
 |c|, and |Q^k(p)| <= sqrt(2|c|) for k < n, since |z|^2 <= |z^2 + c| + |c|
 and sqrt(2|c|) <= |c|.  _thresholds rounds both up, so a dropped cell
 holds no preimage point: the outer raster is a certified superset.  The
-same bound sizes the window at every depth n >= 1.  The outer raster
-equals the side-one test on the whole window at every parameter the
-tests sweep; that is not proven, as the two sides round differently.
+same bound sizes the window the block test scans at every depth n >= 1;
+a raster's bits span only the box, symmetric about 0, over the blocks it
+keeps.  The outer raster equals the side-one test on the whole window at
+every parameter the tests sweep; that is not proven, as the two sides
+round differently.
 Nothing here imports the bound or verify machinery.
 
 Determinism.  All randomness comes from an explicit 64-bit linear
@@ -330,13 +332,24 @@ def rasterize_preimage(param: Parameter, depth: int, cell: float, mode: str = "i
     test at a side of one cell cannot certify to lie outside, giving a
     certified superset of the preimage (module docstring).
 
-    The window is the square of half-side nhalf*cell, nhalf =
-    ceil((r + cell)/cell), with r = abs(c) at depth 0 and r = r1 of
-    _radii, sqrt(2|c|) rounded up, at depth >= 1 (the module docstring
-    bounds the depth-n preimage by it).  The cell centers are
+    The block test scans the window, the square of half-side nhalf*cell,
+    nhalf = ceil((r + cell)/cell), with r = abs(c) at depth 0 and r = r1
+    of _radii, sqrt(2|c|) rounded up, at depth >= 1 (the module docstring
+    bounds the depth-n preimage by it); the "raster cells" cap is on its
+    cells.  The bits span only the box over the live blocks of its upper
+    half and their half-turn images, widened to be symmetric about 0 (2 x
+    2 cells around 0 when no block is live).  The cell centers are
     fl((j + 1/2)*cell) for integers j, the same doubles in any window,
-    so a smaller window only crops the lattice.  No center outside the
-    window would be marked.  With A = abs(c) and u = 2^-53:
+    so the window and the box only crop the lattice.
+
+    No set cell lies outside the box.  In mode "inner" a cell outside
+    the live blocks is one whose float orbit the block test at pad 0
+    proves to fail _survivors' test, and in mode "outer" the side-one
+    test runs only inside the live blocks, so neither sets a cell of
+    the upper half outside them; the lower half is their half-turn
+    image.  Nor would either test mark a center outside the window, so
+    the box holds every cell that the test would set anywhere on the
+    lattice.  With A = abs(c) and u = 2^-53:
 
       * Outside.  The computed nhalf >= (r/cell + 1)(1 - 2u), so a
         center outside has a coordinate, and so a modulus, of at least
@@ -368,15 +381,22 @@ def rasterize_preimage(param: Parameter, depth: int, cell: float, mode: str = "i
     width = 2 * nhalf
     check_cap("raster cells", width * width, DEFAULT_MAX_CELLS)
     coords = (np.arange(width, dtype=np.float64) - nhalf + 0.5) * cell
-    origin = complex(-nhalf * cell, -nhalf * cell)
 
     thresholds, pad = _thresholds(param, depth, cell, mode)
     live = _live_blocks(coords, coords[:nhalf], _BLOCK, pad, param, thresholds)
-    bits = np.zeros((width, width), dtype=bool)
+    rows, cols = np.flatnonzero(live.any(axis=1)), np.flatnonzero(live.any(axis=0))
+    # half-sides of the box over the live blocks and their half-turn
+    # images, in cells, and the window index of its cell (0, 0)
+    h, w = 1, 1
+    if rows.size:
+        h = nhalf - int(rows[0]) * _BLOCK
+        w = max(nhalf - int(cols[0]) * _BLOCK, min(int(cols[-1]) * _BLOCK + _BLOCK, width) - nhalf)
+    y0, x0 = nhalf - h, nhalf - w
+    bits = np.zeros((2 * h, 2 * w), dtype=bool)
     # each strip of _BLOCK rows with a live block, filled by its runs of
     # live columns as slices, so that a fully live strip is one call
     edges = np.diff(live.astype(np.int8), axis=1, prepend=0, append=0)
-    for i in np.flatnonzero(live.any(axis=1)).tolist():
+    for i in rows.tolist():
         y_lo, y_hi = i * _BLOCK, min(i * _BLOCK + _BLOCK, nhalf)
         starts = np.flatnonzero(edges[i] > 0) * _BLOCK
         stops = np.minimum(np.flatnonzero(edges[i] < 0) * _BLOCK, width)
@@ -386,11 +406,12 @@ def rasterize_preimage(param: Parameter, depth: int, cell: float, mode: str = "i
                 run = _survivors(xs + 1j * ys[:, None], param.c, thresholds)
             else:
                 run = _live_blocks(xs, ys, 1, pad, param, thresholds)
-            bits[y_lo:y_hi, x_lo:x_hi] = run
+            bits[y_lo - y0 : y_hi - y0, x_lo - x0 : x_hi - x0] = run
     # Q(-z) = Q(z) and coords[width-1-k] == -coords[k] exactly, so the
-    # orbit of cell (width-1-iy, width-1-ix) is that of cell (iy, ix)
-    bits[nhalf:] = bits[nhalf - 1 :: -1, ::-1]
-    return GridMask(origin=origin, cell=cell, bits=bits, mode=mode)
+    # orbit of cell (2h-1-iy, 2w-1-ix) of the box, centered on 0, is that
+    # of cell (iy, ix)
+    bits[h:] = bits[h - 1 :: -1, ::-1]
+    return GridMask(origin=complex(-w * cell, -h * cell), cell=cell, bits=bits, mode=mode)
 
 
 def _disk_windows(xs: np.ndarray, ys: np.ndarray, disks: Disks, reach: np.ndarray):
@@ -487,9 +508,12 @@ def mask_difference(a: GridMask, b: GridMask) -> GridMask:
     The window's cells are capped like a raster's, before anything is
     allocated; the int32 edge array spans at most the window plus one
     column, so the cap bounds its cells too.  A self-difference window
-    has about four times the cells of its raster, so it, not the raster,
-    sets the finest cell that oracle and verify accept: about
-    sqrt(2|c|)/2047 at depth >= 1, whose rasters span sqrt(2|c|).
+    has about four times the cells of its raster's box, while a raster's
+    cap is on the window its block test scans, sqrt(2|c|) each side of
+    0 at depth >= 1.  Where the box holds under a quarter of that
+    window's cells, as at c = 5, depth 3, the raster's cap sets the
+    finest cell that oracle accepts, about sqrt(2|c|)/4095; elsewhere the
+    difference window does.
     """
     if a.cell != b.cell:
         raise ValueError(

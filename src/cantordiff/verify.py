@@ -459,20 +459,25 @@ def _check_difference_attainment(ctx: _Ctx) -> tuple[bool, str]:
     return ok, f"antipodal boundary probes hit the radius within {worst:.3e} relative"
 
 
-def _int_origin_index(mask: GridMask) -> tuple[int, int]:
-    """Lattice index of cell (0, 0) for integer-aligned masks."""
-    fx = mask.origin.real / mask.cell + 0.5
-    fy = mask.origin.imag / mask.cell + 0.5
+def _int_origin_index(mask: GridMask, shift: float = 0.5) -> tuple[int, int]:
+    """Lattice index k of cell (0, 0), whose center is (k + 0.5 - shift) *
+    cell on each axis: shift 0.5 is the integer lattice, 0 the half-integer
+    one of the preimage rasters."""
+    fx = mask.origin.real / mask.cell + shift
+    fy = mask.origin.imag / mask.cell + shift
     kx, ky = round(fx), round(fy)
     if abs(fx - kx) > 1e-6 or abs(fy - ky) > 1e-6:
-        raise ValueError("mask cell centers are not on the integer lattice")
+        raise ValueError("mask cell centers are not on the lattice")
     return kx, ky
 
 
-def _overlap(m1: GridMask, m2: GridMask) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
+def _overlap(
+    m1: GridMask, m2: GridMask, shift: float = 0.5
+) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
     """Row and column slices of m1.bits and of m2.bits over the cells the
-    two integer-aligned windows share (empty slices when they share none)."""
-    (x1, y1), (x2, y2) = _int_origin_index(m1), _int_origin_index(m2)
+    two windows on one lattice (shift as in _int_origin_index) share:
+    empty slices when they share none."""
+    (x1, y1), (x2, y2) = _int_origin_index(m1, shift), _int_origin_index(m2, shift)
     x_lo, y_lo = max(x1, x2), max(y1, y2)
     x_hi = max(x_lo, min(x1 + m1.width, x2 + m2.width))
     y_hi = max(y_lo, min(y1 + m1.height, y2 + m2.height))
@@ -482,9 +487,10 @@ def _overlap(m1: GridMask, m2: GridMask) -> tuple[tuple[slice, slice], tuple[sli
     )
 
 
-def _outside(m1: GridMask, m2: GridMask) -> int:
-    """Set cells of m1 that are not set cells of m2, both integer-aligned."""
-    s1, s2 = _overlap(m1, m2)
+def _outside(m1: GridMask, m2: GridMask, shift: float = 0.5) -> int:
+    """Set cells of m1 that are not set cells of m2, both on one lattice
+    (shift as in _int_origin_index)."""
+    s1, s2 = _overlap(m1, m2, shift)
     return int(np.count_nonzero(m1.bits)) - int(np.count_nonzero(m1.bits[s1] & m2.bits[s2]))
 
 
@@ -595,9 +601,11 @@ def _check_raster_nesting(ctx: _Ctx) -> tuple[bool, str]:
     cfg = ctx.cfg
     inner1 = ctx.inner(1)
     inner2 = ctx.inner(2)
-    nested = not bool(np.any(inner2.bits & ~inner1.bits))
+    # each raster spans the box of its own live blocks, all on the
+    # half-integer lattice
+    nested = _outside(inner2, inner1, 0.0) == 0
     outer1 = rasterize_preimage(cfg.param, 1, cfg.cell, mode="outer")
-    inside = not bool(np.any(inner1.bits & ~outer1.bits))
+    inside = _outside(inner1, outer1, 0.0) == 0
     counts = (
         int(np.count_nonzero(inner2.bits)),
         int(np.count_nonzero(inner1.bits)),

@@ -14,6 +14,7 @@ import pytest
 
 import cantordiff
 from cantordiff.cli import main
+from cantordiff.images import read_pgm
 
 
 def run_cli(capsys, *argv):
@@ -240,12 +241,18 @@ def test_verify_cli_passes_at_depth_9(capsys):
 
 
 def test_verify_cli_passes_at_a_large_modulus(capsys):
-    # the depth >= 1 rasters span sqrt(2|c|), not |c|: at |c| = 1e8 and
-    # cell 500 they take 60^2 cells and hold the depth-1 preimage, which
-    # the |c|-wide window, 400002^2 cells, could never fit under the cap
+    # the depth >= 1 rasters scan sqrt(2|c|), not |c|: at |c| = 1e8 and
+    # cell 500 that is 60^2 cells, which hold the depth-1 preimage; the
+    # |c|-wide window, 400002^2 cells, could never fit under the cap.  The
+    # depth-2 inner raster sets no cell there, yet spans the 60^2 cells of
+    # its live blocks
     code, out, _ = run_cli(capsys, "verify", "--c-re", "1e8", "--cell", "500")
     assert code == 0, out
     assert out.strip().splitlines()[-1] == "verify: 24/24 checks passed"
+    assert (
+        "PASS raster-nesting: cell counts depth2<=depth1<=outer1: (0, 796, 920), "
+        "nested=True, inner-in-outer=True"
+    ) in out.splitlines()
 
 
 def test_verify_cli_stops_at_the_raster_cell_cap(capsys):
@@ -461,6 +468,20 @@ def test_oracle_refuses_the_difference_window_before_writing_it(tmp_path, capsys
         "lower the depth, the sample count or the resolution\n"
     )
     assert not (tmp_path / "out").exists()
+
+
+def test_oracle_fine_fits_a_cap_below_its_scan_window_difference(tmp_path, capsys, monkeypatch):
+    # the rasters scan 1268^2 cells under the cap, but span only the box of
+    # their live blocks, 1012 rows by 276 columns, so the self-difference
+    # takes 2023 x 551 cells, not the 2535^2 of the scan window
+    monkeypatch.setenv("CANTORDIFF_MEMORY_CAP", "2000000")
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "oracle", "--c-re", "5", "--depth", "3",
+                                "--cell", "0.005", "--outdir", str(out))
+    assert code == 0 and err == "", err
+    assert stdout.splitlines()[-1] == f"wrote {out}"
+    for name, shape in (("inner", (1012, 276)), ("outer", (1012, 276)), ("diff", (2023, 551))):
+        assert read_pgm(out / f"{name}.pgm").bits.shape == shape, name
 
 
 def _render_run(command):

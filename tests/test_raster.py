@@ -405,22 +405,23 @@ def test_env_cap_replaces_the_default_and_is_validated(monkeypatch):
 def test_raster_equals_cell_by_cell_tests(c):
     # the raster skips the blocks certified empty, fills the rest of the
     # upper half and mirrors it; the plain forms test every cell of the
-    # wide window of half-side |c| + cell, which the raster's window
-    # crops.  The wide nhalf is 41 and 96: 41 and the width 82 are not
+    # wide window of half-side |c| + cell, which the raster's box crops.
+    # The wide nhalf is 41 and 96: 41 and the width 82 are not
     # multiples of the 16-cell block (partial blocks on both axes), 96 is
     p = Parameter(c)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for cell in (p.abs_c / 40.0, p.abs_c / 95.0):
-            coords = _wide_axis(p, cell)
+            coords = _scan_axis(p, 0, cell)
             for depth in range(7):
                 for mode in ("inner", "outer"):
                     _assert_crop(p, depth, cell, mode, _cell_by_cell(p, depth, cell, mode, coords))
 
 
-def _wide_axis(p, cell):
-    # the cell centers along one axis of the window of half-side |c| + cell
-    nhalf = math.ceil((p.abs_c + cell) / cell)
+def _scan_axis(p, depth, cell):
+    # the cell centers along one axis of the raster's scan window; the
+    # depth-0 one, of half-side |c| + cell, holds those of every depth
+    nhalf = math.ceil(((raster._radii(p)[1] if depth else p.abs_c) + cell) / cell)
     return (np.arange(2 * nhalf) - nhalf + 0.5) * cell
 
 
@@ -434,19 +435,61 @@ def _cell_by_cell(p, depth, cell, mode, coords):
 
 
 def _assert_crop(p, depth, cell, mode, want):
-    # the raster's window is the documented one: half-side |c| + cell at
-    # depth 0, the wide window itself, and the rounded-up sqrt(2|c|) +
-    # cell after, a centered crop of it.  The bits agree on the crop and
-    # the wide test sets none outside it
+    # want is the test on every cell of a window centered on 0 that holds
+    # the raster's scan window: half-side |c| + cell at depth 0, the
+    # rounded-up sqrt(2|c|) + cell after.  The raster spans a box
+    # symmetric about 0 inside the scan window; the bits agree on the box
+    # and want sets none outside it
     m = rasterize_preimage(p, depth, cell, mode)
-    nhalf = math.ceil(((raster._radii(p)[1] if depth else p.abs_c) + cell) / cell)
-    k, where = (want.shape[0] - 2 * nhalf) // 2, (cell, depth, mode)
-    assert m.bits.shape == (2 * nhalf, 2 * nhalf), where
-    assert m.origin == complex(-nhalf * cell, -nhalf * cell), where
-    assert k >= 0 if depth else k == 0, where
-    inside = want[k : k + 2 * nhalf, k : k + 2 * nhalf]
+    scan = _scan_axis(p, depth, cell).size
+    (h, w), where = m.bits.shape, (cell, depth, mode)
+    assert h % 2 == 0 and w % 2 == 0 and max(h, w) <= scan, where
+    assert m.origin == complex(-w // 2 * cell, -h // 2 * cell), where
+    assert want.shape[0] >= scan if depth else want.shape[0] == scan, where
+    ky, kx = (want.shape[0] - h) // 2, (want.shape[1] - w) // 2
+    inside = want[ky : ky + h, kx : kx + w]
     assert np.array_equal(m.bits, inside), where
     assert np.count_nonzero(inside) == np.count_nonzero(want), where
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_raster_equals_the_scan_window_test_cropped(seed):
+    # a small parameter fuzz: the reference tests every cell of the scan
+    # window itself, which the raster's box crops
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        p = Parameter(rng.uniform(2.05, 40.0) * np.exp(1j * rng.uniform(-np.pi, np.pi)))
+        for depth in range(4):
+            cell = (raster._radii(p)[1] if depth else p.abs_c) / rng.uniform(8.0, 120.0)
+            coords = _scan_axis(p, depth, cell)
+            for mode in ("inner", "outer"):
+                _assert_crop(p, depth, cell, mode, _cell_by_cell(p, depth, cell, mode, coords))
+
+
+def test_raster_with_no_live_block_is_two_by_two(p5, monkeypatch):
+    # no parameter the tests sweep leaves every block of the scan window
+    # ruled out, so the block test is made to rule them all out
+    real = raster._live_blocks
+    monkeypatch.setattr(raster, "_live_blocks", lambda *args: np.zeros_like(real(*args)))
+    for mode in ("inner", "outer"):
+        m = rasterize_preimage(p5, 2, 0.05, mode)
+        assert m.bits.shape == (2, 2) and not m.bits.any()
+        assert m.origin == complex(-0.05, -0.05)
+        d = mask_difference(m, m)
+        assert d.bits.shape == (3, 3) and not d.bits.any()
+        assert d.origin == pytest.approx(complex(-0.075, -0.075))
+
+
+def test_empty_raster_at_a_large_modulus():
+    # at |c| = 1e8 and cell 500 a depth-2 piece is about 0.5 across: no
+    # cell center lies in one, yet the blocks around them stay live
+    p = Parameter(1e8)
+    m = rasterize_preimage(p, 2, 500.0)
+    assert m.cells == 0 and m.bits.shape == (60, 60)
+    assert m.origin == complex(-15000.0, -15000.0)
+    d = mask_difference(m, m)
+    assert d.bits.shape == (119, 119) and not d.bits.any()
+    _assert_crop(p, 2, 500.0, "inner", _cell_by_cell(p, 2, 500.0, "inner", _scan_axis(p, 2, 500.0)))
 
 
 def _flip_cell(p, j, keeps):
@@ -482,7 +525,7 @@ def test_window_holds_the_cells_at_the_preimage_tip(c):
         for keeps in (inner, outer):
             cells += _flip_cell(p, j, keeps)
     for cell in sorted({s * (1.0 + k * 2.0**-52) for s in cells for k in range(-3, 4)}):
-        coords = _wide_axis(p, cell)
+        coords = _scan_axis(p, 0, cell)
         for depth in (1, 2):
             for mode in ("inner", "outer"):
                 _assert_crop(p, depth, cell, mode, _cell_by_cell(p, depth, cell, mode, coords))
@@ -522,16 +565,18 @@ def test_outer_cells_dropped_next_to_kept_ones_hold_no_preimage_point(c):
     cell = 0.05
     for depth in (1, 2, 3):
         m = rasterize_preimage(p, depth, cell, "outer")
-        kept = np.pad(m.bits, 1)
+        # the raster's box and a ring of one cell around it, whose cells
+        # the block test dropped; the box is symmetric about 0
+        kept = np.pad(m.bits, 2)
         near = np.zeros_like(kept)
         for dy in (-1, 0, 1):
             for dx in (-1, 0, 1):
                 near |= np.roll(kept, (dy, dx), axis=(0, 1))
         iy, ix = np.nonzero((near & ~kept)[1:-1, 1:-1])
         assert iy.size > 100
-        nhalf, h = m.width // 2, Fraction(cell)
+        h = Fraction(cell)
         points = set()
-        for j, i in zip((iy - nhalf).tolist(), (ix - nhalf).tolist()):
+        for j, i in zip((iy - 1 - m.height // 2).tolist(), (ix - 1 - m.width // 2).tolist()):
             points |= {(i * h, j * h), ((i + 1) * h, j * h), (i * h, (j + 1) * h),
                        ((i + 1) * h, (j + 1) * h), ((2 * i + 1) * h / 2, (2 * j + 1) * h / 2)}
         assert _exact_escapes(p.c, depth, points), depth

@@ -329,9 +329,9 @@ def test_argument_spread_equals_the_per_row_spread(c):
     assert detail.startswith(f"max argument spread {_spread_per_row(ctx):.12f} < pi/2")
 
 
-def _embed(m1, m2):
-    # reference: both integer-aligned masks copied into one common window
-    (x1, y1), (x2, y2) = verify._int_origin_index(m1), verify._int_origin_index(m2)
+def _embed(m1, m2, shift=0.5):
+    # reference: both masks on one lattice copied into one common window
+    (x1, y1), (x2, y2) = verify._int_origin_index(m1, shift), verify._int_origin_index(m2, shift)
     x_lo, y_lo = min(x1, x2), min(y1, y2)
     shape = (max(y1 + m1.height, y2 + m2.height) - y_lo, max(x1 + m1.width, x2 + m2.width) - x_lo)
     b1, b2 = np.zeros(shape, bool), np.zeros(shape, bool)
@@ -340,29 +340,59 @@ def _embed(m1, m2):
     return b1, b2, x_lo, y_lo
 
 
-def _lattice_mask(rng, kx, ky, h, w, cell=0.25):
-    # cell (0, 0) centred on the lattice point (kx, ky) * cell
+def _lattice_mask(rng, kx, ky, h, w, cell=0.25, shift=0.5):
+    # cell (0, 0) centred on the lattice point (kx + 0.5 - shift) * cell
     bits = rng.random((h, w)) < 0.4
-    return GridMask(complex((kx - 0.5) * cell, (ky - 0.5) * cell), cell, bits)
+    return GridMask(complex((kx - shift) * cell, (ky - shift) * cell), cell, bits)
 
 
-@pytest.mark.parametrize(
-    "first, second",
-    [
-        ((0, 0, 7, 9), (20, -3, 5, 6)),  # disjoint
-        ((0, 0, 7, 9), (9, 30, 5, 6)),  # disjoint, rows only
-        ((0, 0, 12, 10), (4, -5, 11, 13)),  # partly overlapping
-        ((-3, 2, 20, 25), (2, 5, 6, 7)),  # nested
-        ((2, 5, 6, 7), (-3, 2, 20, 25)),  # nested the other way
-        ((1, -1, 9, 9), (1, -1, 9, 9)),  # equal windows
-    ],
-)
+_WINDOW_PAIRS = [
+    ((0, 0, 7, 9), (20, -3, 5, 6)),  # disjoint
+    ((0, 0, 7, 9), (9, 30, 5, 6)),  # disjoint, rows only
+    ((0, 0, 12, 10), (4, -5, 11, 13)),  # partly overlapping
+    ((-3, 2, 20, 25), (2, 5, 6, 7)),  # nested
+    ((2, 5, 6, 7), (-3, 2, 20, 25)),  # nested the other way
+    ((1, -1, 9, 9), (1, -1, 9, 9)),  # equal windows
+]
+
+
+@pytest.mark.parametrize("first, second", _WINDOW_PAIRS)
 def test_outside_counts_as_on_one_common_window(first, second):
     rng = np.random.default_rng(sum(first + second) + 100)
     m1, m2 = _lattice_mask(rng, *first), _lattice_mask(rng, *second)
     b1, b2, _, _ = _embed(m1, m2)
     assert verify._outside(m1, m2) == np.count_nonzero(b1 & ~b2)
     assert verify._outside(m2, m1) == np.count_nonzero(b2 & ~b1)
+
+
+def test_outside_counts_on_the_half_integer_lattice():
+    # the preimage rasters' lattice; the integer reading of the same
+    # origins is refused
+    for first, second in _WINDOW_PAIRS:
+        rng = np.random.default_rng(sum(first + second) + 200)
+        m1, m2 = _lattice_mask(rng, *first, shift=0.0), _lattice_mask(rng, *second, shift=0.0)
+        b1, b2, _, _ = _embed(m1, m2, 0.0)
+        assert verify._outside(m1, m2, 0.0) == np.count_nonzero(b1 & ~b2)
+        assert verify._outside(m2, m1, 0.0) == np.count_nonzero(b2 & ~b1)
+        with pytest.raises(ValueError, match="not on the lattice"):
+            verify._outside(m1, m2)
+
+
+def test_raster_nesting_compares_rasters_of_different_windows():
+    # at c = -5 and the default cell 0.02 the depth-1 inner raster spans
+    # 128 x 320 cells and the depth-2 one 64 x 320; a depth-2 cell set
+    # outside the depth-1 box is still caught
+    ctx = verify._Ctx(_cfg(Parameter(-5.0), cell=0.02))
+    inner1, inner2 = ctx.inner(1), ctx.inner(2)
+    assert (inner1.bits.shape, inner2.bits.shape) == ((128, 320), (64, 320))
+    check = dict(verify._CHECKS)["raster-nesting"]
+    assert check(ctx)[0]
+    h, w = inner1.height // 2 - inner2.height // 2, inner1.width // 2 - inner2.width // 2
+    bits = np.pad(inner2.bits, ((h + 1, h + 1), (w + 1, w + 1)))
+    bits[0, 0] = True
+    ctx._inner[2] = inner2._replace(bits=bits, origin=inner1.origin - (1 + 1j) * ctx.cfg.cell)
+    ok, detail = check(ctx)
+    assert not ok and "nested=False, inner-in-outer=True" in detail
 
 
 @pytest.mark.parametrize(
