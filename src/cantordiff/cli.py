@@ -312,8 +312,8 @@ def _run_oracle(args, param: Parameter) -> int:
 
     # nothing is written before the inner raster and its self-difference
     # pass their caps, so a refused run leaves no directory behind; the
-    # outer raster's cap is on the same full window as the inner one's,
-    # and each mask is dropped once its PGM is written
+    # outer raster comes from the same block pass, with the inner one's
+    # window, cap and box, and each mask is dropped once its PGM is written
     inner = build("inner")
     diff = mask_difference(inner, inner)
     os.makedirs(outdir or os.curdir, exist_ok=True)

@@ -23,9 +23,9 @@ The block test.  _live_blocks rules out a square of side x side cells at
 once.  It runs the float orbit b~_0 = b, b~_{k+1} = fl(b~_k * b~_k + c)
 from the square's float midpoint b and carries a bound D_k on the
 distance from b~_k to the orbit of every point the square stands for:
-with pad = 0 the float orbits p~_k of its float cell centers, the orbits
-that _survivors tests by fl|p~_k| <= thr_k; with pad at least the half
-diagonal the exact orbits Q^k(p) of every point p of its cells.  With
+at any pad >= 0 the float orbits p~_k of its float cell centers, the
+orbits that preimage_member runs; with pad at least the half diagonal
+also the exact orbits Q^k(p) of every point p of its cells.  With
 u = 2^-53 and a_k = fl|b~_k|:
 
   * D_0 = (h + pad + 2u*a_0) * (1 + 8u), with h the hypot of the half
@@ -62,26 +62,25 @@ u = 2^-53 and a_k = fl|b~_k|:
     roundings of that expression errs upward by at most u relative, and
     a_k <= (1 + 2u)|b~_k|, so it exceeds thr_k only if |b~_k| - D_k >
     thr_k / (1 - 2u).  Then |Q^k(p)| > thr_k, and fl|p~_k| >= (1 -
-    2u)|p~_k| >= (1 - 2u)(|b~_k| - D_k) > thr_k: the test fails.  A cell
-    whose orbit is not finite at step k fails it as well (inf and NaN
-    are never <= thr_k), and a cell that failed an earlier test is clear
-    already.  The bound needs every step before k finite, so a square
-    whose orbit or margin reaches inf or NaN is kept and not iterated.
+    2u)|p~_k| >= (1 - 2u)(|b~_k| - D_k) > thr_k.  The bound needs every
+    step before k finite, so a square whose orbit or margin reaches inf
+    or NaN is kept and not iterated.
 
-Both modes tile the upper half of the window into squares of _BLOCK x
-_BLOCK cells and drop those certified empty.  Mode "inner" runs the
-unchanged _survivors on the column runs of the rest, so its bits are
-those of the cell-by-cell test (preimage_member); at c = 5, depth 3 and
-cell 0.005, 36 of the 3,200 squares survive.  Mode "outer" runs the test
-at a side of one cell.  A point p of the depth-n preimage has |Q^n(p)| <=
-|c|, and |Q^k(p)| <= sqrt(2|c|) for k < n, since |z|^2 <= |z^2 + c| + |c|
-and sqrt(2|c|) <= |c|.  _thresholds rounds both up, so a dropped cell
-holds no preimage point: the outer raster is a certified superset.  The
-same bound sizes the window the block test scans at every depth n >= 1;
-a raster's bits span only the box, symmetric about 0, over the blocks it
-keeps.  The outer raster equals the side-one test on the whole window at
-every parameter the tests sweep; that is not proven, as the two sides
-round differently.
+Both modes run one pass: the test at the half-diagonal pad tiles the
+upper half of the window into squares of _BLOCK x _BLOCK cells and drops
+those certified empty; at c = 5, depth 3 and cell 0.005, 36 of the 3,200
+squares survive.  Mode "inner" runs preimage_member on the column runs
+of the rest, with the bits of the cell-by-cell test (rasterize_preimage
+proves that no dropped square holds one of its cells); mode "outer" runs
+the block test at a side of one cell.  A point p of the depth-n preimage
+has |Q^n(p)| <= |c|, and |Q^k(p)| <= sqrt(2|c|) for k < n, since |z|^2
+<= |z^2 + c| + |c| and sqrt(2|c|) <= |c|.  _thresholds rounds both up,
+so a dropped cell holds no preimage point: the outer raster is a
+certified superset.  The same bound sizes the window the block test
+scans at every depth n >= 1; the two rasters of one call span the one
+box, symmetric about 0, over the blocks the pass keeps.  The outer
+raster equals the side-one test on the whole window at every parameter
+the tests sweep; that is not proven, as the two sides round differently.
 Nothing here imports the bound or verify machinery.
 
 Determinism.  All randomness comes from an explicit 64-bit linear
@@ -239,25 +238,19 @@ def preimage_member(z, param: Parameter, depth: int):
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     arr = np.asarray(z, dtype=np.complex128)
-    alive = _survivors(arr, param.c, [param.abs_c] * (depth + 1))
-    if arr.ndim == 0:
-        return bool(alive)
-    return alive
-
-
-def _survivors(z: np.ndarray, c: complex, thresholds: list[float]) -> np.ndarray:
-    """Mask of the points whose orbit w_0 = z, w_{k+1} = w_k^2 + c keeps
-    |w_k| <= thresholds[k] at every step; only survivors are iterated."""
-    idx = np.flatnonzero(np.abs(z) <= thresholds[0])
-    w = z.ravel()[idx]
-    for thr in thresholds[1:]:
+    # only survivors are iterated
+    idx = np.flatnonzero(np.abs(arr) <= param.abs_c)
+    w = arr.ravel()[idx]
+    for _ in range(depth):
         # an orbit that overflows to inf or NaN fails the test below
         with np.errstate(over="ignore", invalid="ignore"):
-            w = w * w + c
-        keep = np.abs(w) <= thr
+            w = w * w + param.c
+        keep = np.abs(w) <= param.abs_c
         idx, w = idx[keep], w[keep]
-    alive = np.zeros(z.shape, dtype=bool)
+    alive = np.zeros(arr.shape, dtype=bool)
     alive.flat[idx] = True
+    if arr.ndim == 0:
+        return bool(alive)
     return alive
 
 
@@ -268,16 +261,15 @@ def _radii(param: Parameter) -> tuple[float, float]:
     return a, math.nextafter(math.sqrt(2.0 * a), math.inf)
 
 
-def _thresholds(param: Parameter, depth: int, cell: float, mode: str) -> tuple[list[float], float]:
-    """(thresholds, pad) of the raster test, one threshold per orbit step:
-    |c| and no pad in mode "inner"; in mode "outer" sqrt(2|c|) before the
-    last step, |c| at it and the half diagonal, each rounded up
-    (math.sqrt(0.5) rounds up)."""
-    if mode == "inner":
-        return [param.abs_c] * (depth + 1), 0.0
+def _thresholds(param: Parameter, depth: int, cell: float) -> tuple[list[float], float]:
+    """(thresholds, pad) of the block test, one threshold per orbit step:
+    t = r1*(1 + 2^-48) before the last step, a at it, with (a, r1) of
+    _radii, and the half diagonal rounded up (math.sqrt(0.5) rounds up).
+    The factor on r1 is what lets one pass serve the inner raster too
+    (rasterize_preimage)."""
     a, r1 = _radii(param)
     pad = math.nextafter(cell * math.sqrt(0.5), math.inf)
-    return [r1] * depth + [a], pad
+    return [r1 * (1.0 + 2.0**-48)] * depth + [a], pad
 
 
 def _live_blocks(
@@ -327,10 +319,12 @@ def rasterize_preimage(param: Parameter, depth: int, cell: float, mode: str = "i
     Depth 0 is the starting disk itself; depth n marks (an approximation
     of) the set where |Q^k(z)| <= |c| for every k <= n.
 
-    mode "inner" tests cell centers exactly (every marked center is a
-    true preimage point); mode "outer" marks every cell that the block
-    test at a side of one cell cannot certify to lie outside, giving a
-    certified superset of the preimage (module docstring).
+    Both modes run one block pass and so span one box.  Mode "inner"
+    runs preimage_member on the cell centers of the live blocks (every
+    marked center is a true preimage point); mode "outer" marks every
+    cell of them that the block test at a side of one cell cannot
+    certify to lie outside, giving a certified superset of the preimage
+    (module docstring).
 
     The block test scans the window, the square of half-side nhalf*cell,
     nhalf = ceil((r + cell)/cell), with r = abs(c) at depth 0 and r = r1
@@ -342,14 +336,29 @@ def rasterize_preimage(param: Parameter, depth: int, cell: float, mode: str = "i
     fl((j + 1/2)*cell) for integers j, the same doubles in any window,
     so the window and the box only crop the lattice.
 
-    No set cell lies outside the box.  In mode "inner" a cell outside
-    the live blocks is one whose float orbit the block test at pad 0
-    proves to fail _survivors' test, and in mode "outer" the side-one
-    test runs only inside the live blocks, so neither sets a cell of
-    the upper half outside them; the lower half is their half-turn
-    image.  Nor would either test mark a center outside the window, so
-    the box holds every cell that the test would set anywhere on the
-    lattice.  With A = abs(c) and u = 2^-53:
+    The inner bits are those of preimage_member on every cell.  The
+    pass certifies, at any pad >= 0, fl|p~_k| > thr_k at some step k <=
+    n = depth for the float orbit p~ of every float center in a dropped
+    block, and that orbit is the one preimage_member runs.  With A =
+    abs(c) and u = 2^-53:
+
+      * At k = n, thr_n = a >= A, so preimage_member rejects the center
+        at step n.
+      * At k < n, thr_k = t = fl(r1(1 + 2^-48)) >= sqrt(2A)(1 + d) with
+        d = 30u.  With w = p~_k, fl|w| > t gives |w| > sqrt(2A)(1 +
+        d)(1 - 2u) (np.abs is within 2u), |c| <= A(1 + 2u), and the
+        step errs by at most 4u(|w|^2 + |c|) (module docstring), so
+        fl|fl(w^2 + c)| >= A(1 + 4d - 24u) to first order in u, which
+        exceeds A once d > 6u: preimage_member rejects the center at
+        step k + 1 <= n.  The factor 2^-48 = 32u leaves slack.
+
+    A larger threshold only weakens the cull, so the outer raster's
+    certificate holds with t as well.  So neither mode sets a cell of
+    the upper half outside the live blocks (in mode "outer" the
+    side-one test runs only inside them); the lower half is their
+    half-turn image.  Nor would either test mark a center outside the
+    window, so the box holds every cell that the test would set
+    anywhere on the lattice:
 
       * Outside.  The computed nhalf >= (r/cell + 1)(1 - 2u), so a
         center outside has a coordinate, and so a modulus, of at least
@@ -360,15 +369,15 @@ def rasterize_preimage(param: Parameter, depth: int, cell: float, mode: str = "i
         docstring), and |c| <= A(1 + 2u).  As |z|^2 <= |z^2 + c| + |c|,
         (1 - 4u)|z|^2 <= A(1 + 3u) + A(1 + 2u)(1 + 4u), so |z| <=
         sqrt(2A)(1 + 5u) <= r1(1 + 5u).  Either way |z| <= r(1 + 5u).
-      * Outer.  A kept cell passed step 0, at the threshold t = r1 at
-        depth >= 1 and A rounded up at depth 0, so t <= r(1 + 2u).  Its
+      * Outer.  A kept cell passed step 0, at the threshold t at depth
+        >= 1 and A rounded up at depth 0, so t <= r(1 + 34u).  Its
         square is the cell, b its center, D_0 = (pad + 2u*a_0)(1 + 8u)
         with pad <= (1 + 4u)cell/sqrt(2), and it was kept because
         fl((fl(a_0(1 - 4u)) - D_0)(1 - 4u)) <= t.  With a_0 >= (1 - 2u)|b|
-        and the four roundings that gives |b| <= (r + cell/sqrt(2))(1 + 24u).
+        and the four roundings that gives |b| <= (r + cell/sqrt(2))(1 + 57u).
 
-    Both bounds lie below (r + 1.5*cell)(1 - 3u) once cell > 35u*r, that
-    is while the window, at least 2r/cell cells wide, is under 2^48 cells
+    Both bounds lie below (r + 1.5*cell)(1 - 3u) once cell > 76u*r, that
+    is while the window, at least 2r/cell cells wide, is under 2^47 cells
     wide: the spare cell absorbs every rounding.
     """
     if mode not in ("inner", "outer"):
@@ -382,31 +391,27 @@ def rasterize_preimage(param: Parameter, depth: int, cell: float, mode: str = "i
     check_cap("raster cells", width * width, DEFAULT_MAX_CELLS)
     coords = (np.arange(width, dtype=np.float64) - nhalf + 0.5) * cell
 
-    thresholds, pad = _thresholds(param, depth, cell, mode)
+    thresholds, pad = _thresholds(param, depth, cell)
     live = _live_blocks(coords, coords[:nhalf], _BLOCK, pad, param, thresholds)
-    rows, cols = np.flatnonzero(live.any(axis=1)), np.flatnonzero(live.any(axis=0))
-    # half-sides of the box over the live blocks and their half-turn
-    # images, in cells, and the window index of its cell (0, 0)
+    # the runs of live blocks, as window slices of cells, so that a fully
+    # live strip of _BLOCK rows is one call
+    rows, starts, stops = _runs(live)
+    rows, starts, stops = rows * _BLOCK, starts * _BLOCK, np.minimum(stops * _BLOCK, width)
+    # half-sides of the box over them and their half-turn images, in
+    # cells, and the window index of its cell (0, 0)
     h, w = 1, 1
     if rows.size:
-        h = nhalf - int(rows[0]) * _BLOCK
-        w = max(nhalf - int(cols[0]) * _BLOCK, min(int(cols[-1]) * _BLOCK + _BLOCK, width) - nhalf)
+        h = nhalf - int(rows[0])
+        w = max(nhalf - int(starts.min()), int(stops.max()) - nhalf)
     y0, x0 = nhalf - h, nhalf - w
     bits = np.zeros((2 * h, 2 * w), dtype=bool)
-    # each strip of _BLOCK rows with a live block, filled by its runs of
-    # live columns as slices, so that a fully live strip is one call
-    edges = np.diff(live.astype(np.int8), axis=1, prepend=0, append=0)
-    for i in rows.tolist():
-        y_lo, y_hi = i * _BLOCK, min(i * _BLOCK + _BLOCK, nhalf)
-        starts = np.flatnonzero(edges[i] > 0) * _BLOCK
-        stops = np.minimum(np.flatnonzero(edges[i] < 0) * _BLOCK, width)
-        for x_lo, x_hi in zip(starts.tolist(), stops.tolist()):
-            xs, ys = coords[x_lo:x_hi], coords[y_lo:y_hi]
-            if mode == "inner":
-                run = _survivors(xs + 1j * ys[:, None], param.c, thresholds)
-            else:
-                run = _live_blocks(xs, ys, 1, pad, param, thresholds)
-            bits[y_lo - y0 : y_hi - y0, x_lo - x0 : x_hi - x0] = run
+    for y_lo, x_lo, x_hi in zip(rows.tolist(), starts.tolist(), stops.tolist()):
+        xs, ys = coords[x_lo:x_hi], coords[y_lo : min(y_lo + _BLOCK, nhalf)]
+        if mode == "inner":
+            run = preimage_member(xs + 1j * ys[:, None], param, depth)
+        else:
+            run = _live_blocks(xs, ys, 1, pad, param, thresholds)
+        bits[y_lo - y0 : y_lo - y0 + ys.size, x_lo - x0 : x_hi - x0] = run
     # Q(-z) = Q(z) and coords[width-1-k] == -coords[k] exactly, so the
     # orbit of cell (2h-1-iy, 2w-1-ix) of the box, centered on 0, is that
     # of cell (iy, ix)

@@ -459,38 +459,39 @@ def _check_difference_attainment(ctx: _Ctx) -> tuple[bool, str]:
     return ok, f"antipodal boundary probes hit the radius within {worst:.3e} relative"
 
 
-def _int_origin_index(mask: GridMask, shift: float = 0.5) -> tuple[int, int]:
-    """Lattice index k of cell (0, 0), whose center is (k + 0.5 - shift) *
-    cell on each axis: shift 0.5 is the integer lattice, 0 the half-integer
-    one of the preimage rasters."""
-    fx = mask.origin.real / mask.cell + shift
-    fy = mask.origin.imag / mask.cell + shift
+def _int_origin_index(mask: GridMask) -> tuple[int, int]:
+    """Integer-lattice index k of cell (0, 0), whose center is k * cell on
+    each axis."""
+    fx = mask.origin.real / mask.cell + 0.5
+    fy = mask.origin.imag / mask.cell + 0.5
     kx, ky = round(fx), round(fy)
     if abs(fx - kx) > 1e-6 or abs(fy - ky) > 1e-6:
-        raise ValueError("mask cell centers are not on the lattice")
+        raise ValueError("mask cell centers are not on the integer lattice")
     return kx, ky
 
 
-def _overlap(
-    m1: GridMask, m2: GridMask, shift: float = 0.5
-) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
+def _overlap(m1: GridMask, m2: GridMask) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
     """Row and column slices of m1.bits and of m2.bits over the cells the
-    two windows on one lattice (shift as in _int_origin_index) share:
-    empty slices when they share none."""
-    (x1, y1), (x2, y2) = _int_origin_index(m1, shift), _int_origin_index(m2, shift)
-    x_lo, y_lo = max(x1, x2), max(y1, y2)
-    x_hi = max(x_lo, min(x1 + m1.width, x2 + m2.width))
-    y_hi = max(y_lo, min(y1 + m1.height, y2 + m2.height))
+    two windows share: empty slices when they share none.  The masks must
+    lie on one lattice: equal cells, and windows an integer number of
+    cells apart."""
+    fx = (m2.origin.real - m1.origin.real) / m1.cell
+    fy = (m2.origin.imag - m1.origin.imag) / m1.cell
+    dx, dy = round(fx), round(fy)  # m1's index of m2's cell (0, 0)
+    if m1.cell != m2.cell or abs(fx - dx) > 1e-6 or abs(fy - dy) > 1e-6:
+        raise ValueError("masks are not on one lattice")
+    x_lo, y_lo = max(0, dx), max(0, dy)
+    x_hi = max(x_lo, min(m1.width, dx + m2.width))
+    y_hi = max(y_lo, min(m1.height, dy + m2.height))
     return (
-        (slice(y_lo - y1, y_hi - y1), slice(x_lo - x1, x_hi - x1)),
-        (slice(y_lo - y2, y_hi - y2), slice(x_lo - x2, x_hi - x2)),
+        (slice(y_lo, y_hi), slice(x_lo, x_hi)),
+        (slice(y_lo - dy, y_hi - dy), slice(x_lo - dx, x_hi - dx)),
     )
 
 
-def _outside(m1: GridMask, m2: GridMask, shift: float = 0.5) -> int:
-    """Set cells of m1 that are not set cells of m2, both on one lattice
-    (shift as in _int_origin_index)."""
-    s1, s2 = _overlap(m1, m2, shift)
+def _outside(m1: GridMask, m2: GridMask) -> int:
+    """Set cells of m1 that are not set cells of m2, both on one lattice."""
+    s1, s2 = _overlap(m1, m2)
     return int(np.count_nonzero(m1.bits)) - int(np.count_nonzero(m1.bits[s1] & m2.bits[s2]))
 
 
@@ -601,11 +602,10 @@ def _check_raster_nesting(ctx: _Ctx) -> tuple[bool, str]:
     cfg = ctx.cfg
     inner1 = ctx.inner(1)
     inner2 = ctx.inner(2)
-    # each raster spans the box of its own live blocks, all on the
-    # half-integer lattice
-    nested = _outside(inner2, inner1, 0.0) == 0
+    # the rasters of each depth span a box of their own
+    nested = _outside(inner2, inner1) == 0
     outer1 = rasterize_preimage(cfg.param, 1, cfg.cell, mode="outer")
-    inside = _outside(inner1, outer1, 0.0) == 0
+    inside = _outside(inner1, outer1) == 0
     counts = (
         int(np.count_nonzero(inner2.bits)),
         int(np.count_nonzero(inner1.bits)),

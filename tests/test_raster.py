@@ -430,7 +430,7 @@ def _cell_by_cell(p, depth, cell, mode, coords):
     # outer one at a side of one cell
     if mode == "inner":
         return preimage_member(coords[None, :] + 1j * coords[:, None], p, depth)
-    thresholds, pad = raster._thresholds(p, depth, cell, "outer")
+    thresholds, pad = raster._thresholds(p, depth, cell)
     return raster._live_blocks(coords, coords, 1, pad, p, thresholds)
 
 
@@ -439,7 +439,7 @@ def _assert_crop(p, depth, cell, mode, want):
     # the raster's scan window: half-side |c| + cell at depth 0, the
     # rounded-up sqrt(2|c|) + cell after.  The raster spans a box
     # symmetric about 0 inside the scan window; the bits agree on the box
-    # and want sets none outside it
+    # and want sets none outside it; returns the raster
     m = rasterize_preimage(p, depth, cell, mode)
     scan = _scan_axis(p, depth, cell).size
     (h, w), where = m.bits.shape, (cell, depth, mode)
@@ -450,20 +450,35 @@ def _assert_crop(p, depth, cell, mode, want):
     inside = want[ky : ky + h, kx : kx + w]
     assert np.array_equal(m.bits, inside), where
     assert np.count_nonzero(inside) == np.count_nonzero(want), where
+    return m
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_raster_equals_the_scan_window_test_cropped(seed):
     # a small parameter fuzz: the reference tests every cell of the scan
-    # window itself, which the raster's box crops
+    # window itself, which the raster's box crops.  The inner and outer
+    # rasters of one call come from one block pass, so share one box
     rng = np.random.default_rng(seed)
     for _ in range(3):
         p = Parameter(rng.uniform(2.05, 40.0) * np.exp(1j * rng.uniform(-np.pi, np.pi)))
         for depth in range(4):
             cell = (raster._radii(p)[1] if depth else p.abs_c) / rng.uniform(8.0, 120.0)
             coords = _scan_axis(p, depth, cell)
-            for mode in ("inner", "outer"):
+            inner, outer = (
                 _assert_crop(p, depth, cell, mode, _cell_by_cell(p, depth, cell, mode, coords))
+                for mode in ("inner", "outer")
+            )
+            assert (inner.origin, inner.bits.shape) == (outer.origin, outer.bits.shape)
+
+
+def test_inner_raster_spans_the_outer_box_at_c_minus_5():
+    # oracle-fine's configuration at c = -5: a block pass of the inner
+    # raster's own, at |c| on every step, kept a box of 52 x 1164 cells
+    p = Parameter(-5.0)
+    for mode in ("inner", "outer"):
+        m = rasterize_preimage(p, 3, 0.005, mode)
+        assert m.bits.shape == (52, 1140), mode
+        assert m.origin == complex(-570 * 0.005, -26 * 0.005), mode
 
 
 def test_raster_with_no_live_block_is_two_by_two(p5, monkeypatch):
@@ -485,38 +500,43 @@ def test_empty_raster_at_a_large_modulus():
     # cell center lies in one, yet the blocks around them stay live
     p = Parameter(1e8)
     m = rasterize_preimage(p, 2, 500.0)
-    assert m.cells == 0 and m.bits.shape == (60, 60)
-    assert m.origin == complex(-15000.0, -15000.0)
+    assert m.cells == 0 and m.bits.shape == (60, 36)
+    assert m.origin == complex(-9000.0, -15000.0)
     d = mask_difference(m, m)
-    assert d.bits.shape == (119, 119) and not d.bits.any()
+    assert d.bits.shape == (119, 71) and not d.bits.any()
     _assert_crop(p, 2, 500.0, "inner", _cell_by_cell(p, 2, 500.0, "inner", _scan_axis(p, 2, 500.0)))
 
 
 def _flip_cell(p, j, keeps):
-    # the cells lo < hi, a few ulps apart, between which the center
-    # ((j + 1/2)cell, cell/2) leaves the test keeps: a bisection on the
-    # cell, which moves the center outward as it grows
+    # the cells lo < hi, a few ulps apart, between which keeps(j, cell)
+    # turns False: a bisection on the cell, which moves the tested
+    # center, (j + 1/2)cell out along the tip's axis, outward as it grows
     lo, hi = 0.5 * p.abs_c / (j + 0.5), 2.0 * p.abs_c / (j + 0.5)
-    assert keeps((j + 0.5) * lo, 0.5 * lo) and not keeps((j + 0.5) * hi, 0.5 * hi)
+    assert keeps(j, lo) and not keeps(j, hi)
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        lo, hi = (mid, hi) if keeps((j + 0.5) * mid, 0.5 * mid) else (lo, mid)
+        lo, hi = (mid, hi) if keeps(j, mid) else (lo, mid)
     return lo, hi
 
 
-@pytest.mark.parametrize("c", [-5.0, -2.05])
+@pytest.mark.parametrize("c", [-5.0, -2.05, 5.0])
 def test_window_holds_the_cells_at_the_preimage_tip(c):
-    # the depth-1 preimage reaches |z| = sqrt(2|c|) at z = +-sqrt(2|c|),
-    # since 2|c| + c = |c|: the tip of both rasters.  Cells that put a
-    # center within a few ulps of the tip, or of either test's verdict
-    # there, must leave the raster's window holding every bit the wide
-    # window sets
+    # the depth-1 preimage reaches |z| = sqrt(2|c|) at z^2 = -2c, since
+    # |-2c + c| = |c|: the tip of both rasters, on the real axis at c < 0
+    # and at +-i*sqrt(10) at c = 5.  Cells that put a center within a few
+    # ulps of the tip, or of either test's verdict there, must leave the
+    # raster's window holding every bit the wide window sets
     p = Parameter(c)
 
-    def inner(x, y):
-        return bool(preimage_member(complex(x, y), p, 1))
+    def center(j, cell):
+        # (j + 1/2)cell out along the tip's axis and cell/2 across it
+        along, across = (j + 0.5) * cell, 0.5 * cell
+        return (across, along) if c > 0 else (along, across)
 
-    def outer(x, y):  # the one cell of side 2y
-        thresholds, pad = raster._thresholds(p, 1, 2.0 * y, "outer")
+    def inner(j, cell):
+        return bool(preimage_member(complex(*center(j, cell)), p, 1))
+
+    def outer(j, cell):  # the one cell at center(j, cell)
+        (x, y), (thresholds, pad) = center(j, cell), raster._thresholds(p, 1, cell)
         return bool(raster._live_blocks(np.array([x]), np.array([y]), 1, pad, p, thresholds)[0, 0])
 
     cells = []
@@ -531,14 +551,13 @@ def test_window_holds_the_cells_at_the_preimage_tip(c):
                 _assert_crop(p, depth, cell, mode, _cell_by_cell(p, depth, cell, mode, coords))
 
 
-@pytest.mark.parametrize("mode", ["inner", "outer"])
-def test_block_test_rules_out_most_of_the_window(p5, mode):
+def test_block_test_rules_out_most_of_the_window(p5):
     # oracle-fine's rasters: if the margin ever stopped dropping blocks the
     # bits would not change, only the time, so pin the live share
     cell, depth = 0.005, 3
     nhalf = math.ceil((raster._radii(p5)[1] + cell) / cell)
     coords = (np.arange(2 * nhalf) - nhalf + 0.5) * cell
-    thresholds, pad = raster._thresholds(p5, depth, cell, mode)
+    thresholds, pad = raster._thresholds(p5, depth, cell)
     live = raster._live_blocks(coords, coords[:nhalf], 16, pad, p5, thresholds)
     assert live.shape == (math.ceil(nhalf / 16), math.ceil(2 * nhalf / 16))
     assert 0 < live.sum() * 16 * 16 < 0.05 * nhalf * 2 * nhalf

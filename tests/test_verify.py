@@ -330,8 +330,12 @@ def test_argument_spread_equals_the_per_row_spread(c):
 
 
 def _embed(m1, m2, shift=0.5):
-    # reference: both masks on one lattice copied into one common window
-    (x1, y1), (x2, y2) = verify._int_origin_index(m1, shift), verify._int_origin_index(m2, shift)
+    # reference: both masks on one lattice copied into one common window;
+    # the centers of the lattice are (k + 0.5 - shift) * cell, so cell
+    # (0, 0) of a mask has the index k = origin / cell + shift
+    (x1, y1), (x2, y2) = (
+        (round(m.origin.real / m.cell + shift), round(m.origin.imag / m.cell + shift)) for m in (m1, m2)
+    )
     x_lo, y_lo = min(x1, x2), min(y1, y2)
     shape = (max(y1 + m1.height, y2 + m2.height) - y_lo, max(x1 + m1.width, x2 + m2.width) - x_lo)
     b1, b2 = np.zeros(shape, bool), np.zeros(shape, bool)
@@ -366,16 +370,25 @@ def test_outside_counts_as_on_one_common_window(first, second):
 
 
 def test_outside_counts_on_the_half_integer_lattice():
-    # the preimage rasters' lattice; the integer reading of the same
-    # origins is refused
+    # the preimage rasters' lattice compares as the integer one does; a
+    # mask half a cell off it is refused
     for first, second in _WINDOW_PAIRS:
         rng = np.random.default_rng(sum(first + second) + 200)
         m1, m2 = _lattice_mask(rng, *first, shift=0.0), _lattice_mask(rng, *second, shift=0.0)
         b1, b2, _, _ = _embed(m1, m2, 0.0)
-        assert verify._outside(m1, m2, 0.0) == np.count_nonzero(b1 & ~b2)
-        assert verify._outside(m2, m1, 0.0) == np.count_nonzero(b2 & ~b1)
-        with pytest.raises(ValueError, match="not on the lattice"):
-            verify._outside(m1, m2)
+        assert verify._outside(m1, m2) == np.count_nonzero(b1 & ~b2)
+        assert verify._outside(m2, m1) == np.count_nonzero(b2 & ~b1)
+        m3 = _lattice_mask(rng, *second)
+        for pair in ((m1, m3), (m3, m1)):
+            with pytest.raises(ValueError, match="not on one lattice"):
+                verify._outside(*pair)
+
+
+def test_outside_refuses_masks_of_different_cells():
+    rng = np.random.default_rng(300)
+    m1, m2 = _lattice_mask(rng, 0, 0, 4, 4), _lattice_mask(rng, 0, 0, 4, 4, cell=0.5)
+    with pytest.raises(ValueError, match="not on one lattice"):
+        verify._outside(m1, m2)
 
 
 def test_raster_nesting_compares_rasters_of_different_windows():
