@@ -551,9 +551,12 @@ def test_window_holds_the_cells_at_the_preimage_tip(c):
                 _assert_crop(p, depth, cell, mode, _cell_by_cell(p, depth, cell, mode, coords))
 
 
-def test_block_test_rules_out_most_of_the_window(p5):
+@pytest.mark.parametrize("mode", ["inner", "outer"])
+def test_block_test_rules_out_most_of_the_window(p5, mode):
     # oracle-fine's rasters: if the margin ever stopped dropping blocks the
-    # bits would not change, only the time, so pin the live share
+    # bits would not change, only the time, so pin the live share of the
+    # one block pass, and that the raster in either mode sets bits only in
+    # the blocks it leaves live
     cell, depth = 0.005, 3
     nhalf = math.ceil((raster._radii(p5)[1] + cell) / cell)
     coords = (np.arange(2 * nhalf) - nhalf + 0.5) * cell
@@ -561,6 +564,11 @@ def test_block_test_rules_out_most_of_the_window(p5):
     live = raster._live_blocks(coords, coords[:nhalf], 16, pad, p5, thresholds)
     assert live.shape == (math.ceil(nhalf / 16), math.ceil(2 * nhalf / 16))
     assert 0 < live.sum() * 16 * 16 < 0.05 * nhalf * 2 * nhalf
+    m = rasterize_preimage(p5, depth, cell, mode)
+    h, w = m.height // 2, m.width // 2
+    iy, ix = np.nonzero(m.bits[:h])
+    assert iy.size > 0
+    assert live[(iy + nhalf - h) // 16, (ix + nhalf - w) // 16].all()
 
 
 def _exact_escapes(c: complex, depth: int, points) -> bool:
