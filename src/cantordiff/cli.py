@@ -183,7 +183,7 @@ def _emit(args, fields: dict, table: str, columns: tuple, rows: list, trailer: l
         print(f"wrote {args.render}")
 
 
-def _check_cell_area(param: Parameter, cell: float, piece_depth: int | None) -> None:
+def _check_cell_area(param: Parameter, cell: float, piece_depth: int) -> None:
     """Refuse a cell at which an area of oracle, diff or verify could overflow.
 
     The samples of every piece lie in |z| <= |c|, so its enclosing disk
@@ -193,13 +193,13 @@ def _check_cell_area(param: Parameter, cell: float, piece_depth: int | None) -> 
     s = 12(|c| + cell): every squared offset, raster area and grid area is
     at most s^2, and the sum area and the grid margin of the
     4^(piece_depth + 1) difference disks are at most 4^(piece_depth + 1)
-    s^2.  Below 2^1023 all of them are finite.  piece_depth is None when
-    no disk cover is built.
+    s^2.  Below 2^1023 all of them are finite.  oracle passes its depth
+    less one, so at depth 0, where it builds no disk cover, the factor
+    4^0 = 1 leaves the bound of its rasters, s^2.
     """
     if not (math.isfinite(cell) and cell > 0.0):
         return  # the raster and the grid refuse it themselves
-    log2_disks = 0 if piece_depth is None else 2 * (piece_depth + 1)
-    if 2.0 * math.log2(12.0 * (param.abs_c + cell)) + log2_disks >= 1023.0:
+    if 2.0 * math.log2(12.0 * (param.abs_c + cell)) + 2 * (piece_depth + 1) >= 1023.0:
         raise ValueError(f"areas would overflow at --cell {cell!r} and |c| = {param.abs_c!r}")
 
 
@@ -297,7 +297,7 @@ def _run_oracle(args, param: Parameter) -> int:
     from .images import write_pgm
     from .raster import mask_difference, rasterize_preimage
 
-    _check_cell_area(param, args.cell, args.depth - 1 if args.depth >= 1 else None)
+    _check_cell_area(param, args.cell, args.depth - 1)
     outdir = args.outdir
     meta = {"c": [param.c.real, param.c.imag], "depth": args.depth}
     report = {"schema": ORACLE_SCHEMA, **meta, "cell": args.cell, "sandwich": None}
@@ -312,7 +312,7 @@ def _run_oracle(args, param: Parameter) -> int:
 
     # nothing is written before the inner raster and its self-difference
     # pass their caps, so a refused run leaves no directory behind; the
-    # outer raster comes from the same block pass, with the inner one's
+    # outer raster is a second, identical block pass over the inner one's
     # window, cap and box, and each mask is dropped once its PGM is written
     inner = build("inner")
     diff = mask_difference(inner, inner)
@@ -361,16 +361,8 @@ def _run_verify(args, param: Parameter) -> int:
     out, folder = args.report, os.path.dirname(args.report or "") or "."
     if out is not None and (os.path.exists(out) or not os.access(folder, os.W_OK)):
         open(out, "a").close()
-    cfg = VerifyConfig(
-        param=param,
-        depth=args.depth,
-        samples=args.samples,
-        cell=args.cell,
-        count=args.count,
-        seed=args.seed,
-        epsilon=args.epsilon,
-    )
-    report = run_verification(cfg)
+    fields = {name: getattr(args, name) for name in VerifyConfig._fields if name != "param"}
+    report = run_verification(VerifyConfig(param, **fields))
     for check in report["checks"]:
         tag = "PASS" if check["passed"] else "FAIL"
         print(f"{tag} {check['name']}: {check['detail']}")

@@ -100,7 +100,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .geometry import Disks, Parameter, disk_difference
+from .geometry import Disks, Parameter, disk_difference, forward_map
 
 __all__ = [
     "GridMask",
@@ -244,7 +244,7 @@ def preimage_member(z, param: Parameter, depth: int):
     for _ in range(depth):
         # an orbit that overflows to inf or NaN fails the test below
         with np.errstate(over="ignore", invalid="ignore"):
-            w = w * w + param.c
+            w = forward_map(w, param)
         keep = np.abs(w) <= param.abs_c
         idx, w = idx[keep], w[keep]
     alive = np.zeros(arr.shape, dtype=bool)
@@ -300,7 +300,7 @@ def _live_blocks(
         for k, thr in enumerate(thresholds):
             if k:
                 d = (2.0 * a + d) * d + _KAPPA * _U * ((a + d) ** 2 + a * a + 2.0 * param.abs_c)
-                b = b * b + param.c
+                b = forward_map(b, param)
                 a = np.abs(b)
             finite = np.isfinite(a)
             # a NaN or inf margin compares False and keeps its square

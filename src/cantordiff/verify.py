@@ -25,6 +25,7 @@ import math
 import sys
 from collections import namedtuple
 from decimal import Decimal, localcontext
+from functools import cached_property
 
 import numpy as np
 
@@ -98,55 +99,47 @@ class VerifyConfig(
 
 
 class _Ctx:
-    """Shared expensive intermediates, built lazily."""
+    """The configuration's fields (ctx.param, ctx.depth, ...) and the shared
+    expensive intermediates, built lazily."""
 
     def __init__(self, cfg: VerifyConfig) -> None:
-        self.cfg = cfg
-        self._pieces: list[cov.Pieces] | None = None
-        self._rows: list[bnd.BoundRow] | None = None
+        vars(self).update(cfg._asdict())
         self._inner: dict[int, GridMask] = {}
 
     def inner(self, depth: int) -> GridMask:
         if depth not in self._inner:
-            self._inner[depth] = rasterize_preimage(self.cfg.param, depth, self.cfg.cell)
+            self._inner[depth] = rasterize_preimage(self.param, depth, self.cell)
         return self._inner[depth]
 
-    @property
+    @cached_property
     def pieces(self) -> list[cov.Pieces]:
-        if self._pieces is None:
-            self._pieces = cov.piece_tree(self.cfg.param, self.cfg.depth, self.cfg.samples)
-        return self._pieces
+        return cov.piece_tree(self.param, self.depth, self.samples)
 
-    @property
+    @cached_property
     def rows(self) -> list[bnd.BoundRow]:
         """Certified bound rows n = 1..max(depth + 2, 420); rows[k - 1] is n = k."""
-        if self._rows is None:
-            n = max(self.cfg.depth + 2, 420)
-            self._rows = bnd.bound_table(self.cfg.param, n)
-        return self._rows
+        return bnd.bound_table(self.param, max(self.depth + 2, 420))
 
 
-def _seeded_points(cfg: VerifyConfig, count: int, spread: float, stream: int) -> np.ndarray:
-    u = lcg_uniforms(cfg.seed + stream, 2 * count)
+def _seeded_points(ctx: _Ctx, count: int, spread: float, stream: int) -> np.ndarray:
+    u = lcg_uniforms(ctx.seed + stream, 2 * count)
     return spread * ((2.0 * u[0::2] - 1.0) + 1j * (2.0 * u[1::2] - 1.0))
 
 
 def _check_branch_roundtrip(ctx: _Ctx) -> tuple[bool, str]:
-    cfg = ctx.cfg
-    z = _seeded_points(cfg, 4096, cfg.param.abs_c + 2.0, stream=1)
+    z = _seeded_points(ctx, 4096, ctx.param.abs_c + 2.0, stream=1)
     worst = 0.0
     for b in (0, 1):
-        back = forward_map(inverse_branch(z, b, cfg.param), cfg.param)
+        back = forward_map(inverse_branch(z, b, ctx.param), ctx.param)
         rel = np.abs(back - z) / np.maximum(np.abs(z), 1.0)
         worst = max(worst, float(rel.max()))
     return worst <= 1e-12, f"max relative roundtrip error {worst:.3e}"
 
 
 def _check_branch_symmetry(ctx: _Ctx) -> tuple[bool, str]:
-    cfg = ctx.cfg
-    z = _seeded_points(cfg, 4096, cfg.param.abs_c + 2.0, stream=2)
-    plus = inverse_branch(z, 0, cfg.param)
-    minus = inverse_branch(z, 1, cfg.param)
+    z = _seeded_points(ctx, 4096, ctx.param.abs_c + 2.0, stream=2)
+    plus = inverse_branch(z, 0, ctx.param)
+    minus = inverse_branch(z, 1, ctx.param)
     exact = bool(np.array_equal(minus, -plus))
     args = np.angle(plus[np.abs(plus) > 0])
     in_range = bool(np.all((args >= 0.0) & (args < math.pi)))
@@ -170,7 +163,7 @@ def _decimal_radii(param: Parameter, count: int) -> tuple[list[Decimal], list[De
 
 def _check_radius_recursion(ctx: _Ctx) -> tuple[bool, str]:
     rows = ctx.rows
-    outer, inner = _decimal_radii(ctx.cfg.param, len(rows))
+    outer, inner = _decimal_radii(ctx.param, len(rows))
     big = [row.outer_radius for row in rows]
     small = [row.inner_radius for row in rows]
     # Decimal(float) is exact, so the bracket is compared without rounding
@@ -192,8 +185,8 @@ def _check_radius_recursion(ctx: _Ctx) -> tuple[bool, str]:
 
 
 def _check_radius_limits(ctx: _Ctx) -> tuple[bool, str]:
-    a = ctx.cfg.param.abs_c
-    lo, li = bnd.radius_limits(ctx.cfg.param)
+    a = ctx.param.abs_c
+    lo, li = bnd.radius_limits(ctx.param)
     res = max(abs(lo * lo - (a + lo)), abs(li * li - (a - lo))) / max(a, 1.0)
     term = ctx.rows[63]
     gap = max(abs(term.outer_radius - lo), abs(term.inner_radius - li))
@@ -217,10 +210,9 @@ def _check_decay_equivalence(ctx: _Ctx) -> tuple[bool, str]:
 
 
 def _check_decay_tail(ctx: _Ctx) -> tuple[bool, str]:
-    cfg = ctx.cfg
-    if not bnd.decay_condition(cfg.param):
+    if not bnd.decay_condition(ctx.param):
         return True, "skipped: decay not guaranteed for this parameter"
-    dp = bnd.decay_parameters(cfg.param, cfg.epsilon)
+    dp = bnd.decay_parameters(ctx.param, ctx.epsilon)
     top = 400
     worst = 0.0
     # below the normal range the bound saturates at the smallest positive
@@ -305,8 +297,7 @@ def _check_piece_membership(ctx: _Ctx) -> tuple[bool, str]:
     |w_m| <= |c| + e_m.  An orbit stops once e_m passes R_1 = sqrt(2|c|),
     the bound of every chain point but the last: nothing is left to falsify.
     """
-    cfg = ctx.cfg
-    a = cfg.param.abs_c
+    a = ctx.param.abs_c
     r1 = math.sqrt(2.0 * a)
     ku = _ORBIT_KAPPA * 2.0**-53
     worst, ok, stopped = 0.0, True, 0
@@ -319,7 +310,7 @@ def _check_piece_membership(ctx: _Ctx) -> tuple[bool, str]:
                 live = e <= r1
                 w, mod, e = w[live], mod[live], e[live]
                 e = (2.0 * mod + e) * e + ku * (mod * mod + a)
-                w = forward_map(w, cfg.param)
+                w = forward_map(w, ctx.param)
                 mod = np.abs(w)
             worst = max(worst, float(mod.max(initial=0.0)))
             ok = ok and bool(np.all(mod <= a + e))
@@ -331,24 +322,22 @@ def _check_piece_membership(ctx: _Ctx) -> tuple[bool, str]:
 
 
 def _check_suffix_sharing(ctx: _Ctx) -> tuple[bool, str]:
-    cfg = ctx.cfg
     # one branch call per piece, against the tree's one call per level
-    prev = cov.boundary_samples(cfg.param, cfg.samples)[None, :]
+    prev = cov.boundary_samples(ctx.param, ctx.samples)[None, :]
     exact = True
     for k, level in enumerate(ctx.pieces):
         half = 1 << k
         for j, arr in enumerate(level.samples):
             b = j >> k
             src = prev[j & (half - 1)]
-            if not np.array_equal(arr, inverse_branch(src, b, cfg.param)):
+            if not np.array_equal(arr, inverse_branch(src, b, ctx.param)):
                 exact = False
         prev = level.samples
     return exact, f"rebuilt {sum(len(lv) for lv in ctx.pieces)} pieces, bitwise equal={exact}"
 
 
 def _check_pairwise_contraction(ctx: _Ctx) -> tuple[bool, str]:
-    cfg = ctx.cfg
-    n = cfg.samples
+    n = ctx.samples
     worst = 0.0
     # rows lo..lo+rows-1 against the columns after lo: every pair i < j
     # once at least, and the pairs seen twice give the same ratio, since
@@ -368,14 +357,13 @@ def _check_pairwise_contraction(ctx: _Ctx) -> tuple[bool, str]:
                     np.divide(dc, dp, out=dc, where=mask)
                     worst = max(worst, float(dc.max(where=mask, initial=0.0)))
     ok = worst <= 1.0 + 1e-9
-    return ok, f"max contracted/original pairwise ratio {worst:.12f} (depths 1..{cfg.depth})"
+    return ok, f"max contracted/original pairwise ratio {worst:.12f} (depths 1..{ctx.depth})"
 
 
 def _check_sampled_diameter(ctx: _Ctx) -> tuple[bool, str]:
-    cfg = ctx.cfg
     worst = 0.0
     for k, level in enumerate(ctx.pieces[1:], start=1):
-        kn = bnd.piece_diameter_bound(cfg.param, k)
+        kn = bnd.piece_diameter_bound(ctx.param, k)
         worst = max(worst, float((level.sampled_diam / kn).max()))
     ok = worst <= 1.0 + 1e-12
     return ok, f"max sampled diameter / certified bound {worst:.12f}"
@@ -409,8 +397,7 @@ def _check_argument_spread(ctx: _Ctx) -> tuple[bool, str]:
 
 
 def _check_nesting(ctx: _Ctx) -> tuple[bool, str]:
-    cfg = ctx.cfg
-    slack = 1e-9 + _NEST_C / (cfg.samples * cfg.samples)
+    slack = 1e-9 + _NEST_C / (ctx.samples * ctx.samples)
     # row j's prefix piece is row j >> 1 one level up
     worst = max(
         _worst_fill(lv.samples, np.repeat(up.disks.centers, 2), np.repeat(up.disks.radii, 2))
@@ -420,8 +407,8 @@ def _check_nesting(ctx: _Ctx) -> tuple[bool, str]:
     return ok, f"max child sample / parent disk radius {worst:.12f} (slack {slack:.3e})"
 
 
-def _seeded_disk_pairs(cfg: VerifyConfig, pairs: int, stream: int) -> list[tuple[Disks, Disks]]:
-    u = lcg_uniforms(cfg.seed + stream, 6 * pairs)
+def _seeded_disk_pairs(ctx: _Ctx, pairs: int, stream: int) -> list[tuple[Disks, Disks]]:
+    u = lcg_uniforms(ctx.seed + stream, 6 * pairs)
     out = []
     for t in range(pairs):
         c2 = complex(4.0 * u[6 * t] - 2.0, 4.0 * u[6 * t + 1] - 2.0)
@@ -433,23 +420,21 @@ def _seeded_disk_pairs(cfg: VerifyConfig, pairs: int, stream: int) -> list[tuple
 
 
 def _check_difference_sampling(ctx: _Ctx) -> tuple[bool, str]:
-    cfg = ctx.cfg
     sup_ratio = 0.0
-    for t, (d2, d1) in enumerate(_seeded_disk_pairs(cfg, 8, stream=3)):
+    for t, (d2, d1) in enumerate(_seeded_disk_pairs(ctx, 8, stream=3)):
         try:
-            sup = sample_diff_check(d2, d1, cfg.count, cfg.seed + 100 + t)
+            sup = sample_diff_check(d2, d1, ctx.count, ctx.seed + 100 + t)
         except RuntimeError as exc:
             return False, str(exc)
         sup_ratio = max(sup_ratio, sup / float(disk_difference(d2, d1).radii[0]))
     ok = sup_ratio <= 1.0
-    return ok, f"8 pairs, {cfg.count} samples each, max sup/radius {sup_ratio:.9f}"
+    return ok, f"8 pairs, {ctx.count} samples each, max sup/radius {sup_ratio:.9f}"
 
 
 def _check_difference_attainment(ctx: _Ctx) -> tuple[bool, str]:
-    cfg = ctx.cfg
     worst = 0.0
     t = np.exp(2j * math.pi * np.arange(64) / 64.0)
-    for d2, d1 in _seeded_disk_pairs(cfg, 8, stream=4):
+    for d2, d1 in _seeded_disk_pairs(ctx, 8, stream=4):
         x = d2.centers + d2.radii * t
         y = d1.centers - d1.radii * t
         pred = disk_difference(d2, d1)
@@ -492,7 +477,7 @@ def _overlap(m1: GridMask, m2: GridMask) -> tuple[tuple[slice, slice], tuple[sli
 def _outside(m1: GridMask, m2: GridMask) -> int:
     """Set cells of m1 that are not set cells of m2, both on one lattice."""
     s1, s2 = _overlap(m1, m2)
-    return int(np.count_nonzero(m1.bits)) - int(np.count_nonzero(m1.bits[s1] & m2.bits[s2]))
+    return m1.cells - int(np.count_nonzero(m1.bits[s1] & m2.bits[s2]))
 
 
 def raster_diff_proof(d2: Disks, d1: Disks, cell: float) -> tuple[bool, str]:
@@ -535,13 +520,12 @@ def diff_proof_numbers(d2: Disks, d1: Disks, cell: float) -> tuple[int, float]:
 
 
 def _check_difference_raster(ctx: _Ctx) -> tuple[bool, str]:
-    cfg = ctx.cfg
-    d2, d1 = _seeded_disk_pairs(cfg, 1, stream=5)[0]
-    return raster_diff_proof(d2, d1, max(cfg.cell, 0.02))
+    d2, d1 = _seeded_disk_pairs(ctx, 1, stream=5)[0]
+    return raster_diff_proof(d2, d1, max(ctx.cell, 0.02))
 
 
-def _random_mask(cfg: VerifyConfig, shape: tuple[int, int], stream: int, p: float) -> GridMask:
-    u = lcg_uniforms(cfg.seed + stream, shape[0] * shape[1])
+def _random_mask(ctx: _Ctx, shape: tuple[int, int], stream: int, p: float) -> GridMask:
+    u = lcg_uniforms(ctx.seed + stream, shape[0] * shape[1])
     bits = (u < p).reshape(shape)
     return GridMask(origin=complex(0.0, 0.0), cell=1.0, bits=bits, mode="noise")
 
@@ -564,65 +548,54 @@ def _shift_or(a: GridMask, b: GridMask) -> GridMask:
 
 
 def _check_correlation_methods(ctx: _Ctx) -> tuple[bool, str]:
-    cfg = ctx.cfg
-    a = _random_mask(cfg, (96, 80), stream=6, p=0.3)
-    b = _random_mask(cfg, (64, 48), stream=7, p=0.3)
+    a = _random_mask(ctx, (96, 80), stream=6, p=0.3)
+    b = _random_mask(ctx, (64, 48), stream=7, p=0.3)
     fast = mask_difference(a, b)
     slow = _shift_or(a, b)
     same = bool(np.array_equal(fast.bits, slow.bits)) and fast.origin == slow.origin
     # exhaustive oracle on a small pair: the set of center differences
-    sa = _random_mask(cfg, (12, 10), stream=8, p=0.4)
-    sb = _random_mask(cfg, (9, 11), stream=9, p=0.4)
+    sa = _random_mask(ctx, (12, 10), stream=8, p=0.4)
+    sb = _random_mask(ctx, (9, 11), stream=9, p=0.4)
     dm = mask_difference(sa, sb)
     ay, ax = np.nonzero(sa.bits)
     by, bx = np.nonzero(sb.bits)
     dx, dy = ax[:, None] - bx, ay[:, None] - by
     want_pairs = set(zip(dx.ravel().tolist(), dy.ravel().tolist()))
-    ys, xs = np.nonzero(dm.bits)
-    cx = (dm.origin.real + (xs + 0.5) * dm.cell).tolist()
-    cy = (dm.origin.imag + (ys + 0.5) * dm.cell).tolist()
-    got_pairs = {(round(x), round(y)) for x, y in zip(cx, cy)}
+    got_pairs = {(round(z.real), round(z.imag)) for z in dm.set_centers().tolist()}
     oracle = got_pairs == want_pairs
     ok = same and oracle
     return ok, f"run pairs==shift-or on 96x80*64x48: {same}, exhaustive small oracle match: {oracle}"
 
 
 def _check_mask_symmetry(ctx: _Ctx) -> tuple[bool, str]:
-    cfg = ctx.cfg
     inner = ctx.inner(1)
     dm = mask_difference(inner, inner)
     sym = bool(np.array_equal(dm.bits, dm.bits[::-1, ::-1]))
     mid_y, mid_x = dm.height // 2, dm.width // 2
-    has_zero = bool(dm.bits[mid_y, mid_x]) if np.count_nonzero(inner.bits) else False
+    has_zero = bool(dm.bits[mid_y, mid_x]) if inner.cells else False
     ok = sym and has_zero
     return ok, f"self-difference centrally symmetric={sym}, zero offset marked={has_zero}"
 
 
 def _check_raster_nesting(ctx: _Ctx) -> tuple[bool, str]:
-    cfg = ctx.cfg
     inner1 = ctx.inner(1)
     inner2 = ctx.inner(2)
     # the rasters of each depth span a box of their own
     nested = _outside(inner2, inner1) == 0
-    outer1 = rasterize_preimage(cfg.param, 1, cfg.cell, mode="outer")
+    outer1 = rasterize_preimage(ctx.param, 1, ctx.cell, mode="outer")
     inside = _outside(inner1, outer1) == 0
-    counts = (
-        int(np.count_nonzero(inner2.bits)),
-        int(np.count_nonzero(inner1.bits)),
-        int(np.count_nonzero(outer1.bits)),
-    )
+    counts = (inner2.cells, inner1.cells, outer1.cells)
     ok = nested and inside
     return ok, f"cell counts depth2<=depth1<=outer1: {counts}, nested={nested}, inner-in-outer={inside}"
 
 
 def _sandwich_at(ctx: _Ctx, n: int) -> tuple[bool, str]:
-    """area-sandwich at piece depth n; its masks are freed on return."""
+    """area-sandwich at piece depth n; the inner raster stays in ctx's cache."""
     # depth-n pieces decompose the (n+1)-fold preimage, so the raster
     # side of the sandwich runs one level deeper than the piece depth
-    cfg = ctx.cfg
     inner = ctx.inner(n + 1)
     dm = mask_difference(inner, inner)
-    sw = cov.sandwich(cfg.param, ctx.pieces[n], cfg.cell)
+    sw = cov.sandwich(ctx.param, ctx.pieces[n], ctx.cell)
     grid, total, worst = sw.union, sw.total, sw.bound
     stray = _outside(dm, grid)
     if stray:
@@ -643,7 +616,7 @@ def _sandwich_at(ctx: _Ctx, n: int) -> tuple[bool, str]:
 
 def _check_area_sandwich(ctx: _Ctx) -> tuple[bool, str]:
     # the detail of the first failing depth, else of the deepest
-    for n in range(1, min(ctx.cfg.depth, 4) + 1):
+    for n in range(1, min(ctx.depth, 4) + 1):
         ok, detail = _sandwich_at(ctx, n)
         if not ok:
             break
@@ -651,15 +624,14 @@ def _check_area_sandwich(ctx: _Ctx) -> tuple[bool, str]:
 
 
 def _check_worst_case_identity(ctx: _Ctx) -> tuple[bool, str]:
-    cfg = ctx.cfg
-    n = cfg.depth
-    kn = bnd.piece_diameter_bound(cfg.param, n)
+    n = ctx.depth
+    kn = bnd.piece_diameter_bound(ctx.param, n)
     # enclosing-disk radius of a piece whose diameter is exactly K_n
     radius = diametral_disks(0j, complex(kn), kn).radii[0]
     count = 1 << (n + 1)
     t = np.arange(count, dtype=np.float64)
     total = cov.sum_area(cov.difference_cover(Disks(3.0 * radius * t, np.full(count, radius))))
-    closed = bnd.difference_measure_bound(cfg.param, n).bound
+    closed = bnd.difference_measure_bound(ctx.param, n).bound
     rel = abs(total - closed) / closed
     ok = rel <= 1e-12
     return ok, f"sum over {count}^2 equal-radius difference disks vs closed form: rel err {rel:.3e}"
@@ -682,16 +654,15 @@ def _check_union_calibration(ctx: _Ctx) -> tuple[bool, str]:
 
 
 def _check_lcg_reference(ctx: _Ctx) -> tuple[bool, str]:
-    cfg = ctx.cfg
     n = 1000
-    fast = lcg_uniforms(cfg.seed, n)
-    s = cfg.seed & ((1 << 64) - 1)
+    fast = lcg_uniforms(ctx.seed, n)
+    s = ctx.seed & ((1 << 64) - 1)
     slow = np.empty(n)
     for i in range(n):
         s = (6364136223846793005 * s + 1442695040888963407) & ((1 << 64) - 1)
         slow[i] = (s >> 11) * 2.0**-53
     exact = bool(np.array_equal(fast, slow))
-    repeat = bool(np.array_equal(fast, lcg_uniforms(cfg.seed, n)))
+    repeat = bool(np.array_equal(fast, lcg_uniforms(ctx.seed, n)))
     ok = exact and repeat
     return ok, f"vectorized equals scalar recurrence={exact}, repeatable={repeat}"
 
@@ -733,17 +704,11 @@ def run_verification(cfg: VerifyConfig) -> dict:
         ok, detail = fn(ctx)
         results.append({"name": name, "passed": bool(ok), "detail": detail})
         all_ok = all_ok and bool(ok)
+    config = cfg._asdict()
+    c = config.pop("param").c
     return {
         "schema": REPORT_SCHEMA,
-        "config": {
-            "c": [ctx.cfg.param.c.real, ctx.cfg.param.c.imag],
-            "depth": ctx.cfg.depth,
-            "samples": ctx.cfg.samples,
-            "cell": ctx.cfg.cell,
-            "count": ctx.cfg.count,
-            "seed": ctx.cfg.seed,
-            "epsilon": ctx.cfg.epsilon,
-        },
+        "config": {**config, "c": [c.real, c.imag]},
         "checks": results,
         "passed": bool(all_ok),
     }

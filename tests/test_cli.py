@@ -210,6 +210,31 @@ def test_oracle_writes_artifacts(tmp_path, capsys):
     assert "inner_area" in out and "sandwich_holds,true" in out
 
 
+def test_oracle_at_depth_0_builds_no_disk_cover(tmp_path, capsys):
+    outdir = tmp_path / "o"
+    code, out, _ = run_cli(capsys, "oracle", "--c-re", "5", "--depth", "0",
+                           "--cell", "0.05", "--outdir", str(outdir))
+    assert code == 0
+    rep = json.loads((outdir / "report.json").read_text())
+    assert rep["sandwich"] is None
+    names = [line.split(",")[0] for line in out.splitlines()]
+    assert names == ["inner_area", "outer_area", "diff_area", f"wrote {outdir}"]
+
+
+@pytest.mark.parametrize("depth, code", [(0, 0), (1, 2)])
+def test_oracle_area_refusal_follows_the_piece_depth(tmp_path, capsys, depth, code):
+    # 4^(depth - 1 + 1) difference disks of area up to (12(|c| + cell))^2:
+    # at depth 0 only the rasters count and every area is finite
+    got, out, err = run_cli(capsys, "oracle", "--c-re", "5e152", "--cell", "1e150",
+                            "--depth", str(depth), "--outdir", str(tmp_path / "out"))
+    assert got == code
+    if code:
+        assert out == "" and "areas would overflow" in err
+    else:
+        areas = [float(line.split(",")[1]) for line in out.splitlines()[:3]]
+        assert all(map(math.isfinite, areas))
+
+
 def test_verify_cli_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--c-re", "5", "--depth", "2",
                            "--samples", "64", "--cell", "0.05", "--count", "2000")

@@ -42,6 +42,28 @@ def test_report_repeatable(p5):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_one_run_builds_each_shared_intermediate_once(p5, monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, *args[1:], *kwargs.values()))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(verify.cov, "piece_tree", counted("piece_tree", verify.cov.piece_tree))
+    monkeypatch.setattr(verify.bnd, "bound_table", counted("bound_table", verify.bnd.bound_table))
+    monkeypatch.setattr(verify, "rasterize_preimage", counted("raster", verify.rasterize_preimage))
+    assert run_verification(_cfg(p5))["passed"]
+    # the sandwich at piece depths 1..min(depth, 4) rasterizes one level deeper
+    depth = SMALL["depth"]
+    want = [("piece_tree", depth, SMALL["samples"]), ("bound_table", 420)]
+    want += [("raster", n, SMALL["cell"]) for n in range(1, min(depth, 4) + 2)]
+    want += [("raster", 1, SMALL["cell"], "outer")]
+    assert sorted(calls) == sorted(want)
+
+
 def test_config_validation(p5):
     with pytest.raises(ValueError):
         VerifyConfig(param=p5, depth=0)
@@ -272,7 +294,7 @@ def test_area_sandwich_fails_on_an_area_that_is_not_finite(monkeypatch):
 
 def _pairwise_ratio_all_at_once(ctx) -> float:
     # the check before its pairs were blocked: every pair held at once
-    i, j = np.triu_indices(ctx.cfg.samples, 1)
+    i, j = np.triu_indices(ctx.samples, 1)
     worst = 0.0
     for k in range(1, len(ctx.pieces)):
         factor = math.sqrt(2.0) * ctx.rows[k].inner_radius
@@ -403,7 +425,7 @@ def test_raster_nesting_compares_rasters_of_different_windows():
     h, w = inner1.height // 2 - inner2.height // 2, inner1.width // 2 - inner2.width // 2
     bits = np.pad(inner2.bits, ((h + 1, h + 1), (w + 1, w + 1)))
     bits[0, 0] = True
-    ctx._inner[2] = inner2._replace(bits=bits, origin=inner1.origin - (1 + 1j) * ctx.cfg.cell)
+    ctx._inner[2] = inner2._replace(bits=bits, origin=inner1.origin - (1 + 1j) * ctx.cell)
     ok, detail = check(ctx)
     assert not ok and "nested=False, inner-in-outer=True" in detail
 
@@ -459,7 +481,7 @@ def test_area_sandwich_memory_is_bounded(c, limit):
     import tracemalloc
 
     ctx = verify._Ctx(VerifyConfig(Parameter(c)))
-    for n in range(2, min(ctx.cfg.depth, 4) + 2):
+    for n in range(2, min(ctx.depth, 4) + 2):
         ctx.inner(n)
     ctx.pieces
     tracemalloc.start()
