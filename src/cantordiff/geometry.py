@@ -47,10 +47,14 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
+# elements per block of every blocked array pass, which bounds a block's
+# temporaries: the rows of the all-pairs scan here, and in the raster and
+# verify modules the LCG strides, mask_difference's run pairs, the
+# disk-window strips and pairwise-contraction's distances
+_BUDGET = 1 << 13
 # the all-pairs scan up to this many candidates, the block search above:
 # the two cost the same on piece sample rows of 320 to 352 points
 _ALL_PAIRS_LIMIT = 320
-_BLOCK = 256
 # children per block of the block search, and block pairs per chunk
 _FAN = 8
 _CHUNK = 256
@@ -125,7 +129,8 @@ def inverse_branch(z, branch: int, param: Parameter):
 
 
 def _pair_scan(pts: np.ndarray) -> tuple[int, int, float]:
-    """Exact diametral pair by blocked all-pairs scan of np.hypot distances.
+    """Exact diametral pair by all-pairs scan of np.hypot distances, in
+    blocks of _BUDGET // m rows (at least one).
 
     Returns (i, j, distance) with i <= j and (i, j) lexicographically
     smallest among pairs attaining the maximum: the distance matrix is
@@ -133,9 +138,10 @@ def _pair_scan(pts: np.ndarray) -> tuple[int, int, float]:
     the one kept here, already has i <= j.
     """
     m = pts.size
+    rows = max(1, _BUDGET // m)
     best, bi, bj = -1.0, 0, 0
-    for lo in range(0, m, _BLOCK):
-        d = pts[lo : lo + _BLOCK, None] - pts[None, :]
+    for lo in range(0, m, rows):
+        d = pts[lo : lo + rows, None] - pts[None, :]
         d = np.hypot(d.real, d.imag)
         k = int(d.argmax())
         v = float(d.flat[k])

@@ -2,7 +2,7 @@
 
 Masks go out as P5 PGM (255 = set cell, 0 = empty) with a small JSON
 sidecar describing the window geometry; disk covers render to P6 PPM with
-a fixed palette, in float strips of about raster._STRIP pixels over which
+a fixed palette, in float strips of _STRIP_BYTES / 16 pixels over which
 raster._disk_windows walks the disks.  Both formats stream to disk: the
 header, then the pixel rows in strips of about 1 MB, so writing an image
 holds one strip beyond the array it comes from, never a whole-image copy.
@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Disks
-from . import raster
 from .raster import GridMask, _disk_windows, check_cap, check_cell
 
 __all__ = [
@@ -143,7 +142,8 @@ def render_disks(disks: Disks, cell: float | None = None) -> np.ndarray:
     row = np.argmin(np.abs(ys))
     reach = r + cell  # the outlines reach a cell past the radius
     img = np.empty((h, w, 3), dtype=np.uint8)
-    step = max(1, raster._STRIP // w)
+    # 2^16 pixels a strip, whose float RGB takes 1.5 MB
+    step = max(1, (_STRIP_BYTES >> 4) // w)
     for top in range(0, h, step):
         buf = np.full((min(step, h - top), w, 3), _BG, dtype=np.float64)
         if abs(xs[col]) <= cell:

@@ -18,6 +18,9 @@ disk_mask and the union grid (grown by half a cell diagonal on the
 integer lattice) through the capped _disk_cells, and images.render_disks.
 Mask differences have one implementation, exact integer sums over pairs
 of row runs; verify holds it against a plain shift-and-OR of its own.
+Every blocked pass here, the disk-window strips, the run pairs of a
+mask difference, the LCG strides and the sampler's rounds, holds at
+most _BUDGET = 2^13 elements a block, the geometry module's one budget.
 
 The block test.  _live_blocks rules out a square of side x side cells at
 once.  It runs the float orbit b~_0 = b, b~_{k+1} = fl(b~_k * b~_k + c)
@@ -86,7 +89,7 @@ Nothing here imports the bound or verify machinery.
 Determinism.  All randomness comes from an explicit 64-bit linear
 congruential generator (s <- 6364136223846793005*s + 1442695040888963407
 mod 2^64, doubles taken as (s >> 11) / 2^53), vectorized by strides of
-up to 2^14 steps but bit-identical to the scalar recurrence.  A
+up to 2^13 steps but bit-identical to the scalar recurrence.  A
 preimage raster is symmetric under z -> -z, exactly so on its cell
 centers, so only its upper half is iterated and the lower half is copied
 from it turned by half a turn.  The rasters are filled serially: after
@@ -100,7 +103,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .geometry import Disks, Parameter, disk_difference, forward_map
+from .geometry import _BUDGET, Disks, Parameter, disk_difference, forward_map
 
 __all__ = [
     "GridMask",
@@ -125,12 +128,9 @@ _ENV_CAP = "CANTORDIFF_MEMORY_CAP"
 _LCG_A = 6364136223846793005
 _LCG_C = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
-_CHUNK = 1 << 14
 
-# run pairs per np.add.at call in mask_difference (more only raise the
-# peak), and a one of the edge dtype, which np.add.at's fast path needs
-_PAIR_CHUNK, _ONE = 1 << 16, np.int32(1)
-_STRIP = 1 << 16  # cells per row strip of a disk window in _disk_windows
+# a one of mask_difference's edge dtype, which np.add.at's fast path needs
+_ONE = np.int32(1)
 
 # cells per side of the blocks rasterize_preimage rules out whole, then
 # the unit roundoff of float64 and the rounding constant of the block
@@ -423,7 +423,7 @@ def _disk_windows(xs: np.ndarray, ys: np.ndarray, disks: Disks, reach: np.ndarra
     """For each disk k in turn, the cells within reach[k] of its center plus
     one spare cell a side, of the grid with ascending center axes xs, ys:
     yields (k, rows, cols, xs[cols] - x_k, ys[rows] - y_k) for row strips
-    of about _STRIP cells, rows and cols slices of the grid."""
+    of about _BUDGET cells, rows and cols slices of the grid."""
     cx, cy = disks.centers.real, disks.centers.imag
     x_lo = np.maximum(np.searchsorted(xs, cx - reach) - 1, 0).tolist()
     x_hi = np.minimum(np.searchsorted(xs, cx + reach, "right") + 1, xs.size).tolist()
@@ -432,7 +432,7 @@ def _disk_windows(xs: np.ndarray, ys: np.ndarray, disks: Disks, reach: np.ndarra
     for k, (x, y) in enumerate(zip(cx.tolist(), cy.tolist())):
         cols = slice(x_lo[k], x_hi[k])
         dx = xs[cols] - x
-        step = max(1, _STRIP // dx.size)
+        step = max(1, _BUDGET // dx.size)
         for lo in range(y_lo[k], y_hi[k], step):
             rows = slice(lo, min(lo + step, y_hi[k]))
             yield k, rows, cols, dx, ys[rows] - y
@@ -506,7 +506,7 @@ def mask_difference(a: GridMask, b: GridMask) -> GridMask:
     at its start and -1 past its end in an integer edge array, whose row
     prefix sums are positive exactly on the marked cells.
 
-    Cost: O(runs_a * runs_b) pair updates, _PAIR_CHUNK at a time, plus
+    Cost: O(runs_a * runs_b) pair updates, _BUDGET at a time, plus
     O(block).  A preimage raster has few runs, a noisy mask up to one per
     two cells (verify's 96x80 by 64x48 noise pair makes about 1M pairs).
 
@@ -541,8 +541,8 @@ def mask_difference(a: GridMask, b: GridMask) -> GridMask:
         b_lo, b_hi = rb * (w + 1) + b0, rb * (w + 1) + b1
         edges = np.zeros((h, w + 1), dtype=np.int32)
         flat = edges.reshape(-1)
-        kb = min(rb.size, _PAIR_CHUNK)
-        ka = max(1, _PAIR_CHUNK // kb)
+        kb = min(rb.size, _BUDGET)
+        ka = max(1, _BUDGET // kb)
         for i in range(0, ra.size, ka):
             for j in range(0, rb.size, kb):
                 at, bt = slice(i, i + ka), slice(j, j + kb)
@@ -562,18 +562,18 @@ def _lcg_states(seed: int, count: int) -> np.ndarray:
     """States s_1..s_count of the LCG seeded with s_0 = seed.
 
     A stride of k steps is s_{i+k} = A^k*s_i + C*(1 + A + ... + A^(k-1))
-    mod 2^64: the tables below hold both for k = 1..min(count, _CHUNK),
+    mod 2^64: the tables below hold both for k = 1..min(count, _BUDGET),
     and each chunk of states is one stride of the last state before it
     (uint64 arithmetic wraps mod 2^64).
     """
-    size = min(count, _CHUNK)
+    size = min(count, _BUDGET)
     a_pow = np.cumprod(np.full(size, _LCG_A, dtype=np.uint64))
     b_acc = np.cumsum(np.concatenate(([np.uint64(1)], a_pow[:-1])))
     b_acc *= np.uint64(_LCG_C)
     states = np.empty(count, dtype=np.uint64)
     s = np.uint64(seed & _LCG_MASK)
-    for lo in range(0, count, _CHUNK):
-        take = min(_CHUNK, count - lo)
+    for lo in range(0, count, _BUDGET):
+        take = min(_BUDGET, count - lo)
         states[lo : lo + take] = a_pow[:take] * s + b_acc[:take]
         s = states[lo + take - 1]
     return states
@@ -609,6 +609,11 @@ def sample_diff_check(d2: Disks, d1: Disks, count: int, seed: int) -> float:
     the largest |x - y - center| observed (it approaches the radius from
     below as count grows).  A containment violation raises RuntimeError:
     it would falsify the difference-disk identity itself.
+
+    The stream is read in rounds of _BUDGET states, and each round's
+    deviations fold into a running maximum, so the memory stays one
+    round's whatever the count.  A round that ends on an x carries it
+    into the next, where its y is accepted.
     """
     if len(d2) != 1 or len(d1) != 1:
         raise ValueError(f"need one disk a side, got {len(d2)} and {len(d1)}")
@@ -616,15 +621,11 @@ def sample_diff_check(d2: Disks, d1: Disks, count: int, seed: int) -> float:
         raise ValueError(f"need count >= 1000, got {count}")
     need = 2 * count
     check_cap("difference samples", need, DEFAULT_MAX_POINTS)
-    # accepted unit-disk points, x and y alternating, in one buffer that
-    # becomes x - y - center in place
-    buf = np.empty(need, dtype=np.complex128)
-    have = 0
-    state = seed
+    pred = disk_difference(d2, d1)
+    worst, have, state = 0.0, 0, seed
+    carry = np.empty(0, dtype=np.complex128)
     while have < need:
-        short = need - have
-        draw = 2 * max(short + (short >> 2) + 64, 1 << 12)
-        u = _lcg_states(state, draw)
+        u = _lcg_states(state, _BUDGET)
         state = int(u[-1])  # each round continues the one stream
         u = _unit(u)
         # candidates 2u - 1 of the bounding square, real and imaginary
@@ -633,20 +634,21 @@ def sample_diff_check(d2: Disks, d1: Disks, count: int, seed: int) -> float:
         u -= 1.0
         r2 = np.square(u[0::2])
         r2 += np.square(u[1::2])
-        acc = u.view(np.complex128)[r2 <= 1.0][:short]
-        buf[have : have + acc.size] = acc
+        acc = u.view(np.complex128)[r2 <= 1.0][: need - have]
         have += acc.size
-    x, y = buf[0::2], buf[1::2]
-    x *= d2.radii
-    x += d2.centers
-    y *= d1.radii
-    y += d1.centers
-    x -= y
-    pred = disk_difference(d2, d1)
-    x -= pred.centers
-    dev = np.abs(x)
+        # accepted unit-disk points, x and y alternating, become x - y -
+        # center in place
+        acc = np.concatenate((carry, acc))
+        pairs = acc.size - acc.size % 2
+        x, y, carry = acc[0:pairs:2], acc[1:pairs:2], acc[pairs:]
+        x *= d2.radii
+        x += d2.centers
+        y *= d1.radii
+        y += d1.centers
+        x -= y
+        x -= pred.centers
+        worst = max(worst, float(np.abs(x).max(initial=0.0)))
     radius = float(pred.radii[0])
-    worst = float(dev.max())
     if worst > radius + 1e-12 * (radius + 1.0):
         raise RuntimeError(
             "difference-disk containment violated: sampled deviation "

@@ -32,6 +32,7 @@ import numpy as np
 from . import bounds as bnd
 from . import cover as cov
 from .geometry import (
+    _BUDGET,
     Disks,
     Parameter,
     diametral_disks,
@@ -69,11 +70,6 @@ _NEST_C = 16.0
 # then 12u plus a quarter of the excess per step).  47, rounded up to
 # leave a 1/48 relative slack for the terms of order u^2.
 _ORBIT_KAPPA = 48.0
-
-# cells per block of pairwise-contraction's rows-by-columns differences:
-# the default 256 samples take two blocks of 128 rows, whose complex
-# temporaries are 0.5 MB each
-_PAIR_BLOCK = 1 << 15
 
 
 class VerifyConfig(
@@ -339,23 +335,23 @@ def _check_suffix_sharing(ctx: _Ctx) -> tuple[bool, str]:
 def _check_pairwise_contraction(ctx: _Ctx) -> tuple[bool, str]:
     n = ctx.samples
     worst = 0.0
-    # rows lo..lo+rows-1 against the columns after lo: every pair i < j
-    # once at least, and the pairs seen twice give the same ratio, since
-    # |a - b| == |b - a| bit for bit
-    rows = max(1, _PAIR_BLOCK // n)
+    # sample rows lo..lo+rows-1 against the columns after lo: every pair
+    # i < j once at least, and the pairs seen twice give the same ratio,
+    # since |a - b| == |b - a| bit for bit.  A block spans every piece of
+    # a level, the deepest within _BUDGET elements (at least one sample
+    # row), and serves as the parent distances of the next level: its
+    # child pieces p and p + 2^k share parent piece p
+    rows = max(1, _BUDGET // (len(ctx.pieces[-1]) * n))
     for lo in range(0, n - 1, rows):
         i, j = slice(lo, lo + rows), slice(lo + 1, n)
-        for k in range(1, len(ctx.pieces)):
-            factor = math.sqrt(2.0) * ctx.rows[k].inner_radius
-            children = ctx.pieces[k].samples
-            half = 1 << k  # parent p has the children p and p + half
-            for p, parent in enumerate(ctx.pieces[k - 1].samples):
-                dp = np.abs(parent[i, None] - parent[None, j])
+        for k, level in enumerate(ctx.pieces):
+            d = np.abs(level.samples[:, i, None] - level.samples[:, None, j])
+            if k:
                 mask = dp > 0
-                for child in (children[p], children[p + half]):
-                    dc = np.abs(child[i, None] - child[None, j]) * factor
-                    np.divide(dc, dp, out=dc, where=mask)
-                    worst = max(worst, float(dc.max(where=mask, initial=0.0)))
+                dc = (d * (math.sqrt(2.0) * ctx.rows[k].inner_radius)).reshape(2, *dp.shape)
+                np.divide(dc, dp, out=dc, where=mask)
+                worst = max(worst, float(dc.max(where=mask, initial=0.0)))
+            dp = d
     ok = worst <= 1.0 + 1e-9
     return ok, f"max contracted/original pairwise ratio {worst:.12f} (depths 1..{ctx.depth})"
 

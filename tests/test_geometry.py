@@ -24,7 +24,7 @@ from cantordiff import (
     sum_area,
 )
 from cantordiff import geometry
-from cantordiff.geometry import _ALL_PAIRS_LIMIT, _BLOCK, _pair_scan, _pair_search
+from cantordiff.geometry import _ALL_PAIRS_LIMIT, _BUDGET, _pair_scan, _pair_search
 
 
 def test_parameter_rejects_small_modulus():
@@ -111,15 +111,17 @@ def _first_attaining_pair(pts):
 
 def test_diametral_pair_tie_break_spans_blocks():
     # points on a 5x5 integer lattice repeat, so many index pairs attain
-    # the diameter exactly and they spread over several scan blocks; in
-    # half the cases the extreme corners only appear after the first block
+    # the diameter exactly and they spread over several scan blocks of
+    # _BUDGET // n rows; in half the cases the extreme corners only appear
+    # after the first block
     rng = np.random.default_rng(37)
     for case in range(8):
         n = int(rng.integers(300, 1501))
-        assert n > _BLOCK
+        block = _BUDGET // n
+        assert n > block
         pts = rng.integers(0, 5, size=n) + 1j * rng.integers(0, 5, size=n)
         if case % 2:
-            head = _BLOCK + int(rng.integers(0, n - _BLOCK))
+            head = block + int(rng.integers(0, n - block))
             pts[:head] = rng.integers(1, 4, size=head) + 1j * rng.integers(1, 4, size=head)
         assert _pair_scan(pts)[:2] == _first_attaining_pair(pts), case
 

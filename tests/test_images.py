@@ -113,10 +113,14 @@ _RENDER_CASES = {
 }
 
 
-@pytest.mark.parametrize("strip", [raster._STRIP, 7])
+# the default render strips of 2^16 pixels over disk windows walked in
+# strips of the budget, and strips of 7 pixels over strips of 7 cells,
+# one row each
+@pytest.mark.parametrize("strip", [1 << 16, 7])
 @pytest.mark.parametrize("name", sorted(_RENDER_CASES))
 def test_render_disks_equals_the_whole_image_render(name, strip, monkeypatch):
-    monkeypatch.setattr(raster, "_STRIP", strip)
+    monkeypatch.setattr(images, "_STRIP_BYTES", strip << 4)
+    monkeypatch.setattr(raster, "_BUDGET", min(strip, raster._BUDGET))
     build, cell = _RENDER_CASES[name]
     disks = build()
     img = render_disks(disks, cell)

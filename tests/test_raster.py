@@ -124,11 +124,13 @@ _DISK_SETS = {
 }
 
 
-@pytest.mark.parametrize("strip", [raster._STRIP, 7])
+# strips of 2^16 cells hold these windows whole, the budget's cut the
+# larger ones, and strips of 7 cells are one row each
+@pytest.mark.parametrize("strip", [1 << 16, raster._BUDGET, 7])
 @pytest.mark.parametrize("cell", [0.013, 0.05, 0.1 / 3, 0.37])
 @pytest.mark.parametrize("name", sorted(_DISK_SETS))
 def test_disk_rasters_equal_the_all_cells_test(name, cell, strip, monkeypatch):
-    monkeypatch.setattr(raster, "_STRIP", strip)
+    monkeypatch.setattr(raster, "_BUDGET", strip)
     centers, radii = _DISK_SETS[name](np.random.default_rng(17))
     union = union_grid_mask(Disks(centers, radii), cell)
     bits, origin = _all_cells(centers, radii, cell, cell * math.sqrt(2.0) / 2.0, 0.5)
@@ -296,7 +298,7 @@ def test_mask_difference_runs_end_in_last_column():
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_mask_difference_chunks_of_run_pairs(monkeypatch, chunk):
     # many run pairs through tiny chunks, including a partial last one
-    monkeypatch.setattr(raster, "_PAIR_CHUNK", chunk)
+    monkeypatch.setattr(raster, "_BUDGET", chunk)
     rng = np.random.default_rng(61)
     a = _mask(rng.random((13, 17)) < 0.4)
     b = _mask(rng.random((9, 11)) < 0.4, 1 - 1j)
@@ -658,7 +660,7 @@ def test_lcg_matches_scalar_reference():
 
 def test_lcg_coeff_table_matches_scalar_recurrence():
     # short stride tables, and counts on both sides of each chunk edge
-    chunk = raster._CHUNK
+    chunk = raster._BUDGET
     for count in (0, 1, 5, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
         s, want = 987654321, []
         for _ in range(count):
@@ -670,7 +672,7 @@ def test_lcg_coeff_table_matches_scalar_recurrence():
 
 
 def test_sample_diff_check_reads_one_stream():
-    # 20000 pairs take two rejection rounds; together they must read one
+    # 20000 pairs take 13 rejection rounds; together they must read one
     # unbroken stream, the same as accepting over a single long draw
     d2, d1 = Disks(2 + 1j, 1.0), Disks(-1j, 1.0)
     u = lcg_uniforms(5, 240_000)
@@ -702,19 +704,29 @@ def _scalar_diff_check(c2, r2, c1, r1, count, seed):
     return float(np.abs(np.array(dev)).max())
 
 
-@pytest.mark.parametrize("count, rounds", [(1000, 1), (4321, 2), (20_000, 2), (33_333, 2)])
-def test_sample_diff_check_equals_the_scalar_reference(count, rounds, monkeypatch):
-    real, calls = raster._lcg_states, []
+# at count 2000 the one full round accepts 3237 points, so the last x
+# carries into a second round that holds its y
+@pytest.mark.parametrize(
+    "count, min_rounds", [(1000, 1), (2000, 2), (4321, 2), (20_000, 2), (33_333, 2)]
+)
+def test_sample_diff_check_equals_the_scalar_reference(count, min_rounds, monkeypatch):
+    real, draws, accepted = raster._lcg_states, [], [0]
 
     def counted(seed, n):
-        calls.append(n)
-        return real(seed, n)
+        states = real(seed, n)
+        u = 2.0 * ((states >> np.uint64(11)) * 2.0**-53) - 1.0
+        draws.append(n)
+        accepted.append(accepted[-1] + int(np.count_nonzero(u[0::2] ** 2 + u[1::2] ** 2 <= 1.0)))
+        return states
 
     monkeypatch.setattr(raster, "_lcg_states", counted)
     pair = (0.3 - 1.7j, 1.25, -2.1 + 0.4j, 0.6)
     got = sample_diff_check(Disks(*pair[:2]), Disks(*pair[2:]), count, seed=count)
     assert got == _scalar_diff_check(*pair, count, count)
-    assert len(calls) == rounds
+    # every round draws at most the budget; past one round, some round
+    # ends on an odd accepted point, which carries into the next
+    assert max(draws) <= raster._BUDGET and len(draws) >= min_rounds
+    assert min_rounds == 1 or any(n % 2 for n in accepted[1:-1])
 
 
 def test_sample_diff_check_sup_below_radius():

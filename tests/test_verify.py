@@ -10,7 +10,7 @@ import pytest
 
 from cantordiff import Disks, GridMask, Parameter, Pieces, VerifyConfig, run_verification
 from cantordiff import bounds as bnd
-from cantordiff import verify
+from cantordiff import geometry, verify
 from cantordiff.verify import REPORT_SCHEMA, raster_diff_proof
 
 SMALL = dict(depth=2, samples=64, cell=0.05, count=2000)
@@ -309,11 +309,62 @@ def _pairwise_ratio_all_at_once(ctx) -> float:
 
 @pytest.mark.parametrize("samples", [16, 255, 256, 300, 700])
 def test_pairwise_contraction_blocks_keep_the_ratio(samples):
-    # 16 samples are one block of rows, 255 and 256 two, 300 three and 700 sixteen
+    # blocks of _BUDGET // (16 * samples) sample rows, 16 pieces deep: 16
+    # samples are one block, 255 and 256 take blocks of two rows, 300 and
+    # 700 blocks of one
     ctx = verify._Ctx(_cfg(Parameter(0.0 + 2.5j), depth=3, samples=samples))
     ok, detail = dict(verify._CHECKS)["pairwise-contraction"](ctx)
     assert ok
     assert detail.startswith(f"max contracted/original pairwise ratio {_pairwise_ratio_all_at_once(ctx):.12f} ")
+
+
+@pytest.mark.parametrize("samples", [16, 33])
+def test_pairwise_contraction_equals_the_all_pairs_ratio(samples):
+    # 33 samples take blocks of 15, 15 and 2 sample rows.  Piece 0 of
+    # level 1 repeats its first sample: the pair (0, 1) of its children
+    # then has a zero parent distance, masked on both sides
+    ctx = verify._Ctx(_cfg(Parameter(0.0 + 2.5j), depth=3, samples=samples))
+    lv = ctx.pieces[1]
+    s = lv.samples.copy()
+    s[0, 1] = s[0, 0]
+    ctx.pieces = [ctx.pieces[0], Pieces(1, s, lv.sampled_diam, lv.disks), *ctx.pieces[2:]]
+    child = ctx.pieces[2].samples[0]
+    assert child[0] != child[1]
+    _, detail = dict(verify._CHECKS)["pairwise-contraction"](ctx)
+    want = _pairwise_ratio_all_at_once(ctx)
+    assert math.isfinite(want)
+    assert detail == f"max contracted/original pairwise ratio {want:.12f} (depths 1..3)"
+
+
+def _budget_cases():
+    ctx = verify._Ctx(_cfg(Parameter(5.0), depth=4, samples=256))
+    ctx.pieces, ctx.rows
+    a = verify._random_mask(ctx, (96, 80), stream=6, p=0.3)
+    b = verify._random_mask(ctx, (64, 48), stream=7, p=0.3)
+    pts = verify._seeded_points(ctx, 256, 3.0, stream=1)
+    d2, d1 = Disks(0.3 - 1.7j, 1.25), Disks(-2.1 + 0.4j, 0.6)
+    return {
+        "sampler": lambda: verify.sample_diff_check(d2, d1, 20_000, 5),
+        "pairwise": lambda: dict(verify._CHECKS)["pairwise-contraction"](ctx),
+        "scan": lambda: geometry._pair_scan(pts),
+        "mask-difference": lambda: verify.mask_difference(a, b),
+    }
+
+
+@pytest.mark.parametrize("name", ["sampler", "pairwise", "scan", "mask-difference"])
+def test_blocked_passes_stay_within_the_element_budget(name):
+    # a few blocks of _BUDGET complex elements; the sampler's 40,000
+    # points drawn at once take 2.8 MB, a scan in 256-row blocks 1.6 MB
+    import tracemalloc
+
+    run = _budget_cases()[name]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 16 * geometry._BUDGET, peak
 
 
 def test_pairwise_contraction_memory_is_bounded():
