@@ -121,7 +121,7 @@ class Sandwich(namedtuple("Sandwich", "disks union margin total bound")):
 def boundary_samples(param: Parameter, count: int) -> np.ndarray:
     """count points uniformly spaced on the starting circle |z| = |c|."""
     if count < _MIN_SAMPLES:
-        raise ValueError(f"need count >= {_MIN_SAMPLES}, got {count}")
+        raise ValueError(f"need samples >= {_MIN_SAMPLES}, got {count}")
     k = np.arange(count, dtype=np.float64)
     return param.abs_c * np.exp(2j * math.pi * k / count)
 

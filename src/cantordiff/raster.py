@@ -19,8 +19,9 @@ integer lattice) through the capped _disk_cells, and images.render_disks.
 Mask differences have one implementation, exact integer sums over pairs
 of row runs; verify holds it against a plain shift-and-OR of its own.
 Every blocked pass here, the disk-window strips, the run pairs of a
-mask difference, the LCG strides and the sampler's rounds, holds at
-most _BUDGET = 2^13 elements a block, the geometry module's one budget.
+mask difference and the blocks of the LCG stream, which lcg_uniforms
+and the sampler's rounds both read, holds at most _BUDGET = 2^13
+elements a block, the geometry module's one budget.
 
 The block test.  _live_blocks rules out a square of side x side cells at
 once.  It runs the float orbit b~_0 = b, b~_{k+1} = fl(b~_k * b~_k + c)
@@ -88,12 +89,13 @@ Nothing here imports the bound or verify machinery.
 
 Determinism.  All randomness comes from an explicit 64-bit linear
 congruential generator (s <- 6364136223846793005*s + 1442695040888963407
-mod 2^64, doubles taken as (s >> 11) / 2^53), vectorized by strides of
-up to 2^13 steps but bit-identical to the scalar recurrence.  A
-preimage raster is symmetric under z -> -z, exactly so on its cell
-centers, so only its upper half is iterated and the lower half is copied
-from it turned by half a turn.  The rasters are filled serially: after
-the block test too little work is left to share between threads.
+mod 2^64, doubles taken as (s >> 11) / 2^53), vectorized in blocks of
+2^13 steps from stride tables built once per stream, but bit-identical
+to the scalar recurrence.  A preimage raster is symmetric under z ->
+-z, exactly so on its cell centers, so only its upper half is iterated
+and the lower half is copied from it turned by half a turn.  The
+rasters are filled serially: after the block test too little work is
+left to share between threads.
 """
 from __future__ import annotations
 
@@ -558,45 +560,39 @@ def mask_difference(a: GridMask, b: GridMask) -> GridMask:
     return GridMask(origin=origin, cell=a.cell, bits=out, mode="difference")
 
 
-def _lcg_states(seed: int, count: int) -> np.ndarray:
-    """States s_1..s_count of the LCG seeded with s_0 = seed.
+def _lcg_blocks(seed: int):
+    """Blocks of _BUDGET doubles (s_i >> 11) / 2^53 of the LCG states s_1,
+    s_2, ... seeded with s_0 = seed, without end.
 
     A stride of k steps is s_{i+k} = A^k*s_i + C*(1 + A + ... + A^(k-1))
-    mod 2^64: the tables below hold both for k = 1..min(count, _BUDGET),
-    and each chunk of states is one stride of the last state before it
-    (uint64 arithmetic wraps mod 2^64).
+    mod 2^64: the tables below hold both for k = 1.._BUDGET, built once,
+    and each block is one stride of the last state before it (uint64
+    arithmetic wraps mod 2^64).
     """
-    size = min(count, _BUDGET)
-    a_pow = np.cumprod(np.full(size, _LCG_A, dtype=np.uint64))
+    a_pow = np.cumprod(np.full(_BUDGET, _LCG_A, dtype=np.uint64))
     b_acc = np.cumsum(np.concatenate(([np.uint64(1)], a_pow[:-1])))
     b_acc *= np.uint64(_LCG_C)
-    states = np.empty(count, dtype=np.uint64)
     s = np.uint64(seed & _LCG_MASK)
-    for lo in range(0, count, _BUDGET):
-        take = min(_BUDGET, count - lo)
-        states[lo : lo + take] = a_pow[:take] * s + b_acc[:take]
-        s = states[lo + take - 1]
-    return states
-
-
-def _unit(states: np.ndarray) -> np.ndarray:
-    """(s >> 11) / 2^53 for each state s; shifts states in place."""
-    states >>= np.uint64(11)
-    u = states.astype(np.float64)
-    u *= 2.0**-53
-    return u
+    while True:
+        states = a_pow * s + b_acc
+        s = states[-1]
+        yield (states >> np.uint64(11)) * 2.0**-53
 
 
 def lcg_uniforms(seed: int, count: int) -> np.ndarray:
     """count doubles in [0, 1) from the 64-bit LCG stream.
 
     The i-th output (i >= 1) is (s_i >> 11) / 2^53 where s_i is the i-th
-    state after seeding with s_0 = seed.  Vectorized by strides (see
-    _lcg_states); identical to stepping the scalar recurrence.
+    state after seeding with s_0 = seed, filled from the blocks of one
+    _lcg_blocks stream; identical to stepping the scalar recurrence.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    return _unit(_lcg_states(seed, count))
+    out = np.empty(count, dtype=np.float64)
+    blocks = _lcg_blocks(seed)
+    for lo in range(0, count, _BUDGET):
+        out[lo : lo + _BUDGET] = next(blocks)[: count - lo]
+    return out
 
 
 def sample_diff_check(d2: Disks, d1: Disks, count: int, seed: int) -> float:
@@ -610,10 +606,10 @@ def sample_diff_check(d2: Disks, d1: Disks, count: int, seed: int) -> float:
     below as count grows).  A containment violation raises RuntimeError:
     it would falsify the difference-disk identity itself.
 
-    The stream is read in rounds of _BUDGET states, and each round's
-    deviations fold into a running maximum, so the memory stays one
-    round's whatever the count.  A round that ends on an x carries it
-    into the next, where its y is accepted.
+    Each round is the next block of one _lcg_blocks stream, _BUDGET
+    states, and its deviations fold into a running maximum, so the
+    memory stays one round's whatever the count.  A round that ends on
+    an x carries it into the next, where its y is accepted.
     """
     if len(d2) != 1 or len(d1) != 1:
         raise ValueError(f"need one disk a side, got {len(d2)} and {len(d1)}")
@@ -622,12 +618,11 @@ def sample_diff_check(d2: Disks, d1: Disks, count: int, seed: int) -> float:
     need = 2 * count
     check_cap("difference samples", need, DEFAULT_MAX_POINTS)
     pred = disk_difference(d2, d1)
-    worst, have, state = 0.0, 0, seed
+    worst, have = 0.0, 0
     carry = np.empty(0, dtype=np.complex128)
+    blocks = _lcg_blocks(seed)
     while have < need:
-        u = _lcg_states(state, _BUDGET)
-        state = int(u[-1])  # each round continues the one stream
-        u = _unit(u)
+        u = next(blocks)
         # candidates 2u - 1 of the bounding square, real and imaginary
         # parts interleaved, so that u viewed as complex holds them
         u *= 2.0

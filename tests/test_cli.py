@@ -434,6 +434,13 @@ def test_exit_code_2_on_bad_flag_value(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_verify_names_the_samples_below_their_floor(capsys):
+    # "count" would read as --count, a separate flag with a floor of 1000
+    code, out, err = run_cli(capsys, "verify", "--c-re", "5", "--samples", "15")
+    assert code == 2 and out == ""
+    assert err == "error: need samples >= 16, got 15\n"
+
+
 def test_memory_cap_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CANTORDIFF_MEMORY_CAP", "1000")
     code, _, err = run_cli(capsys, "diff", "--c-re", "5", "--depth", "3",

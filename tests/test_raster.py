@@ -659,16 +659,16 @@ def test_lcg_matches_scalar_reference():
 
 
 def test_lcg_coeff_table_matches_scalar_recurrence():
-    # short stride tables, and counts on both sides of each chunk edge
+    # counts inside one block and on both sides of each block edge
     chunk = raster._BUDGET
     for count in (0, 1, 5, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
         s, want = 987654321, []
         for _ in range(count):
             s = (s * 6364136223846793005 + 1442695040888963407) % 2**64
-            want.append(s)
-        states = raster._lcg_states(987654321, count)
-        assert states.dtype == np.uint64
-        assert states.tolist() == want, count
+            want.append((s >> 11) * 2.0**-53)
+        got = lcg_uniforms(987654321, count)
+        assert got.dtype == np.float64
+        assert got.tolist() == want, count
 
 
 def test_sample_diff_check_reads_one_stream():
@@ -710,16 +710,17 @@ def _scalar_diff_check(c2, r2, c1, r1, count, seed):
     "count, min_rounds", [(1000, 1), (2000, 2), (4321, 2), (20_000, 2), (33_333, 2)]
 )
 def test_sample_diff_check_equals_the_scalar_reference(count, min_rounds, monkeypatch):
-    real, draws, accepted = raster._lcg_states, [], [0]
+    real, draws, accepted = raster._lcg_blocks, [], [0]
 
-    def counted(seed, n):
-        states = real(seed, n)
-        u = 2.0 * ((states >> np.uint64(11)) * 2.0**-53) - 1.0
-        draws.append(n)
-        accepted.append(accepted[-1] + int(np.count_nonzero(u[0::2] ** 2 + u[1::2] ** 2 <= 1.0)))
-        return states
+    def counted(seed):
+        for block in real(seed):
+            # counted before the sampler turns the block into candidates
+            u = 2.0 * block - 1.0
+            draws.append(block.size)
+            accepted.append(accepted[-1] + int(np.count_nonzero(u[0::2] ** 2 + u[1::2] ** 2 <= 1.0)))
+            yield block
 
-    monkeypatch.setattr(raster, "_lcg_states", counted)
+    monkeypatch.setattr(raster, "_lcg_blocks", counted)
     pair = (0.3 - 1.7j, 1.25, -2.1 + 0.4j, 0.6)
     got = sample_diff_check(Disks(*pair[:2]), Disks(*pair[2:]), count, seed=count)
     assert got == _scalar_diff_check(*pair, count, count)
@@ -727,6 +728,19 @@ def test_sample_diff_check_equals_the_scalar_reference(count, min_rounds, monkey
     # ends on an odd accepted point, which carries into the next
     assert max(draws) <= raster._BUDGET and len(draws) >= min_rounds
     assert min_rounds == 1 or any(n % 2 for n in accepted[1:-1])
+
+
+def test_sample_diff_check_builds_the_stride_tables_once(monkeypatch):
+    # 20000 pairs take 13 rounds, all read from one stream
+    real, calls = np.cumprod, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cumprod", counted)
+    sample_diff_check(Disks(2 + 1j, 1.0), Disks(-1j, 1.0), 20_000, seed=5)
+    assert len(calls) == 1
 
 
 def test_sample_diff_check_sup_below_radius():
