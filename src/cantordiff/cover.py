@@ -131,7 +131,10 @@ def piece_sample_tree(param: Parameter, depth: int, samples: int = 512) -> list[
 
     Returns one array per level; level k has shape (2^(k+1), samples),
     one row per piece.  Levels share suffixes as described in the module
-    docstring, so building the deepest level yields all of them.
+    docstring, so building the deepest level yields all of them.  Branch
+    1 is the negated branch 0, so row j + 2^k of level k is -(row j), bit
+    for bit; verify's pairwise-contraction and the union grid's disk walk
+    do the work of each such pair once.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -192,9 +195,49 @@ def union_grid_mask(disks: Disks, cell: float) -> GridMask:
     (i*cell, j*cell) whose center lies within radius + cell*sqrt(2)/2 of
     some disk center: the lattice that difference masks of half-integer
     rasters land on, so the two compare cell for cell.
+
+    Only the largest disk at each distinct center is rasterized: its
+    window holds that of any smaller reach R = fl(r + grow) at the center
+    (searchsorted is monotone), and its test marks every cell a smaller
+    one would, as fl(R*R) is monotone in R; -0.0 and 0.0 are one center,
+    as they give the same windows and test values.  Sorted as numpy
+    sorts complex numbers, by real, then imaginary part, those disks are
+    their own half-turn image (x, y, r) -> (-x, -y, r) exactly when
+    negating and reversing them gives them back, as negation reverses the
+    order.  Then _disk_cells walks only the second half, the centers
+    with x > 0, or x = 0 and y >= 0, and writes each strip's hit at its
+    window both of the bits and of the bits turned by half a turn,
+    bits[::-1, ::-1], whose cell (j, i) is cell (H-1-j, W-1-i).  That is
+    exact, as negation is exact and rounding to nearest is odd:
+
+      * fl(fl(-x + r) + g) = -fl(fl(x - r) - g), so the window's extremes
+        are negatives of each other: kx_lo = -kx_hi and ky_lo = -ky_hi.
+        The centers are k*cell for k = -K..K, so xs[W-1-i] = -xs[i] and
+        ys[H-1-i] = -ys[i].
+      * The mirror -d of a walked disk d has the same reach R and its
+        window bounds come from -x -+ R = -(x +- R).  As xs is its own
+        negation, searchsorted(xs, -a) on the left is W less
+        searchsorted(xs, a) on the right, and the other way round, so the
+        columns [lo, hi) of d map to [W - hi, W - lo) for -d, the rows
+        alike: the window of d in the turned bits.
+      * The test value of -d at cell (H-1-j, W-1-i) has dx = fl(-xs[i] +
+        x) = -fl(xs[i] - x) and likewise dy, so its squares, and its
+        hit, are those of d at cell (j, i).
+
+    A difference cover D_i - D_j always is its own image, and of depth-n
+    pieces, mirrored as piece_sample_tree builds them, 4^n + 1 of its
+    4^(n+1) disks are walked.
     """
     check_cell(cell)
-    return _disk_cells(disks, cell, cell * math.sqrt(2.0) / 2.0, 0.5, "union grid cells", "union")
+    order = np.argsort(disks.centers)
+    c = disks.centers[order]
+    first = np.flatnonzero(np.append(True, c[1:] != c[:-1]))
+    c, r = c[first], np.maximum.reduceat(disks.radii[order], first)
+    half = None
+    if np.array_equal(c, -c[::-1]) and np.array_equal(r, r[::-1]):
+        half = Disks(c[c.size // 2 :], r[c.size // 2 :])
+    grow = cell * math.sqrt(2.0) / 2.0
+    return _disk_cells(Disks(c, r), cell, grow, 0.5, "union grid cells", "union", half)
 
 
 def union_margin(disks: Disks, cell: float) -> float:

@@ -441,7 +441,7 @@ def _disk_windows(xs: np.ndarray, ys: np.ndarray, disks: Disks, reach: np.ndarra
 
 
 def _disk_cells(
-    disks: Disks, cell: float, grow: float, shift: float, what: str, mode: str
+    disks: Disks, cell: float, grow: float, shift: float, what: str, mode: str, half=None
 ) -> GridMask:
     """Raster, capped as `what`, of the cells whose centers (k + 0.5 -
     shift) * cell lie within radius + grow of some disk center: shift 0
@@ -458,9 +458,14 @@ def _disk_cells(
     xs = (np.arange(kx_lo, kx_hi + 1, dtype=np.float64) + (0.5 - shift)) * cell
     ys = (np.arange(ky_lo, ky_hi + 1, dtype=np.float64) + (0.5 - shift)) * cell
     bits = np.zeros(shape, dtype=bool)
-    reach = r + grow
-    for k, rows, cols, dx, dy in _disk_windows(xs, ys, disks, reach):
-        bits[rows, cols] |= dx**2 + dy[:, None] ** 2 <= reach[k] * reach[k]
+    turned = bits[::-1, ::-1]
+    walk = disks if half is None else half
+    reach = walk.radii + grow
+    for k, rows, cols, dx, dy in _disk_windows(xs, ys, walk, reach):
+        hit = dx**2 + dy[:, None] ** 2 <= reach[k] * reach[k]
+        bits[rows, cols] |= hit
+        if half is not None:
+            turned[rows, cols] |= hit
     origin = complex((kx_lo - shift) * cell, (ky_lo - shift) * cell)
     return GridMask(origin=origin, cell=cell, bits=bits, mode=mode)
 

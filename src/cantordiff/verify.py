@@ -334,24 +334,39 @@ def _check_suffix_sharing(ctx: _Ctx) -> tuple[bool, str]:
 
 def _check_pairwise_contraction(ctx: _Ctx) -> tuple[bool, str]:
     n = ctx.samples
+    # piece j + 2^k of level k is -(piece j), whose pair distances are
+    # the same bit for bit, so only the first half of each level is
+    # measured; the mirror itself is checked, so no piece goes unseen
+    halves = []
+    for k, level in enumerate(ctx.pieces):
+        half = len(level) >> 1
+        if not np.array_equal(level.samples[half:], -level.samples[:half]):
+            return False, (
+                f"depth {k}: pieces {half}..{2 * half - 1} are not pieces 0..{half - 1} negated"
+            )
+        halves.append(level.samples[:half])
     worst = 0.0
     # sample rows lo..lo+rows-1 against the columns after lo: every pair
     # i < j once at least, and the pairs seen twice give the same ratio,
     # since |a - b| == |b - a| bit for bit.  A block spans every piece of
-    # a level, the deepest within _BUDGET elements (at least one sample
-    # row), and serves as the parent distances of the next level: its
-    # child pieces p and p + 2^k share parent piece p
-    rows = max(1, _BUDGET // (len(ctx.pieces[-1]) * n))
-    for lo in range(0, n - 1, rows):
+    # a half level, the deepest within _BUDGET elements (at least one
+    # sample row), and serves as the parent distances of the next level:
+    # child p < 2^k maps from parent p, and parent p + 2^(k-1) is
+    # -(parent p), so child half rows p and p + 2^(k-1) share parent half
+    # row p
+    lo = 0
+    while lo < n - 1:
+        rows = max(1, _BUDGET // (len(halves[-1]) * (n - lo - 1)))
         i, j = slice(lo, lo + rows), slice(lo + 1, n)
-        for k, level in enumerate(ctx.pieces):
-            d = np.abs(level.samples[:, i, None] - level.samples[:, None, j])
+        for k, s in enumerate(halves):
+            d = np.abs(s[:, i, None] - s[:, None, j])
             if k:
                 mask = dp > 0
                 dc = (d * (math.sqrt(2.0) * ctx.rows[k].inner_radius)).reshape(2, *dp.shape)
                 np.divide(dc, dp, out=dc, where=mask)
                 worst = max(worst, float(dc.max(where=mask, initial=0.0)))
             dp = d
+        lo += rows
     ok = worst <= 1.0 + 1e-9
     return ok, f"max contracted/original pairwise ratio {worst:.12f} (depths 1..{ctx.depth})"
 

@@ -16,6 +16,7 @@ from cantordiff import (
     difference_cover,
     disk_mask,
     forward_map,
+    generate_pieces,
     lcg_uniforms,
     mask_difference,
     piece_sample_tree,
@@ -121,6 +122,23 @@ _DISK_SETS = {
     "seeded": lambda rng: (
         rng.uniform(-2, 2, 9) + 1j * rng.uniform(-2, 2, 9), rng.uniform(0.0, 1.5, 9)
     ),
+    # opposite centers of unequal radii: not its own half-turn image
+    "opposite centers": lambda rng: (np.array([1.0 + 0.5j, -1.0 - 0.5j]), np.array([0.5, 0.3])),
+    # its own half-turn image as a multiset, so the union grid walks one
+    # half and mirrors it: a disk on 0, a center with two radii, an exact
+    # duplicate and a -0.0 coordinate
+    "half-turn": lambda rng: (
+        np.array([0j, 0.6 + 0.25j, 0.6 + 0.25j, -0.6 - 0.25j, -0.6 - 0.25j, 1.1 - 0.4j,
+                  1.1 - 0.4j, -1.1 + 0.4j, -1.1 + 0.4j, complex(-0.0, 0.9), -0.9j]),
+        np.array([0.5, 0.3, 0.7, 0.7, 0.3, 0.2, 0.2, 0.2, 0.2, 0.25, 0.25]),
+    ),
+    # the same centers, each with its largest radius, but a multiset of
+    # its own: the smaller radius and the duplicate on one side only
+    "half-turn set": lambda rng: (
+        np.array([0j, 0.6 + 0.25j, 0.6 + 0.25j, -0.6 - 0.25j, 1.1 - 0.4j, 1.1 - 0.4j,
+                  -1.1 + 0.4j, complex(-0.0, 0.9), -0.9j]),
+        np.array([0.5, 0.3, 0.7, 0.7, 0.2, 0.2, 0.2, 0.25, 0.25]),
+    ),
 }
 
 
@@ -143,6 +161,45 @@ def test_disk_rasters_equal_the_all_cells_test(name, cell, strip, monkeypatch):
             bits, origin = _all_cells(c, r, cell, 0.0, shift)
             assert m.origin == origin and m.mode == "disk"
             assert m.bits.shape == bits.shape and np.array_equal(m.bits, bits)
+
+
+def _walked(monkeypatch, raster_fn) -> list[int]:
+    # the disks each _disk_windows call is given
+    real, seen = raster._disk_windows, []
+
+    def counting(xs, ys, disks, reach):
+        seen.append(len(disks))
+        return real(xs, ys, disks, reach)
+
+    monkeypatch.setattr(raster, "_disk_windows", counting)
+    raster_fn()
+    return seen
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("c", [5.0, -5.0, 2.5j])
+def test_union_grid_walks_one_disk_per_mirrored_center(c, depth, monkeypatch):
+    # the 4^(n+1) difference disks of depth-n pieces have 2*4^n + 1
+    # distinct centers, 0 and pairs of opposite ones; one of each pair
+    # and 0 are walked
+    disks = difference_cover(generate_pieces(Parameter(c), depth, 64).disks)
+    assert len(disks) == 4 ** (depth + 1)
+    walked = _walked(monkeypatch, lambda: union_grid_mask(disks, 0.1))
+    assert walked == [4**depth + 1]
+
+
+def test_union_grid_without_a_half_turn_walks_every_center(monkeypatch):
+    centers, radii = _DISK_SETS["seeded"](np.random.default_rng(17))
+    centers, radii = np.append(centers, centers[0]), np.append(radii, radii[0] + 0.1)
+    assert _walked(monkeypatch, lambda: union_grid_mask(Disks(centers, radii), 0.05)) == [9]
+    disks = Disks(*_DISK_SETS["opposite centers"](None))
+    assert _walked(monkeypatch, lambda: union_grid_mask(disks, 0.05)) == [2]
+    # disk masks walk every disk; the union grid one of each pair of
+    # opposite centers and 0
+    for name in ("half-turn", "half-turn set"):
+        disks = Disks(*_DISK_SETS[name](None))
+        assert _walked(monkeypatch, lambda: disk_mask(disks, 0.05, "integer")) == [len(disks)]
+        assert _walked(monkeypatch, lambda: union_grid_mask(disks, 0.05)) == [4]
 
 
 def test_disk_mask_obeys_the_cell_cap(monkeypatch):

@@ -309,24 +309,27 @@ def _pairwise_ratio_all_at_once(ctx) -> float:
 
 @pytest.mark.parametrize("samples", [16, 255, 256, 300, 700])
 def test_pairwise_contraction_blocks_keep_the_ratio(samples):
-    # blocks of _BUDGET // (16 * samples) sample rows, 16 pieces deep: 16
-    # samples are one block, 255 and 256 take blocks of two rows, 300 and
-    # 700 blocks of one
+    # blocks of _BUDGET // (8 * columns left) sample rows, 8 pieces in
+    # the half of the depth-3 level: 16 samples are one block, 255 and 256
+    # start at four rows a block, 300 at three and 700 at one, and the
+    # blocks grow as the columns left shrink
     ctx = verify._Ctx(_cfg(Parameter(0.0 + 2.5j), depth=3, samples=samples))
     ok, detail = dict(verify._CHECKS)["pairwise-contraction"](ctx)
     assert ok
     assert detail.startswith(f"max contracted/original pairwise ratio {_pairwise_ratio_all_at_once(ctx):.12f} ")
 
 
-@pytest.mark.parametrize("samples", [16, 33])
+@pytest.mark.parametrize("samples", [16, 33, 100])
 def test_pairwise_contraction_equals_the_all_pairs_ratio(samples):
-    # 33 samples take blocks of 15, 15 and 2 sample rows.  Piece 0 of
-    # level 1 repeats its first sample: the pair (0, 1) of its children
-    # then has a zero parent distance, masked on both sides
+    # 33 samples are one block of 32 sample rows, 100 take blocks of 10,
+    # 11, 13, 15, 20 and 34.  Piece 0 of level 1 and its mirror, piece 2,
+    # repeat their first sample: the pair (0, 1) of their children then
+    # has a zero parent distance, masked on both sides
     ctx = verify._Ctx(_cfg(Parameter(0.0 + 2.5j), depth=3, samples=samples))
     lv = ctx.pieces[1]
     s = lv.samples.copy()
     s[0, 1] = s[0, 0]
+    s[2, 1] = s[2, 0]
     ctx.pieces = [ctx.pieces[0], Pieces(1, s, lv.sampled_diam, lv.disks), *ctx.pieces[2:]]
     child = ctx.pieces[2].samples[0]
     assert child[0] != child[1]
@@ -334,6 +337,20 @@ def test_pairwise_contraction_equals_the_all_pairs_ratio(samples):
     want = _pairwise_ratio_all_at_once(ctx)
     assert math.isfinite(want)
     assert detail == f"max contracted/original pairwise ratio {want:.12f} (depths 1..3)"
+
+
+def test_pairwise_contraction_fails_on_a_level_that_is_not_mirrored():
+    # only the first half of each level is measured, so a second half
+    # that is not the first one negated fails the check outright
+    ctx = verify._Ctx(_cfg(Parameter(5.0), depth=3, samples=64))
+    assert dict(verify._CHECKS)["pairwise-contraction"](ctx)[0]
+    lv = ctx.pieces[2]
+    s = lv.samples.copy()
+    s[5, 3] += 1e-3
+    ctx.pieces = [*ctx.pieces[:2], Pieces(2, s, lv.sampled_diam, lv.disks), ctx.pieces[3]]
+    ok, detail = dict(verify._CHECKS)["pairwise-contraction"](ctx)
+    assert not ok
+    assert detail == "depth 2: pieces 4..7 are not pieces 0..3 negated"
 
 
 def _budget_cases():
