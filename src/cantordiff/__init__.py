@@ -60,7 +60,6 @@ _HOME = {
     **dict.fromkeys(
         (
             "GridMask",
-            "disk_mask",
             "lcg_uniforms",
             "mask_difference",
             "preimage_member",

@@ -35,7 +35,7 @@ from .bounds import difference_measure_bound
 from .geometry import Disks, Parameter, diametral_disks, diametral_pair, disk_difference
 from .geometry import inverse_branch
 from .raster import DEFAULT_MAX_CELLS, DEFAULT_MAX_PAIRS, DEFAULT_MAX_POINTS, GridMask
-from .raster import _disk_cells, check_cap, check_cell
+from .raster import _disk_windows, check_cap, check_cell
 
 __all__ = [
     "Pieces",
@@ -191,24 +191,27 @@ def sum_area(disks: Disks) -> float:
 def union_grid_mask(disks: Disks, cell: float) -> GridMask:
     """Dilated membership raster of a disk union.
 
-    Marks, with raster's one disk rasterizer, every cell of the lattice
-    (i*cell, j*cell) whose center lies within radius + cell*sqrt(2)/2 of
-    some disk center: the lattice that difference masks of half-integer
-    rasters land on, so the two compare cell for cell.
+    Marks every cell of the lattice (i*cell, j*cell) whose center lies
+    within the reach R = fl(r + grow), grow = cell*sqrt(2)/2, of some disk
+    center: the lattice that difference masks of half-integer rasters
+    land on, so the two compare cell for cell.  The window spans the
+    grown disks plus one spare cell a side, capped as "union grid cells";
+    raster._disk_windows walks each disk's own cells of it in row strips,
+    and a cell is marked when fl(dx^2 + dy^2) <= fl(R*R).
 
-    Only the largest disk at each distinct center is rasterized: its
-    window holds that of any smaller reach R = fl(r + grow) at the center
-    (searchsorted is monotone), and its test marks every cell a smaller
-    one would, as fl(R*R) is monotone in R; -0.0 and 0.0 are one center,
-    as they give the same windows and test values.  Sorted as numpy
-    sorts complex numbers, by real, then imaginary part, those disks are
-    their own half-turn image (x, y, r) -> (-x, -y, r) exactly when
-    negating and reversing them gives them back, as negation reverses the
-    order.  Then _disk_cells walks only the second half, the centers
-    with x > 0, or x = 0 and y >= 0, and writes each strip's hit at its
-    window both of the bits and of the bits turned by half a turn,
-    bits[::-1, ::-1], whose cell (j, i) is cell (H-1-j, W-1-i).  That is
-    exact, as negation is exact and rounding to nearest is odd:
+    Only the largest disk at each distinct center is walked: its window
+    holds that of any smaller reach at the center (searchsorted is
+    monotone), and its test marks every cell a smaller one would, as
+    fl(R*R) is monotone in R; -0.0 and 0.0 are one center, as they give
+    the same windows and test values.  Sorted as numpy sorts complex
+    numbers, by real, then imaginary part, those disks are their own
+    half-turn image (x, y, r) -> (-x, -y, r) exactly when negating and
+    reversing them gives them back, as negation reverses the order.
+    Then only the second half is walked, the centers with x > 0, or
+    x = 0 and y >= 0, and each strip's hit is written at its window both
+    of the bits and of the bits turned by half a turn, bits[::-1, ::-1],
+    whose cell (j, i) is cell (H-1-j, W-1-i).  That is exact, as negation
+    is exact and rounding to nearest is odd:
 
       * fl(fl(-x + r) + g) = -fl(fl(x - r) - g), so the window's extremes
         are negatives of each other: kx_lo = -kx_hi and ky_lo = -ky_hi.
@@ -233,11 +236,27 @@ def union_grid_mask(disks: Disks, cell: float) -> GridMask:
     c = disks.centers[order]
     first = np.flatnonzero(np.append(True, c[1:] != c[:-1]))
     c, r = c[first], np.maximum.reduceat(disks.radii[order], first)
-    half = None
-    if np.array_equal(c, -c[::-1]) and np.array_equal(r, r[::-1]):
-        half = Disks(c[c.size // 2 :], r[c.size // 2 :])
     grow = cell * math.sqrt(2.0) / 2.0
-    return _disk_cells(Disks(c, r), cell, grow, 0.5, "union grid cells", "union", half)
+    kx_lo = math.floor(float((c.real - r - grow).min()) / cell) - 1
+    kx_hi = math.ceil(float((c.real + r + grow).max()) / cell) + 1
+    ky_lo = math.floor(float((c.imag - r - grow).min()) / cell) - 1
+    ky_hi = math.ceil(float((c.imag + r + grow).max()) / cell) + 1
+    shape = (ky_hi - ky_lo + 1, kx_hi - kx_lo + 1)
+    check_cap("union grid cells", shape[0] * shape[1], DEFAULT_MAX_CELLS)
+    xs = np.arange(kx_lo, kx_hi + 1, dtype=np.float64) * cell
+    ys = np.arange(ky_lo, ky_hi + 1, dtype=np.float64) * cell
+    bits = np.zeros(shape, dtype=bool)
+    views = [bits]
+    if np.array_equal(c, -c[::-1]) and np.array_equal(r, r[::-1]):
+        c, r = c[c.size // 2 :], r[c.size // 2 :]
+        views.append(bits[::-1, ::-1])
+    reach = r + grow
+    for k, rows, cols, dx, dy in _disk_windows(xs, ys, Disks(c, r), reach):
+        hit = dx**2 + dy[:, None] ** 2 <= reach[k] * reach[k]
+        for view in views:
+            view[rows, cols] |= hit
+    origin = complex((kx_lo - 0.5) * cell, (ky_lo - 0.5) * cell)
+    return GridMask(origin=origin, cell=cell, bits=bits, mode="union")
 
 
 def union_margin(disks: Disks, cell: float) -> float:

@@ -12,16 +12,15 @@ cell (origin is the lower-left corner of the window).  Preimage rasters
 are centered on 0, so their cell centers sit on half-integer multiples of
 the cell size; difference masks of two such rasters then land on integer
 multiples, the same lattice the union grid uses, which is what makes the
-two estimates comparable cell for cell.  All three disk rasters walk
-each disk's own cells in row strips with one walker, _disk_windows:
-disk_mask and the union grid (grown by half a cell diagonal on the
-integer lattice) through the capped _disk_cells, and images.render_disks.
-Mask differences have one implementation, exact integer sums over pairs
-of row runs; verify holds it against a plain shift-and-OR of its own.
-Every blocked pass here, the disk-window strips, the run pairs of a
-mask difference and the blocks of the LCG stream, which lcg_uniforms
-and the sampler's rounds both read, holds at most _BUDGET = 2^13
-elements a block, the geometry module's one budget.
+two estimates comparable cell for cell.  The union grid and
+images.render_disks walk each disk's own cells in row strips with one
+walker, _disk_windows; verify's raster proof rasterizes its disks
+itself.  Mask differences have one implementation, exact integer sums
+over pairs of row runs; verify holds it against a plain shift-and-OR of
+its own.  Every blocked pass here, the disk-window strips, the run pairs
+of a mask difference and the blocks of the LCG stream, which
+lcg_uniforms and the sampler's rounds both read, holds at most _BUDGET
+= 2^13 elements a block, the geometry module's one budget.
 
 The block test.  _live_blocks rules out a square of side x side cells at
 once.  It runs the float orbit b~_0 = b, b~_{k+1} = fl(b~_k * b~_k + c)
@@ -36,9 +35,9 @@ u = 2^-53 and a_k = fl|b~_k|:
     widths measured on the float corner centers.  b is off their exact
     midpoint m by at most u|m|, every float center q~ lies within the
     exact h of m, a cell's exact center q is off q~ by at most u|q| (one
-    rounded product per axis), and |m| <= (1 + 3.01u)*a_0 (np.abs is
-    hypot, within 2u).  So a float center lies within h + 1.01u*a_0 of
-    b, and a point p within h(1 + 1.01u) + pad + 2u*a_0 + 7.1u^2*a_0.
+    rounded product per axis), and |m| <= (1 + 3.01u)*a_0 (np.hypot is
+    within 2u).  So a float center lies within h + 1.01u*a_0 of b, and a
+    point p within h(1 + 1.01u) + pad + 2u*a_0 + 7.1u^2*a_0.
     The computed h rounds down by a factor of at most 1 + 3u and D_0's
     three roundings by (1 + u)^3, so D_0 >= (h + pad + 2u*a_0)(1 + 1.9u)
     covers both while 1.9u*pad >= 3.3u^2*a_0, that is while the window
@@ -111,7 +110,6 @@ __all__ = [
     "GridMask",
     "preimage_member",
     "rasterize_preimage",
-    "disk_mask",
     "mask_difference",
     "sample_diff_check",
     "lcg_uniforms",
@@ -241,13 +239,13 @@ def preimage_member(z, param: Parameter, depth: int):
         raise ValueError(f"depth must be >= 0, got {depth}")
     arr = np.asarray(z, dtype=np.complex128)
     # only survivors are iterated
-    idx = np.flatnonzero(np.abs(arr) <= param.abs_c)
+    idx = np.flatnonzero(np.hypot(arr.real, arr.imag) <= param.abs_c)
     w = arr.ravel()[idx]
     for _ in range(depth):
         # an orbit that overflows to inf or NaN fails the test below
         with np.errstate(over="ignore", invalid="ignore"):
             w = forward_map(w, param)
-        keep = np.abs(w) <= param.abs_c
+        keep = np.hypot(w.real, w.imag) <= param.abs_c
         idx, w = idx[keep], w[keep]
     alive = np.zeros(arr.shape, dtype=bool)
     alive.flat[idx] = True
@@ -296,14 +294,14 @@ def _live_blocks(
     shrink = 1.0 - 4.0 * _U
     with np.errstate(over="ignore", invalid="ignore"):
         b = (bx[None, :] + 1j * by[:, None]).ravel()
-        a = np.abs(b)
+        a = np.hypot(b.real, b.imag)
         d = (np.hypot(hx[None, :], hy[:, None]).ravel() + pad + 2.0 * _U * a) * (1.0 + 8.0 * _U)
         idx = np.arange(b.size)
         for k, thr in enumerate(thresholds):
             if k:
                 d = (2.0 * a + d) * d + _KAPPA * _U * ((a + d) ** 2 + a * a + 2.0 * param.abs_c)
                 b = forward_map(b, param)
-                a = np.abs(b)
+                a = np.hypot(b.real, b.imag)
             finite = np.isfinite(a)
             # a NaN or inf margin compares False and keeps its square
             out = finite & ((a * shrink - d) * shrink > thr)
@@ -348,7 +346,7 @@ def rasterize_preimage(param: Parameter, depth: int, cell: float, mode: str = "i
         at step n.
       * At k < n, thr_k = t = fl(r1(1 + 2^-48)) >= sqrt(2A)(1 + d) with
         d = 30u.  With w = p~_k, fl|w| > t gives |w| > sqrt(2A)(1 +
-        d)(1 - 2u) (np.abs is within 2u), |c| <= A(1 + 2u), and the
+        d)(1 - 2u) (np.hypot is within 2u), |c| <= A(1 + 2u), and the
         step errs by at most 4u(|w|^2 + |c|) (module docstring), so
         fl|fl(w^2 + c)| >= A(1 + 4d - 24u) to first order in u, which
         exceeds A once d > 6u: preimage_member rejects the center at
@@ -366,7 +364,7 @@ def rasterize_preimage(param: Parameter, depth: int, cell: float, mode: str = "i
         center outside has a coordinate, and so a modulus, of at least
         fl((nhalf + 1/2)*cell) >= (r + 1.5*cell)(1 - 3u).
       * Inner.  An accepted center z has fl|z| <= A, so |z| <= A(1 + 3u)
-        (np.abs is within 2u).  At depth >= 1 also fl|w| <= A for w =
+        (np.hypot is within 2u).  At depth >= 1 also fl|w| <= A for w =
         fl(z^2 + c), which is within 4u(|z|^2 + |c|) of z^2 + c (module
         docstring), and |c| <= A(1 + 2u).  As |z|^2 <= |z^2 + c| + |c|,
         (1 - 4u)|z|^2 <= A(1 + 3u) + A(1 + 2u)(1 + 4u), so |z| <=
@@ -438,50 +436,6 @@ def _disk_windows(xs: np.ndarray, ys: np.ndarray, disks: Disks, reach: np.ndarra
         for lo in range(y_lo[k], y_hi[k], step):
             rows = slice(lo, min(lo + step, y_hi[k]))
             yield k, rows, cols, dx, ys[rows] - y
-
-
-def _disk_cells(
-    disks: Disks, cell: float, grow: float, shift: float, what: str, mode: str, half=None
-) -> GridMask:
-    """Raster, capped as `what`, of the cells whose centers (k + 0.5 -
-    shift) * cell lie within radius + grow of some disk center: shift 0
-    is the half-integer lattice, 0.5 the integer one.  The window spans
-    the grown disks plus one spare cell a side; _disk_windows walks each
-    disk's own cells."""
-    cx, cy, r = disks.centers.real, disks.centers.imag, disks.radii
-    kx_lo = math.floor(float((cx - r - grow).min()) / cell) - 1
-    kx_hi = math.ceil(float((cx + r + grow).max()) / cell) + 1
-    ky_lo = math.floor(float((cy - r - grow).min()) / cell) - 1
-    ky_hi = math.ceil(float((cy + r + grow).max()) / cell) + 1
-    shape = (ky_hi - ky_lo + 1, kx_hi - kx_lo + 1)
-    check_cap(what, shape[0] * shape[1], DEFAULT_MAX_CELLS)
-    xs = (np.arange(kx_lo, kx_hi + 1, dtype=np.float64) + (0.5 - shift)) * cell
-    ys = (np.arange(ky_lo, ky_hi + 1, dtype=np.float64) + (0.5 - shift)) * cell
-    bits = np.zeros(shape, dtype=bool)
-    turned = bits[::-1, ::-1]
-    walk = disks if half is None else half
-    reach = walk.radii + grow
-    for k, rows, cols, dx, dy in _disk_windows(xs, ys, walk, reach):
-        hit = dx**2 + dy[:, None] ** 2 <= reach[k] * reach[k]
-        bits[rows, cols] |= hit
-        if half is not None:
-            turned[rows, cols] |= hit
-    origin = complex((kx_lo - shift) * cell, (ky_lo - shift) * cell)
-    return GridMask(origin=origin, cell=cell, bits=bits, mode=mode)
-
-
-def disk_mask(disks: Disks, cell: float, align: str = "half") -> GridMask:
-    """Plain center-membership raster of a union of disks.
-
-    align "half" puts cell centers on half-integer multiples of the cell
-    size (the preimage raster convention); align "integer" puts them on
-    integer multiples (the lattice difference masks land on).
-    """
-    check_cell(cell)
-    if align not in ("half", "integer"):
-        raise ValueError(f"align must be 'half' or 'integer', got {align!r}")
-    shift = 0.0 if align == "half" else 0.5
-    return _disk_cells(disks, cell, 0.0, shift, "disk mask cells", "disk")
 
 
 def _bbox(bits: np.ndarray) -> tuple[slice, slice]:

@@ -41,8 +41,9 @@ from .geometry import (
     inverse_branch,
 )
 from .raster import (
+    DEFAULT_MAX_CELLS,
     GridMask,
-    disk_mask,
+    check_cap,
     lcg_uniforms,
     mask_difference,
     rasterize_preimage,
@@ -61,7 +62,7 @@ REPORT_SCHEMA = "cantordiff-verify/1"
 _NEST_C = 16.0
 
 # piece-membership's rounding per orbit step, in units of u = 2^-53 times
-# |w|^2 + |c|: 4 for forward_map (complex square and + c), 2 for np.abs,
+# |w|^2 + |c|: 4 for forward_map (complex square and + c), 2 for np.hypot,
 # 1 for the threshold sum, 24 for the inverse step that built the point
 # (sqrt_branch is within 12u relative: u for z - c, 2.5u for the root of
 # the modulus, 6.5u for half the arctan2 argument shifted by 2*pi, 2u for
@@ -299,7 +300,7 @@ def _check_piece_membership(ctx: _Ctx) -> tuple[bool, str]:
     worst, ok, stopped = 0.0, True, 0
     for k, level in enumerate(ctx.pieces):
         w = level.samples.ravel()
-        mod = np.abs(w)
+        mod = np.hypot(w.real, w.imag)
         e = ku * (mod + a)
         for step in range(k + 2):
             if step:
@@ -307,7 +308,7 @@ def _check_piece_membership(ctx: _Ctx) -> tuple[bool, str]:
                 w, mod, e = w[live], mod[live], e[live]
                 e = (2.0 * mod + e) * e + ku * (mod * mod + a)
                 w = forward_map(w, ctx.param)
-                mod = np.abs(w)
+                mod = np.hypot(w.real, w.imag)
             worst = max(worst, float(mod.max(initial=0.0)))
             ok = ok and bool(np.all(mod <= a + e))
         stopped += level.samples.size - w.size
@@ -491,6 +492,29 @@ def _outside(m1: GridMask, m2: GridMask) -> int:
     return m1.cells - int(np.count_nonzero(m1.bits[s1] & m2.bits[s2]))
 
 
+def _disk_raster(disk: Disks, cell: float, shift: float) -> GridMask:
+    """Raster, capped as "disk mask cells", of the cells of the lattice
+    fl((k + 0.5 - shift)*cell) whose centers lie in the one-row disk:
+    shift 0 is the half-integer lattice, 0.5 the integer one.  Every cell
+    of the disk's box plus one spare cell a side is tested, in row strips
+    of at most _BUDGET cells (one row when a row is wider)."""
+    x, y, r = float(disk.centers.real[0]), float(disk.centers.imag[0]), float(disk.radii[0])
+    kx_lo, kx_hi = math.floor((x - r) / cell) - 1, math.ceil((x + r) / cell) + 1
+    ky_lo, ky_hi = math.floor((y - r) / cell) - 1, math.ceil((y + r) / cell) + 1
+    shape = (ky_hi - ky_lo + 1, kx_hi - kx_lo + 1)
+    check_cap("disk mask cells", shape[0] * shape[1], DEFAULT_MAX_CELLS)
+    xs = (np.arange(kx_lo, kx_hi + 1, dtype=np.float64) + (0.5 - shift)) * cell
+    ys = (np.arange(ky_lo, ky_hi + 1, dtype=np.float64) + (0.5 - shift)) * cell
+    dx2 = (xs - x) ** 2
+    bits = np.zeros(shape, dtype=bool)
+    step = max(1, _BUDGET // xs.size)
+    for lo in range(0, ys.size, step):
+        dy = ys[lo : lo + step, None] - y
+        bits[lo : lo + step] = dx2 + dy**2 <= r * r
+    origin = complex((kx_lo - shift) * cell, (ky_lo - shift) * cell)
+    return GridMask(origin=origin, cell=cell, bits=bits, mode="disk")
+
+
 def raster_diff_proof(d2: Disks, d1: Disks, cell: float) -> tuple[bool, str]:
     """Grid falsification of the difference-disk identity.
 
@@ -513,9 +537,9 @@ def raster_diff_proof(d2: Disks, d1: Disks, cell: float) -> tuple[bool, str]:
 def diff_proof_numbers(d2: Disks, d1: Disks, cell: float) -> tuple[int, float]:
     """Cell counts behind the proof: (cells outside the prediction,
     deepest missing cell's distance inside the predicted boundary)."""
-    dm = mask_difference(disk_mask(d2, cell), disk_mask(d1, cell))
+    dm = mask_difference(_disk_raster(d2, cell, 0.0), _disk_raster(d1, cell, 0.0))
     pred = disk_difference(d2, d1)
-    pm = disk_mask(pred, cell, align="integer")
+    pm = _disk_raster(pred, cell, 0.5)
     extra = _outside(dm, pm)
     # the predicted cells that the difference mask misses, on pm's lattice
     missing = pm.bits.copy()

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from cantordiff import images, raster
-from cantordiff import Disks, GridMask, Parameter, disk_mask, rasterize_preimage
+from cantordiff import Disks, GridMask, Parameter, rasterize_preimage
 from cantordiff.cover import difference_cover, generate_pieces
 from cantordiff.images import read_pgm, render_disks, write_pgm, write_ppm
+from cantordiff.verify import _disk_raster
 
 
 def test_pgm_roundtrip(tmp_path, p5):
@@ -23,7 +24,7 @@ def test_pgm_roundtrip(tmp_path, p5):
 
 
 def test_pgm_sidecar_schema(tmp_path):
-    m = disk_mask(Disks(0j, 1.0), 0.1)
+    m = _disk_raster(Disks(0j, 1.0), 0.1, 0.0)
     path = write_pgm(m, tmp_path / "d.pgm")
     meta = json.loads((tmp_path / "d.pgm.json").read_text())
     assert meta["schema"] == "cantordiff-mask/1"
@@ -32,7 +33,7 @@ def test_pgm_sidecar_schema(tmp_path):
 
 
 def test_pgm_bytes_deterministic(tmp_path):
-    m = disk_mask(Disks(0.5 + 0.5j, 0.8), 0.05)
+    m = _disk_raster(Disks(0.5 + 0.5j, 0.8), 0.05, 0.0)
     p1 = write_pgm(m, tmp_path / "a.pgm")
     p2 = write_pgm(m, tmp_path / "b.pgm")
     assert p1.read_bytes() == p2.read_bytes()

@@ -3,18 +3,18 @@
 import math
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cantordiff import raster
+from cantordiff import cover, raster, verify
 from cantordiff import (
     Disks,
     GridMask,
     Parameter,
     difference_cover,
-    disk_mask,
     forward_map,
     generate_pieces,
     lcg_uniforms,
@@ -26,7 +26,7 @@ from cantordiff import (
     union_grid_mask,
 )
 from cantordiff.images import render_disks
-from cantordiff.verify import _shift_or
+from cantordiff.verify import _disk_raster, _shift_or
 
 # area of the depth-1 preimage at c=5, from the change-of-variables
 # integral over the starting disk (mpmath quadrature, both branches)
@@ -54,6 +54,59 @@ def test_member_matches_escape_test(p5):
             w = forward_map(np.where(want, w, 0), p5)
             want &= np.abs(w) <= 5.0
         assert np.array_equal(got, want)
+
+
+# numpy's complex abs, not hypot on some builds, errs by 2.45u here
+_ABS_WORST = 2.0491240722961086 + 1.7311415628907563e-05j
+
+
+def test_preimage_member_moduli_are_within_2u(p5, monkeypatch):
+    # the block test's proof and the inner raster's take fl|z| within 2u
+    # of |z| (raster module docstring): every modulus taken, by np.hypot
+    # or by np.abs of a complex array, against an 80-digit one
+    real_abs, real_hypot, seen = np.abs, np.hypot, []
+
+    def spy_abs(z, *args, **kwargs):
+        out = real_abs(z, *args, **kwargs)
+        if np.iscomplexobj(z):
+            seen.append((np.real(z), np.imag(z), out))
+        return out
+
+    def spy_hypot(x, y, *args, **kwargs):
+        out = real_hypot(x, y, *args, **kwargs)
+        seen.append((*np.broadcast_arrays(x, y), out))
+        return out
+
+    monkeypatch.setattr(np, "abs", spy_abs)
+    monkeypatch.setattr(np, "hypot", spy_hypot)
+    rng = np.random.default_rng(53)
+    z = np.append(5.5 * (rng.uniform(-1, 1, 2000) + 1j * rng.uniform(-1, 1, 2000)), _ABS_WORST)
+    preimage_member(z, p5, 2)
+    assert any(_ABS_WORST in x + 1j * y for x, y, _ in seen)
+    worst = Decimal(0)
+    with localcontext() as dec:
+        dec.prec = 80
+        for x, y, m in seen:
+            for a, b, got in zip(x.ravel().tolist(), y.ravel().tolist(), m.ravel().tolist()):
+                exact = (Decimal(a) ** 2 + Decimal(b) ** 2).sqrt()
+                if exact:
+                    worst = max(worst, abs(Decimal(got) - exact) / exact)
+    assert worst <= Decimal(2) ** -52, float(worst * 2**53)
+
+
+@pytest.mark.parametrize("mode", ["inner", "outer"])
+def test_rasterize_preimage_takes_no_complex_abs(p5, mode, monkeypatch):
+    # its moduli are np.hypot's, which the block test's proof assumes
+    real_abs, complex_args = np.abs, []
+
+    def spy_abs(z, *args, **kwargs):
+        if np.iscomplexobj(z):
+            complex_args.append(z)
+        return real_abs(z, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", spy_abs)
+    rasterize_preimage(p5, 2, 0.05, mode)
+    assert not complex_args
 
 
 def test_inner_mask_contains_piece_samples(p5):
@@ -91,7 +144,7 @@ def test_outer_contains_inner(p5):
 
 
 def test_disk_mask_area():
-    m = disk_mask(Disks(0.3 + 0.2j, 1.0), 0.01)
+    m = _disk_raster(Disks(0.3 + 0.2j, 1.0), 0.01, 0.0)
     assert m.area == pytest.approx(math.pi, rel=5e-3)
     # inner rasterization: marked centers are genuinely inside
     pts = m.set_centers()
@@ -149,29 +202,31 @@ _DISK_SETS = {
 @pytest.mark.parametrize("name", sorted(_DISK_SETS))
 def test_disk_rasters_equal_the_all_cells_test(name, cell, strip, monkeypatch):
     monkeypatch.setattr(raster, "_BUDGET", strip)
+    monkeypatch.setattr(verify, "_BUDGET", strip)
     centers, radii = _DISK_SETS[name](np.random.default_rng(17))
     union = union_grid_mask(Disks(centers, radii), cell)
     bits, origin = _all_cells(centers, radii, cell, cell * math.sqrt(2.0) / 2.0, 0.5)
     assert union.origin == origin and union.mode == "union"
     assert union.bits.shape == bits.shape and np.array_equal(union.bits, bits)
-    for align, shift in (("half", 0.0), ("integer", 0.5)):
-        # each disk alone, then all of them at once
-        for c, r in [*zip(centers[:, None], radii[:, None]), (centers, radii)]:
-            m = disk_mask(Disks(c, r), cell, align)
+    for shift in (0.0, 0.5):
+        # verify's own raster of each disk, on the half-integer and the
+        # integer lattice
+        for c, r in zip(centers[:, None], radii[:, None]):
+            m = _disk_raster(Disks(c, r), cell, shift)
             bits, origin = _all_cells(c, r, cell, 0.0, shift)
             assert m.origin == origin and m.mode == "disk"
             assert m.bits.shape == bits.shape and np.array_equal(m.bits, bits)
 
 
 def _walked(monkeypatch, raster_fn) -> list[int]:
-    # the disks each _disk_windows call is given
-    real, seen = raster._disk_windows, []
+    # the disks each _disk_windows call of the union grid is given
+    real, seen = cover._disk_windows, []
 
     def counting(xs, ys, disks, reach):
         seen.append(len(disks))
         return real(xs, ys, disks, reach)
 
-    monkeypatch.setattr(raster, "_disk_windows", counting)
+    monkeypatch.setattr(cover, "_disk_windows", counting)
     raster_fn()
     return seen
 
@@ -194,11 +249,9 @@ def test_union_grid_without_a_half_turn_walks_every_center(monkeypatch):
     assert _walked(monkeypatch, lambda: union_grid_mask(Disks(centers, radii), 0.05)) == [9]
     disks = Disks(*_DISK_SETS["opposite centers"](None))
     assert _walked(monkeypatch, lambda: union_grid_mask(disks, 0.05)) == [2]
-    # disk masks walk every disk; the union grid one of each pair of
-    # opposite centers and 0
+    # the union grid walks one of each pair of opposite centers and 0
     for name in ("half-turn", "half-turn set"):
         disks = Disks(*_DISK_SETS[name](None))
-        assert _walked(monkeypatch, lambda: disk_mask(disks, 0.05, "integer")) == [len(disks)]
         assert _walked(monkeypatch, lambda: union_grid_mask(disks, 0.05)) == [4]
 
 
@@ -207,7 +260,7 @@ def test_disk_mask_obeys_the_cell_cap(monkeypatch):
     # 203 x 203 cells: the unit disk's 200 cells a side plus one spare
     # cell on each side and the fencepost
     with pytest.raises(ValueError, match="disk mask cells: 41209 needed"):
-        disk_mask(Disks(0j, 1.0), 0.01)
+        _disk_raster(Disks(0j, 1.0), 0.01, 0.0)
 
 
 def test_disk_mask_memory_is_its_bits_plus_a_strip():
@@ -215,7 +268,7 @@ def test_disk_mask_memory_is_its_bits_plus_a_strip():
     # temporaries would take 32 MB each
     tracemalloc.start()
     try:
-        m = disk_mask(Disks(0j, 1.0), 0.001)
+        m = _disk_raster(Disks(0j, 1.0), 0.001, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -224,8 +277,8 @@ def test_disk_mask_memory_is_its_bits_plus_a_strip():
 
 
 def test_mask_difference_of_disks_is_difference_disk():
-    a = disk_mask(Disks(1 + 1j, 0.8), 0.02)
-    b = disk_mask(Disks(-0.5j, 0.6), 0.02)
+    a = _disk_raster(Disks(1 + 1j, 0.8), 0.02, 0.0)
+    b = _disk_raster(Disks(-0.5j, 0.6), 0.02, 0.0)
     d = mask_difference(a, b)
     pts = d.set_centers()
     assert np.abs(pts - (1 + 1j - (-0.5j))).max() <= 1.4 + 1e-9
@@ -233,8 +286,8 @@ def test_mask_difference_of_disks_is_difference_disk():
 
 def test_mask_difference_of_disks_equals_shift_or():
     # the direct reference is verify's shift-and-OR oracle
-    a = disk_mask(Disks(0.4 - 0.3j, 1.1), 0.05)
-    b = disk_mask(Disks(-0.2 + 0.9j, 0.7), 0.05)
+    a = _disk_raster(Disks(0.4 - 0.3j, 1.1), 0.05, 0.0)
+    b = _disk_raster(Disks(-0.2 + 0.9j, 0.7), 0.05, 0.0)
     d1 = _shift_or(a, b)
     d2 = mask_difference(a, b)
     assert d1.origin == d2.origin and d1.cell == d2.cell
@@ -261,7 +314,7 @@ def test_mask_difference_self_difference_equals_shift_or(p5):
     same = _assert_matches_direct(m, m)
     copy = mask_difference(m, _mask(m.bits.copy(), m.origin))
     assert np.array_equal(same.bits, copy.bits)
-    d = disk_mask(Disks(0.3 - 0.1j, 0.4), 0.05)
+    d = _disk_raster(Disks(0.3 - 0.1j, 0.4), 0.05, 0.0)
     _assert_matches_direct(d, d)
 
 
@@ -390,16 +443,16 @@ def test_mask_self_difference_symmetric(p5):
 
 
 def test_mask_difference_antisymmetry():
-    a = disk_mask(Disks(0.7 + 0j, 0.9), 0.05)
-    b = disk_mask(Disks(0 + 0.4j, 0.5), 0.05)
+    a = _disk_raster(Disks(0.7 + 0j, 0.9), 0.05, 0.0)
+    b = _disk_raster(Disks(0 + 0.4j, 0.5), 0.05, 0.0)
     ab = mask_difference(a, b)
     ba = mask_difference(b, a)
     assert np.array_equal(ab.bits, ba.bits[::-1, ::-1])
 
 
 def test_mask_difference_rejects_mixed_cells():
-    a = disk_mask(Disks(0j, 1.0), 0.05)
-    b = disk_mask(Disks(0j, 1.0), 0.04)
+    a = _disk_raster(Disks(0j, 1.0), 0.05, 0.0)
+    b = _disk_raster(Disks(0j, 1.0), 0.04, 0.0)
     with pytest.raises(ValueError, match="cell"):
         mask_difference(a, b)
 
@@ -416,7 +469,7 @@ _CAPPED = {
     "sample tree": lambda p: piece_sample_tree(p, 1, samples=64),
     "difference disks": lambda p: difference_cover(Disks(np.arange(20.0), np.full(20, 0.1))),
     "union grid": lambda p: union_grid_mask(Disks([0j], [1.0]), 0.1),
-    "disk mask": lambda p: disk_mask(Disks(0j, 1.0), 0.1),
+    "disk mask": lambda p: _disk_raster(Disks(0j, 1.0), 0.1, 0.0),
     "raster": lambda p: rasterize_preimage(p, 1, 0.5),
     "render": lambda p: render_disks(Disks([0j], [1.0]), 0.1),
     "difference samples": lambda p: sample_diff_check(Disks(0j, 1.0), Disks(1.0, 0.5), 1000, 7),

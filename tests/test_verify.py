@@ -10,7 +10,7 @@ import pytest
 
 from cantordiff import Disks, GridMask, Parameter, Pieces, VerifyConfig, run_verification
 from cantordiff import bounds as bnd
-from cantordiff import geometry, verify
+from cantordiff import cover, geometry, raster, verify
 from cantordiff.verify import REPORT_SCHEMA, raster_diff_proof
 
 SMALL = dict(depth=2, samples=64, cell=0.05, count=2000)
@@ -507,13 +507,46 @@ def test_raster_nesting_compares_rasters_of_different_windows():
     ],
 )
 def test_diff_proof_numbers_equal_the_common_window_reference(d2, d1, cell):
-    dm = verify.mask_difference(verify.disk_mask(d2, cell), verify.disk_mask(d1, cell))
+    a, b = verify._disk_raster(d2, cell, 0.0), verify._disk_raster(d1, cell, 0.0)
+    dm = verify.mask_difference(a, b)
     pred = verify.disk_difference(d2, d1)
-    bd, bp, kx_lo, ky_lo = _embed(dm, verify.disk_mask(pred, cell, align="integer"))
+    bd, bp, kx_lo, ky_lo = _embed(dm, verify._disk_raster(pred, cell, 0.5))
     iy, ix = np.nonzero(bp & ~bd)
     centers = (ix + kx_lo) * cell + 1j * ((iy + ky_lo) * cell)
     deepest = float((pred.radii - np.abs(centers - pred.centers)).max()) if iy.size else 0.0
     assert verify.diff_proof_numbers(d2, d1, cell) == (int(np.count_nonzero(bd & ~bp)), deepest)
+
+
+def test_difference_raster_proof_shares_no_code_with_the_union_grid(monkeypatch):
+    # the oracle rasterizes its disks itself, so it passes, with the same
+    # detail, when the union grid and its disk walker cannot run
+    check = dict(verify._CHECKS)["difference-raster-proof"]
+    want = check(verify._Ctx(_cfg(Parameter(5.0))))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("difference-raster-proof reached the union grid's path")
+
+    monkeypatch.setattr(raster, "_disk_windows", unreachable)
+    monkeypatch.setattr(cover, "_disk_windows", unreachable)
+    monkeypatch.setattr(cover, "union_grid_mask", unreachable)
+    got = check(verify._Ctx(_cfg(Parameter(5.0))))
+    assert got == want and got[0]
+
+
+def test_piece_membership_takes_no_complex_abs(monkeypatch):
+    # its moduli are np.hypot's, which _ORBIT_KAPPA budgets for
+    ctx = verify._Ctx(_cfg(Parameter(5.0)))
+    ctx.pieces
+    real_abs, complex_args = np.abs, []
+
+    def spy_abs(z, *args, **kwargs):
+        if np.iscomplexobj(z):
+            complex_args.append(z)
+        return real_abs(z, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", spy_abs)
+    assert dict(verify._CHECKS)["piece-membership"](ctx)[0]
+    assert not complex_args
 
 
 def test_area_sandwich_counts_the_cells_the_grid_misses(monkeypatch):
