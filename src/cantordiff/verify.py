@@ -9,22 +9,21 @@ wall clock or dict ordering.
 
 Tolerances fall into four groups: exact (bitwise) where the construction
 guarantees identity, one-sided where a certified number must lie outward
-of the true one (the radius rows, bracketed by a 50-digit decimal
-recursion and at most 1e-14-relative from it), 1e-12-relative where only
-rounding noise separates the two sides, and 1e-9-relative where a
-forward-inverse roundtrip feeds one side; piece-membership carries a
-rounding bound derived from operation counts.  The piece-nesting check
-additionally allows a sampling slack that shrinks like 1/samples^2:
-enclosing disks built from sampled diametral pairs undershoot the true
-set slightly, and the quadratic rate comes from the smoothness of the
-piece boundaries.
+of the true one (the radius rows, bracketed by an exact integer
+fixed-point recursion and at most 1e-14-relative from it),
+1e-12-relative where only rounding noise separates the two sides, and
+1e-9-relative where a forward-inverse roundtrip feeds one side;
+piece-membership carries a rounding bound derived from operation counts.
+The piece-nesting check additionally allows a sampling slack that
+shrinks like 1/samples^2: enclosing disks built from sampled diametral
+pairs undershoot the true set slightly, and the quadratic rate comes
+from the smoothness of the piece boundaries.
 """
 from __future__ import annotations
 
 import math
 import sys
 from collections import namedtuple
-from decimal import Decimal, localcontext
 from functools import cached_property
 
 import numpy as np
@@ -71,6 +70,10 @@ _NEST_C = 16.0
 # then 12u plus a quarter of the excess per step).  47, rounded up to
 # leave a 1/48 relative slack for the terms of order u^2.
 _ORBIT_KAPPA = 48.0
+
+# fraction bits of radius-recursion's integer reference, which holds R_k
+# as an integer B_k within 6 units below 2^_P R_k (about 60 digits)
+_P = 200
 
 
 class VerifyConfig(
@@ -144,40 +147,58 @@ def _check_branch_symmetry(ctx: _Ctx) -> tuple[bool, str]:
     return ok, f"negation exact={exact}, branch-0 arguments in [0, pi)={in_range}"
 
 
-def _decimal_radii(param: Parameter, count: int) -> tuple[list[Decimal], list[Decimal]]:
-    """R_1..R_count and r_1..r_count at 50 digits, from R_0 = |c| taken as
-    sqrt(re^2 + im^2) in Decimal: R_{k+1} = sqrt(|c| + R_k), r_{k+1} = sqrt(|c| - R_k)."""
-    with localcontext() as dec:
-        dec.prec = 50
-        a = (Decimal(param.c.real) ** 2 + Decimal(param.c.imag) ** 2).sqrt()
-        big, outer, inner = a, [], []
-        for _ in range(count):
-            inner.append((a - big).sqrt())
-            big = (a + big).sqrt()
-            outer.append(big)
+def _integer_radii(param: Parameter, count: int) -> tuple[list[int], list[int]]:
+    """R_1..R_count and r_1..r_count as integers B_k and b_k over 2^_P.
+
+    |c|^2 is exact from the integer ratios of c's parts, A = floor(2^P |c|)
+    = B_0, and B_{k+1} = isqrt((A + B_k) 2^P), b_{k+1} = isqrt((A - B_k) 2^P)
+    are floor roots of R_{k+1} = sqrt(|c| + R_k), r_{k+1} = sqrt(|c| - R_k).
+
+    For |c| > 2, u_k = 2^P R_k - B_k obeys 0 <= u_k < 3 + 2 sqrt(2) < 6:
+    u_0 < 1, and as sqrt(X) - sqrt(Y) <= (X - Y)/sqrt(X) for Y <= X and
+    R_{k+1} > sqrt(2), u_{k+1} < 1 + (u_0 + u_k)/R_{k+1} < 1 + (1 + u_k)/sqrt(2).
+    Likewise |2^P r_k - b_k| < 1 + 6/r_k for r_k > 0, and b_1 = r_1 = 0.
+    So R_k errs by under 2^-197 relative and r_k by under (1 + 6/r_k)/(2^P r_k),
+    which is below 2^-143 for k >= 2 once |c| >= 2 + 2^-53 (r_k^2 >= (|c| - 2)/2).
+    """
+    (p, q), (s, t) = param.c.real.as_integer_ratio(), param.c.imag.as_integer_ratio()
+    a = math.isqrt((((p * t) ** 2 + (s * q) ** 2) << 2 * _P) // (q * t) ** 2)
+    big, outer, inner = a, [], []
+    for _ in range(count):
+        inner.append(math.isqrt((a - big) << _P))
+        big = math.isqrt((a + big) << _P)
+        outer.append(big)
     return outer, inner
 
 
 def _check_radius_recursion(ctx: _Ctx) -> tuple[bool, str]:
     rows = ctx.rows
-    outer, inner = _decimal_radii(ctx.param, len(rows))
+    outer, inner = _integer_radii(ctx.param, len(rows))
     big = [row.outer_radius for row in rows]
     small = [row.inner_radius for row in rows]
-    # Decimal(float) is exact, so the bracket is compared without rounding
-    got = [Decimal(x) for x in big + small]
-    outward = all(x >= y for x, y in zip(got, outer)) and all(
-        x <= y for x, y in zip(got[len(rows) :], inner)
+    # a row x = n/d against its reference y = B/2^P, exactly: x - y has the
+    # sign of e = n 2^P - B d, and |x - y|/y = |e|/(B d)
+    gaps = []
+    for x, b in zip(big + small, outer + inner):
+        n, d = x.as_integer_ratio()
+        gaps.append(((n << _P) - b * d, b * d))
+    outward = all(e >= 0 for e, _ in gaps[: len(rows)]) and all(
+        e <= 0 for e, _ in gaps[len(rows) :]
     )
-    gap = max(abs(x - y) / y for x, y in zip(got, outer + inner) if y)
+    # the largest relative gap num/den over the references y > 0
+    num, den = 0, 1
+    for e, m in gaps:
+        if m and abs(e) * den > num * m:
+            num, den = abs(e), m
     # weak, not eventually constant: after R_k stalls at its fixed point the
     # d_k walk still moves, so r_k may rise by an ulp later, still a lower bound
     mono = all(x >= y for x, y in zip(big, big[1:])) and all(
         x <= y for x, y in zip(small, small[1:])
     )
-    ok = outward and gap <= Decimal("1e-14") and mono
+    ok = outward and num * 10**14 <= den and mono
     return ok, (
         f"bracket of the 50-digit recursion={outward}, max relative gap "
-        f"{float(gap):.3e}, monotone until stall={mono}"
+        f"{num / den:.3e}, monotone until stall={mono}"
     )
 
 
@@ -419,39 +440,46 @@ def _check_nesting(ctx: _Ctx) -> tuple[bool, str]:
     return ok, f"max child sample / parent disk radius {worst:.12f} (slack {slack:.3e})"
 
 
-def _seeded_disk_pairs(ctx: _Ctx, pairs: int, stream: int) -> list[tuple[Disks, Disks]]:
-    u = lcg_uniforms(ctx.seed + stream, 6 * pairs)
-    out = []
-    for t in range(pairs):
-        c2 = complex(4.0 * u[6 * t] - 2.0, 4.0 * u[6 * t + 1] - 2.0)
-        c1 = complex(4.0 * u[6 * t + 2] - 2.0, 4.0 * u[6 * t + 3] - 2.0)
-        r2 = 0.5 + u[6 * t + 4]
-        r1 = 0.5 + u[6 * t + 5]
-        out.append((Disks(c2, r2), Disks(c1, r1)))
-    return out
+def _seeded_disk_pairs(ctx: _Ctx, pairs: int, stream: int) -> tuple[Disks, Disks]:
+    """Disks d2 and d1 with one row per pair, row t from the six uniforms
+    6t..6t + 5: d2's center, d1's center, d2's radius, d1's radius."""
+    u = lcg_uniforms(ctx.seed + stream, 6 * pairs).reshape(pairs, 6)
+    # each center's parts side by side, viewed as one complex
+    centers = (4.0 * u[:, :4] - 2.0).view(np.complex128)
+    radii = 0.5 + u[:, 4:]
+    return Disks(centers[:, 0], radii[:, 0]), Disks(centers[:, 1], radii[:, 1])
+
+
+def _paired_difference(d2: Disks, d1: Disks) -> Disks:
+    """Row t of d2 minus row t of d1: the diagonal of disk_difference."""
+    pred = disk_difference(d2, d1)
+    return Disks(pred.centers[:: len(d1) + 1], pred.radii[:: len(d1) + 1])
 
 
 def _check_difference_sampling(ctx: _Ctx) -> tuple[bool, str]:
+    d2, d1 = _seeded_disk_pairs(ctx, 8, stream=3)
+    radii = _paired_difference(d2, d1).radii
     sup_ratio = 0.0
-    for t, (d2, d1) in enumerate(_seeded_disk_pairs(ctx, 8, stream=3)):
+    for t in range(len(d2)):
+        row2, row1 = Disks(d2.centers[t], d2.radii[t]), Disks(d1.centers[t], d1.radii[t])
         try:
-            sup = sample_diff_check(d2, d1, ctx.count, ctx.seed + 100 + t)
+            sup = sample_diff_check(row2, row1, ctx.count, ctx.seed + 100 + t)
         except RuntimeError as exc:
             return False, str(exc)
-        sup_ratio = max(sup_ratio, sup / float(disk_difference(d2, d1).radii[0]))
+        sup_ratio = max(sup_ratio, sup / float(radii[t]))
     ok = sup_ratio <= 1.0
     return ok, f"8 pairs, {ctx.count} samples each, max sup/radius {sup_ratio:.9f}"
 
 
 def _check_difference_attainment(ctx: _Ctx) -> tuple[bool, str]:
-    worst = 0.0
+    d2, d1 = _seeded_disk_pairs(ctx, 8, stream=4)
     t = np.exp(2j * math.pi * np.arange(64) / 64.0)
-    for d2, d1 in _seeded_disk_pairs(ctx, 8, stream=4):
-        x = d2.centers + d2.radii * t
-        y = d1.centers - d1.radii * t
-        pred = disk_difference(d2, d1)
-        dev = np.abs(np.abs((x - y) - pred.centers) - pred.radii) / pred.radii
-        worst = max(worst, float(dev.max()))
+    x = d2.centers[:, None] + d2.radii[:, None] * t
+    y = d1.centers[:, None] - d1.radii[:, None] * t
+    pred = _paired_difference(d2, d1)
+    radii = pred.radii[:, None]
+    dev = np.abs(np.abs((x - y) - pred.centers[:, None]) - radii) / radii
+    worst = float(dev.max())
     ok = worst <= 1e-12
     return ok, f"antipodal boundary probes hit the radius within {worst:.3e} relative"
 
@@ -555,7 +583,7 @@ def diff_proof_numbers(d2: Disks, d1: Disks, cell: float) -> tuple[int, float]:
 
 
 def _check_difference_raster(ctx: _Ctx) -> tuple[bool, str]:
-    d2, d1 = _seeded_disk_pairs(ctx, 1, stream=5)[0]
+    d2, d1 = _seeded_disk_pairs(ctx, 1, stream=5)
     return raster_diff_proof(d2, d1, max(ctx.cell, 0.02))
 
 

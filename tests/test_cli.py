@@ -700,6 +700,28 @@ def test_cli_imports_only_what_it_runs():
     assert "numpy" in after_verify
 
 
+def test_verify_loads_no_decimal():
+    # radius-recursion's reference is integer arithmetic, so a verify run
+    # loads no decimal, nor fractions or statistics, which import it
+    path = [str(Path(m.__file__).resolve().parents[1]) for m in (cantordiff, numpy)]
+    code = (
+        "import contextlib, io, sys\n"
+        "from cantordiff.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify', '--c-re', '5', '--depth', '2', '--count', '1000'])\n"
+        "names = ('decimal', '_decimal', 'fractions', 'statistics')\n"
+        "print(code, [m for m in names if m in sys.modules])\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "0 []\n"
+
+
 def test_package_resolves_names_lazily():
     import importlib
 

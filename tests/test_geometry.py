@@ -109,7 +109,7 @@ def _first_attaining_pair(pts):
     return min((int(i), int(j)) for i, j in hits if i <= j)
 
 
-def test_diametral_pair_tie_break_spans_blocks():
+def test_diametral_pair_tie_break_spans_blocks(monkeypatch):
     # points on a 5x5 integer lattice repeat, so many index pairs attain
     # the diameter exactly and they spread over several scan blocks of
     # _BUDGET // n rows; in half the cases the extreme corners only appear
@@ -124,6 +124,17 @@ def test_diametral_pair_tie_break_spans_blocks():
             head = block + int(rng.integers(0, n - block))
             pts[:head] = rng.integers(1, 4, size=head) + 1j * rng.integers(1, 4, size=head)
         assert _pair_scan(pts)[:2] == _first_attaining_pair(pts), case
+    # one to four rows a block, so the blocks straddle the diagonal and
+    # the mirrored maxima (i, j) and (j, i) of the 3x3 lattice fall in one
+    # block or across two; the scan keeps the full matrix's first maximum
+    for case in range(48):
+        n = int(rng.integers(2, 60))
+        rows = 1 + case % 4
+        monkeypatch.setattr(geometry, "_BUDGET", rows * n + int(rng.integers(0, n)))
+        pts = rng.integers(0, 3, size=n) + 1j * rng.integers(0, 3, size=n)
+        d = pts[:, None] - pts[None, :]
+        best = float(np.hypot(d.real, d.imag).max())
+        assert _pair_scan(pts) == (*_first_attaining_pair(pts), best), case
 
 
 def test_block_search_diameter_matches_bruteforce():

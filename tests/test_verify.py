@@ -3,7 +3,7 @@
 import cmath
 import json
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -162,6 +162,45 @@ def test_parameter_checks_hold_across_the_domain(c):
     assert not failed, failed
 
 
+def _decimal_radii(param, count):
+    """R_1..R_count and r_1..r_count at 50 digits, from R_0 = |c| taken as
+    sqrt(re^2 + im^2) in Decimal: R_{k+1} = sqrt(|c| + R_k), r_{k+1} = sqrt(|c| - R_k)."""
+    with localcontext() as dec:
+        dec.prec = 50
+        a = (Decimal(param.c.real) ** 2 + Decimal(param.c.imag) ** 2).sqrt()
+        big, outer, inner = a, [], []
+        for _ in range(count):
+            inner.append((a - big).sqrt())
+            big = (a + big).sqrt()
+            outer.append(big)
+    return outer, inner
+
+
+_RADIUS_PARAMS = [
+    5.0, -5.0, 2.5j, 3 + 4j, 2 + 1e-7, 8.0, 1e300, -2.0294846180309127 + 0.28929601652272774j
+]
+
+
+@pytest.mark.parametrize("c", _RADIUS_PARAMS)
+def test_integer_radii_within_the_proven_bound(c):
+    # against mpmath with 80 digits past the units of 2^P |c|:
+    # 0 <= 2^P R_k - B_k < 6 and |2^P r_k - b_k| < 1 + 6/r_k, b_1 = 0
+    mpmath = pytest.importorskip("mpmath")
+    param = Parameter(c)
+    outer, inner = verify._integer_radii(param, 420)
+    scale = 2**verify._P
+    with mpmath.workdps(80 + len(str(outer[0]))):
+        a = mpmath.sqrt(mpmath.mpf(c.real) ** 2 + mpmath.mpf(c.imag) ** 2)
+        big = a
+        assert inner[0] == 0
+        for k in range(420):
+            small = mpmath.sqrt(a - big)
+            big = mpmath.sqrt(a + big)
+            assert 0 <= big * scale - outer[k] < 6, k
+            if k:
+                assert abs(small * scale - inner[k]) < 1 + 6 / small, k
+
+
 def _inside(x: Decimal, toward: float) -> float:
     """The double next to x on the side of `toward`, strictly past x."""
     y = float(x)
@@ -179,7 +218,7 @@ def test_radius_recursion_rejects_an_inward_row(monkeypatch, c, edit):
     # tampered outer row is set to the first double below the 50-digit R_k;
     # r_1 = 0 is exact, so one ulp up already leaves the bracket
     param = Parameter(c)
-    outer, inner = verify._decimal_radii(param, 10)
+    outer, inner = _decimal_radii(param, 10)
     table = bnd.bound_table
 
     def tampered(param, depth):
