@@ -7,6 +7,12 @@ flag plus a one-line deterministic detail string; the harness collects
 them into a report whose bytes depend only on the configuration, never on
 wall clock or dict ordering.
 
+The references the checks trust live in cantordiff._oracle: the integer
+radius recursion, the raster proof's disk rasters and cell counts, window
+comparisons and a shift-and-OR mask difference, each a function of plain
+inputs.  This module keeps what reads the context or returns a verdict:
+the checks, their seeded inputs and the raster proof's verdict.
+
 Tolerances fall into four groups: exact (bitwise) where the construction
 guarantees identity, one-sided where a certified number must lie outward
 of the true one (the radius rows, bracketed by an exact integer
@@ -30,6 +36,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import cover as cov
+from ._oracle import _P, _integer_radii, _outside, _shift_or, diff_proof_numbers
 from .geometry import (
     _BUDGET,
     Disks,
@@ -39,15 +46,7 @@ from .geometry import (
     forward_map,
     inverse_branch,
 )
-from .raster import (
-    DEFAULT_MAX_CELLS,
-    GridMask,
-    check_cap,
-    lcg_uniforms,
-    mask_difference,
-    rasterize_preimage,
-    sample_diff_check,
-)
+from .raster import GridMask, lcg_uniforms, mask_difference, rasterize_preimage, sample_diff_check
 
 __all__ = ["VerifyConfig", "run_verification", "REPORT_SCHEMA"]
 
@@ -70,10 +69,6 @@ _NEST_C = 16.0
 # then 12u plus a quarter of the excess per step).  47, rounded up to
 # leave a 1/48 relative slack for the terms of order u^2.
 _ORBIT_KAPPA = 48.0
-
-# fraction bits of radius-recursion's integer reference, which holds R_k
-# as an integer B_k within 6 units below 2^_P R_k (about 60 digits)
-_P = 200
 
 
 class VerifyConfig(
@@ -145,30 +140,6 @@ def _check_branch_symmetry(ctx: _Ctx) -> tuple[bool, str]:
     in_range = bool(np.all((args >= 0.0) & (args < math.pi)))
     ok = exact and in_range
     return ok, f"negation exact={exact}, branch-0 arguments in [0, pi)={in_range}"
-
-
-def _integer_radii(param: Parameter, count: int) -> tuple[list[int], list[int]]:
-    """R_1..R_count and r_1..r_count as integers B_k and b_k over 2^_P.
-
-    |c|^2 is exact from the integer ratios of c's parts, A = floor(2^P |c|)
-    = B_0, and B_{k+1} = isqrt((A + B_k) 2^P), b_{k+1} = isqrt((A - B_k) 2^P)
-    are floor roots of R_{k+1} = sqrt(|c| + R_k), r_{k+1} = sqrt(|c| - R_k).
-
-    For |c| > 2, u_k = 2^P R_k - B_k obeys 0 <= u_k < 3 + 2 sqrt(2) < 6:
-    u_0 < 1, and as sqrt(X) - sqrt(Y) <= (X - Y)/sqrt(X) for Y <= X and
-    R_{k+1} > sqrt(2), u_{k+1} < 1 + (u_0 + u_k)/R_{k+1} < 1 + (1 + u_k)/sqrt(2).
-    Likewise |2^P r_k - b_k| < 1 + 6/r_k for r_k > 0, and b_1 = r_1 = 0.
-    So R_k errs by under 2^-197 relative and r_k by under (1 + 6/r_k)/(2^P r_k),
-    which is below 2^-143 for k >= 2 once |c| >= 2 + 2^-53 (r_k^2 >= (|c| - 2)/2).
-    """
-    (p, q), (s, t) = param.c.real.as_integer_ratio(), param.c.imag.as_integer_ratio()
-    a = math.isqrt((((p * t) ** 2 + (s * q) ** 2) << 2 * _P) // (q * t) ** 2)
-    big, outer, inner = a, [], []
-    for _ in range(count):
-        inner.append(math.isqrt((a - big) << _P))
-        big = math.isqrt((a + big) << _P)
-        outer.append(big)
-    return outer, inner
 
 
 def _check_radius_recursion(ctx: _Ctx) -> tuple[bool, str]:
@@ -484,65 +455,6 @@ def _check_difference_attainment(ctx: _Ctx) -> tuple[bool, str]:
     return ok, f"antipodal boundary probes hit the radius within {worst:.3e} relative"
 
 
-def _int_origin_index(mask: GridMask) -> tuple[int, int]:
-    """Integer-lattice index k of cell (0, 0), whose center is k * cell on
-    each axis."""
-    fx = mask.origin.real / mask.cell + 0.5
-    fy = mask.origin.imag / mask.cell + 0.5
-    kx, ky = round(fx), round(fy)
-    if abs(fx - kx) > 1e-6 or abs(fy - ky) > 1e-6:
-        raise ValueError("mask cell centers are not on the integer lattice")
-    return kx, ky
-
-
-def _overlap(m1: GridMask, m2: GridMask) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
-    """Row and column slices of m1.bits and of m2.bits over the cells the
-    two windows share: empty slices when they share none.  The masks must
-    lie on one lattice: equal cells, and windows an integer number of
-    cells apart."""
-    fx = (m2.origin.real - m1.origin.real) / m1.cell
-    fy = (m2.origin.imag - m1.origin.imag) / m1.cell
-    dx, dy = round(fx), round(fy)  # m1's index of m2's cell (0, 0)
-    if m1.cell != m2.cell or abs(fx - dx) > 1e-6 or abs(fy - dy) > 1e-6:
-        raise ValueError("masks are not on one lattice")
-    x_lo, y_lo = max(0, dx), max(0, dy)
-    x_hi = max(x_lo, min(m1.width, dx + m2.width))
-    y_hi = max(y_lo, min(m1.height, dy + m2.height))
-    return (
-        (slice(y_lo, y_hi), slice(x_lo, x_hi)),
-        (slice(y_lo - dy, y_hi - dy), slice(x_lo - dx, x_hi - dx)),
-    )
-
-
-def _outside(m1: GridMask, m2: GridMask) -> int:
-    """Set cells of m1 that are not set cells of m2, both on one lattice."""
-    s1, s2 = _overlap(m1, m2)
-    return m1.cells - int(np.count_nonzero(m1.bits[s1] & m2.bits[s2]))
-
-
-def _disk_raster(disk: Disks, cell: float, shift: float) -> GridMask:
-    """Raster, capped as "disk mask cells", of the cells of the lattice
-    fl((k + 0.5 - shift)*cell) whose centers lie in the one-row disk:
-    shift 0 is the half-integer lattice, 0.5 the integer one.  Every cell
-    of the disk's box plus one spare cell a side is tested, in row strips
-    of at most _BUDGET cells (one row when a row is wider)."""
-    x, y, r = float(disk.centers.real[0]), float(disk.centers.imag[0]), float(disk.radii[0])
-    kx_lo, kx_hi = math.floor((x - r) / cell) - 1, math.ceil((x + r) / cell) + 1
-    ky_lo, ky_hi = math.floor((y - r) / cell) - 1, math.ceil((y + r) / cell) + 1
-    shape = (ky_hi - ky_lo + 1, kx_hi - kx_lo + 1)
-    check_cap("disk mask cells", shape[0] * shape[1], DEFAULT_MAX_CELLS)
-    xs = (np.arange(kx_lo, kx_hi + 1, dtype=np.float64) + (0.5 - shift)) * cell
-    ys = (np.arange(ky_lo, ky_hi + 1, dtype=np.float64) + (0.5 - shift)) * cell
-    dx2 = (xs - x) ** 2
-    bits = np.zeros(shape, dtype=bool)
-    step = max(1, _BUDGET // xs.size)
-    for lo in range(0, ys.size, step):
-        dy = ys[lo : lo + step, None] - y
-        bits[lo : lo + step] = dx2 + dy**2 <= r * r
-    origin = complex((kx_lo - shift) * cell, (ky_lo - shift) * cell)
-    return GridMask(origin=origin, cell=cell, bits=bits, mode="disk")
-
-
 def raster_diff_proof(d2: Disks, d1: Disks, cell: float) -> tuple[bool, str]:
     """Grid falsification of the difference-disk identity.
 
@@ -562,26 +474,6 @@ def raster_diff_proof(d2: Disks, d1: Disks, cell: float) -> tuple[bool, str]:
     )
 
 
-def diff_proof_numbers(d2: Disks, d1: Disks, cell: float) -> tuple[int, float]:
-    """Cell counts behind the proof: (cells outside the prediction,
-    deepest missing cell's distance inside the predicted boundary)."""
-    dm = mask_difference(_disk_raster(d2, cell, 0.0), _disk_raster(d1, cell, 0.0))
-    pred = disk_difference(d2, d1)
-    pm = _disk_raster(pred, cell, 0.5)
-    extra = _outside(dm, pm)
-    # the predicted cells that the difference mask misses, on pm's lattice
-    missing = pm.bits.copy()
-    sp, sd = _overlap(pm, dm)
-    missing[sp] &= ~dm.bits[sd]
-    deepest = 0.0
-    if missing.any():
-        kx, ky = _int_origin_index(pm)
-        iy, ix = np.nonzero(missing)
-        centers = (ix + kx) * cell + 1j * ((iy + ky) * cell)
-        deepest = float((pred.radii - np.abs(centers - pred.centers)).max())
-    return extra, deepest
-
-
 def _check_difference_raster(ctx: _Ctx) -> tuple[bool, str]:
     d2, d1 = _seeded_disk_pairs(ctx, 1, stream=5)
     return raster_diff_proof(d2, d1, max(ctx.cell, 0.02))
@@ -591,23 +483,6 @@ def _random_mask(ctx: _Ctx, shape: tuple[int, int], stream: int, p: float) -> Gr
     u = lcg_uniforms(ctx.seed + stream, shape[0] * shape[1])
     bits = (u < p).reshape(shape)
     return GridMask(origin=complex(0.0, 0.0), cell=1.0, bits=bits, mode="noise")
-
-
-def _shift_or(a: GridMask, b: GridMask) -> GridMask:
-    """Reference mask difference: one copy of a, shifted by minus the
-    offset of each set cell of b, ORed into the full difference window."""
-    ha, wa = a.bits.shape
-    hb, wb = b.bits.shape
-    out = np.zeros((ha + hb - 1, wa + wb - 1), dtype=bool)
-    iys, ixs = np.nonzero(b.bits)
-    for iy, ix in zip(iys.tolist(), ixs.tolist()):
-        oy, ox = hb - 1 - iy, wb - 1 - ix
-        out[oy : oy + ha, ox : ox + wa] |= a.bits
-    origin = complex(
-        a.origin.real - b.origin.real - (wb - 0.5) * a.cell,
-        a.origin.imag - b.origin.imag - (hb - 0.5) * a.cell,
-    )
-    return GridMask(origin=origin, cell=a.cell, bits=out, mode="difference")
 
 
 def _check_correlation_methods(ctx: _Ctx) -> tuple[bool, str]:

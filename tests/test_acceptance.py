@@ -34,7 +34,7 @@ from cantordiff import (
     union_margin,
 )
 from cantordiff.cli import main
-from cantordiff.verify import diff_proof_numbers
+from cantordiff._oracle import diff_proof_numbers
 
 SEED = 20260816
 

@@ -630,7 +630,7 @@ def test_import_does_not_load_scipy():
         "import sys\n"
         "import cantordiff.cli\n"
         "from cantordiff import Disks, mask_difference\n"
-        "from cantordiff.verify import _disk_raster\n"
+        "from cantordiff._oracle import _disk_raster\n"
         "m = _disk_raster(Disks(0j, 1.0), 0.1, 0.0)\n"
         "mask_difference(m, m)\n"
         "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n"

@@ -11,7 +11,7 @@ from cantordiff import images, raster
 from cantordiff import Disks, GridMask, Parameter, rasterize_preimage
 from cantordiff.cover import difference_cover, generate_pieces
 from cantordiff.images import read_pgm, render_disks, write_pgm, write_ppm
-from cantordiff.verify import _disk_raster
+from cantordiff._oracle import _disk_raster
 
 
 def test_pgm_roundtrip(tmp_path, p5):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cantordiff import cover, raster, verify
+from cantordiff import _oracle, cover, raster
 from cantordiff import (
     Disks,
     GridMask,
@@ -26,7 +26,7 @@ from cantordiff import (
     union_grid_mask,
 )
 from cantordiff.images import render_disks
-from cantordiff.verify import _disk_raster, _shift_or
+from cantordiff._oracle import _disk_raster, _shift_or
 
 # area of the depth-1 preimage at c=5, from the change-of-variables
 # integral over the starting disk (mpmath quadrature, both branches)
@@ -195,27 +195,41 @@ _DISK_SETS = {
 }
 
 
+class _ReadInt(int):
+    """A budget that counts the divisions by it, so a test that patches it
+    fails when the code under test reads a budget of another module."""
+
+    reads = 0
+
+    def __floordiv__(self, other):
+        self.reads += 1
+        return int(self) // other
+
+
 # strips of 2^16 cells hold these windows whole, the budget's cut the
 # larger ones, and strips of 7 cells are one row each
 @pytest.mark.parametrize("strip", [1 << 16, raster._BUDGET, 7])
 @pytest.mark.parametrize("cell", [0.013, 0.05, 0.1 / 3, 0.37])
 @pytest.mark.parametrize("name", sorted(_DISK_SETS))
 def test_disk_rasters_equal_the_all_cells_test(name, cell, strip, monkeypatch):
-    monkeypatch.setattr(raster, "_BUDGET", strip)
-    monkeypatch.setattr(verify, "_BUDGET", strip)
+    walker, oracle = _ReadInt(strip), _ReadInt(strip)
+    monkeypatch.setattr(raster, "_BUDGET", walker)
+    monkeypatch.setattr(_oracle, "_BUDGET", oracle)
     centers, radii = _DISK_SETS[name](np.random.default_rng(17))
     union = union_grid_mask(Disks(centers, radii), cell)
     bits, origin = _all_cells(centers, radii, cell, cell * math.sqrt(2.0) / 2.0, 0.5)
     assert union.origin == origin and union.mode == "union"
     assert union.bits.shape == bits.shape and np.array_equal(union.bits, bits)
     for shift in (0.0, 0.5):
-        # verify's own raster of each disk, on the half-integer and the
+        # the oracle's own raster of each disk, on the half-integer and the
         # integer lattice
         for c, r in zip(centers[:, None], radii[:, None]):
             m = _disk_raster(Disks(c, r), cell, shift)
             bits, origin = _all_cells(c, r, cell, 0.0, shift)
             assert m.origin == origin and m.mode == "disk"
             assert m.bits.shape == bits.shape and np.array_equal(m.bits, bits)
+    # both patched strips were read: one read per disk raster
+    assert walker.reads and oracle.reads == 2 * len(radii)
 
 
 def _walked(monkeypatch, raster_fn) -> list[int]:
@@ -285,7 +299,7 @@ def test_mask_difference_of_disks_is_difference_disk():
 
 
 def test_mask_difference_of_disks_equals_shift_or():
-    # the direct reference is verify's shift-and-OR oracle
+    # the direct reference is the oracle's shift-and-OR
     a = _disk_raster(Disks(0.4 - 0.3j, 1.1), 0.05, 0.0)
     b = _disk_raster(Disks(-0.2 + 0.9j, 0.7), 0.05, 0.0)
     d1 = _shift_or(a, b)
