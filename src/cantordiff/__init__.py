@@ -57,15 +57,9 @@ _HOME = {
         ),
         "geometry",
     ),
+    **dict.fromkeys(("lcg_uniforms", "sample_diff_check"), "_oracle"),
     **dict.fromkeys(
-        (
-            "GridMask",
-            "lcg_uniforms",
-            "mask_difference",
-            "preimage_member",
-            "rasterize_preimage",
-            "sample_diff_check",
-        ),
+        ("GridMask", "mask_difference", "preimage_member", "rasterize_preimage"),
         "raster",
     ),
     **dict.fromkeys(("VerifyConfig", "run_verification"), "verify"),

@@ -1,13 +1,23 @@
 """Reference computations that verify's checks trust.
 
 Each function here takes plain inputs (a Parameter, Disks, GridMasks,
-numbers) and recomputes a quantity of the product by a method of its
-own: the radius recursion in exact integers, disk rasters that test every
-cell of their box, cell-for-cell window comparisons and a shift-and-OR
-mask difference.  None takes verify's context or returns a verdict; the
-checks, their seeded inputs and their tolerances stay in verify.  Only
-verify and the tests import this module, and it imports nothing of the
-package but geometry and raster.
+numbers, a seed) and either recomputes a quantity of the product by a
+method of its own: the radius recursion in exact integers, disk rasters
+that test every cell of their box, cell-for-cell window comparisons and
+a shift-and-OR mask difference; or supplies verify's reproducible
+randomness: the LCG stream and the Monte Carlo falsifier of the
+difference-disk identity, which reads its rounds from that stream.  None
+takes verify's context or returns a verdict; the checks, their seeded
+inputs and their tolerances stay in verify.  Only verify and the tests
+import this module, and it imports nothing of the package but geometry
+and raster.
+
+Determinism.  All randomness comes from an explicit 64-bit linear
+congruential generator (s <- 6364136223846793005*s + 1442695040888963407
+mod 2^64, doubles taken as (s >> 11) / 2^53), vectorized in blocks of
+_BUDGET = 2^13 steps from stride tables built once per stream, but
+bit-identical to the scalar recurrence.  lcg_uniforms and the sampler's
+rounds both read the blocks of one stream.
 """
 from __future__ import annotations
 
@@ -16,11 +26,15 @@ import math
 import numpy as np
 
 from .geometry import _BUDGET, Disks, Parameter, disk_difference
-from .raster import DEFAULT_MAX_CELLS, GridMask, check_cap, mask_difference
+from .raster import DEFAULT_MAX_CELLS, DEFAULT_MAX_POINTS, GridMask, check_cap, mask_difference
 
 # fraction bits of radius-recursion's integer reference, which holds R_k
 # as an integer B_k within 6 units below 2^_P R_k (about 60 digits)
 _P = 200
+
+_LCG_A = 6364136223846793005
+_LCG_C = 1442695040888963407
+_LCG_MASK = (1 << 64) - 1
 
 
 def _integer_radii(param: Parameter, count: int) -> tuple[list[int], list[int]]:
@@ -141,3 +155,95 @@ def _shift_or(a: GridMask, b: GridMask) -> GridMask:
         a.origin.imag - b.origin.imag - (hb - 0.5) * a.cell,
     )
     return GridMask(origin=origin, cell=a.cell, bits=out, mode="difference")
+
+
+def _lcg_blocks(seed: int):
+    """Blocks of _BUDGET doubles (s_i >> 11) / 2^53 of the LCG states s_1,
+    s_2, ... seeded with s_0 = seed, without end.
+
+    A stride of k steps is s_{i+k} = A^k*s_i + C*(1 + A + ... + A^(k-1))
+    mod 2^64: the tables below hold both for k = 1.._BUDGET, built once,
+    and each block is one stride of the last state before it (uint64
+    arithmetic wraps mod 2^64).
+    """
+    a_pow = np.cumprod(np.full(_BUDGET, _LCG_A, dtype=np.uint64))
+    b_acc = np.cumsum(np.concatenate(([np.uint64(1)], a_pow[:-1])))
+    b_acc *= np.uint64(_LCG_C)
+    s = np.uint64(seed & _LCG_MASK)
+    while True:
+        states = a_pow * s + b_acc
+        s = states[-1]
+        yield (states >> np.uint64(11)) * 2.0**-53
+
+
+def lcg_uniforms(seed: int, count: int) -> np.ndarray:
+    """count doubles in [0, 1) from the 64-bit LCG stream.
+
+    The i-th output (i >= 1) is (s_i >> 11) / 2^53 where s_i is the i-th
+    state after seeding with s_0 = seed, filled from the blocks of one
+    _lcg_blocks stream; identical to stepping the scalar recurrence.
+    """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    out = np.empty(count, dtype=np.float64)
+    blocks = _lcg_blocks(seed)
+    for lo in range(0, count, _BUDGET):
+        out[lo : lo + _BUDGET] = next(blocks)[: count - lo]
+    return out
+
+
+def sample_diff_check(d2: Disks, d1: Disks, count: int, seed: int) -> float:
+    """Monte Carlo falsification check for the disk difference set.
+
+    Draws count pairs (x in d2, y in d1), both one-row Disks, by
+    rejection from the bounding square of the unit disk (accepted
+    candidates alternate between the two disks in stream order), verifies
+    every difference x - y lies in disk_difference(d2, d1), and returns
+    the largest |x - y - center| observed (it approaches the radius from
+    below as count grows).  A containment violation raises RuntimeError:
+    it would falsify the difference-disk identity itself.
+
+    Each round is the next block of one _lcg_blocks stream, _BUDGET
+    states, and its deviations fold into a running maximum, so the
+    memory stays one round's whatever the count.  A round that ends on
+    an x carries it into the next, where its y is accepted.
+    """
+    if len(d2) != 1 or len(d1) != 1:
+        raise ValueError(f"need one disk a side, got {len(d2)} and {len(d1)}")
+    if count < 1000:
+        raise ValueError(f"need count >= 1000, got {count}")
+    need = 2 * count
+    check_cap("difference samples", need, DEFAULT_MAX_POINTS)
+    pred = disk_difference(d2, d1)
+    worst, have = 0.0, 0
+    carry = np.empty(0, dtype=np.complex128)
+    blocks = _lcg_blocks(seed)
+    while have < need:
+        u = next(blocks)
+        # candidates 2u - 1 of the bounding square, real and imaginary
+        # parts interleaved, so that u viewed as complex holds them
+        u *= 2.0
+        u -= 1.0
+        r2 = np.square(u[0::2])
+        r2 += np.square(u[1::2])
+        acc = u.view(np.complex128)[r2 <= 1.0][: need - have]
+        have += acc.size
+        # accepted unit-disk points, x and y alternating, become x - y -
+        # center in place
+        acc = np.concatenate((carry, acc))
+        pairs = acc.size - acc.size % 2
+        x, y, carry = acc[0:pairs:2], acc[1:pairs:2], acc[pairs:]
+        x *= d2.radii
+        x += d2.centers
+        y *= d1.radii
+        y += d1.centers
+        x -= y
+        x -= pred.centers
+        worst = max(worst, float(np.abs(x).max(initial=0.0)))
+    radius = float(pred.radii[0])
+    if worst > radius + 1e-12 * (radius + 1.0):
+        raise RuntimeError(
+            "difference-disk containment violated: sampled deviation "
+            f"{worst:.17g} exceeds radius {radius:.17g}"
+        )
+    return worst

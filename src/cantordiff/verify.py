@@ -9,9 +9,10 @@ wall clock or dict ordering.
 
 The references the checks trust live in cantordiff._oracle: the integer
 radius recursion, the raster proof's disk rasters and cell counts, window
-comparisons and a shift-and-OR mask difference, each a function of plain
-inputs.  This module keeps what reads the context or returns a verdict:
-the checks, their seeded inputs and the raster proof's verdict.
+comparisons, a shift-and-OR mask difference, the LCG stream and the
+difference-disk sampler, each a function of plain inputs.  This module
+keeps what reads the context or returns a verdict: the checks, their
+seeded inputs and the raster proof's verdict.
 
 Tolerances fall into four groups: exact (bitwise) where the construction
 guarantees identity, one-sided where a certified number must lie outward
@@ -36,7 +37,15 @@ import numpy as np
 
 from . import bounds as bnd
 from . import cover as cov
-from ._oracle import _P, _integer_radii, _outside, _shift_or, diff_proof_numbers
+from ._oracle import (
+    _P,
+    _integer_radii,
+    _outside,
+    _shift_or,
+    diff_proof_numbers,
+    lcg_uniforms,
+    sample_diff_check,
+)
 from .geometry import (
     _BUDGET,
     Disks,
@@ -46,7 +55,7 @@ from .geometry import (
     forward_map,
     inverse_branch,
 )
-from .raster import GridMask, lcg_uniforms, mask_difference, rasterize_preimage, sample_diff_check
+from .raster import GridMask, mask_difference, rasterize_preimage
 
 __all__ = ["VerifyConfig", "run_verification", "REPORT_SCHEMA"]
 
@@ -366,9 +375,8 @@ def _check_pairwise_contraction(ctx: _Ctx) -> tuple[bool, str]:
 
 def _check_sampled_diameter(ctx: _Ctx) -> tuple[bool, str]:
     worst = 0.0
-    for k, level in enumerate(ctx.pieces[1:], start=1):
-        kn = bnd.piece_diameter_bound(ctx.param, k)
-        worst = max(worst, float((level.sampled_diam / kn).max()))
+    for row, level in zip(ctx.rows, ctx.pieces[1:]):
+        worst = max(worst, float((level.sampled_diam / row.diam_bound).max()))
     ok = worst <= 1.0 + 1e-12
     return ok, f"max sampled diameter / certified bound {worst:.12f}"
 
@@ -563,13 +571,13 @@ def _check_area_sandwich(ctx: _Ctx) -> tuple[bool, str]:
 
 def _check_worst_case_identity(ctx: _Ctx) -> tuple[bool, str]:
     n = ctx.depth
-    kn = bnd.piece_diameter_bound(ctx.param, n)
+    kn = ctx.rows[n - 1].diam_bound
     # enclosing-disk radius of a piece whose diameter is exactly K_n
     radius = diametral_disks(0j, complex(kn), kn).radii[0]
     count = 1 << (n + 1)
     t = np.arange(count, dtype=np.float64)
     total = cov.sum_area(cov.difference_cover(Disks(3.0 * radius * t, np.full(count, radius))))
-    closed = bnd.difference_measure_bound(ctx.param, n).bound
+    closed = ctx.rows[n - 1].bound
     rel = abs(total - closed) / closed
     ok = rel <= 1e-12
     return ok, f"sum over {count}^2 equal-radius difference disks vs closed form: rel err {rel:.3e}"

@@ -6,7 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from cantordiff import _oracle
+import cantordiff
+from cantordiff import _oracle, raster
 
 
 def _imported(tree: ast.AST):
@@ -44,3 +45,27 @@ def test_cover_diff_and_oracle_load_neither_the_oracle_nor_verify(tmp_path):
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout == "[0, 0, 0] []\n"
+
+
+def test_the_images_import_path_loads_no_oracle_code():
+    # oracle and the benchmark's PGM gate import cantordiff.images; each
+    # package module it loads is compiled in every such process
+    code = (
+        "import sys, cantordiff.images\n"
+        "print(*sorted(n for n in sys.modules if n.split('.')[0] == 'cantordiff'))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == [
+        "cantordiff",
+        "cantordiff.bounds",
+        "cantordiff.geometry",
+        "cantordiff.images",
+        "cantordiff.raster",
+    ]
+
+
+def test_the_lcg_and_the_sampler_are_public_from_the_oracle():
+    for name in ("lcg_uniforms", "sample_diff_check"):
+        assert getattr(cantordiff, name) is getattr(_oracle, name)
+        assert not hasattr(raster, name)

@@ -784,7 +784,7 @@ def test_lcg_matches_scalar_reference():
 
 def test_lcg_coeff_table_matches_scalar_recurrence():
     # counts inside one block and on both sides of each block edge
-    chunk = raster._BUDGET
+    chunk = _oracle._BUDGET
     for count in (0, 1, 5, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
         s, want = 987654321, []
         for _ in range(count):
@@ -834,7 +834,7 @@ def _scalar_diff_check(c2, r2, c1, r1, count, seed):
     "count, min_rounds", [(1000, 1), (2000, 2), (4321, 2), (20_000, 2), (33_333, 2)]
 )
 def test_sample_diff_check_equals_the_scalar_reference(count, min_rounds, monkeypatch):
-    real, draws, accepted = raster._lcg_blocks, [], [0]
+    real, draws, accepted = _oracle._lcg_blocks, [], [0]
 
     def counted(seed):
         for block in real(seed):
@@ -844,13 +844,13 @@ def test_sample_diff_check_equals_the_scalar_reference(count, min_rounds, monkey
             accepted.append(accepted[-1] + int(np.count_nonzero(u[0::2] ** 2 + u[1::2] ** 2 <= 1.0)))
             yield block
 
-    monkeypatch.setattr(raster, "_lcg_blocks", counted)
+    monkeypatch.setattr(_oracle, "_lcg_blocks", counted)
     pair = (0.3 - 1.7j, 1.25, -2.1 + 0.4j, 0.6)
     got = sample_diff_check(Disks(*pair[:2]), Disks(*pair[2:]), count, seed=count)
     assert got == _scalar_diff_check(*pair, count, count)
     # every round draws at most the budget; past one round, some round
     # ends on an odd accepted point, which carries into the next
-    assert max(draws) <= raster._BUDGET and len(draws) >= min_rounds
+    assert max(draws) <= _oracle._BUDGET and len(draws) >= min_rounds
     assert min_rounds == 1 or any(n % 2 for n in accepted[1:-1])
 
 
