@@ -23,6 +23,10 @@ window and grid cells, render pixels) of cover, diff, oracle and verify
 alike; bounds allocates nothing capped and ignores it.  A run over a cap,
 or with a malformed cap, exits 2.
 
+verify's defaults live in verify.VerifyConfig alone: the parser passes
+on only the options given, and the deepest piece depth of its area
+sandwich, which the overflow guard needs, comes from verify too.
+
 `import cantordiff.cli` loads argparse and the bounds module, both on the
 standard library, and bounds runs on nothing more: json is imported where
 JSON is written, and the other subcommands import their numpy-backed
@@ -134,14 +138,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility; the rasters are always filled serially")
     o.add_argument("--outdir", required=True)
 
-    v = sub.add_parser("verify", help="run the cross-validation suite")
+    # an option not given is left out, so VerifyConfig supplies its default
+    v = sub.add_parser("verify", help="run the cross-validation suite",
+                       argument_default=argparse.SUPPRESS)
     _add_param_args(v)
-    v.add_argument("--depth", type=int, default=4)
-    v.add_argument("--samples", type=int, default=256)
-    v.add_argument("--cell", type=float, default=0.02)
-    v.add_argument("--count", type=int, default=20000)
-    v.add_argument("--seed", type=int, default=20260816)
-    v.add_argument("--epsilon", type=_parse_epsilon, default=None, metavar="X|auto")
+    v.add_argument("--depth", type=int)
+    v.add_argument("--samples", type=int)
+    v.add_argument("--cell", type=float)
+    v.add_argument("--count", type=int)
+    v.add_argument("--seed", type=int)
+    v.add_argument("--epsilon", type=_parse_epsilon, metavar="X|auto")
     v.add_argument("--report", default=None, help="write the JSON report here")
 
     return parser
@@ -183,6 +189,21 @@ def _emit(args, fields: dict, table: str, columns: tuple, rows: list, trailer: l
         print(f"wrote {args.render}")
 
 
+def _header(param: Parameter, depth: int) -> dict:
+    """The c and depth fields of every record."""
+    return {"c": [param.c.real, param.c.imag], "depth": depth}
+
+
+def _sandwich_fields(sw) -> dict:
+    """The areas of a cover.Sandwich under the names diff and oracle report."""
+    return {
+        "sum_area": sw.total,
+        "union_area": sw.union.area,
+        "union_margin": sw.margin,
+        "worst_case_bound": sw.bound,
+    }
+
+
 def _check_cell_area(param: Parameter, cell: float, piece_depth: int) -> None:
     """Refuse a cell at which an area of oracle, diff or verify could overflow.
 
@@ -214,8 +235,7 @@ def _run_bounds(args, param: Parameter) -> int:
     decay = decay_parameters(param, args.epsilon)._asdict() if guaranteed else None
     fields = {
         "schema": BOUNDS_SCHEMA,
-        "c": [param.c.real, param.c.imag],
-        "depth": args.depth,
+        **_header(param, args.depth),
         "diam_mode": "certified",
         "base_diam": first_piece_diameter(param),
         "decay_guaranteed": guaranteed,
@@ -244,8 +264,7 @@ def _run_cover(args, param: Parameter) -> int:
     disks = pieces.disks
     fields = {
         "schema": COVER_SCHEMA,
-        "c": [param.c.real, param.c.imag],
-        "depth": args.depth,
+        **_header(param, args.depth),
         "samples": args.samples,
         "diam_bound": piece_diameter_bound(param, args.depth),
         "max_sampled_diam": float(pieces.sampled_diam.max()),
@@ -270,15 +289,11 @@ def _run_diff(args, param: Parameter) -> int:
     count = len(pieces)
     fields = {
         "schema": DIFF_SCHEMA,
-        "c": [param.c.real, param.c.imag],
-        "depth": args.depth,
+        **_header(param, args.depth),
         "samples": args.samples,
         "cell": args.cell,
-        "sum_area": sw.total,
-        "union_area": sw.union.area,
-        "union_margin": sw.margin,
+        **_sandwich_fields(sw),
         "union_cells": sw.union.cells,
-        "worst_case_bound": sw.bound,
     }
     c, r = diff.centers, diff.radii
     rows = [
@@ -299,7 +314,7 @@ def _run_oracle(args, param: Parameter) -> int:
 
     _check_cell_area(param, args.cell, args.depth - 1)
     outdir = args.outdir
-    meta = {"c": [param.c.real, param.c.imag], "depth": args.depth}
+    meta = _header(param, args.depth)
     report = {"schema": ORACLE_SCHEMA, **meta, "cell": args.cell, "sandwich": None}
 
     def record(name: str, mask) -> None:
@@ -329,40 +344,35 @@ def _run_oracle(args, param: Parameter) -> int:
         sw = sandwich(param, pieces, args.cell)
         report["sandwich"] = {
             "piece_depth": args.depth - 1,
-            "union_area": sw.union.area,
-            "union_margin": sw.margin,
-            "sum_area": sw.total,
-            "worst_case_bound": sw.bound,
+            **_sandwich_fields(sw),
             "holds": sw.holds(report["diff_area"]),
         }
     with open(os.path.join(outdir, "report.json"), "w") as f:
         f.write(_json_text(report))
-    print(f"inner_area,{_cell(report['inner_area'])}")
-    print(f"outer_area,{_cell(report['outer_area'])}")
-    print(f"diff_area,{_cell(report['diff_area'])}")
+    lines = [(key, report[key]) for key in ("inner_area", "outer_area", "diff_area")]
     sw = report["sandwich"]
     if sw is not None:
-        print(f"union_area,{_cell(sw['union_area'])}")
-        print(f"sum_area,{_cell(sw['sum_area'])}")
-        print(f"worst_case_bound,{_cell(sw['worst_case_bound'])}")
-        print(f"sandwich_holds,{_cell(sw['holds'])}")
+        lines += [(key, sw[key]) for key in ("union_area", "sum_area", "worst_case_bound")]
+        lines.append(("sandwich_holds", sw["holds"]))
+    for key, value in lines:
+        print(f"{key},{_cell(value)}")
     print(f"wrote {outdir}")
     return 0
 
 
 def _run_verify(args, param: Parameter) -> int:
-    from .verify import VerifyConfig, run_verification
+    from .verify import VerifyConfig, _sandwich_depths, run_verification
 
-    # verify's area sandwich builds pieces down to depth min(depth, 4)
-    _check_cell_area(param, args.cell, min(args.depth, 4))
+    cfg = VerifyConfig(param, **{k: v for k, v in vars(args).items() if k in VerifyConfig._fields})
+    # verify's area sandwich builds pieces down to its deepest depth
+    _check_cell_area(param, cfg.cell, _sandwich_depths(cfg.depth)[-1])
     # a --report that the write after the checks would refuse fails now:
     # "a" leaves an existing file as it is, and where no file can be made
     # it raises without making one
     out, folder = args.report, os.path.dirname(args.report or "") or "."
     if out is not None and (os.path.exists(out) or not os.access(folder, os.W_OK)):
         open(out, "a").close()
-    fields = {name: getattr(args, name) for name in VerifyConfig._fields if name != "param"}
-    report = run_verification(VerifyConfig(param, **fields))
+    report = run_verification(cfg)
     for check in report["checks"]:
         tag = "PASS" if check["passed"] else "FAIL"
         print(f"{tag} {check['name']}: {check['detail']}")

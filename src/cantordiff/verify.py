@@ -177,7 +177,7 @@ def _check_radius_recursion(ctx: _Ctx) -> tuple[bool, str]:
     )
     ok = outward and num * 10**14 <= den and mono
     return ok, (
-        f"bracket of the 50-digit recursion={outward}, max relative gap "
+        f"bracket of the {_P}-bit integer recursion={outward}, max relative gap "
         f"{num / den:.3e}, monotone until stall={mono}"
     )
 
@@ -560,9 +560,14 @@ def _sandwich_at(ctx: _Ctx, n: int) -> tuple[bool, str]:
     )
 
 
+def _sandwich_depths(depth: int) -> range:
+    """The piece depths area-sandwich checks at a configured depth."""
+    return range(1, min(depth, 4) + 1)
+
+
 def _check_area_sandwich(ctx: _Ctx) -> tuple[bool, str]:
     # the detail of the first failing depth, else of the deepest
-    for n in range(1, min(ctx.depth, 4) + 1):
+    for n in _sandwich_depths(ctx.depth):
         ok, detail = _sandwich_at(ctx, n)
         if not ok:
             break

@@ -227,7 +227,8 @@ def test_criterion_9_verify_determinism(tmp_path):
     assert _cli(*verify) == out_a and rp.read_bytes() == rep_a
     assert json.loads(rep_a)["passed"] is True
 
-    # the raster pool is the one thread knob: its output must not depend on it
+    # --workers is accepted and ignored, since the rasters are filled
+    # serially: the output must not depend on it
     outdir = tmp_path / "oracle"
     files = ("report.json", "inner.pgm", "outer.pgm", "diff.pgm")
 

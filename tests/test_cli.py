@@ -13,6 +13,7 @@ import numpy
 import pytest
 
 import cantordiff
+from cantordiff import Parameter, VerifyConfig
 from cantordiff.cli import main
 from cantordiff.images import read_pgm
 
@@ -140,6 +141,23 @@ def test_diff_and_oracle_share_the_sandwich(tmp_path, capsys, piece_depth):
     assert sw["piece_depth"] == piece_depth
     for key in ("sum_area", "union_area", "union_margin", "worst_case_bound"):
         assert diff[key].hex() == sw[key].hex(), key
+
+
+def test_diff_and_oracle_print_the_same_sandwich_fields(tmp_path, capsys):
+    # one record maps a Sandwich onto these names for both commands: diff's
+    # CSV trailer, oracle's stdout and its report carry the same numbers
+    common = ("--c-re", "0", "--c-im", "2.5", "--samples", "64", "--cell", "0.02")
+    code, out, _ = run_cli(capsys, "diff", "--depth", "1", *common)
+    assert code == 0
+    trailer = dict(line[2:].split(",") for line in out.splitlines() if line.startswith("# "))
+    code, out, _ = run_cli(capsys, "oracle", "--depth", "2", "--outdir", str(tmp_path), *common)
+    assert code == 0
+    printed = dict(line.split(",") for line in out.splitlines() if not line.startswith("wrote "))
+    sw = json.loads((tmp_path / "report.json").read_text())["sandwich"]
+    for key in ("sum_area", "union_area", "worst_case_bound"):
+        assert trailer[key] == printed[key], key
+    for key in ("sum_area", "union_area", "union_margin", "worst_case_bound"):
+        assert float(trailer[key]).hex() == sw[key].hex(), key
 
 
 def _same(text: str, value) -> bool:
@@ -286,6 +304,19 @@ def test_verify_cli_stops_at_the_raster_cell_cap(capsys):
     code, _, err = run_cli(capsys, "verify", "--c-re", "1e7", "--depth", "2", "--count", "1000")
     assert code == 2
     assert err.startswith("error: raster cells: 200002150656 needed")
+
+
+def test_verify_without_options_runs_verify_config_defaults(tmp_path, capsys):
+    # the CLI passes on only the options given, so its defaults are
+    # VerifyConfig's; tools/check_times.py times that configuration
+    rp = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, "verify", "--c-re", "5", "--report", str(rp))
+    assert code == 0
+    config = json.loads(rp.read_text())["config"]
+    assert config.pop("c") == [5.0, 0.0]
+    want = VerifyConfig(Parameter(5))._asdict()
+    del want["param"]
+    assert config == want
 
 
 def test_verify_report_file(tmp_path, capsys):

@@ -2,9 +2,12 @@
 never the other way round, and no production path loads it."""
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy
 
 import cantordiff
 from cantordiff import _oracle, raster
@@ -62,6 +65,33 @@ def test_the_images_import_path_loads_no_oracle_code():
         "cantordiff.geometry",
         "cantordiff.images",
         "cantordiff.raster",
+    ]
+
+
+def test_the_verify_import_path_loads_neither_images_nor_cli():
+    # every verify child imports cantordiff.verify and compiles each package
+    # module it loads; -S: no site hooks, so nothing is preloaded that a
+    # plain interpreter lacks, and numpy's directory goes on the path by hand
+    path = [str(Path(m.__file__).resolve().parents[1]) for m in (cantordiff, numpy)]
+    code = (
+        "import sys, cantordiff.verify\n"
+        "print(*sorted(n for n in sys.modules if n.split('.')[0] == 'cantordiff'))\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == [
+        "cantordiff",
+        "cantordiff._oracle",
+        "cantordiff.bounds",
+        "cantordiff.cover",
+        "cantordiff.geometry",
+        "cantordiff.raster",
+        "cantordiff.verify",
     ]
 
 

@@ -131,7 +131,7 @@ def test_radius_recursion_brackets_the_certified_rows(c):
     check = dict(verify._CHECKS)["radius-recursion"]
     ok, detail = check(verify._Ctx(VerifyConfig(param=Parameter(c))))
     assert ok, detail
-    assert detail.startswith("bracket of the 50-digit recursion=True,")
+    assert detail.startswith("bracket of the 200-bit integer recursion=True,")
 
 
 _PARAMETER_CHECKS = (
@@ -238,7 +238,7 @@ def test_radius_recursion_rejects_an_inward_row(monkeypatch, c, edit):
     ok, detail = check(verify._Ctx(cfg))
     assert not ok
     # the edit stays monotone: only the bracket catches it
-    assert detail.startswith("bracket of the 50-digit recursion=False,")
+    assert detail.startswith("bracket of the 200-bit integer recursion=False,")
     assert detail.endswith("monotone until stall=True")
 
 
